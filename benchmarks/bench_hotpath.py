@@ -314,7 +314,9 @@ def run_suite(mode: str = "full", jobs: int = 1
         advancement = timed_advancement(cfg["advancement"])
 
     digest = e2e["digest"]
-    metrics["e2e_3v_events_per_sec"] = digest["events"] / e2e["wall"]
+    # Gated on transactions, not scheduled callbacks: a runtime that
+    # needs fewer callbacks per transaction reads *slower* in events/sec
+    # while getting faster (the callback count stays in the digest).
     metrics["e2e_3v_txns_per_sec"] = digest["txns"] / e2e["wall"]
 
     digest["advancement_runs"] = advancement["advancement_runs"]

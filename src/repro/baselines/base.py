@@ -9,7 +9,7 @@ The paper motivates 3V by rejecting three designs:
   2PL + two-phase commit for every transaction.
 
 Since the runtime refactor all of the machinery the baselines share —
-mailbox loop, local executor, hierarchical completion notices,
+message dispatch, local executor, hierarchical completion notices,
 compensation routing — lives in :mod:`repro.runtime`; the names this
 module historically exported are kept as aliases of the runtime classes.
 :class:`BaselineSystem` *is* the plain runtime :class:`~repro.runtime.System`

@@ -58,7 +58,7 @@ class ManualPlugin(ProtocolPlugin):
         return node.vr if kind == TxnKind.READ else node.vu
 
     def admission_gate(self, node, instance, kind):
-        return self._gate(node)
+        return self._gate(node) if node._frozen else None
 
     def _gate(self, node):
         while node._frozen:

@@ -3,7 +3,7 @@
 Each node owns a multi-version store, a request/completion counter table,
 its current update version ``vu`` and read version ``vr``, and a local
 executor modelling local concurrency control.  The generic node mechanism
-(mailbox loop, executor, completion notices, compensation routing) lives
+(message dispatch, executor, completion notices, compensation routing) lives
 in :mod:`repro.runtime`; this module supplies the 3V policy:
 
 * root subtransactions — assigned ``V(T) = vu`` (updates) or ``V(T) = vr``
@@ -191,11 +191,11 @@ class ThreeVPlugin(ProtocolPlugin):
                 instance.txn.name, WaitReason.LOCK, node.sim.now - queued_at
             )
 
-    def local_service(self, node, instance: SubtxnInstance):
-        spec = instance.spec
+    def service_time(self, node, instance: SubtxnInstance):
+        # One draw per subtransaction, ops or not.
         service = node.config.op_service.sample(node._service_rng)
-        if spec.ops:
-            yield node.sim.timeout(service * len(spec.ops))
+        ops = instance.spec.ops
+        return service * len(ops) if ops else None
 
     def execute_ops(self, node, instance: SubtxnInstance, kind: str) -> None:
         version = instance.version

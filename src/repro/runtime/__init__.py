@@ -6,7 +6,8 @@ Section-1 baselines alike — is one :class:`System` running one
 :class:`ProtocolPlugin`.  The runtime owns the *mechanism* every protocol
 shares:
 
-* the per-node mailbox loop and message dispatch table;
+* per-node message dispatch and the subtransaction arrival/finish
+  callbacks;
 * the local executor (:class:`~repro.sim.resources.Resource`);
 * :class:`~repro.txn.runtime.CompletionTracker` wiring and hierarchical
   completion notices;

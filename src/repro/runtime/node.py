@@ -1,17 +1,21 @@
 """`ProtocolNode` — the one database node every protocol runs on.
 
-The node owns the mechanism every protocol shares: the mailbox loop, the
+The node owns the mechanism every protocol shares: message dispatch, the
 local executor, completion trackers and hierarchical completion notices,
 and compensation routing (Section 3.2's tree-edge propagation, including
 the tombstone rule for compensation that overtakes its target).  All
 protocol policy — version assignment, counters, locks, control messages —
 lives in the system's :class:`~repro.runtime.plugin.ProtocolPlugin`.
 
-The user-visible commitment of a subtransaction happens right after its
-local operations and child dispatch (no waiting for anything non-local:
-Theorem 4.2).  *Completion* bookkeeping is delegated to plugin hooks so 3V
-can implement both the hierarchical (Table 1) and the literal-step-6
-"immediate" counter timing.
+The node is callback-driven: the network hands each delivered message
+straight to :meth:`ProtocolNode._dispatch`, and a subtransaction is two
+callbacks — :meth:`ProtocolNode._arrive` up to the service wait,
+:meth:`ProtocolNode._finish` after it — with a generator process started
+only from the point where a plugin hook really waits.  Local commit comes
+right after the local operations and child dispatch, having waited for
+nothing non-local (Theorem 4.2); *completion* bookkeeping is delegated to
+plugin hooks so 3V can implement both the hierarchical (Table 1) and the
+literal-step-6 "immediate" counter timing.
 """
 
 from __future__ import annotations
@@ -74,42 +78,17 @@ class ProtocolNode:
         self._service_rng = self.rngs.stream("node.service")
 
         self._mailbox = self.network.register(node_id)
-        self._main = self.sim.process(self._run(), name=f"node-{node_id}")
-
+        self._mailbox.consume(self._dispatch)
         self.plugin.init_node(self)
 
     # ------------------------------------------------------------------
-    # Main loop
+    # Message handling (the mailbox's consumer: runs inside delivery)
     # ------------------------------------------------------------------
-
-    def _run(self):
-        mailbox = self._mailbox
-        if not self.network.batch_delivery:
-            while True:
-                message = yield mailbox.get()
-                self._dispatch(message)
-        # Batched delivery deposits a whole same-tick batch in one mailbox
-        # wake; drain the backlog synchronously so the batch costs one
-        # event + one process resume instead of one per message.  Order is
-        # unchanged (take_nowait pops the same FIFO get() would) and a
-        # crash mid-drain stops it (take_nowait respects freeze).
-        take_nowait = mailbox.take_nowait
-        while True:
-            message = yield mailbox.get()
-            self._dispatch(message)
-            message = take_nowait()
-            while message is not None:
-                self._dispatch(message)
-                message = take_nowait()
 
     def _dispatch(self, message: Message) -> None:
         kind = message.kind
         if kind == MessageKind.SUBTXN_REQUEST or kind == MessageKind.COMPENSATION:
-            instance = message.payload
-            self.sim.process(
-                self.run_subtxn(instance),
-                name=f"{self.node_id}:{instance.sid}",
-            )
+            self._arrive(message.payload)
         elif kind == MessageKind.COMPLETION_NOTICE:
             self._on_completion_notice(message.payload)
         elif (kind == MessageKind.REFRESH_REQUEST
@@ -126,70 +105,98 @@ class ProtocolNode:
         """Deliver a root subtransaction directly to this node's mailbox."""
         if not instance.is_root:
             raise ProtocolError("submit() is for root subtransactions only")
-        self._mailbox.put(
-            Message(
-                src=self.node_id,
-                dst=self.node_id,
-                kind=MessageKind.SUBTXN_REQUEST,
-                payload=instance,
-                sent_at=self.sim.now,
-                delivered_at=self.sim.now,
-            )
-        )
+        now = self.sim.now
+        self._mailbox.put(Message(
+            src=self.node_id, dst=self.node_id,
+            kind=MessageKind.SUBTXN_REQUEST, payload=instance,
+            sent_at=now, delivered_at=now,
+        ))
 
     # ------------------------------------------------------------------
     # Subtransaction execution (Sections 4.1 / 4.2 mechanism)
     # ------------------------------------------------------------------
 
-    def run_subtxn(self, instance: SubtxnInstance):
+    def _arrive(self, instance: SubtxnInstance, kind=None, tracker=None,
+                queued_at=None) -> None:
+        """Arrival callback: take a subtransaction up to its service wait.
+
+        Straight-line when nothing waits (Theorem 4.2's case, the only one
+        plain 3V has), ending in one scheduled :meth:`_finish`.  Where a
+        hook does wait, the rest of the path is a re-entry here with the
+        progress so far: ``kind`` once admitted, ``tracker`` once past
+        ``pre_execute``, ``queued_at`` once the executor is held.
+        """
         plugin = self.plugin
-
-        # --- Recovery-readability (before any protocol policy, so the
-        # gate also covers transactions a plugin diverts via takeover):
-        # a read at a recovered-but-unrefreshed replica waits for the
-        # refresh to complete rather than observing stale state. --------
-        placement = self.system.placement
-        if placement is not None and instance.txn.is_read_only:
-            while True:
+        if kind is None:
+            # --- Recovery-readability (before any protocol policy, so
+            # the gate also covers transactions a plugin diverts via
+            # takeover): a read at a recovered-but-unrefreshed replica
+            # waits out the refresh rather than observing stale state,
+            # then re-arrives and checks again. --------------------------
+            placement = self.system.placement
+            if placement is not None and instance.txn.is_read_only:
                 gate = placement.read_gate(self.node_id)
-                if gate is None:
-                    break
-                yield gate
-            placement.note_read_served(self.node_id)
+                if gate is not None:
+                    gate.add_callback(lambda _gate: self._arrive(instance))
+                    return
+                placement.note_read_served(self.node_id)
 
-        kind = plugin.classify(instance)
+            kind = plugin.classify(instance)
 
-        # A plugin may divert this transaction class into its own
-        # lifecycle (NC3V's and 2PC's two-phase-commit engine).
-        takeover = plugin.takeover(self, instance, kind)
-        if takeover is not None:
-            yield from takeover
-            return
+            # A plugin may divert this transaction class into its own
+            # lifecycle (NC3V's and 2PC's two-phase-commit engine).
+            takeover = plugin.takeover(self, instance, kind)
+            if takeover is not None:
+                self.sim.process(
+                    takeover, name=f"{self.node_id}:{instance.sid}")
+                return
 
-        # --- Arrival: version assignment and request accounting -------
-        if instance.is_root:
-            gate = plugin.admit_root(self, instance, kind)
-            if gate is not None:
-                yield from gate
-        else:
-            plugin.on_descendant(self, instance, kind)
+            # --- Arrival: version assignment and request accounting ---
+            if instance.is_root:
+                gate = plugin.admit_root(self, instance, kind)
+                if gate is not None:
+                    self._wait(gate, instance, kind)
+                    return
+            else:
+                plugin.on_descendant(self, instance, kind)
 
-        tracker = CompletionTracker(instance)
-        self._trackers[instance.instance_key] = tracker
-
-        # --- Protocol work before the executor (e.g. commute locks) ----
-        pre = plugin.pre_execute(self, instance, kind)
-        if pre is not None:
-            yield from pre
+        if tracker is None:
+            tracker = CompletionTracker(instance)
+            self._trackers[instance.instance_key] = tracker
+            # --- Protocol work before the executor (e.g. commute locks)
+            pre = plugin.pre_execute(self, instance, kind)
+            if pre is not None:
+                self._wait(pre, instance, kind, tracker)
+                return
 
         # --- Local concurrency control ---------------------------------
-        queued_at = self.sim.now
-        yield self.executor.request()
+        if queued_at is None:
+            queued_at = self.sim.now
+            if not self.executor.acquire(
+                    self._arrive, instance, kind, tracker, queued_at):
+                return
         self.history.waited(
             instance.txn.name, WaitReason.EXECUTOR, self.sim.now - queued_at
         )
+        service = plugin.service_time(self, instance)
+        if service is None:
+            self._finish(tracker, kind)
+        else:
+            self.sim.schedule(service, self._finish, tracker, kind)
+
+    def _wait(self, waits, instance: SubtxnInstance, *progress) -> None:
+        """Sit out a hook's waits in a process, then re-arrive."""
+        def waiting():
+            yield from waits
+            self._arrive(instance, *progress)
+        self.sim.process(waiting(), name=f"{self.node_id}:{instance.sid}")
+
+    def _finish(self, tracker: CompletionTracker, kind: str) -> None:
+        """Finish callback: the service time is over — run the local
+        operations, release the executor, dispatch, and commit locally."""
+        plugin = self.plugin
+        instance = tracker.instance
         try:
-            yield from plugin.local_service(self, instance)
             tombstoned = self._apply_ops(instance, kind)
         finally:
             self.executor.release()
@@ -204,12 +211,13 @@ class ProtocolNode:
             self.history.aborted(instance.txn.name, self.sim.now, "requested")
             self.history.compensated(instance.txn.name)
 
-        # --- Dispatch (children, or compensation fan-out) ---------------
+        # --- Dispatch (children, or compensation fan-out to the other
+        # tree neighbours) -----------------------------------------------
         if instance.compensating:
             if not tombstoned:
-                self._fan_out_compensation(
-                    instance, tracker, skip=instance.comp_skip
-                )
+                for neighbour in instance.index.neighbours(instance.sid):
+                    if neighbour != instance.comp_skip:
+                        self._send_compensator(instance, tracker, neighbour)
         elif aborting:
             parent_sid = instance.index.parent[instance.sid]
             if parent_sid is not None:
@@ -223,7 +231,6 @@ class ProtocolNode:
             self.history.locally_committed(instance.txn.name, self.sim.now)
 
         plugin.on_subtxn_executed(self, instance)
-
         tracker.executed = True
         if tracker.complete:
             self._complete_instance(instance)
@@ -306,13 +313,6 @@ class ProtocolNode:
         self.network.send(
             self.node_id, target, MessageKind.COMPENSATION, compensator
         )
-
-    def _fan_out_compensation(self, instance: SubtxnInstance,
-                              tracker: CompletionTracker, skip) -> None:
-        """Propagate compensation to the other tree neighbours."""
-        for neighbour_sid in instance.index.neighbours(instance.sid):
-            if neighbour_sid != skip:
-                self._send_compensator(instance, tracker, neighbour_sid)
 
     def _complete_instance(self, instance: SubtxnInstance) -> None:
         """Subtree completion: plugin accounting plus the upward notice."""

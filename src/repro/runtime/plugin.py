@@ -9,16 +9,23 @@ the hooks.
 
 Hook contract (see ``docs/PROTOCOL.md`` for the full walk-through):
 
-* Hooks named ``admit_root`` / ``pre_execute`` / ``admission_gate`` may
-  need to wait on simulation events.  They return ``None`` for the common
-  synchronous case or a *generator* the node drives with ``yield from`` —
-  returning ``None`` keeps the per-subtransaction hot path free of
-  generator churn.
+* The node runs a subtransaction as plain callbacks (arrival, then finish
+  after the service time); there is no process behind it by default.
+* ``admit_root`` / ``pre_execute`` / ``admission_gate`` may need to wait
+  on simulation events.  They return ``None`` when they finished
+  synchronously — the node then carries straight on in the same callback
+  — or a *generator* of the events to wait for.  Only in that case does
+  the node start a process: it drives the generator and, when it is
+  exhausted, re-enters the arrival callback at the step after the hook.
+  Return a generator only when there is something to wait for.
 * ``takeover`` lets a plugin replace the runtime's whole subtransaction
   lifecycle for some transaction class (NC3V and 2PC divert into the
-  shared :mod:`repro.runtime.twophase` engine this way).
-* ``local_service`` is always a generator; it models local service time
-  and owns the protocol's service-RNG draw discipline.
+  shared :mod:`repro.runtime.twophase` engine this way); the generator it
+  returns runs as that subtransaction's process.
+* ``service_time`` returns the local service time as a number (or
+  ``None`` for "no service wait at all"); it owns the protocol's
+  service-RNG draw discipline.  The node turns it into one scheduled
+  finish callback.
 * Everything else is a plain synchronous callback.
 
 Plugins hold no per-node mutable state of their own; node-local protocol
@@ -148,13 +155,15 @@ class ProtocolPlugin:
         locks), or ``None``."""
         return None
 
-    def local_service(self, node, instance: SubtxnInstance):
-        """Model local service time (generator; owns the service-RNG draw
-        discipline — baselines draw only when the subtransaction has ops)."""
-        spec = instance.spec
-        if spec.ops:
-            service = node.rngs.sample("node.service", node.config.op_service)
-            yield node.sim.timeout(service * len(spec.ops))
+    def service_time(self, node, instance: SubtxnInstance):
+        """Local service time of the subtransaction, or ``None`` when it
+        has none (owns the service-RNG draw discipline — baselines draw
+        only when the subtransaction has ops)."""
+        ops = instance.spec.ops
+        if not ops:
+            return None
+        service = node.rngs.sample("node.service", node.config.op_service)
+        return service * len(ops)
 
     def execute_ops(self, node, instance: SubtxnInstance, kind: str) -> None:
         """Run the instance's local read/write operations."""

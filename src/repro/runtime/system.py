@@ -36,9 +36,8 @@ class System:
         detail: Record per-operation events in the history (turn off for
             very large benchmark runs).
         fifo_links: Enforce per-link FIFO message delivery.
-        batch_delivery: Coalesce same-tick same-destination deliveries
-            into one scheduled batch event and drain node mailboxes in
-            one pass per wake (see :class:`repro.net.network.Network`).
+        batch_delivery: Coalesce same-tick deliveries into one scheduled
+            batch event (see :class:`repro.net.network.Network`).
             Changes the scheduled-callback trace, so compare determinism
             digests only between runs with the same setting.
         plugin: Protocol plugin instance (default: ``plugin_class()``).

@@ -6,6 +6,12 @@ Two primitives cover everything the library needs:
   node's local executor (capacity = multiprogramming level).
 * :class:`Store` — an unbounded FIFO queue of items with blocking ``get``,
   used as a process mailbox for network message delivery.
+
+Each has two waiting styles.  Generator processes wait on an event
+(:meth:`Resource.request`, :meth:`Store.get`).  Straight-line callers —
+the node runtime's per-subtransaction path — register a callback instead
+(:meth:`Resource.acquire`, :meth:`Store.consume`) and pay no event, no
+process and no scheduled hand-over when nothing has to wait.
 """
 
 from __future__ import annotations
@@ -42,6 +48,9 @@ class Resource:
         self.sim = sim
         self.capacity = capacity
         self._in_use = 0
+        #: Waiters in arrival order: ``(event, callback, args, enqueued_at)``
+        #: with ``event`` set for :meth:`request` and ``callback`` for
+        #: :meth:`acquire` — one queue, so the two styles share one FIFO.
         self._queue: collections.deque = collections.deque()
         self.total_waits = 0
         self.total_wait_time = 0.0
@@ -69,25 +78,51 @@ class Resource:
             event.succeed()
         else:
             self.total_waits += 1
-            self._queue.append((event, self.sim.now))
+            self._queue.append((event, None, None, self.sim.now))
         return event
+
+    def acquire(self, callback, *args) -> bool:
+        """Ask for one unit of capacity without allocating an event.
+
+        Returns:
+            ``True`` if the unit was granted on the spot — ``callback`` is
+            *not* called and the caller carries straight on.  ``False`` if
+            the caller has to wait: ``callback(*args)`` then runs as its own
+            scheduled callback at the time of the grant (where an event
+            waiter's resume would run).  Either way the holder must
+            eventually call :meth:`release`.
+        """
+        if self._in_use < self.capacity and not self._queue:
+            self._in_use += 1
+            return True
+        self.total_waits += 1
+        self._queue.append((None, callback, args, self.sim.now))
+        return False
 
     def release(self) -> None:
         """Return one unit of capacity, waking the longest waiter if any."""
         if self._in_use <= 0:
             raise SimulationError("release() without a matching request()")
         if self._queue:
-            event, enqueued_at = self._queue.popleft()
+            event, callback, args, enqueued_at = self._queue.popleft()
             self.total_wait_time += self.sim.now - enqueued_at
-            event.succeed()
+            if event is not None:
+                event.succeed()
+            else:
+                self.sim.schedule_now(callback, *args)
         else:
             self._in_use -= 1
 
 
 class Store:
-    """An unbounded FIFO queue with blocking ``get`` — a process mailbox."""
+    """An unbounded FIFO queue with blocking ``get`` — a process mailbox.
 
-    __slots__ = ("sim", "_items", "_getters", "total_puts", "_frozen")
+    A store is read either by processes blocking on :meth:`get` or by one
+    registered :meth:`consume` callback, never both.
+    """
+
+    __slots__ = ("sim", "_items", "_getters", "total_puts", "_frozen",
+                 "_consumer", "_pumping")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -95,6 +130,9 @@ class Store:
         self._getters: collections.deque = collections.deque()
         self.total_puts = 0
         self._frozen = False
+        self._consumer = None
+        #: A :meth:`_pump` callback is scheduled and not yet run.
+        self._pumping = False
 
     def __len__(self) -> int:
         return len(self._items)
@@ -104,29 +142,73 @@ class Store:
         return self._frozen
 
     def freeze(self) -> None:
-        """Stop handing items to getters; ``put`` queues silently.
+        """Stop handing items to getters or the consumer; ``put`` queues
+        silently.
 
-        Used to model a crashed node: its mailbox keeps accepting messages
-        (so no message is ever lost by the transport), but the node's main
-        loop is starved until :meth:`thaw`.  Killing the loop process
-        instead would strand its pending getter event, which would swallow
-        the next ``put`` — freezing avoids that hazard entirely.
+        Used to model a crashed node or coordinator: its mailbox keeps
+        accepting messages (so no message is ever lost by the transport),
+        but nothing is handed over until :meth:`thaw`.  For a getter-driven
+        reader, killing the loop process instead would strand its pending
+        getter event, which would swallow the next ``put`` — freezing
+        avoids that hazard entirely.
         """
         self._frozen = True
 
     def thaw(self) -> None:
-        """Resume delivery, re-pairing queued items with waiting getters."""
+        """Resume delivery: re-pair queued items with waiting getters, or
+        start pumping the backlog into the consumer."""
         self._frozen = False
+        if self._consumer is not None:
+            self._schedule_pump()
+            return
         while self._items and self._getters:
             self._getters.popleft().succeed(self._items.popleft())
 
     def put(self, item) -> None:
-        """Deposit an item; wakes the oldest waiting getter if any."""
+        """Deposit an item.
+
+        A consumer gets it on the spot unless the store is frozen or
+        still has a backlog ahead of it; otherwise the oldest waiting
+        getter, if any, is woken.
+        """
         self.total_puts += 1
-        if self._getters and not self._frozen:
+        if self._consumer is not None:
+            if self._frozen or self._items:
+                self._items.append(item)
+            else:
+                self._consumer(item)
+        elif self._getters and not self._frozen:
             self._getters.popleft().succeed(item)
         else:
             self._items.append(item)
+
+    def consume(self, callback) -> None:
+        """Hand every item to ``callback(item)`` instead of to getters.
+
+        The callback runs inside :meth:`put` — no event, no wake — while
+        the store is neither frozen nor backlogged.  A backlog (items put
+        while frozen) is pumped after :meth:`thaw` one item per scheduled
+        callback, oldest first, so other same-tick work interleaves with
+        the drain and a :meth:`freeze` landing mid-drain stops it at the
+        next item.  Items put while a backlog remains queue behind it.
+        """
+        self._consumer = callback
+        self._schedule_pump()
+
+    def _schedule_pump(self) -> None:
+        if self._items and not self._pumping:
+            self._pumping = True
+            self.sim.schedule_now(self._pump)
+
+    def _pump(self) -> None:
+        self._pumping = False
+        # Re-check at hand-over: the store may have been frozen (or
+        # drained) between the scheduling of this callback and its run.
+        if self._frozen or not self._items:
+            return
+        item = self._items.popleft()
+        self._consumer(item)
+        self._schedule_pump()
 
     def get(self) -> Event:
         """Take the oldest item, waiting if the store is empty.

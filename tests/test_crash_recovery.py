@@ -33,6 +33,13 @@ def two_node_txn(name, amount):
     )
 
 
+def local_txn(name):
+    return TransactionSpec(
+        name=name,
+        root=SubtxnSpec(node="p", ops=[WriteOp("x", Increment(1))]),
+    )
+
+
 class TestCrashSurface:
     def test_crash_requires_faults(self):
         system = ThreeVSystem(["p", "q"], seed=1)
@@ -59,6 +66,52 @@ class TestCrashSurface:
         assert system.crash_count == 1
         assert system.recovery_count == 1
         assert system.node("p").journal.replays == 1
+
+
+class TestCrashHandOver:
+    """A crash interrupts all *future* message processing (``crash()``'s
+    contract) — including a message whose hand-over to the node was
+    already under way in the tick of the crash.  (The getter-based node
+    loop had taken such a message off the mailbox before the freeze and
+    dispatched it on the crashed node.)"""
+
+    @staticmethod
+    def system_with_backlog():
+        system = ThreeVSystem(["p", "q"], seed=1, faults=FaultPlan())
+        system.run(until=1.0)
+        system.crash("p")
+        for name in ("a", "b"):  # delivered while down: queued
+            system.submit(local_txn(name))
+        return system
+
+    @staticmethod
+    def assert_drains_in_order(system):
+        system.recover("p")
+        system.run(until=system.sim.now + 5.0)
+        assert list(system.history.txns) == ["a", "b", "c"]
+        assert all(record.global_complete_time is not None
+                   for record in system.history.txns.values())
+        assert system.node("p").store.read_max_leq("x", 10 ** 9) == 3
+
+    def test_nothing_is_dispatched_between_crash_and_recover(self):
+        system = self.system_with_backlog()
+        system.recover("p")             # the backlog's hand-over starts,
+        system.submit(local_txn("c"))   # one more delivery joins it,
+        system.crash("p")               # and the node dies — all one tick
+        system.run(until=5.0)
+        assert list(system.history.txns) == []
+        self.assert_drains_in_order(system)
+
+    def test_crash_mid_drain_stops_at_the_next_message(self):
+        system = self.system_with_backlog()
+        system.submit(local_txn("c"))
+        system.recover("p")
+        # Lands after the first queued message is handed over and before
+        # the second: same tick, next scheduled callback.
+        system.sim.schedule_now(system.crash, "p")
+        system.run(until=5.0)
+        assert list(system.history.txns) == ["a"]
+        self.assert_drains_in_order(system)
 
 
 class TestCrashMidAdvancement:

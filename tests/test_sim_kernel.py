@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ProcessKilled, SimulationError
 from repro.sim import Simulator
+from repro.sim.resources import Resource, Store
 
 
 @pytest.fixture
@@ -287,3 +288,152 @@ class TestProcesses:
         event = sim.event()
         with pytest.raises(SimulationError):
             sim.run_until_triggered(event, limit=10.0)
+
+
+class TestResourceWaiters:
+    """``Resource`` serves event waiters (``request``) and callback
+    waiters (``acquire``) from one FIFO queue."""
+
+    def test_acquire_is_granted_on_the_spot_without_calling_back(self, sim):
+        executor = Resource(sim, capacity=2)
+        calls = []
+        assert executor.acquire(calls.append, "a") is True
+        assert executor.acquire(calls.append, "b") is True
+        sim.run()
+        assert calls == [] and sim.scheduled_count == 0
+        assert executor.in_use == 2 and executor.total_waits == 0
+
+    def test_mixed_waiters_are_granted_in_arrival_order(self, sim):
+        executor = Resource(sim, capacity=1)
+        order = []
+
+        def event_waiter(name):
+            yield executor.request()
+            order.append((name, sim.now))
+
+        assert executor.acquire(order.append, "holder") is True
+        assert executor.acquire(
+            lambda: order.append(("callback-1", sim.now))) is False
+        sim.process(event_waiter("event-2"))
+        sim.run()  # the process reaches its request() and queues
+        assert executor.acquire(
+            lambda: order.append(("callback-3", sim.now))) is False
+        assert executor.queue_length == 3
+
+        for time in (1.0, 2.0, 3.0):
+            sim.schedule_at(time, executor.release)
+        sim.run()
+        assert order == [("callback-1", 1.0), ("event-2", 2.0),
+                         ("callback-3", 3.0)]
+        # Granted units are handed over, never returned, while waiters queue.
+        assert executor.in_use == 1 and executor.queue_length == 0
+        assert executor.total_waits == 3
+        assert executor.total_wait_time == pytest.approx(1.0 + 2.0 + 3.0)
+
+    def test_waiting_callback_runs_after_the_releasing_callback(self, sim):
+        executor = Resource(sim, capacity=1)
+        order = []
+        executor.acquire(order.append, "unused")
+        executor.acquire(order.append, "waiter")
+
+        def holder_finishes():
+            executor.release()
+            order.append("rest of the holder's callback")
+
+        sim.schedule(1.0, holder_finishes)
+        sim.run()
+        assert order == ["rest of the holder's callback", "waiter"]
+
+    def test_release_without_holder_raises(self, sim):
+        with pytest.raises(SimulationError):
+            Resource(sim).release()
+
+
+class TestStoreConsumer:
+    """``Store.consume``: direct hand-over, with the freeze / thaw /
+    backlog rules a crashed node's mailbox depends on."""
+
+    @pytest.fixture
+    def seen(self):
+        return []
+
+    @pytest.fixture
+    def mailbox(self, sim, seen):
+        store = Store(sim)
+        store.consume(seen.append)
+        return store
+
+    def test_put_hands_over_inside_the_call(self, sim, mailbox, seen):
+        mailbox.put("a")
+        assert seen == ["a"]
+        assert sim.scheduled_count == 0 and len(mailbox) == 0
+        assert mailbox.total_puts == 1
+
+    def test_put_while_frozen_queues_until_thaw(self, sim, mailbox, seen):
+        mailbox.freeze()
+        mailbox.put("a")
+        mailbox.put("b")
+        sim.run()
+        assert seen == [] and len(mailbox) == 2
+        mailbox.thaw()
+        assert seen == [], "the backlog is pumped, not drained inline"
+        sim.run()
+        assert seen == ["a", "b"]
+
+    def test_backlog_is_pumped_one_item_per_scheduled_callback(
+            self, sim, mailbox, seen):
+        mailbox.freeze()
+        for item in "abc":
+            mailbox.put(item)
+        mailbox.thaw()
+        sim.schedule_now(seen.append, "other same-tick work")
+        before = sim.scheduled_count
+        sim.run()
+        assert seen == ["a", "other same-tick work", "b", "c"]
+        assert sim.scheduled_count - before == 2  # pumps for "b" and "c"
+
+    def test_put_during_a_backlog_queues_behind_it(self, sim, mailbox, seen):
+        mailbox.freeze()
+        mailbox.put("a")
+        mailbox.put("b")
+        mailbox.thaw()
+        mailbox.put("c")  # not frozen, but "a" and "b" are still ahead
+        assert seen == []
+        sim.run()
+        assert seen == ["a", "b", "c"]
+        mailbox.put("d")  # backlog gone: direct again
+        assert seen == ["a", "b", "c", "d"]
+
+    def test_freeze_between_thaw_and_pump_hands_over_nothing(
+            self, sim, mailbox, seen):
+        mailbox.freeze()
+        mailbox.put("a")
+        mailbox.thaw()
+        mailbox.freeze()  # same tick, before the pump callback runs
+        sim.run()
+        assert seen == []
+        mailbox.thaw()
+        sim.run()
+        assert seen == ["a"]
+
+    def test_freeze_mid_drain_stops_at_the_next_item(self, sim, mailbox, seen):
+        mailbox.freeze()
+        for item in "abc":
+            mailbox.put(item)
+        mailbox.thaw()
+        sim.schedule_now(mailbox.freeze)  # after "a"'s pump, before "b"'s
+        sim.run()
+        assert seen == ["a"]
+        mailbox.thaw()
+        mailbox.thaw()  # a second thaw must not start a second pump
+        sim.run()
+        assert seen == ["a", "b", "c"]
+
+    def test_items_queued_before_consume_are_pumped(self, sim):
+        store = Store(sim)
+        store.put("early")
+        seen = []
+        store.consume(seen.append)
+        sim.run()
+        store.put("late")
+        assert seen == ["early", "late"]
