@@ -21,7 +21,7 @@ from repro.analysis.metrics import (
     throughput,
     wait_summary,
 )
-from repro.analysis.report import Table, fmt
+from repro.analysis.report import Table, audit_verdict, fmt
 from repro.analysis.rolling import RollingAuditor
 from repro.analysis.stats import (
     ConfidenceInterval,
@@ -35,6 +35,7 @@ from repro.analysis.tracefile import (
     load_txn_records,
 )
 from repro.analysis.serializability import (
+    CommittedMasks,
     Violation,
     atomic_visibility_violations,
     reads_checked,
@@ -43,6 +44,7 @@ from repro.analysis.serializability import (
 
 __all__ = [
     "AnomalyReport",
+    "CommittedMasks",
     "ConfidenceInterval",
     "ConflictEdge",
     "LatencySummary",
@@ -55,6 +57,7 @@ __all__ = [
     "advancement_stalls",
     "atomic_visibility_violations",
     "audit",
+    "audit_verdict",
     "build_serialization_graph",
     "closed_at_from_history",
     "committed_counts",

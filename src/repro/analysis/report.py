@@ -18,6 +18,20 @@ def fmt(value, precision: int = 3) -> str:
     return str(value)
 
 
+def audit_verdict(report) -> str:
+    """The closing line for an :class:`~repro.analysis.AnomalyReport`:
+    ``audit: clean``, or what failed — violations found and, for a
+    streaming run, reads its window dropped without checking."""
+    if report.clean:
+        return "audit: clean"
+    line = f"AUDIT FAILED: {len(report.violations)} violations"
+    if report.violations:
+        line += f", e.g. {report.violations[0]}"
+    if report.reads_skipped:
+        line += f"; {report.reads_skipped} reads dropped unchecked"
+    return line
+
+
 class Table:
     """A fixed-width text table with a title and aligned columns."""
 

@@ -19,7 +19,9 @@ of state:
   version) and no in-flight update transaction carries a version ``<=``
   the read's.  At that point the mask accumulated from retired committed
   updates is provably the full committed mask, and the check is exact —
-  identical, count for count, to the post-hoc oracle.
+  identical, count for count, to the post-hoc oracle, with which it
+  shares the index (:class:`~repro.analysis.serializability.CommittedMasks`)
+  and the per-read comparison.
 
 Memory is O(entities × versions + pending reads); the pending window is
 bounded by the read rate times one or two advancement periods, never by
@@ -34,7 +36,13 @@ import collections
 import typing
 
 from repro.analysis.anomalies import AnomalyReport
-from repro.analysis.serializability import Violation, effectively_distinct
+from repro.analysis.serializability import (
+    CommittedMasks,
+    Violation,
+    corrected_entities,
+    effectively_distinct,
+    snapshot_mismatches,
+)
 from repro.txn.history import ReadEvent, StreamingHistory, TxnKind, TxnRecord
 
 #: Evidence cap: counts are exact, but only this many Violation records
@@ -61,7 +69,8 @@ class RollingAuditor:
             workload's ``"bitmask"`` amount mode).
         window: Maximum parked reads awaiting a settled version; beyond
             it the oldest are dropped *unchecked* and counted in
-            ``reads_skipped`` (never silently passed).
+            ``reads_skipped``, which the report carries and which makes
+            it not ``clean`` (never silently passed).
     """
 
     def __init__(self, history: StreamingHistory, workload,
@@ -77,10 +86,9 @@ class RollingAuditor:
         self.violations: typing.Deque[Violation] = collections.deque(
             maxlen=MAX_EVIDENCE
         )
-        #: entity -> version -> OR of committed recording amounts.
-        self._masks: typing.Dict[int, typing.Dict[
-            typing.Optional[int], int]] = {}
-        #: Parked committed reads: (record, {key: [bal events]}).
+        #: Committed recording amounts of the updates retired so far.
+        self._masks = CommittedMasks()
+        #: Parked committed reads: (record, {key: [events]}).
         self._pending: typing.Deque[typing.Tuple[
             TxnRecord, typing.Dict[typing.Hashable,
                                    typing.List[ReadEvent]]]] = (
@@ -100,10 +108,7 @@ class RollingAuditor:
         if amounts is not None and record.name in amounts:
             entity, amount = amounts.pop(record.name)
             if not record.aborted:
-                by_version = self._masks.setdefault(entity, {})
-                by_version[record.version] = (
-                    by_version.get(record.version, 0) | amount
-                )
+                self._masks.add(entity, record.version, amount)
             self._drain()
             return
         if record.aborted or record.kind != TxnKind.READ or not events:
@@ -124,16 +129,11 @@ class RollingAuditor:
                 ))
         if not self.check_snapshots:
             return
-        bal_events = {
-            key: key_events for key, key_events in by_key.items()
-            if str(key).startswith("bal:")
-        }
-        if bal_events:
-            self._pending.append((record, bal_events))
-            while len(self._pending) > self.window:
-                self._pending.popleft()
-                self.reads_skipped += 1
-            self._drain()
+        self._pending.append((record, by_key))
+        while len(self._pending) > self.window:
+            self._pending.popleft()
+            self.reads_skipped += 1
+        self._drain()
 
     # ------------------------------------------------------------------
     # Deferred snapshot checking
@@ -164,49 +164,15 @@ class RollingAuditor:
     def _drain(self, force: bool = False) -> None:
         self._advance_closed()
         while self._pending:
-            record, bal_events = self._pending[0]
+            record, by_key = self._pending[0]
             if not force and not self._settled(record.version):
                 return
             self._pending.popleft()
-            self._check_snapshot(record, bal_events)
-
-    def _expected_mask(self, entity: int,
-                       max_version: typing.Optional[int]) -> int:
-        mask = 0
-        for version, bits in self._masks.get(entity, {}).items():
-            if max_version is not None and (
-                version is None or version > max_version
-            ):
-                continue
-            mask |= bits
-        return mask
-
-    def _check_snapshot(self, record: TxnRecord, bal_events: typing.Dict[
-            typing.Hashable, typing.List[ReadEvent]]) -> None:
-        corrected = frozenset(
-            getattr(self.workload, "correction_entities", {}).values()
-        )
-        for key, events in bal_events.items():
-            # Replicated keys are slot-qualified ("bal:38#0"); the slot
-            # never changes which entity's committed mask applies.
-            entity = int(str(key).split(":", 1)[1].split("#", 1)[0])
-            if entity in corrected:
-                continue
-            expected = self._expected_mask(entity, record.version)
-            for event in events:
-                observed = event.value if event.value is not None else 0
-                if observed != expected:
-                    missing = expected & ~observed
-                    extra = observed & ~expected
-                    self.snapshot_mismatches += 1
-                    self.violations.append(Violation(
-                        kind="snapshot-mismatch", txn=record.name, key=key,
-                        details=(
-                            f"node {event.node}: version {record.version}, "
-                            f"missing mask {missing:#x}, "
-                            f"extra mask {extra:#x}"
-                        ),
-                    ))
+            for violation in snapshot_mismatches(
+                    self._masks, corrected_entities(self.workload), record,
+                    by_key):
+                self.snapshot_mismatches += 1
+                self.violations.append(violation)
 
     # ------------------------------------------------------------------
     # Final report
@@ -223,4 +189,5 @@ class RollingAuditor:
             aborted_txns=self.history.aborted_count(),
             compensated_txns=self.history.compensated_count(),
             violations=list(self.violations),
+            reads_skipped=self.reads_skipped,
         )

@@ -15,6 +15,10 @@ version*.  Two executable checks cover this:
   the workload's ``"bitmask"`` amount mode: every read with version ``v``
   must see **exactly** the committed recording transactions with version
   ``<= v`` — no partial transactions, nothing newer, nothing missing.
+  The expected value comes from :class:`CommittedMasks`, an index built
+  in one pass over the run's updates and shared with the streaming
+  :class:`~repro.analysis.rolling.RollingAuditor`, so an audit costs
+  O(updates + reads × versions-per-entity).
 
 Both return structured :class:`Violation` records so tests can assert on
 counts and benchmarks can tabulate anomaly rates.
@@ -82,14 +86,71 @@ def _reads_by_txn_and_key(history: History) -> typing.Dict[
     return grouped
 
 
-def atomic_visibility_violations(history: History) -> typing.List[Violation]:
-    """Fractured reads: one read transaction, one key, different values on
-    different nodes.
+def balance_entity(key: typing.Hashable) -> typing.Optional[int]:
+    """The entity a ``bal:<entity>[#slot]`` summary key belongs to.
 
-    Requires the history to carry detailed read events (``detail=True``).
+    Replicated keys are slot-qualified (``"bal:38#0"``); the slot never
+    changes which entity's committed mask applies.  ``None`` for any
+    other key (observation logs, the paper example's items).
     """
+    text = str(key)
+    if not text.startswith("bal:"):
+        return None
+    return int(text[4:].split("#", 1)[0])
+
+
+class CommittedMasks:
+    """Committed-update index: entity -> version -> OR of amounts.
+
+    The one definition of "the committed mask of an entity up to a
+    version" that both auditors query.  Callers add only *committed*
+    recording transactions: the post-hoc audit in one pass
+    (:meth:`from_history`), the rolling auditor as updates retire.
+    """
+
+    __slots__ = ("_by_entity",)
+
+    def __init__(self):
+        self._by_entity: typing.Dict[int, typing.Dict[
+            typing.Optional[int], int]] = {}
+
+    @classmethod
+    def from_history(cls, history: History,
+                     update_amounts: typing.Mapping[
+                         str, typing.Tuple[int, int]]) -> "CommittedMasks":
+        """Index every recorded, non-aborted update of a finished run."""
+        masks = cls()
+        txns = history.txns
+        for name, (entity, amount) in update_amounts.items():
+            record = txns.get(name)
+            if record is not None and not record.aborted:
+                masks.add(entity, record.version, amount)
+        return masks
+
+    def add(self, entity: int, version: typing.Optional[int],
+            amount: int) -> None:
+        by_version = self._by_entity.setdefault(entity, {})
+        by_version[version] = by_version.get(version, 0) | amount
+
+    def upto(self, entity: int,
+             max_version: typing.Optional[int] = None) -> int:
+        """Bitmask of ``entity``'s committed updates with version
+        ``<= max_version`` (``None``: all of them; an unversioned update
+        is excluded whenever a bound is given)."""
+        mask = 0
+        for version, bits in self._by_entity.get(entity, {}).items():
+            if max_version is not None and (
+                version is None or version > max_version
+            ):
+                continue
+            mask |= bits
+        return mask
+
+
+def _fractured(grouped) -> typing.List[Violation]:
+    """Fractured reads in an already-grouped history."""
     violations = []
-    for txn, by_key in _reads_by_txn_and_key(history).items():
+    for txn, by_key in grouped.items():
         for key, events in by_key.items():
             values = {(event.node, event.value) for event in events}
             distinct = effectively_distinct(
@@ -106,6 +167,64 @@ def atomic_visibility_violations(history: History) -> typing.List[Violation]:
     return violations
 
 
+def atomic_visibility_violations(history: History) -> typing.List[Violation]:
+    """Fractured reads: one read transaction, one key, different values on
+    different nodes.
+
+    Requires the history to carry detailed read events (``detail=True``).
+    """
+    return _fractured(_reads_by_txn_and_key(history))
+
+
+def corrected_entities(workload) -> typing.FrozenSet[int]:
+    """Entities the bitmask oracle must skip: a non-commuting correction
+    overwrites a balance wholesale (possibly with a non-integer), so a
+    corrected entity no longer decomposes as a bitmask."""
+    return frozenset(getattr(workload, "correction_entities", {}).values())
+
+
+def snapshot_mismatches(
+    masks: CommittedMasks, corrected: typing.AbstractSet[int], record,
+    by_key: typing.Mapping[typing.Hashable, typing.Sequence],
+) -> typing.Iterator[Violation]:
+    """One read transaction against the index: a violation per read
+    event whose value is not exactly the committed mask at the read's
+    version."""
+    version = record.version
+    for key, events in by_key.items():
+        entity = balance_entity(key)
+        if entity is None or entity in corrected:
+            continue
+        expected = masks.upto(entity, version)
+        for event in events:
+            observed = event.value if event.value is not None else 0
+            if observed != expected:
+                missing = expected & ~observed
+                extra = observed & ~expected
+                yield Violation(
+                    kind="snapshot-mismatch",
+                    txn=record.name,
+                    key=key,
+                    details=(
+                        f"node {event.node}: version {version}, "
+                        f"missing mask {missing:#x}, "
+                        f"extra mask {extra:#x}"
+                    ),
+                )
+
+
+def _snapshot(history: History, workload, grouped) -> typing.List[Violation]:
+    """Snapshot mismatches in an already-grouped history."""
+    masks = CommittedMasks.from_history(history, workload.update_amounts)
+    corrected = corrected_entities(workload)
+    violations: typing.List[Violation] = []
+    for txn, by_key in grouped.items():
+        violations.extend(
+            snapshot_mismatches(masks, corrected, history.txns[txn], by_key)
+        )
+    return violations
+
+
 def snapshot_violations(history: History, workload) -> typing.List[Violation]:
     """Theorem 4.1: reads see exactly the committed updates of versions
     ``<= V(read)``, atomically.
@@ -115,48 +234,14 @@ def snapshot_violations(history: History, workload) -> typing.List[Violation]:
         workload: A :class:`~repro.workloads.recording.RecordingWorkload`
             run in ``"bitmask"`` mode (so balances decompose uniquely).
     """
-    violations = []
-    # A non-commuting correction overwrites a balance wholesale (possibly
-    # with a non-integer), so corrected entities no longer decompose as
-    # bitmasks; the oracle conservatively skips them.
-    corrected = frozenset(
-        getattr(workload, "correction_entities", {}).values()
-    )
-    for txn, by_key in _reads_by_txn_and_key(history).items():
-        record = history.txns[txn]
-        for key, events in by_key.items():
-            if not str(key).startswith("bal:"):
-                continue
-            # Replicated keys are slot-qualified ("bal:38#0"); the slot
-            # never changes which entity's committed mask applies.
-            entity = int(str(key).split(":", 1)[1].split("#", 1)[0])
-            if entity in corrected:
-                continue
-            expected = workload.committed_mask(
-                history, entity, max_version=record.version
-            )
-            for event in events:
-                observed = event.value if event.value is not None else 0
-                if observed != expected:
-                    missing = expected & ~observed
-                    extra = observed & ~expected
-                    violations.append(
-                        Violation(
-                            kind="snapshot-mismatch",
-                            txn=txn,
-                            key=key,
-                            details=(
-                                f"node {event.node}: version {record.version}, "
-                                f"missing mask {missing:#x}, "
-                                f"extra mask {extra:#x}"
-                            ),
-                        )
-                    )
-    return violations
+    return _snapshot(history, workload, _reads_by_txn_and_key(history))
+
+
+def _count(grouped) -> int:
+    """(read transaction, key) pairs in an already-grouped history."""
+    return sum(len(by_key) for by_key in grouped.values())
 
 
 def reads_checked(history: History) -> int:
     """How many (read transaction, key) pairs the oracles examined."""
-    return sum(
-        len(by_key) for by_key in _reads_by_txn_and_key(history).values()
-    )
+    return _count(_reads_by_txn_and_key(history))

@@ -29,7 +29,7 @@ import argparse
 import sys
 import typing
 
-from repro.analysis import Table
+from repro.analysis import Table, audit_verdict
 from repro.errors import ReproError
 from repro.exp import (
     DEFAULT_CACHE_DIR,
@@ -143,12 +143,8 @@ def cmd_run(args) -> int:
           f"max={summary.staleness_max:.2f}")
     if args.trace:
         print(f"trace written to {args.trace}")
-    if not report.clean:
-        print(f"AUDIT FAILED: {len(report.violations)} violations, e.g. "
-              f"{report.violations[0]}")
-        return 1
-    print("audit: clean")
-    return 0
+    print(audit_verdict(report))
+    return 0 if report.clean else 1
 
 
 def cmd_compare(args) -> int:

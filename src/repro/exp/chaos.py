@@ -21,8 +21,9 @@ messages and crash/recovers nodes, then audits the wreckage:
   disagreements are reported as findings, not failures.
 * **Oracle check** — in ``"bitmask"`` mode each replica's final value
   must decompose to exactly the set of committed recording transactions
-  (:meth:`RecordingWorkload.committed_mask`): nothing lost, nothing
-  applied twice.
+  — nothing lost, nothing applied twice.  (Not the audit's
+  :class:`repro.analysis.CommittedMasks`: here a recording counts as
+  committed when *any* 2PC retry clone of it committed.)
 * **Audit** — the serializability audit verdict, held to the strict
   standard for protocols registered ``strict_audit``.
 * **Repeatability** — an optional second run with the same workload and

@@ -404,21 +404,3 @@ class RecordingWorkload:
     def entity_of_inquiry(self, name: str) -> int:
         """Recover the entity an inquiry transaction targeted."""
         return int(name.rsplit(":", 1)[1])
-
-    def committed_mask(self, history, entity: int,
-                       max_version: typing.Optional[int] = None) -> int:
-        """Bitmask of committed recording transactions on ``entity``
-        (optionally only those with version <= ``max_version``)."""
-        mask = 0
-        for name, (ent, amount) in self.update_amounts.items():
-            if ent != entity:
-                continue
-            record = history.txns.get(name)
-            if record is None or record.aborted:
-                continue
-            if max_version is not None and (
-                record.version is None or record.version > max_version
-            ):
-                continue
-            mask |= amount
-        return mask

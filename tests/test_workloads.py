@@ -133,6 +133,7 @@ class TestRecordingWorkload:
         assert log_key(0) in keys
 
     def test_committed_mask_respects_versions(self, workload):
+        from repro.analysis import CommittedMasks
         from repro.txn import History, TxnKind
 
         workload.make_recording(0)
@@ -142,14 +143,16 @@ class TestRecordingWorkload:
         (e1, a1) = workload.update_amounts["rec-1"]
         history.begin_txn("rec-0", TxnKind.UPDATE, 1, 0.0, "n0")
         history.begin_txn("rec-1", TxnKind.UPDATE, 2, 0.0, "n0")
+        masks = CommittedMasks.from_history(history, workload.update_amounts)
         if e0 == e1:
-            assert workload.committed_mask(history, e0, max_version=1) == a0
-            assert workload.committed_mask(history, e0, max_version=2) == a0 | a1
+            assert masks.upto(e0, max_version=1) == a0
+            assert masks.upto(e0, max_version=2) == a0 | a1
         else:
-            assert workload.committed_mask(history, e0, max_version=2) == a0
-            assert workload.committed_mask(history, e1, max_version=2) == a1
+            assert masks.upto(e0, max_version=2) == a0
+            assert masks.upto(e1, max_version=2) == a1
 
     def test_aborted_txns_excluded_from_mask(self, workload):
+        from repro.analysis import CommittedMasks
         from repro.txn import History, TxnKind
 
         workload.make_recording(0)
@@ -157,7 +160,8 @@ class TestRecordingWorkload:
         entity, _amount = workload.update_amounts["rec-0"]
         history.begin_txn("rec-0", TxnKind.UPDATE, 1, 0.0, "n0")
         history.aborted("rec-0", 1.0)
-        assert workload.committed_mask(history, entity) == 0
+        masks = CommittedMasks.from_history(history, workload.update_amounts)
+        assert masks.upto(entity) == 0
 
     def test_invalid_span_rejected(self):
         with pytest.raises(ReproError):

@@ -53,9 +53,22 @@ def current_build() -> dict:
     backend = repro.accel_backend() if mode == "accel" else None
     return {"mode": mode, "backend": backend}
 
+def _audit_target(cfg: dict):
+    """The post-hoc audit alone: the e2e workload re-run with per-op
+    events (bitmask amounts are the runner's default) while the target
+    is built, so only ``audit_result`` — grouping, fractured-read check,
+    Theorem 4.1 snapshot oracle — lands in the profile."""
+    from repro.exp import audit_result
+
+    result = bench_hotpath.run_e2e(dict(cfg["e2e"], detail=True))
+    return lambda: audit_result(result, check_snapshots=True)
+
+
 #: ``--profile`` targets: benchmark name -> zero-arg callable factory.
-#: Each runs one suite workload once at the chosen mode's sizing.
+#: Each runs one suite workload once at the chosen mode's sizing; what a
+#: factory does before returning its callable is not profiled.
 PROFILE_TARGETS = {
+    "audit": _audit_target,
     "kernel_callback": lambda cfg: (
         lambda: bench_hotpath.kernel_callback_storm(cfg["kernel_events"])),
     "kernel_process": lambda cfg: (
