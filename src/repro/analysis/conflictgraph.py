@@ -28,9 +28,24 @@ from __future__ import annotations
 
 import typing
 
-import networkx
-
+from repro.errors import ReproError
 from repro.txn.history import History
+
+if typing.TYPE_CHECKING:
+    import networkx
+
+
+def _networkx():
+    """``networkx``, loaded on first use: only the graph checker needs it,
+    and no simulation run builds the graph."""
+    try:
+        import networkx
+    except ImportError as error:
+        raise ReproError(
+            "the conflict-graph checker needs networkx; install the "
+            "'analysis' extra (pip install 'repro[analysis]')"
+        ) from error
+    return networkx
 
 
 class ConflictEdge(typing.NamedTuple):
@@ -84,7 +99,7 @@ def build_serialization_graph(history: History) -> networkx.DiGraph:
     Edge data: ``witnesses`` — a list of :class:`ConflictEdge` explaining
     each edge (capped at 5 per edge to bound memory).
     """
-    graph = networkx.DiGraph()
+    graph = _networkx().DiGraph()
     graph.add_nodes_from(_committed(history))
     per_copy: typing.Dict[tuple, list] = {}
     for copy, time, txn, kind, operation in _copy_events(history):
@@ -122,7 +137,7 @@ def serialization_cycles(
     """
     graph = build_serialization_graph(history)
     cycles = []
-    for cycle in networkx.simple_cycles(graph):
+    for cycle in _networkx().simple_cycles(graph):
         cycles.append(cycle)
         if len(cycles) >= limit:
             break
@@ -131,7 +146,7 @@ def serialization_cycles(
 
 def is_conflict_serializable(history: History) -> bool:
     """Convenience wrapper: ``True`` iff the graph is acyclic."""
-    return networkx.is_directed_acyclic_graph(
+    return _networkx().is_directed_acyclic_graph(
         build_serialization_graph(history)
     )
 
@@ -142,4 +157,6 @@ def equivalent_serial_order(history: History) -> typing.List[str]:
     Raises:
         networkx.NetworkXUnfeasible: If the history is not serializable.
     """
-    return list(networkx.topological_sort(build_serialization_graph(history)))
+    return list(_networkx().topological_sort(
+        build_serialization_graph(history)
+    ))

@@ -13,7 +13,7 @@ import dataclasses
 import math
 import typing
 
-from scipy import stats as scipy_stats
+from repro.errors import ReproError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,6 +34,19 @@ class ConfidenceInterval:
         return f"{self.mean:.3f} ± {self.half_width:.3f}"
 
 
+def _scipy_stats():
+    """``scipy.stats``, loaded on first use (it is most of an eager
+    ``import repro``, and no simulation run needs it)."""
+    try:
+        from scipy import stats
+    except ImportError as error:
+        raise ReproError(
+            "confidence intervals and t-tests need scipy; install the "
+            "'analysis' extra (pip install 'repro[analysis]')"
+        ) from error
+    return stats
+
+
 def mean_ci(values: typing.Sequence[float],
             confidence: float = 0.95) -> ConfidenceInterval:
     """Student-t confidence interval for the mean of ``values``.
@@ -50,7 +63,7 @@ def mean_ci(values: typing.Sequence[float],
         return ConfidenceInterval(mean, mean, mean, 1, confidence)
     variance = sum((v - mean) ** 2 for v in values) / (n - 1)
     sem = math.sqrt(variance / n)
-    t = scipy_stats.t.ppf((1 + confidence) / 2, df=n - 1)
+    t = _scipy_stats().t.ppf((1 + confidence) / 2, df=n - 1)
     return ConfidenceInterval(
         mean=mean, low=mean - t * sem, high=mean + t * sem,
         n=n, confidence=confidence,
@@ -68,7 +81,7 @@ def welch_p_value(a: typing.Sequence[float],
         raise ValueError("welch_p_value needs >= 2 observations per side")
     if max(a) == min(a) and max(b) == min(b):
         return 1.0 if a[0] == b[0] else 0.0
-    _stat, p_value = scipy_stats.ttest_ind(a, b, equal_var=False)
+    _stat, p_value = _scipy_stats().ttest_ind(a, b, equal_var=False)
     return float(p_value)
 
 

@@ -19,6 +19,7 @@ applies when a transaction tree aborts.
 
 from __future__ import annotations
 
+import bisect
 import typing
 
 from repro._accel import mypyc_attr
@@ -88,8 +89,11 @@ class Record(Operation):
 
     States are immutable: represented as a ``frozenset`` of
     ``(observation, count)``-free entries is not enough for duplicates, so
-    we store a sorted tuple.  Insertion order does not affect the state,
-    which is what makes two Records commute.
+    we store a tuple sorted by ``repr``.  Insertion order does not affect
+    the state, which is what makes two Records commute.  ``Record`` and
+    :class:`Unrecord` both preserve the order, so an insert is one binary
+    search and a splice, not a sort of the whole log; among equal ``repr``
+    keys the newcomer goes last, as a stable sort would put it.
     """
 
     def __init__(self, observation):
@@ -100,7 +104,9 @@ class Record(Operation):
             state = ()
         if not isinstance(state, tuple):
             raise StorageError(f"Record applied to non-multiset: {state!r}")
-        return tuple(sorted(state + (self.observation,), key=repr))
+        observation = self.observation
+        at = bisect.bisect_right(state, repr(observation), key=repr)
+        return state[:at] + (observation,) + state[at:]
 
     def inverse(self) -> "Unrecord":
         return Unrecord(self.observation)

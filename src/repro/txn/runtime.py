@@ -94,6 +94,13 @@ class SubtxnInstance:
         notify_key: Instance key of the spawning instance — where the
             completion notice for this instance's subtree is sent
             (``None`` for the root, which has nobody to notify).
+        spec: The subtransaction's spec, ``index.by_id[sid]``.
+        is_root: Whether this is the transaction's (non-compensating) root.
+        instance_key: Unique id of this instance within the simulation.
+
+    The last three are derived from ``txn`` / ``index`` / ``sid`` /
+    ``compensating``, none of which changes after construction, and are
+    read many times per subtransaction — so they are computed once here.
     """
 
     txn: TransactionSpec
@@ -104,19 +111,17 @@ class SubtxnInstance:
     compensating: bool = False
     comp_skip: typing.Optional[str] = None
     notify_key: typing.Optional[typing.Tuple[str, str, bool]] = None
+    spec: SubtxnSpec = dataclasses.field(init=False, repr=False,
+                                         compare=False)
+    is_root: bool = dataclasses.field(init=False, repr=False, compare=False)
+    instance_key: typing.Tuple[str, str, bool] = dataclasses.field(
+        init=False, repr=False, compare=False)
 
-    @property
-    def spec(self) -> SubtxnSpec:
-        return self.index.by_id[self.sid]
-
-    @property
-    def is_root(self) -> bool:
-        return not self.compensating and self.sid == self.index.root_id
-
-    @property
-    def instance_key(self) -> typing.Tuple[str, str, bool]:
-        """Unique id of this instance within the simulation."""
-        return (self.txn.name, self.sid, self.compensating)
+    def __post_init__(self) -> None:
+        index, sid, compensating = self.index, self.sid, self.compensating
+        self.spec = index.by_id[sid]
+        self.is_root = not compensating and sid == index.root_id
+        self.instance_key = (self.txn.name, sid, compensating)
 
     def child_instance(self, child_sid: str, own_node: str) -> "SubtxnInstance":
         """Envelope for dispatching one child subtransaction."""

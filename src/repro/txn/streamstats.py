@@ -110,6 +110,26 @@ class ExactSum:
         return math.fsum(self._partials)
 
 
+def _p2_height(below: float, height: float, above: float,
+               n_below: float, n: float, n_above: float,
+               step: float) -> float:
+    """New height of a P² marker that moves ``step`` (±1) positions.
+
+    The piecewise-parabolic prediction when it lands strictly between
+    the neighbouring heights, else linear interpolation toward the
+    neighbour on the side of the move.
+    """
+    candidate = height + step / (n_above - n_below) * (
+        (n - n_below + step) * (above - height) / (n_above - n)
+        + (n_above - n - step) * (height - below) / (n - n_below)
+    )
+    if below < candidate < above:
+        return candidate
+    if step > 0.0:
+        return height + step * (above - height) / (n_above - n)
+    return height + step * (below - height) / (n_below - n)
+
+
 class P2Quantile:
     """Jain & Chlamtac's P² online estimator of one quantile.
 
@@ -117,6 +137,10 @@ class P2Quantile:
     two midpoints; each observation shifts marker positions and adjusts
     heights with a piecewise-parabolic (P²) formula.  O(1) memory, O(1)
     per observation, no distributional assumptions.
+
+    The first marker's position is always 1 and the outer two desired
+    positions are never read, so only positions 2–5 and the three
+    interior desired positions are stored.
     """
 
     __slots__ = ("q", "_heights", "_positions", "_desired", "_increments",
@@ -127,10 +151,9 @@ class P2Quantile:
             raise ValueError(f"P2 quantile must be in (0, 1): {q}")
         self.q = q
         self._heights: typing.List[float] = []
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q,
-                         5.0]
-        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
+        self._positions = (2.0, 3.0, 4.0, 5.0)
+        self._desired = (1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q)
+        self._increments = (q / 2.0, q, (1.0 + q) / 2.0)
         self._count = 0
 
     def add(self, x: float) -> None:
@@ -140,50 +163,62 @@ class P2Quantile:
             heights.append(x)
             heights.sort()
             return
-        # Find the cell containing x and clamp the extreme markers.
-        if x < heights[0]:
-            heights[0] = x
-            k = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            k = 3
+        h0, h1, h2, h3, h4 = heights
+        n1, n2, n3, n4 = self._positions
+        # Find the cell containing x, clamp the extreme markers, and shift
+        # the positions of the markers above the cell.
+        if x < h0:
+            h0 = x
+            n1 += 1.0
+            n2 += 1.0
+            n3 += 1.0
+        elif x >= h4:
+            h4 = x
+        elif x >= h1:
+            if x >= h2:
+                if not x >= h3:
+                    n3 += 1.0
+            else:
+                n2 += 1.0
+                n3 += 1.0
         else:
-            k = 0
-            while k < 3 and x >= heights[k + 1]:
-                k += 1
-        positions = self._positions
-        for i in range(k + 1, 5):
-            positions[i] += 1.0
-        desired = self._desired
-        for i in range(5):
-            desired[i] += self._increments[i]
+            n1 += 1.0
+            n2 += 1.0
+            n3 += 1.0
+        n4 += 1.0
+        d1, d2, d3 = self._desired
+        i1, i2, i3 = self._increments
+        d1 += i1
+        d2 += i2
+        d3 += i3
+        self._desired = (d1, d2, d3)
         # Adjust the three interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            delta = desired[i] - positions[i]
-            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
-                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
-            ):
-                step = 1.0 if delta >= 1.0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1])
-            / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
+        delta = d1 - n1
+        if delta >= 1.0:
+            if n2 - n1 > 1.0:
+                h1 = _p2_height(h0, h1, h2, 1.0, n1, n2, 1.0)
+                n1 += 1.0
+        elif delta <= -1.0 and 1.0 - n1 < -1.0:
+            h1 = _p2_height(h0, h1, h2, 1.0, n1, n2, -1.0)
+            n1 -= 1.0
+        delta = d2 - n2
+        if delta >= 1.0:
+            if n3 - n2 > 1.0:
+                h2 = _p2_height(h1, h2, h3, n1, n2, n3, 1.0)
+                n2 += 1.0
+        elif delta <= -1.0 and n1 - n2 < -1.0:
+            h2 = _p2_height(h1, h2, h3, n1, n2, n3, -1.0)
+            n2 -= 1.0
+        delta = d3 - n3
+        if delta >= 1.0:
+            if n4 - n3 > 1.0:
+                h3 = _p2_height(h2, h3, h4, n2, n3, n4, 1.0)
+                n3 += 1.0
+        elif delta <= -1.0 and n2 - n3 < -1.0:
+            h3 = _p2_height(h2, h3, h4, n2, n3, n4, -1.0)
+            n3 -= 1.0
+        self._heights = [h0, h1, h2, h3, h4]
+        self._positions = (n1, n2, n3, n4)
 
     @property
     def estimate(self) -> float:

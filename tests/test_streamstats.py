@@ -175,6 +175,140 @@ class TestP2Accuracy:
             assert abs(getattr(summary, attr) - exact) <= 0.15 * exact
 
 
+class ReferenceP2Quantile:
+    """``P2Quantile`` as it was before its update became straight-line code:
+    five-element lists and index loops.  Kept as the differential oracle —
+    the rewrite must perform the same float operations in the same order."""
+
+    def __init__(self, q: float):
+        self.q = q
+        self._heights = []
+        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
+        self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q,
+                         5.0]
+        self._increments = [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0]
+        self._count = 0
+
+    def add(self, x: float) -> None:
+        self._count += 1
+        heights = self._heights
+        if len(heights) < 5:
+            heights.append(x)
+            heights.sort()
+            return
+        if x < heights[0]:
+            heights[0] = x
+            k = 0
+        elif x >= heights[4]:
+            heights[4] = x
+            k = 3
+        else:
+            k = 0
+            while k < 3 and x >= heights[k + 1]:
+                k += 1
+        positions = self._positions
+        for i in range(k + 1, 5):
+            positions[i] += 1.0
+        desired = self._desired
+        for i in range(5):
+            desired[i] += self._increments[i]
+        for i in (1, 2, 3):
+            delta = desired[i] - positions[i]
+            if (delta >= 1.0 and positions[i + 1] - positions[i] > 1.0) or (
+                delta <= -1.0 and positions[i - 1] - positions[i] < -1.0
+            ):
+                step = 1.0 if delta >= 1.0 else -1.0
+                candidate = self._parabolic(i, step)
+                if heights[i - 1] < candidate < heights[i + 1]:
+                    heights[i] = candidate
+                else:
+                    heights[i] = self._linear(i, step)
+                positions[i] += step
+
+    def _parabolic(self, i: int, step: float) -> float:
+        h, n = self._heights, self._positions
+        return h[i] + step / (n[i + 1] - n[i - 1]) * (
+            (n[i] - n[i - 1] + step) * (h[i + 1] - h[i])
+            / (n[i + 1] - n[i])
+            + (n[i + 1] - n[i] - step) * (h[i] - h[i - 1])
+            / (n[i] - n[i - 1])
+        )
+
+    def _linear(self, i: int, step: float) -> float:
+        h, n = self._heights, self._positions
+        j = i + int(step)
+        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
+
+    @property
+    def estimate(self) -> float:
+        if self._count < 5:
+            return percentile(self._heights, self.q * 100.0)
+        return self._heights[2]
+
+
+def reference_stats(seed: int) -> StreamingStats:
+    """A ``StreamingStats`` whose quantiles come from the reference P²."""
+    stats = StreamingStats(random.Random(seed))
+    stats._p2 = tuple(ReferenceP2Quantile(q) for q in stats.QUANTILES)
+    return stats
+
+
+class TestP2MatchesReference:
+    """The straight-line marker update against the list-indexed original:
+    bit-equal, not close — digests of streaming runs hash these floats."""
+
+    @given(st.lists(latencies, min_size=1, max_size=200),
+           st.floats(min_value=0.01, max_value=0.99))
+    @settings(max_examples=100)
+    def test_estimate_bit_equal_after_every_sample(self, values, q):
+        new, old = P2Quantile(q), ReferenceP2Quantile(q)
+        for x in values:
+            new.add(x)
+            old.add(x)
+            assert new.estimate == old.estimate
+
+    @given(st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.0, 3.0, 1e6]),
+                    min_size=5, max_size=120))
+    def test_ties_and_repeated_extremes(self, values):
+        new, old = P2Quantile(0.95), ReferenceP2Quantile(0.95)
+        for x in values:
+            new.add(x)
+            old.add(x)
+        assert new.estimate == old.estimate
+
+    @pytest.mark.parametrize("shape", ["falling", "rising", "sawtooth"])
+    @pytest.mark.parametrize("q", [0.02, 0.5, 0.95, 0.99])
+    def test_adjacent_marker_guards(self, shape, q):
+        """Monotone streams pile the markers up against each other, so the
+        'neighbour is more than one position away' guards decide (the
+        downward ones only at small q, hence 0.02)."""
+        stream = {
+            "falling": [1000.0 - i for i in range(400)],
+            "rising": [float(i) for i in range(400)],
+            "sawtooth": [float(i % 7) if i % 50 < 25 else 500.0 - i
+                         for i in range(400)],
+        }[shape]
+        new, old = P2Quantile(q), ReferenceP2Quantile(q)
+        for x in stream:
+            new.add(x)
+            old.add(x)
+            assert new.estimate == old.estimate
+
+    @pytest.mark.parametrize("size", [
+        4, 5, DEFAULT_RESERVOIR - 1, DEFAULT_RESERVOIR,
+        DEFAULT_RESERVOIR + 1, 5 * DEFAULT_RESERVOIR,
+    ])
+    def test_summary_bit_equal_around_the_reservoir_boundary(self, size):
+        rng = random.Random(size)
+        new = StreamingStats(random.Random(3))
+        old = reference_stats(3)
+        for _ in range(size):
+            x = rng.lognormvariate(0.0, 1.5)
+            new.add(x)
+            old.add(x)
+        assert new.summary() == old.summary()
+
+
 class TestStreamingFleetDeterminism:
     """Streaming summaries must be bit-identical across worker counts.
 

@@ -7,6 +7,7 @@ from repro.storage import Assign, Increment, Record
 from repro.txn import (
     History,
     ReadOp,
+    SubtxnInstance,
     SubtxnSpec,
     TransactionSpec,
     TxnIndex,
@@ -132,6 +133,61 @@ class TestIndex:
         child_plain = SubtxnSpec(node="b")
         assert subtxn_id("i", child_with_label, 0) == "iq"
         assert subtxn_id("i", child_plain, 2) == "i.2"
+
+
+class TestInstanceDerivedFields:
+    """`spec`, `is_root` and `instance_key` were properties recomputed on
+    every read; they are fields now.  The old expressions are the oracle."""
+
+    @staticmethod
+    def reference(instance):
+        return (
+            instance.index.by_id[instance.sid],
+            not instance.compensating
+            and instance.sid == instance.index.root_id,
+            (instance.txn.name, instance.sid, instance.compensating),
+        )
+
+    def envelopes(self):
+        spec = tree()
+        index = TxnIndex(spec)
+        root = SubtxnInstance(txn=spec, index=index, sid=index.root_id,
+                              version=None, source_node="a")
+        child = root.child_instance("t.1", "a")
+        grandchild = child.child_instance("t.1.0", "c")
+        return {
+            "root": root,
+            "child": child,
+            "grandchild": grandchild,
+            "compensator": grandchild.compensator("t.1", "a"),
+            # A compensator aimed at the root is still not *the* root.
+            "root-compensator": child.compensator("t", "c"),
+        }
+
+    def test_fields_equal_the_old_property_expressions(self):
+        for name, instance in self.envelopes().items():
+            derived = (instance.spec, instance.is_root,
+                       instance.instance_key)
+            assert derived == self.reference(instance), name
+            assert instance.spec is instance.index.by_id[instance.sid]
+
+    def test_only_the_plain_root_is_root(self):
+        roots = [name for name, instance in self.envelopes().items()
+                 if instance.is_root]
+        assert roots == ["root"]
+
+    def test_assigning_the_version_leaves_them_alone(self):
+        root = self.envelopes()["root"]
+        before = self.reference(root)
+        root.version = 7  # what admit_root does
+        assert (root.spec, root.is_root, root.instance_key) == before
+        assert root.child_instance("tb", "a").version == 7
+
+    def test_derived_fields_stay_out_of_repr_and_equality(self):
+        envelopes = self.envelopes()
+        assert "instance_key" not in repr(envelopes["root"])
+        assert envelopes["child"] == envelopes["root"].child_instance(
+            "t.1", "a")
 
 
 class TestHistory:

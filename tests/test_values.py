@@ -131,3 +131,60 @@ class TestCommutativityProperties:
         assign_first = apply_all(0, [Assign(value)] + ops)
         assign_last = apply_all(0, ops + [Assign(value)])
         assert assign_first != assign_last
+
+
+class SameRepr:
+    """Distinct observations that all print alike (equal sort keys)."""
+
+    def __init__(self, tag):
+        self.tag = tag
+
+    def __repr__(self):
+        return "same"
+
+
+#: Heterogeneous observations: ints, strings whose repr collides with an
+#: int's, tuples like the workload's ``(name, tag)``, and equal-repr objects.
+observations = st.one_of(
+    st.integers(min_value=-3, max_value=12),
+    st.sampled_from(["1", "10", "'1'", "", "a"]),
+    st.tuples(st.sampled_from(["t1", "t2"]), st.integers(0, 2)),
+    st.builds(SameRepr, st.integers(0, 3)),
+)
+
+
+def reference_record_apply(state, observation):
+    """``Record.apply`` as it was: re-sort the whole log on every insert."""
+    if state is None:
+        state = ()
+    return tuple(sorted(state + (observation,), key=repr))
+
+
+class TestRecordInsertMatchesFullSort:
+    """The binary-search insert against the sort it replaced."""
+
+    @given(st.lists(st.tuples(st.booleans(), observations), max_size=40),
+           st.randoms(use_true_random=False))
+    def test_any_interleaving_of_record_and_unrecord(self, steps, rng):
+        state = expected = None
+        for insert, observation in steps:
+            if insert or not state:
+                state = Record(observation).apply(state)
+                expected = reference_record_apply(expected, observation)
+            else:
+                victim = rng.choice(state)
+                state = Unrecord(victim).apply(state)
+                expected = Unrecord(victim).apply(expected)
+            assert len(state) == len(expected)
+            # Identity, not ==: equal-repr entries must keep their order.
+            assert all(a is b for a, b in zip(state, expected))
+
+    @given(st.lists(observations, max_size=12), observations, observations)
+    def test_two_records_still_commute(self, log, first, second):
+        state = apply_all(None, [Record(obs) for obs in log])
+        a_then_b = Record(second).apply(Record(first).apply(state))
+        b_then_a = Record(first).apply(Record(second).apply(state))
+        if repr(first) != repr(second):
+            assert all(a is b for a, b in zip(a_then_b, b_then_a))
+        assert [repr(obs) for obs in a_then_b] == [
+            repr(obs) for obs in b_then_a]
