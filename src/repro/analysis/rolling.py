@@ -94,9 +94,6 @@ class RollingAuditor:
                                    typing.List[ReadEvent]]]] = (
             collections.deque()
         )
-        #: Incremental closure map (mirrors closed_at_from_history).
-        self._closed: typing.Dict[int, float] = {0: 0.0}
-        self._adv_scan = 0
 
     # ------------------------------------------------------------------
     # Retirement sink
@@ -139,21 +136,12 @@ class RollingAuditor:
     # Deferred snapshot checking
     # ------------------------------------------------------------------
 
-    def _advance_closed(self) -> None:
-        advancements = self.history.advancements
-        index = self._adv_scan
-        while (index < len(advancements)
-               and advancements[index].phase1_done is not None):
-            record = advancements[index]
-            self._closed[record.new_update_version - 1] = record.phase1_done
-            index += 1
-        self._adv_scan = index
-
-    def _settled(self, version: typing.Optional[int]) -> bool:
+    def _settled(self, version: typing.Optional[int],
+                 closed: typing.Mapping[int, float]) -> bool:
         """No present or future update transaction can carry ``<= version``."""
         if version is None:
             return False  # unversioned reads settle only at report() time
-        if version not in self._closed:
+        if version not in closed:
             return False
         for record in self.history.txns.values():
             if (record.kind != TxnKind.READ and record.version is not None
@@ -162,10 +150,10 @@ class RollingAuditor:
         return True
 
     def _drain(self, force: bool = False) -> None:
-        self._advance_closed()
+        closed = self.history.closed_at()
         while self._pending:
             record, by_key = self._pending[0]
-            if not force and not self._settled(record.version):
+            if not force and not self._settled(record.version, closed):
                 return
             self._pending.popleft()
             for violation in snapshot_mismatches(

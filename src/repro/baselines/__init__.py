@@ -1,6 +1,5 @@
 """Baseline systems: the paper's Section 1 alternatives, fully implemented."""
 
-from repro.baselines.base import BaselineNode, BaselineSystem
 from repro.baselines.manual import (
     MANUAL_COORDINATOR_ID,
     ManualNode,
@@ -10,8 +9,6 @@ from repro.baselines.nocoord import NoCoordNode, NoCoordSystem
 from repro.baselines.twopc import TwoPCNode, TwoPCSystem
 
 __all__ = [
-    "BaselineNode",
-    "BaselineSystem",
     "MANUAL_COORDINATOR_ID",
     "ManualNode",
     "ManualVersioningSystem",

@@ -37,7 +37,6 @@ import typing
 
 from repro.runtime.twophase import (
     ParticipantState,
-    RootState,
     TwoPhaseEngine,
     UndoEntry,
 )
@@ -45,11 +44,6 @@ from repro.sim.events import Event
 from repro.txn.history import TxnKind, WaitReason, WriteEvent
 from repro.txn.runtime import SubtxnInstance
 from repro.txn.spec import WriteOp
-
-# Backwards-compatible aliases for the dataclasses that used to live here.
-_UndoEntry = UndoEntry
-_ParticipantState = ParticipantState
-_RootState = RootState
 
 
 class NC3VManager(TwoPhaseEngine):

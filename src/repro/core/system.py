@@ -161,6 +161,12 @@ class ThreeVSystem(System):
         self._monitor_processes = []
         self.coordinator.stop_heartbeats()
 
+    def close(self) -> None:
+        # The coordinator and the network hold each other through its
+        # mailbox, with the whole history hanging off the coordinator.
+        self.coordinator.__dict__.clear()
+        super().close()
+
     # ------------------------------------------------------------------
     # Coordinator fault surface
     # ------------------------------------------------------------------

@@ -188,7 +188,7 @@ def _check_stores(result) -> typing.Tuple[int, int, int, typing.List[str]]:
         for entity, slot, key, replicas in workload.replica_groups():
             check_group(f"entity {entity} slot {slot}", key, replicas, entity)
     else:
-        for entity, node_ids in sorted(workload.entity_nodes.items()):
+        for entity, node_ids in sorted(workload.entity_homes.items()):
             check_group(f"entity {entity}", balance_key(entity), node_ids,
                         entity)
     return checked, disagreements, mismatches, failures

@@ -28,6 +28,7 @@ from repro.analysis import (
     throughput,
 )
 from repro.txn.history import TxnKind
+from repro.workloads.runner import collector_paused, run_recording_experiment
 
 from repro.exp.spec import ExperimentSpec
 
@@ -264,6 +265,7 @@ def audit_result(result, check_snapshots: bool = False):
                  check_snapshots=check_snapshots)
 
 
+@collector_paused()
 def run_spec(spec: ExperimentSpec,
              measure_memory: bool = False) -> ExperimentSummary:
     """Run one experiment end-to-end and summarize it.
@@ -275,10 +277,15 @@ def run_spec(spec: ExperimentSpec,
     fills ``peak_tracemalloc_bytes`` — the volume benchmark's memory
     gate.  Tracing roughly doubles wall-clock, so throughput cells leave
     it off.
+
+    The collector pause of :func:`run_recording_experiment` is extended
+    over audit and summarize, so the audit does not open with a young
+    collection over the whole live ``System``, and the system is closed
+    before the pause ends: the run is freed by reference counting on the
+    way out instead of being left, one dead cycle holding every record,
+    to the caller's next collection.
     """
     import time
-
-    from repro.workloads import run_recording_experiment
 
     if measure_memory:
         import tracemalloc
@@ -296,7 +303,8 @@ def run_spec(spec: ExperimentSpec,
         and spec.detail
     )
     report = audit_result(result, check_snapshots=check_snapshots)
+    summary = summarize(spec, result, report)
+    result.system.close()
     return dataclasses.replace(
-        summarize(spec, result, report), wall_seconds=wall,
-        peak_tracemalloc_bytes=peak,
+        summary, wall_seconds=wall, peak_tracemalloc_bytes=peak,
     )

@@ -171,13 +171,25 @@ class FaultPlan:
         default_factory=RetransmitPolicy
     )
 
+    def __post_init__(self):
+        # Every physical copy asks ``cut``; the plan is frozen, so the
+        # partition windows are laid out once and a copy sent while no
+        # partition is open costs two comparisons per window, no call.
+        # Not a dataclass field, so eq/repr stay the declared schedule.
+        object.__setattr__(self, "_windows", tuple(
+            (p.at, p.heal_at, p) for p in self.partitions
+        ))
+
     def link(self, src: str, dst: str) -> LinkFaults:
         """The fault parameters governing one directed link."""
         return self.links.get((src, dst), self.default_link)
 
     def cut(self, src: str, dst: str, now: float) -> bool:
         """Whether an active partition cuts the ``src -> dst`` link now."""
-        return any(p.cuts(src, dst, now) for p in self.partitions)
+        for opens, heals, partition in self._windows:
+            if opens <= now < heals and partition.cuts(src, dst, now):
+                return True
+        return False
 
     @property
     def lossy(self) -> bool:

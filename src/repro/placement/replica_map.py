@@ -9,7 +9,7 @@ by construction:
 
 * **rf=1 is today's map.**  With one replica per slot, ``replicas(e, s)``
   collapses to the single home node ``nodes[(start + s) % n]`` — exactly
-  the ``entity_nodes`` assignment the recording workload has always
+  the ``entity_homes`` assignment the recording workload has always
   produced, from the identical RNG draw (one ``randrange`` per entity).
   Turning the replication axis on at its default perturbs nothing.
 
@@ -75,7 +75,7 @@ class ReplicaMap:
         """Draw a map from ``rng``: one ``randrange(len(nodes))`` per entity.
 
         The draw sequence is exactly the one the recording workload used
-        for its single-owner ``entity_nodes`` map, so generating a map at
+        for its single-owner ``entity_homes`` map, so generating a map at
         any ``replication_factor`` leaves every subsequent draw from the
         same stream (entity picks, amounts, audit samples) unchanged.
         """

@@ -27,6 +27,18 @@ Hook contract (see ``docs/PROTOCOL.md`` for the full walk-through):
   service-RNG draw discipline.  The node turns it into one scheduled
   finish callback.
 * Everything else is a plain synchronous callback.
+* **No reference cycle per transaction.**  ``run_recording_experiment``
+  and ``run_spec`` keep CPython's cyclic collector off while they run
+  (``workloads.runner.collector_paused``), so whatever a transaction
+  leaves behind must die by reference count: no record that points back
+  at its owner, no closure or bound method stored on the object it
+  closes over, no caught exception kept alive with its traceback (the
+  process kernel already drops the traceback of an exception a generator
+  caught at its ``yield``).  ``tests/test_gc_pause.py`` runs every
+  registered protocol in four regimes and fails when the unreachable
+  objects grow with the run.  What is cyclic once per *system* (a
+  coordinator and the network, through its mailbox) is the ``System``
+  subclass's to empty in :meth:`System.close`; the same file checks it.
 
 Plugins hold no per-node mutable state of their own; node-local protocol
 state (counters, version variables, engines) is attached to the node in

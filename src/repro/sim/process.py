@@ -79,9 +79,12 @@ class Process(Event):
             else:
                 target = self._generator.send(value)
         except StopIteration as stop:
+            if exception is not None:
+                exception.__traceback__ = None
             self.succeed(getattr(stop, "value", None))
             return
         except ProcessKilled as killed:
+            killed.__traceback__ = None
             self.fail(killed)
             return
         except BaseException as exc:
@@ -89,6 +92,12 @@ class Process(Event):
             # a bug in the model, not a simulation outcome.
             self.fail(exc)
             raise
+        if exception is not None:
+            # The generator caught it.  The traceback throw() grew points at
+            # the generator's own frame, whose locals reach the failed event
+            # that holds this exception: a reference cycle per handled
+            # failure unless it is dropped here.
+            exception.__traceback__ = None
         if not isinstance(target, Event):
             self._generator.close()
             error = SimulationError(

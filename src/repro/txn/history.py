@@ -21,6 +21,7 @@ Two implementations share the recording surface:
 from __future__ import annotations
 
 import dataclasses
+import types
 import typing
 
 from repro.txn.streamstats import (
@@ -365,6 +366,7 @@ class StreamingHistory:
         self._max_remote: typing.Dict[typing.Optional[str], float] = {}
         #: Incremental mirror of ``closed_at_from_history``.
         self._closed_at: typing.Dict[int, float] = {0: 0.0}
+        self._closed_view = types.MappingProxyType(self._closed_at)
         self._adv_scan = 0
 
     def add_retire_sink(self, sink: RetireSink) -> None:
@@ -479,24 +481,39 @@ class StreamingHistory:
         if record.version is None:
             self._staleness.add(0.0)
             return
-        self._advance_closed()
-        closed = self._closed_at.get(record.version)
+        closed = self.closed_at().get(record.version)
         if closed is None:
             self._staleness.add(0.0)
         else:
             self._staleness.add(max(0.0, record.submit_time - closed))
 
-    def _advance_closed(self) -> None:
+    def closed_at(self) -> typing.Mapping[int, float]:
+        """When each version stopped accepting new update transactions.
+
+        The incremental counterpart of ``analysis.closed_at_from_history``
+        and the one closure scan of a streaming run (the rolling auditor
+        settles parked reads on it).  Returns a read-only view that later
+        calls keep up to date, not a copy.
+        """
         # Advancements complete strictly in sequence, so scanning forward
         # from a saved index is amortized O(1) per retirement.
         advancements = self.advancements
         index = self._adv_scan
-        while (index < len(advancements)
-               and advancements[index].phase1_done is not None):
+        last = len(advancements) - 1
+        while index <= last:
             record = advancements[index]
-            self._closed_at[record.new_update_version - 1] = record.phase1_done
+            if record.phase1_done is not None:
+                self._closed_at[record.new_update_version - 1] = (
+                    record.phase1_done
+                )
+            elif index == last:
+                break  # the wave in flight: its phase 1 may still finish
+            # A record without phase 1 that has a successor never gets one:
+            # a crashed coordinator abandoned it, or it is a resume whose
+            # predecessor had already switched the update version.
             index += 1
         self._adv_scan = index
+        return self._closed_view
 
     def _new_stats(self, name: str) -> StreamingStats:
         return StreamingStats(
@@ -570,11 +587,6 @@ class StreamingHistory:
 
     def max_remote_wait(self, kind: typing.Optional[str] = None) -> float:
         return self._max_remote.get(kind, 0.0)
-
-    def closed_at(self) -> typing.Dict[int, float]:
-        """The version-closure map accumulated so far."""
-        self._advance_closed()
-        return dict(self._closed_at)
 
     # ------------------------------------------------------------------
     # Materialized-only queries: fail loudly instead of lying

@@ -55,7 +55,7 @@ class HospitalWorkload(RecordingWorkload):
         return self.make_correction(index, value)
 
     def patient_departments(self, patient: int) -> typing.List[str]:
-        return self.entity_nodes[patient]
+        return self.entity_homes[patient]
 
     def patient_balance_key(self, patient: int):
         return balance_key(patient)

@@ -178,13 +178,6 @@ class RecordingWorkload:
         #: longer decompose as bitmasks, so the snapshot oracle skips them.
         self.correction_entities: typing.Dict[str, int] = {}
 
-    @property
-    def entity_nodes(self) -> typing.Dict[int, typing.List[str]]:
-        """Compatibility alias for :attr:`entity_homes` (the historic name,
-        from before replication distinguished a slot's home from its other
-        replicas)."""
-        return self.entity_homes
-
     # ------------------------------------------------------------------
     # Key helpers (slot-qualified only under replication)
     # ------------------------------------------------------------------

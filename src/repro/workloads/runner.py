@@ -17,7 +17,9 @@ independent of how many transactions the run processes.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import typing
 
 from repro.net.latency import LatencyModel, UniformLatency
@@ -37,6 +39,7 @@ __all__ = [
     "PROTOCOLS",
     "ExperimentResult",
     "build_system",
+    "collector_paused",
     "default_latency",
     "run_recording_experiment",
 ]
@@ -131,6 +134,41 @@ def build_system(
     )
 
 
+class collector_paused(contextlib.ContextDecorator):
+    """Keep CPython's cyclic collector off for the duration of a run.
+
+    A run retains hundreds of thousands of long-lived *acyclic* records
+    (history events, WAL entries, messages in the delivery heap) that the
+    generational collector would re-walk on the transaction path, and it
+    makes no cyclic garbage per transaction (``tests/test_gc_pause.py``
+    holds every registered protocol to that), so there is nothing for it
+    to find.  On exit the collector goes back to the state it was found
+    in, so the pause nests and leaves a caller's own ``gc.disable()``
+    alone.
+
+    The pause starts no collection of its own.  The young collection it
+    held back is the interpreter's to start, at the caller's next tracked
+    allocation; it walks whatever of the run is still there, which is why
+    ``run_spec`` closes the system first (:meth:`System.close`) and why
+    the exit allocates nothing that would start it inside the run.
+    """
+
+    def _recreate_cm(self):
+        # As a decorator, a pause of its own for every call, so that a
+        # function which re-enters itself cannot overwrite what the
+        # outer call found.
+        return type(self)()
+
+    def __enter__(self):
+        self._was_enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, exc_type, exc, traceback):
+        if self._was_enabled:
+            gc.enable()
+
+
+@collector_paused()
 def run_recording_experiment(
     protocol: str,
     nodes: int = 4,

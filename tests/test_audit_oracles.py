@@ -16,15 +16,21 @@ against — together with the guards that keep the rewrite honest:
   timing, so it cannot flap on a noisy host).
 """
 
-import dataclasses
 import functools
 import types
 import typing
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import CommittedMasks, audit, audit_verdict
+from repro.analysis import (
+    CommittedMasks,
+    audit,
+    audit_verdict,
+    closed_at_from_history,
+    staleness_summary,
+)
 from repro.analysis import rolling
 from repro.analysis.serializability import balance_entity
 from repro.exp import ExperimentSpec, audit_result
@@ -172,22 +178,50 @@ def test_rolling_equals_post_hoc_on_a_dirty_run(monkeypatch):
 # ----------------------------------------------------------------------
 
 def test_overflowing_window_is_reported_and_not_clean(monkeypatch):
-    # A read parks while its version is unsettled.  A fault-free 3V run
-    # settles every read at retirement; a coordinator crash leaves an
-    # advancement record whose phase 1 never completes, the auditor's
-    # closure scan stops there, and every later read parks until
-    # report() — hundreds here, so a window of 1 must overflow.
+    # A read parks while its version is unsettled.  A 3V run settles
+    # every read at retirement — also past a coordinator crash, whose
+    # abandoned advancement record the closure scan used to stop at (next
+    # test) — so the window that overflows here is one with no room to
+    # park at all.
     monkeypatch.setattr(
         rolling, "RollingAuditor",
-        functools.partial(rolling.RollingAuditor, window=1))
-    spec = dataclasses.replace(_SPEC, coordinator_crashes=2)
-    result = run_recording_experiment(spec.protocol, **spec.run_kwargs())
+        functools.partial(rolling.RollingAuditor, window=0))
+    result = run_recording_experiment(_SPEC.protocol, **_SPEC.run_kwargs())
     report = audit_result(result, check_snapshots=True)
     assert report.reads_skipped > 0
     assert report.fractured_reads == 0 and report.snapshot_mismatches == 0
     assert not report.clean
     assert f"{report.reads_skipped} reads dropped unchecked" in (
         audit_verdict(report))
+
+
+def test_closure_scan_passes_an_abandoned_advancement_record():
+    # The wave a crashed coordinator abandons keeps phase1_done=None for
+    # good.  The streaming closure scan used to stop there: every later
+    # read folded staleness 0.0 and parked in the auditor until report().
+    kwargs = dict(
+        nodes=4, duration=200.0, seed=5, update_rate=6.0, inquiry_rate=6.0,
+        audit_rate=0.5, entities=30, amount_mode="bitmask",
+        coordinator_crashes=1, stream=1, detail=True)
+    streamed = run_recording_experiment("3v", **kwargs)
+    materialized = run_recording_experiment(
+        "3v", **kwargs, stream_aggregates=False)
+    abandoned = [record for record in materialized.history.advancements
+                 if record.phase1_done is None]
+    assert abandoned and abandoned[0] is not (
+        materialized.history.advancements[-1])
+    closed = streamed.history.closed_at()
+    assert closed == closed_at_from_history(materialized.history)
+    with pytest.raises(TypeError):
+        closed[0] = 1.0  # a view: the caller cannot edit the bookkeeping
+    assert staleness_summary(streamed.history) == staleness_summary(
+        materialized.history)
+    # Every retired read was checked as it settled, before report(): the
+    # run has drained, so no in-flight tail is left parked either.
+    assert not streamed.auditor._pending
+    report = streamed.auditor.report()
+    assert report.reads_skipped == 0 and report.clean
+    assert report.reads_checked > 2000
 
 
 # ----------------------------------------------------------------------

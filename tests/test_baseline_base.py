@@ -1,10 +1,11 @@
-"""Unit tests for the shared baseline scaffolding and message envelopes."""
+"""Unit tests for the baselines' shared system surface and message envelope."""
 
 import pytest
 
-from repro.baselines import BaselineSystem, NoCoordSystem
+from repro.baselines import NoCoordSystem
 from repro.errors import ProtocolError
 from repro.net.message import Message, MessageKind
+from repro.runtime import System
 from repro.storage import Increment
 from repro.txn import ReadOp, SubtxnSpec, TransactionSpec, WriteOp
 
@@ -59,7 +60,7 @@ class TestBaselineSystemSurface:
         NoCoordSystem(["a"]).stop_policy()
 
     def test_generic_base_node_handles_nothing_extra(self):
-        system = BaselineSystem(["a"], seed=1)
+        system = System(["a"], seed=1)
         system.network.register("outsider")
         system.network.send("outsider", "a", MessageKind.PREPARE, "x")
         with pytest.raises(ProtocolError):

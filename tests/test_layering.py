@@ -183,17 +183,18 @@ def test_placement_may_import_storage_and_net(tmp_path):
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def test_compat_shim_and_aggregator_are_allowed(tmp_path):
+def test_runtime_names_and_aggregator_are_allowed(tmp_path):
     seed_tree(str(tmp_path), {
         "repro/__init__.py": "",
         "repro/protocols.py": (
             "import repro.core.node\nimport repro.baselines.twopc\n"
         ),
+        "repro/runtime/__init__.py": "",
+        "repro/runtime/node.py": "",
         "repro/core/__init__.py": "",
-        "repro/core/node.py": "from repro.baselines.base import BaselineNode\n",
+        "repro/core/node.py": "from repro.runtime.node import ProtocolNode\n",
         "repro/baselines/__init__.py": "",
-        "repro/baselines/base.py": "",
-        "repro/baselines/twopc.py": "from repro.baselines import base\n",
+        "repro/baselines/twopc.py": "from repro.runtime import node\n",
     })
     result = run_checker("--src", str(tmp_path))
     assert result.returncode == 0, result.stdout + result.stderr

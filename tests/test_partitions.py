@@ -9,6 +9,8 @@ plan always gets the reliable-delivery layer — every cut copy is
 retransmitted to exactly-once delivery after the heal.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SimulationError
@@ -66,6 +68,32 @@ class TestPartitionEvent:
         # retransmitted after the heal, not lost forever).
         assert plan.lossy
         assert not FaultPlan().lossy
+
+    def test_plan_cut_equals_the_scan_over_every_partition(self):
+        # ``cut`` answers from windows laid out when the plan is built;
+        # the scan it replaced is the definition.  Also after
+        # ``dataclasses.replace``, which is how the runner adds events.
+        nodes = ("a", "b", "c", "d")
+        storm = FaultPlan.storm(nodes, partition_count=3, fault_seed=4,
+                                duration=90.0)
+        widened = dataclasses.replace(storm, partitions=storm.partitions + (
+            PartitionEvent(side_a=("a", "c"), side_b=("b",), at=20.0,
+                           duration=30.0, symmetric=False),
+        ))
+        for plan in (storm, widened, FaultPlan()):
+            edges = {0.0, 95.0}
+            for event in plan.partitions:
+                edges |= {event.at, event.heal_at,
+                          event.at - 1e-9, event.heal_at - 1e-9,
+                          (event.at + event.heal_at) / 2}
+            for now in sorted(edges):
+                for src in nodes:
+                    for dst in nodes:
+                        assert plan.cut(src, dst, now) == any(
+                            event.cuts(src, dst, now)
+                            for event in plan.partitions)
+        assert any(widened.cut("a", "b", now) != storm.cut("a", "b", now)
+                   for now in (25.0, 35.0, 45.0))
 
 
 class TestPartitionInjection:

@@ -80,7 +80,7 @@ class TestReplicaMapProperties:
     @given(map_params())
     def test_rf1_collapses_to_the_single_owner_map(self, params):
         """At rf=1 the replica list of every slot is exactly its home —
-        the historic ``entity_nodes`` assignment — and the same seed
+        the historic ``entity_homes`` assignment — and the same seed
         produces the same homes at every replication factor (the start
         draws are shared)."""
         single = make_map(**{**params, "rf": 1})

@@ -51,7 +51,7 @@ class TestRunnerDeterminism:
         )
         assert all(
             len(nodes) == 2
-            for nodes in result.workload.entity_nodes.values()
+            for nodes in result.workload.entity_homes.values()
         )
 
     def test_result_exposes_history_and_network(self):

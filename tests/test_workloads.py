@@ -56,7 +56,7 @@ class TestArrivals:
 
 class TestRecordingWorkload:
     def test_entity_placement_spans_requested_nodes(self, workload):
-        for entity, nodes in workload.entity_nodes.items():
+        for entity, nodes in workload.entity_homes.items():
             assert len(nodes) == 2
             assert len(set(nodes)) == 2
             assert set(nodes) <= set(NODES)
@@ -64,7 +64,7 @@ class TestRecordingWorkload:
     def test_recording_txn_touches_all_entity_nodes(self, workload):
         spec = workload.make_recording(0)
         entity, _amount = workload.update_amounts["rec-0"]
-        assert spec.nodes == set(workload.entity_nodes[entity])
+        assert spec.nodes == set(workload.entity_homes[entity])
         assert spec.is_well_behaved and not spec.is_read_only
 
     def test_recording_amounts_are_distinct_bits(self, workload):
@@ -90,7 +90,7 @@ class TestRecordingWorkload:
         spec = workload.make_inquiry(0)
         entity = workload.entity_of_inquiry(spec.name)
         assert spec.is_read_only
-        assert spec.nodes == set(workload.entity_nodes[entity])
+        assert spec.nodes == set(workload.entity_homes[entity])
         for sub in spec.root.walk():
             assert all(isinstance(op, ReadOp) for op in sub.ops)
             assert all(op.key == balance_key(entity) for op in sub.ops)

@@ -89,17 +89,53 @@ PROFILE_TARGETS = {
 }
 
 
+def collector_watch():
+    """A ``gc.callbacks`` observer and the table it fills:
+    ``{generation: [collections, seconds]}``."""
+    import time
+
+    totals = {generation: [0, 0.0] for generation in range(3)}
+    started = 0.0
+
+    def watch(phase: str, info: dict) -> None:
+        nonlocal started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            row = totals[info["generation"]]
+            row[0] += 1
+            row[1] += time.perf_counter() - started
+
+    return totals, watch
+
+
 def profile_benchmark(name: str, mode: str,
                       out_path: pathlib.Path | None = None) -> None:
-    """Run one benchmark under cProfile and print the hot functions."""
+    """Run one benchmark under cProfile and print the hot functions.
+
+    Above the table goes one line on the cyclic collector, which cProfile
+    cannot see (it charges a collection to whichever function allocated
+    last): a run inside ``collector_paused`` reads zero everywhere, a
+    ``System`` driven outside it shows what it pays, and a reference
+    cycle per transaction shows up as collections that find work.
+    """
     import cProfile
+    import gc
     import pstats
 
     target = PROFILE_TARGETS[name](bench_hotpath.CONFIGS[mode])
+    collections, watch = collector_watch()
     profiler = cProfile.Profile()
-    profiler.enable()
-    target()
-    profiler.disable()
+    gc.callbacks.append(watch)
+    try:
+        profiler.enable()
+        target()
+        profiler.disable()
+    finally:
+        gc.callbacks.remove(watch)
+    print("collector: " + ", ".join(
+        f"gen{generation} {count} collections {seconds:.3f} s"
+        for generation, (count, seconds) in collections.items()))
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(30)
     if out_path is not None:

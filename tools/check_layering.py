@@ -15,9 +15,7 @@ guarantees, and this script keeps them true by construction:
    other: ``repro.core`` (3V + NC3V) and each baseline module
    (``nocoord``, ``manual``, ``twopc``) may only depend on the runtime
    and the substrate layers (sim/net/storage/txn/history/errors).
-   ``repro.baselines.base`` is a compatibility shim re-exporting runtime
-   names and is allowed as a target; ``repro.protocols`` is the one
-   module allowed to import every plugin.
+   ``repro.protocols`` is the one module allowed to import every plugin.
 
 3. **Fault injection is substrate.**  ``repro.faults`` may import only
    the substrate it instruments (``repro.net``, ``repro.sim``,
@@ -75,10 +73,6 @@ PLUGIN_GROUPS = {
     "manual": ("repro.baselines.manual",),
     "twopc": ("repro.baselines.twopc",),
 }
-
-#: Modules every plugin may import even though they live in a plugin
-#: namespace: the compatibility shim only re-exports runtime names.
-SHARED_COMPAT = ("repro.baselines.base", "repro.baselines")
 
 #: The only ``repro.*`` prefixes ``repro.faults`` may import.
 FAULTS_ALLOWED = (
@@ -235,8 +229,6 @@ def check(src_root: str) -> typing.List[str]:
                         f"re-exports for introspection)"
                     )
                 if group is None or module == "repro.protocols":
-                    continue
-                if hits(imported, SHARED_COMPAT) and not in_group(imported):
                     continue
                 other = in_group(imported)
                 if other is not None and other != group:
