@@ -1,58 +1,52 @@
-"""Hot-path benchmark suite — the tracked performance baseline.
+"""Hot-path suite — the determinism digests and the ``--profile`` targets.
 
-Not a paper artefact: this suite measures the *substrate* — the simulation
-kernel, the 3V data-path storage structures, and the end-to-end simulated
-protocol — so performance regressions show up as numbers, not as mysteriously
-slow experiment runs.  ``tools/bench.py`` drives it and maintains the
-committed trajectory file ``BENCH_hotpath.json`` at the repository root;
-``docs/PERFORMANCE.md`` documents the schema and workflow.
+Not a paper artefact and not a source of timings: performance
+claims rest on ``benchmarks/e2e`` (``BENCHMARK.json``).  What this suite
+keeps is what made refactors safe — for fixed configs, the discrete
+outcome of a run (scheduled callbacks, transactions, messages,
+advancement runs, analysis floats) must be bit-for-bit stable across
+processes, machines and optimizations.  ``tools/bench.py`` drives it and
+maintains the committed digests in ``BENCH_hotpath.json`` at the
+repository root; ``docs/PERFORMANCE.md`` documents the file and workflow.
 
 Workloads (full-mode parameters; ``smoke`` shrinks them to fit the tier-1
 test budget):
 
-* ``kernel_callback`` — 200k chained callbacks, 75% zero-delay (the FIFO
-  fast path), 25% timer-driven (the heap path).
-* ``kernel_process`` — 50k items through a producer/consumer pair of
-  generator processes over a :class:`~repro.sim.resources.Store`.
 * ``e2e_3v`` — the full 3V protocol: 8 nodes, 120 simulated seconds of the
-  recording workload, seed 13.  Also the determinism canary: its event and
-  transaction counts and analysis digest must be bit-for-bit stable.
+  recording workload, seed 13.  The determinism canary: its event and
+  transaction counts and analysis digest.
 * ``advancement`` — e2e run dominated by version-advancement waves
-  (period 2.0, poll 0.25): measures the two-wave quiescence machinery.
-* ``counter`` / ``mvstore`` / ``quiescent`` — microbenchmarks of the three
-  3V data-path structures.  ``quiescent_checks_per_sec`` measures the
-  aggregate-total path the two-wave detector actually polls (one scalar
-  per node per wave); ``quiescent_scan_checks_per_sec`` keeps the full
-  O(nodes²) differential-oracle scan on the books.
-* The node-count scaling sweep (``bench_scaling_nodes``) and the
-  transaction-volume sweep (``bench_volume``) ride along: their
-  ``scaling_*`` / ``volume_*`` metrics and per-cell determinism counts
-  merge into this suite's output so ``tools/bench.py --check`` gates
-  them — including the streaming-mode memory-flatness ratio and the
-  streaming-vs-materialized equivalence assert.
-* ``*_vs_reference`` — the same kernel workloads on
-  :class:`~repro.sim.reference.ReferenceSimulator` (the seed pure-heap
-  scheduler), giving a live optimized-vs-seed kernel speedup.
+  (period 2.0, poll 0.25): advancement runs and counter polls.
+* The node-count scaling sweep (``bench_scaling_nodes``), the
+  transaction-volume sweep (``bench_volume``) and the replication sweep
+  (``bench_replication``) ride along: their per-cell determinism counts
+  merge into this suite's digest, and each asserts its own equivalence
+  on every run (batched vs unbatched delivery, streamed vs materialized
+  history, the memory-flatness bar, rf=1 vs unreplicated), so
+  ``tools/bench.py --check`` gates those too.
+* ``kernel_callback`` / ``kernel_process`` / ``counter`` / ``mvstore`` /
+  ``quiescent`` — storms over the simulation kernel and the three 3V
+  data-path structures.  They feed no file; ``tools/bench.py --profile``
+  runs one under cProfile.
 
-Every metric is a rate (higher is better).  Run directly for a quick look::
+Run directly for a quick look::
 
     PYTHONPATH=src python benchmarks/bench_hotpath.py [--smoke]
 """
 
 from __future__ import annotations
 
-import time
 import typing
 
 from repro.analysis.metrics import latency_summary, throughput
-from repro.sim import ReferenceSimulator, Simulator
+from repro.sim import Simulator
 from repro.sim.resources import Store
 from repro.storage.counters import CounterTable, aggregate_quiescent, quiescent
 from repro.storage.mvstore import MVStore
 from repro.workloads import run_recording_experiment
 
 #: Workload sizing.  ``full`` is the tracked baseline; ``smoke`` must stay
-#: inside the tier-1 test budget (a couple of seconds total).
+#: inside the tier-1 test budget.
 CONFIGS: typing.Dict[str, dict] = {
     "full": {
         "kernel_events": 200_000,
@@ -69,7 +63,6 @@ CONFIGS: typing.Dict[str, dict] = {
                             inquiry_rate=4.0, audit_rate=0.1, entities=100,
                             span=2, seed=29, detail=False,
                             advancement_period=2.0, poll_interval=0.25),
-        "repeat": 3,
     },
     "smoke": {
         "kernel_events": 20_000,
@@ -86,35 +79,17 @@ CONFIGS: typing.Dict[str, dict] = {
                             inquiry_rate=2.0, audit_rate=0.1, entities=40,
                             span=2, seed=29, detail=False,
                             advancement_period=2.0, poll_interval=0.25),
-        # best-of-3 even in smoke mode: the storms are milliseconds each,
-        # and single-shot timings swing enough to flap the --check gate.
-        "repeat": 3,
     },
 }
 
 
-def _best_of(fn: typing.Callable[[], typing.Any], repeat: int
-             ) -> typing.Tuple[float, typing.Any]:
-    """(best wall-seconds, last result) over ``repeat`` runs."""
-    best = float("inf")
-    result = None
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - t0
-        if elapsed < best:
-            best = elapsed
-    return best, result
-
-
 # ----------------------------------------------------------------------
-# Kernel workloads (parameterized by simulator class so the reference
-# pure-heap scheduler runs the identical program)
+# Kernel storms
 # ----------------------------------------------------------------------
 
-def kernel_callback_storm(n: int, sim_class=Simulator) -> int:
+def kernel_callback_storm(n: int) -> int:
     """Chained callbacks, 3-in-4 zero-delay; returns events scheduled."""
-    sim = sim_class()
+    sim = Simulator()
     state = [0]
 
     def tick():
@@ -130,9 +105,9 @@ def kernel_callback_storm(n: int, sim_class=Simulator) -> int:
     return sim.scheduled_count
 
 
-def kernel_process_storm(n: int, sim_class=Simulator) -> int:
+def kernel_process_storm(n: int) -> int:
     """Producer/consumer generator processes over a Store."""
-    sim = sim_class()
+    sim = Simulator()
     store = Store(sim)
 
     def producer():
@@ -161,34 +136,6 @@ def kernel_process_storm(n: int, sim_class=Simulator) -> int:
 
 def run_e2e(config: dict):
     return run_recording_experiment("3v", **config)
-
-
-def timed_e2e(config: dict) -> dict:
-    """Run + self-time the e2e workload; picklable, spawn-safe.
-
-    Timing happens *inside* the worker so the measurement excludes
-    process startup; results carry only flat numbers across the process
-    boundary.
-    """
-    t0 = time.perf_counter()
-    result = run_e2e(config)
-    wall = time.perf_counter() - t0
-    return {"wall": wall, "digest": e2e_digest(result)}
-
-
-def timed_advancement(config: dict) -> dict:
-    """Run + self-time the advancement-heavy workload (spawn-safe)."""
-    t0 = time.perf_counter()
-    result = run_e2e(config)
-    wall = time.perf_counter() - t0
-    return {
-        "wall": wall,
-        "events": result.system.sim.scheduled_count,
-        "advancement_runs": result.system.coordinator.completed_runs,
-        "counter_polls": sum(
-            a.counter_polls for a in result.history.advancements
-        ),
-    }
 
 
 def e2e_digest(result) -> typing.Dict[str, typing.Any]:
@@ -260,103 +207,26 @@ def aggregate_quiescent_storm(n: int, nodes: int) -> bool:
 # The suite
 # ----------------------------------------------------------------------
 
-def run_suite(mode: str = "full", jobs: int = 1
-              ) -> typing.Dict[str, typing.Any]:
-    """Run every workload; returns ``{"metrics": ..., "determinism": ...}``.
-
-    All metrics are rates (per wall-second, higher is better) except the
-    ``*_speedup_vs_reference`` ratios (dimensionless, higher is better).
-
-    With ``jobs > 1`` the two independent end-to-end workloads (``e2e_3v``
-    and ``advancement``) are collected concurrently in spawned worker
-    processes, each self-timed; the kernel and storage microbenchmarks
-    always run serially in this process because their best-of-N wall-clock
-    timings are only meaningful on an otherwise idle interpreter.  The
-    determinism digest is identical either way; rates measured under
-    ``jobs > 1`` assume a free core per worker.
-    """
+def run_suite(mode: str = "full") -> typing.Dict[str, typing.Any]:
+    """Run every digest workload; returns ``{"mode", "determinism"}``."""
     cfg = CONFIGS[mode]
-    repeat = cfg["repeat"]
-    metrics: typing.Dict[str, float] = {}
+    digest = e2e_digest(run_e2e(cfg["e2e"]))
 
-    wall, events = _best_of(
-        lambda: kernel_callback_storm(cfg["kernel_events"]), repeat)
-    metrics["kernel_callback_events_per_sec"] = events / wall
-    ref_wall, ref_events = _best_of(
-        lambda: kernel_callback_storm(cfg["kernel_events"],
-                                      sim_class=ReferenceSimulator), repeat)
-    assert events == ref_events, "kernels disagreed on event count"
-    metrics["kernel_callback_speedup_vs_reference"] = ref_wall / wall
+    advancement = run_e2e(cfg["advancement"])
+    digest["advancement_runs"] = advancement.system.coordinator.completed_runs
+    digest["advancement_counter_polls"] = sum(
+        a.counter_polls for a in advancement.history.advancements)
 
-    wall, events = _best_of(
-        lambda: kernel_process_storm(cfg["process_items"]), repeat)
-    metrics["kernel_process_events_per_sec"] = events / wall
-    ref_wall, ref_events = _best_of(
-        lambda: kernel_process_storm(cfg["process_items"],
-                                     sim_class=ReferenceSimulator), repeat)
-    assert events == ref_events, "kernels disagreed on event count"
-    metrics["kernel_process_speedup_vs_reference"] = ref_wall / wall
-
-    if jobs > 1:
-        import concurrent.futures
-        import multiprocessing
-
-        context = multiprocessing.get_context("spawn")
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(jobs, 2), mp_context=context
-        ) as pool:
-            e2e_future = pool.submit(timed_e2e, cfg["e2e"])
-            adv_future = pool.submit(timed_advancement, cfg["advancement"])
-            e2e = e2e_future.result()
-            advancement = adv_future.result()
-    else:
-        e2e = timed_e2e(cfg["e2e"])
-        advancement = timed_advancement(cfg["advancement"])
-
-    digest = e2e["digest"]
-    # Gated on transactions, not scheduled callbacks: a runtime that
-    # needs fewer callbacks per transaction reads *slower* in events/sec
-    # while getting faster (the callback count stays in the digest).
-    metrics["e2e_3v_txns_per_sec"] = digest["txns"] / e2e["wall"]
-
-    digest["advancement_runs"] = advancement["advancement_runs"]
-    digest["advancement_counter_polls"] = advancement["counter_polls"]
-    metrics["advancement_events_per_sec"] = (
-        advancement["events"] / advancement["wall"])
-
-    wall, count = _best_of(lambda: counter_storm(cfg["counter_incs"]), repeat)
-    assert count == cfg["counter_incs"]
-    metrics["counter_incs_per_sec"] = 2 * count / wall
-
-    wall, rounds = _best_of(
-        lambda: mvstore_storm(cfg["mvstore_rounds"]), repeat)
-    metrics["mvstore_ops_per_sec"] = 3 * rounds / wall
-
-    wall, ok = _best_of(
-        lambda: aggregate_quiescent_storm(cfg["aggregate_checks"],
-                                          cfg["quiescent_nodes"]), repeat)
-    assert ok, "aggregate_quiescent() returned False on balanced totals"
-    metrics["quiescent_checks_per_sec"] = cfg["aggregate_checks"] / wall
-
-    wall, ok = _best_of(
-        lambda: quiescent_storm(cfg["quiescent_checks"],
-                                cfg["quiescent_nodes"]), repeat)
-    assert ok, "quiescent() returned False on a balanced counter set"
-    metrics["quiescent_scan_checks_per_sec"] = cfg["quiescent_checks"] / wall
-
-    scaling = _sibling_suite("bench_scaling_nodes").run_scaling(mode)
-    metrics.update(scaling["metrics"])
+    # repeat=1: the sweep's best-of-N timing feeds its own table, not this.
+    scaling = _sibling_suite("bench_scaling_nodes").run_scaling(
+        mode, repeat=1)
     digest.update(scaling["determinism"])
-
-    volume = _sibling_suite("bench_volume").run_volume(mode, jobs=jobs)
-    metrics.update(volume["metrics"])
+    volume = _sibling_suite("bench_volume").run_volume(mode)
     digest.update(volume["determinism"])
-
     replication = _sibling_suite("bench_replication").run_replication(mode)
-    metrics.update(replication["metrics"])
     digest.update(replication["determinism"])
 
-    return {"mode": mode, "metrics": metrics, "determinism": digest}
+    return {"mode": mode, "determinism": digest}
 
 
 def _sibling_suite(name: str):

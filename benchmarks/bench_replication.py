@@ -20,8 +20,9 @@ on at its default must perturb nothing.  The digest is exported as
 ``repl_rf1_digest`` so ``tools/bench.py --check`` also fails if either
 path drifts from the committed baseline.
 
-Feeds ``BENCH_hotpath.json`` via :func:`bench_hotpath.run_suite`; run
-directly for the replication table::
+The determinism counts and the digest feed ``BENCH_hotpath.json`` via
+:func:`bench_hotpath.run_suite`; the rates are this suite's own table.
+Run directly for the replication table::
 
     PYTHONPATH=src python benchmarks/bench_replication.py [--smoke]
 """

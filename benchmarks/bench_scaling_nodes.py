@@ -8,17 +8,18 @@ advancement period and poll interval — so what is measured is exactly the
 machinery this axis exercises: counter-read waves, quiescence checks, and
 the advancement broadcasts whose reply waves delivery batching coalesces.
 
-Two kinds of output feed ``BENCH_hotpath.json`` via
-:func:`bench_hotpath.run_suite`:
+Two kinds of output:
 
-* ``metrics`` — wall-clock rates and batched-vs-unbatched speedups at the
-  16-node (and, full mode, 64-node) cells.  The events/sec rate uses the
+* ``metrics`` — this suite's own table, fed to no file: wall-clock rates
+  and batched-vs-unbatched speedups at the 16-node (and, full mode,
+  64-node) cells.  The events/sec rate uses the
   *unbatched* event count as the numerator for both variants: a batched
   run performs the same simulated work with fewer scheduled events, so
   its own event count would understate it.  "Canonical events per second"
   is the honest same-work-per-wall-second comparison.
 * ``determinism`` — per-cell event/message/advancement counts, which must
-  be bit-stable across hosts and worker counts like every other digest.
+  be bit-stable across hosts and worker counts like every other digest;
+  :func:`bench_hotpath.run_suite` merges them into ``BENCH_hotpath.json``.
 
 The batched and unbatched variants of each cell must also agree exactly
 on everything except the scheduled-event trace (messages, advancement
@@ -49,8 +50,8 @@ NODE_COUNTS: typing.Dict[str, typing.Tuple[int, ...]] = {
 #: Simulated seconds of advancement traffic per mode.
 DURATIONS = {"full": 600.0, "smoke": 120.0}
 
-#: Node counts whose cells are tracked as gated metrics (when present in
-#: the mode's sweep).
+#: Node counts whose cells are reported as metrics (when present in the
+#: mode's sweep).
 METRIC_NODES = (16, 64)
 
 

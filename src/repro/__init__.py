@@ -20,12 +20,6 @@ Quick start::
 See ``README.md`` for the full tour and ``DESIGN.md`` for the system map.
 """
 
-from repro._accel import (
-    accel_backend,
-    accel_status,
-    accelerated_modules,
-    build_mode,
-)
 from repro.analysis import (
     AnomalyReport,
     LatencySummary,
@@ -121,11 +115,7 @@ __all__ = [
     "Uniform",
     "UniformLatency",
     "WriteOp",
-    "accel_backend",
-    "accel_status",
-    "accelerated_modules",
     "audit",
-    "build_mode",
     "build_system",
     "check_all",
     "constant_latency",
@@ -138,3 +128,13 @@ __all__ = [
     "telecom_workload",
     "throughput",
 ]
+
+
+# Called only by benchmarks/e2e/child.py, which PR 18 (it deleted the compiled
+# kernel) could not edit; the next `benchmark` PR removes the calls and these.
+def build_mode() -> str:
+    return "pure"
+
+
+def accel_backend() -> None:
+    return None

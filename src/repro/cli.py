@@ -29,6 +29,7 @@ import argparse
 import sys
 import typing
 
+from repro import __version__
 from repro.analysis import Table, audit_verdict
 from repro.errors import ReproError
 from repro.exp import (
@@ -373,21 +374,6 @@ def cmd_paper(args) -> int:
     return 0 if ok else 1
 
 
-def _version_string() -> str:
-    """``repro X.Y.Z (build: ...)`` — reports which kernel build runs."""
-    import repro
-
-    mode = repro.build_mode()
-    if mode == "accel":
-        modules = ", ".join(
-            name.rsplit(".", 1)[-1] for name in repro.accelerated_modules()
-        )
-        build = f"accel/{repro.accel_backend()}: {modules}"
-    else:
-        build = "pure"
-    return f"repro {repro.__version__} (build: {build})"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -397,8 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--version", action="version", version=_version_string(),
-        help="print version, kernel build mode, and accelerated modules",
+        "--version", action="version", version=f"repro {__version__}",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 

@@ -55,16 +55,6 @@ def code_fingerprint() -> str:
             digest.update(str(path.relative_to(package_root)).encode())
             digest.update(b"\0")
             digest.update(path.read_bytes())
-        # Results are digest-identical across builds, but derived fields
-        # like wall_seconds are not comparable — keep cache entries from
-        # a compiled kernel separate from pure ones.  The backend is mixed
-        # in only when it is actually running: a pure run must fingerprint
-        # identically whether or not build artifacts happen to sit on disk
-        # (accel_backend() reads the manifest unconditionally).
-        digest.update(b"\0build:")
-        digest.update(repro.build_mode().encode())
-        if repro.build_mode() == "accel":
-            digest.update((repro.accel_backend() or "").encode())
         _fingerprint = digest.hexdigest()
     return _fingerprint
 

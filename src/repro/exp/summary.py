@@ -122,10 +122,6 @@ class ExperimentSummary:
     # asked ``run_spec`` to measure it (machine- and version-dependent, so
     # excluded from the determinism digest like wall_seconds)
     peak_tracemalloc_bytes: int = 0
-    # which kernel build produced this summary ("pure" or "accel").  A
-    # build property, not a simulation outcome: excluded from the
-    # determinism digest, which must be bit-identical across builds.
-    build_mode: str = "pure"
 
     def determinism_digest(self) -> str:
         """Hex digest of the run's discrete counts.
@@ -176,11 +172,8 @@ def summarize(spec: ExperimentSpec, result, report) -> ExperimentSummary:
     if getattr(coordinator, "epoch", 0) and not history.streaming:
         budget = spec.stall_budget or 2.0 * spec.advancement_period
         stalls = advancement_stalls(history, result.duration, budget)
-    from repro import build_mode
-
     return ExperimentSummary(
         spec_digest=spec.digest(),
-        build_mode=build_mode(),
         protocol=spec.protocol,
         nodes=spec.nodes,
         duration=result.duration,

@@ -130,10 +130,3 @@ class Message:
             f"Message(#{self.message_id} {self.kind} {self.src}->{self.dst} "
             f"@{self.sent_at:.3f})"
         )
-
-
-# --- accelerated-build hook (stripped from compiled mirrors) ----------
-from repro._accel import install as _accel_install  # noqa: E402
-
-_accel_install(globals())
-# --- end accelerated-build hook ---------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import typing
 
-from repro._accel import mypyc_attr
 from repro.errors import SimulationError
 from repro.net.latency import LatencyModel, constant_latency
 from repro.net.message import Message, MessageKind
@@ -115,17 +114,12 @@ class NetworkStats:
         )
 
 
-@mypyc_attr(allow_interpreted_subclasses=True)
 class Network:
     """Message transport between named endpoints.
 
     Faults are injected by *subclassing*, never by monkey-patching: the
     reliable-delivery layer overrides :meth:`_dispatch_send` and the fault
-    injector overrides :meth:`_transmit`.  Those subclasses stay
-    interpreted under an accelerated build — the ``mypyc_attr`` decorator
-    keeps the compiled base class's method slots dynamically overridable,
-    so the fault seam survives compilation without any hot-path
-    indirection in the fault-free case.
+    injector overrides :meth:`_transmit`.
 
     Args:
         sim: The owning simulator.
@@ -288,10 +282,3 @@ class Network:
                      payload=None) -> typing.List[Message]:
         """Send the same message to an explicit list of endpoints."""
         return [self.send(src, dst, kind, payload) for dst in dsts]
-
-
-# --- accelerated-build hook (stripped from compiled mirrors) ----------
-from repro._accel import install as _accel_install  # noqa: E402
-
-_accel_install(globals())
-# --- end accelerated-build hook ---------------------------------------

@@ -18,7 +18,6 @@ from repro.sim.distributions import (
 )
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.reference import ReferenceSimulator
 from repro.sim.resources import Resource, Store
 from repro.sim.simulator import Simulator
 
@@ -31,7 +30,6 @@ __all__ = [
     "Exponential",
     "LogNormal",
     "Process",
-    "ReferenceSimulator",
     "Resource",
     "RngRegistry",
     "Simulator",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import typing
 
-from repro._accel import mypyc_attr
 from repro.errors import SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -29,18 +28,8 @@ __all__ = ["Event", "Timeout", "Condition", "AllOf", "AnyOf"]
 _PENDING: typing.Final[object] = object()
 
 
-@mypyc_attr(allow_interpreted_subclasses=True)
 class Event:
     """A one-shot occurrence in simulated time.
-
-    Interpreted code subclasses Event even under a fully compiled build:
-    the pure body of :mod:`repro.sim.process` always executes (its accel
-    hook runs last), so ``class Process(Event)`` sees whatever Event the
-    already-swapped events namespace exports — the ``mypyc_attr`` escape
-    hatch keeps that legal when it is the compiled one.  Timeout,
-    Condition, AllOf, and AnyOf have no interpreted subclasses (their
-    only subclasses live in this module, defined before any swap), so
-    they stay fully native.
 
     Args:
         sim: The owning simulator.
@@ -215,10 +204,3 @@ class AnyOf(Condition):
             self.fail(event._exception)
             return
         self.succeed(event)
-
-
-# --- accelerated-build hook (stripped from compiled mirrors) ----------
-from repro._accel import install as _accel_install  # noqa: E402
-
-_accel_install(globals())
-# --- end accelerated-build hook ---------------------------------------

@@ -108,10 +108,3 @@ class Process(Event):
             raise error
         self._waiting_on = target
         target.add_callback(self._on_event)
-
-
-# --- accelerated-build hook (stripped from compiled mirrors) ----------
-from repro._accel import install as _accel_install  # noqa: E402
-
-_accel_install(globals())
-# --- end accelerated-build hook ---------------------------------------

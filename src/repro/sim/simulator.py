@@ -25,9 +25,8 @@ non-empty, so every deque entry's timestamp is exactly ``now``.  The only
 candidates that could legally run before the deque head are heap entries
 at the same time with a *smaller* sequence number (scheduled earlier with a
 positive delay that has just come due); :meth:`step` checks exactly that.
-``tests/test_scheduler_equivalence.py`` differential-tests this against a
-reference pure-heap scheduler (:class:`repro.sim.reference.ReferenceSimulator`)
-on randomized schedules.
+``tests/test_scheduler_equivalence.py`` differential-tests this against
+the pure-heap scheduler it replaced, on randomized schedules.
 """
 
 from __future__ import annotations
@@ -262,10 +261,3 @@ class Simulator:
     def scheduled_count(self) -> int:
         """Total callbacks ever scheduled — the benchmarks' event counter."""
         return self._sequence
-
-
-# --- accelerated-build hook (stripped from compiled mirrors) ----------
-from repro._accel import install as _accel_install  # noqa: E402
-
-_accel_install(globals())
-# --- end accelerated-build hook ---------------------------------------

@@ -269,10 +269,3 @@ def aggregate_quiescent(
     """
     return (sum(request_totals.values())
             == sum(completion_totals.values()))
-
-
-# --- accelerated-build hook (stripped from compiled mirrors) ----------
-from repro._accel import install as _accel_install  # noqa: E402
-
-_accel_install(globals())
-# --- end accelerated-build hook ---------------------------------------

@@ -274,14 +274,7 @@ class MVStore:
     def snapshot(self) -> typing.Dict[typing.Hashable, typing.Dict[int, typing.Any]]:
         """Deep-enough copy of the whole store (values are immutable).
 
-        Inner-dict key order is unspecified (insertion order pure, version
-        order compiled); compare snapshots with ``==``, never by ordering.
+        Inner-dict key order is insertion order, not version order;
+        compare snapshots with ``==``, never by ordering.
         """
         return {key: dict(chain) for key, chain in self._chains.items()}
-
-
-# --- accelerated-build hook (stripped from compiled mirrors) ----------
-from repro._accel import install as _accel_install  # noqa: E402
-
-_accel_install(globals())
-# --- end accelerated-build hook ---------------------------------------

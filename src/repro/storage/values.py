@@ -22,7 +22,6 @@ from __future__ import annotations
 import bisect
 import typing
 
-from repro._accel import mypyc_attr
 from repro.errors import StorageError
 
 __all__ = [
@@ -37,13 +36,10 @@ __all__ = [
 ]
 
 
-@mypyc_attr(allow_interpreted_subclasses=True)
 class Operation:
     """A state transformer applied to one data item.
 
-    Workloads may define custom operations by subclassing; such
-    subclasses stay interpreted under an accelerated build (hence the
-    ``mypyc_attr`` escape hatch on the base class).
+    Workloads may define custom operations by subclassing.
     """
 
     #: Whether this operation commutes with every other commuting operation.
@@ -214,10 +210,3 @@ def undo_operation(operation: Operation, previous_state) -> Operation:
     raise StorageError(
         f"operation {operation!r} is neither invertible nor undoable"
     )
-
-
-# --- accelerated-build hook (stripped from compiled mirrors) ----------
-from repro._accel import install as _accel_install  # noqa: E402
-
-_accel_install(globals())
-# --- end accelerated-build hook ---------------------------------------

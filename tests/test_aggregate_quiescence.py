@@ -20,35 +20,15 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._accel import AccelUnavailableError, load_accel, pure_namespace
+from repro.storage.counters import (
+    CounterTable,
+    aggregate_quiescent,
+    quiescent,
+)
 from repro.storage.wal import JournaledCounters
-
-
-def _counter_builds():
-    pure = pure_namespace("repro.storage.counters")
-    builds = [pytest.param(
-        (pure["CounterTable"], pure["quiescent"], pure["aggregate_quiescent"]),
-        id="pure")]
-    try:
-        compiled = load_accel("repro.storage.counters")
-    except AccelUnavailableError:
-        builds.append(pytest.param(None, id="accel", marks=pytest.mark.skip(
-            reason="no compiled kernel build present")))
-    else:
-        builds.append(pytest.param(
-            (compiled.CounterTable, compiled.quiescent,
-             compiled.aggregate_quiescent),
-            id="accel"))
-    return builds
-
-
-#: ``(CounterTable, quiescent, aggregate_quiescent)`` for each kernel
-#: build; the accel leg skips cleanly when no compiled build is present.
-COUNTER_BUILDS = _counter_builds()
 
 NODES = ("a", "b", "c")
 VERSIONS = (1, 2, 3)
@@ -100,9 +80,9 @@ ops_with_gc = st.lists(
 )
 
 
-def journaled(node_id: str, counter_cls) -> JournaledCounters:
-    return JournaledCounters(counter_cls(node_id),
-                             lambda: counter_cls(node_id))
+def journaled(node_id: str) -> JournaledCounters:
+    return JournaledCounters(CounterTable(node_id),
+                             lambda: CounterTable(node_id))
 
 
 def apply_ops(tables: typing.Dict[str, JournaledCounters],
@@ -137,28 +117,24 @@ def assert_totals_match_rows(table: CounterTable) -> None:
             table.request_total(version) - table.completion_total(version))
 
 
-@pytest.mark.parametrize("kernel", COUNTER_BUILDS)
 @settings(deadline=None)
 @given(ops_with_gc)
-def test_totals_track_rows_through_gc_and_replay(kernel, sequence):
+def test_totals_track_rows_through_gc_and_replay(sequence):
     """The aggregate totals are always exactly the sum of the rows —
     including after GC drops versions and WAL replay rebuilds the table
     (re-deriving the totals by re-running the logged increments)."""
-    counter_cls, _, _ = kernel
-    tables = {node: journaled(node, counter_cls) for node in NODES}
+    tables = {node: journaled(node) for node in NODES}
     apply_ops(tables, sequence)
     for wrapper in tables.values():
         assert_totals_match_rows(wrapper.raw)
 
 
-@pytest.mark.parametrize("kernel", COUNTER_BUILDS)
 @settings(deadline=None)
 @given(ops_with_gc)
-def test_replay_restores_identical_state(kernel, sequence):
+def test_replay_restores_identical_state(sequence):
     """Crash recovery is exact: rows, totals, and the GC loss counter all
     survive a replay bit-for-bit."""
-    counter_cls, _, _ = kernel
-    tables = {node: journaled(node, counter_cls) for node in NODES}
+    tables = {node: journaled(node) for node in NODES}
     apply_ops(tables, sequence)
     for wrapper in tables.values():
         before = wrapper.raw
@@ -182,14 +158,13 @@ def test_replay_restores_identical_state(kernel, sequence):
             assert after.completion_total(version) == comp_total
 
 
-@pytest.mark.parametrize("kernel", COUNTER_BUILDS)
 @settings(deadline=None)
 @given(ops, st.sampled_from(VERSIONS),
        st.lists(st.builds(Send, st.sampled_from(NODES),
                           st.sampled_from(NODES), st.sampled_from(VERSIONS)),
                 max_size=8))
 def test_aggregate_agrees_with_scan_on_two_wave_snapshots(
-        kernel, sequence, version, between_waves):
+        sequence, version, between_waves):
     """On every reachable two-wave snapshot the aggregate verdict, the
     full-scan verdict, and ground truth coincide.
 
@@ -198,8 +173,7 @@ def test_aggregate_agrees_with_scan_on_two_wave_snapshots(
     exists to tolerate: the new requests can only make snapshots look
     *less* quiescent, never more.
     """
-    counter_cls, quiescent, aggregate_quiescent = kernel
-    tables = {node: journaled(node, counter_cls) for node in NODES}
+    tables = {node: journaled(node) for node in NODES}
     pending = apply_ops(tables, sequence)
 
     # Wave 1: completions (totals and rows read at the same instant).

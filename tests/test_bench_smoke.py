@@ -1,10 +1,10 @@
-"""Smoke coverage for the hot-path benchmark harness.
+"""Smoke coverage for the hot-path digest harness.
 
 Keeps ``benchmarks/bench_hotpath.py`` and ``tools/bench.py`` inside the
 tier-1 safety net: the smoke suite must run inside the test budget, the
 e2e workload must be deterministic, the committed ``BENCH_hotpath.json``
-must stay well-formed (and keep showing the tracked speedup over the seed
-kernel), and the ``--check`` regression-gate logic must actually gate.
+must stay well-formed and match a fresh run, and the ``--check`` gate
+logic must actually gate.
 
 ``pytest -m benchsmoke`` selects just the suite-exercising subset.
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
+import time
 
 import pytest
 
@@ -33,42 +34,22 @@ class TestSmokeSuite:
     def suite(self):
         return bench_hotpath.run_suite("smoke")
 
-    def test_all_metrics_positive(self, suite):
-        assert suite["mode"] == "smoke"
-        assert suite["metrics"], "smoke suite produced no metrics"
-        for name, value in suite["metrics"].items():
-            assert value > 0, f"{name} was not a positive rate: {value}"
+    def test_aggregate_check_is_the_fast_path(self):
+        """The quiescence check the detector polls is the aggregate-total
+        path; the O(nodes²) scan stays on the books as the (much slower)
+        oracle.  Timed here: the suite collects no rates."""
+        cfg = bench_hotpath.CONFIGS["smoke"]
 
-    def test_expected_metric_set(self, suite):
-        expected = {
-            "kernel_callback_events_per_sec",
-            "kernel_callback_speedup_vs_reference",
-            "kernel_process_events_per_sec",
-            "kernel_process_speedup_vs_reference",
-            "e2e_3v_txns_per_sec",
-            "advancement_events_per_sec",
-            "counter_incs_per_sec",
-            "mvstore_ops_per_sec",
-            "quiescent_checks_per_sec",
-            "quiescent_scan_checks_per_sec",
-            "scaling_advancement_events_per_sec_16",
-            "scaling_batch_speedup_16",
-            "volume_stream_txns_per_sec",
-            "volume_memory_flatness",
-            "repl_rf1_txns_per_sec",
-            "repl_rf1_msg_overhead",
-            "repl_rf2_txns_per_sec",
-            "repl_rf2_msg_overhead",
-            "repl_rf3_txns_per_sec",
-            "repl_rf3_msg_overhead",
-        }
-        assert set(suite["metrics"]) == expected
+        def checks_per_sec(storm, checks):
+            started = time.perf_counter()
+            assert storm(checks, cfg["quiescent_nodes"])
+            return checks / (time.perf_counter() - started)
 
-    def test_aggregate_check_is_the_fast_path(self, suite):
-        """The tracked quiescence metric is the aggregate-total path; the
-        O(nodes²) scan stays on the books as the (much slower) oracle."""
-        assert (suite["metrics"]["quiescent_checks_per_sec"]
-                > 5 * suite["metrics"]["quiescent_scan_checks_per_sec"])
+        assert (
+            checks_per_sec(bench_hotpath.aggregate_quiescent_storm,
+                           cfg["aggregate_checks"])
+            > 5 * checks_per_sec(bench_hotpath.quiescent_storm,
+                                 cfg["quiescent_checks"]))
 
     def test_scaling_cells_present_in_digest(self, suite):
         for nodes in (4, 8, 16):
@@ -82,14 +63,13 @@ class TestSmokeSuite:
 
     def test_volume_cells_present_in_digest(self, suite):
         """The streaming volume cells ride along with bit-stable counts
-        and a memory-flatness ratio inside the hard 1.5x bar."""
+        (``run_volume`` itself raises past the hard 1.5x memory bar)."""
         for cell in ("small", "large"):
             for key in (f"volume_events_{cell}", f"volume_txns_{cell}"):
                 assert key in suite["determinism"], key
         assert (suite["determinism"]["volume_txns_large"]
                 > suite["determinism"]["volume_txns_small"])
         assert "volume_differential_txns" in suite["determinism"]
-        assert suite["metrics"]["volume_memory_flatness"] > 1 / 1.5
 
     def test_replication_cells_present_in_digest(self, suite):
         """The replication cells ride along: bit-stable counts per rf,
@@ -106,9 +86,6 @@ class TestSmokeSuite:
         assert (suite["determinism"]["repl_messages_rf1"]
                 < suite["determinism"]["repl_messages_rf2"]
                 < suite["determinism"]["repl_messages_rf3"])
-        assert suite["metrics"]["repl_rf1_msg_overhead"] == 1.0
-        assert (suite["metrics"]["repl_rf2_msg_overhead"]
-                < suite["metrics"]["repl_rf3_msg_overhead"])
 
     def test_e2e_workload_is_deterministic(self, suite):
         digest = bench_hotpath.assert_deterministic("smoke")
@@ -124,9 +101,8 @@ class TestCommittedBaseline:
 
     def test_schema(self, baseline):
         assert baseline["schema_version"] == 1
-        for key in ("metrics", "determinism", "smoke_metrics",
-                    "smoke_determinism", "seed_baseline", "speedup_vs_seed"):
-            assert key in baseline, f"baseline missing {key!r}"
+        assert set(baseline) == {"schema_version", "description",
+                                 "determinism", "smoke_determinism"}
 
     def test_determinism_digest_matches_committed(self, baseline):
         """The full-mode e2e digest is machine-independent; a fresh smoke
@@ -138,80 +114,44 @@ class TestCommittedBaseline:
         for key, value in fresh.items():
             assert committed[key] == value
 
-    def test_tracked_speedup_over_seed_kernel(self, baseline):
-        """The tentpole acceptance bar: >=1.5x end-to-end transactions/sec
-        over the seed kernel, as recorded in the committed trajectory."""
-        assert baseline["speedup_vs_seed"]["e2e_3v_txns_per_sec"] >= 1.5
-
 
 class TestCheckGate:
-    """--check logic, driven synthetically (no timing, never flaky)."""
+    """--check logic, driven synthetically."""
 
     BASELINE = {
-        "metrics": {"a_per_sec": 100.0, "b_per_sec": 1000.0},
-        "determinism": {"events": 42},
-        "smoke_metrics": {"a_per_sec": 10.0},
+        "determinism": {"events": 42, "txns": 9},
         "smoke_determinism": {"events": 7},
     }
 
     @staticmethod
-    def fresh(metrics, determinism):
-        # Pin the build stamp so these synthetic comparisons stay legal
-        # (and deterministic) whatever kernel build the test process runs.
-        return {"metrics": metrics, "determinism": determinism,
-                "build": {"mode": "pure", "backend": None}}
-
-    def test_passes_within_tolerance(self):
-        fresh = self.fresh({"a_per_sec": 80.0, "b_per_sec": 1500.0},
-                           {"events": 42})
-        assert bench_cli.check(self.BASELINE, fresh, "full", 0.25,
+    def passes(baseline, determinism, mode):
+        return bench_cli.check(baseline, {"determinism": determinism}, mode,
                                out=lambda *_: None)
-
-    def test_fails_on_slowdown_beyond_tolerance(self):
-        fresh = self.fresh({"a_per_sec": 70.0, "b_per_sec": 1000.0},
-                           {"events": 42})
-        assert not bench_cli.check(self.BASELINE, fresh, "full", 0.25,
-                                   out=lambda *_: None)
-
-    def test_fails_on_missing_metric(self):
-        fresh = self.fresh({"a_per_sec": 100.0}, {"events": 42})
-        assert not bench_cli.check(self.BASELINE, fresh, "full", 0.25,
-                                   out=lambda *_: None)
 
     def test_fails_on_determinism_break(self):
-        fresh = self.fresh({"a_per_sec": 100.0, "b_per_sec": 1000.0},
-                           {"events": 43})
-        assert not bench_cli.check(self.BASELINE, fresh, "full", 0.25,
-                                   out=lambda *_: None)
+        assert self.passes(self.BASELINE, {"events": 42, "txns": 9}, "full")
+        assert not self.passes(self.BASELINE, {"events": 43, "txns": 9},
+                               "full")
+        # A committed cell the fresh run no longer produces is a break too.
+        assert not self.passes(self.BASELINE, {"events": 42}, "full")
 
     def test_smoke_mode_uses_smoke_tables(self):
-        fresh = self.fresh({"a_per_sec": 9.0}, {"events": 7})
-        assert bench_cli.check(self.BASELINE, fresh, "smoke", 0.25,
-                               out=lambda *_: None)
-        fresh = self.fresh({"a_per_sec": 9.0}, {"events": 8})
-        assert not bench_cli.check(self.BASELINE, fresh, "smoke", 0.25,
-                                   out=lambda *_: None)
+        assert self.passes(self.BASELINE, {"events": 7}, "smoke")
+        assert not self.passes(self.BASELINE, {"events": 8}, "smoke")
 
     def test_smoke_never_compares_against_full_tables(self):
         """Like-for-like only: a smoke run that would fail against the
-        full-mode numbers still passes when its own table is healthy."""
-        baseline = dict(self.BASELINE)
-        fresh = self.fresh({"a_per_sec": 9.0, "b_per_sec": 1.0},
-                           {"events": 7})
-        # b_per_sec is 1000x down vs the *full* table, which must not
-        # matter in smoke mode (it has no smoke baseline entry).
-        assert bench_cli.check(baseline, fresh, "smoke", 0.25,
-                               out=lambda *_: None)
+        full-mode digests still passes when its own table matches."""
+        # txns is absent and events differs vs the *full* table, which
+        # must not matter in smoke mode.
+        assert self.passes(self.BASELINE, {"events": 7}, "smoke")
+        assert not self.passes(self.BASELINE, {"events": 42, "txns": 9},
+                               "smoke")
 
     def test_fails_when_baseline_lacks_mode_tables(self):
         """A baseline written before a mode existed must fail that
-        mode's gate rather than vacuously passing on empty tables."""
-        full_only = {"metrics": {"a_per_sec": 100.0},
-                     "determinism": {"events": 42}}
-        fresh = self.fresh({"a_per_sec": 100.0}, {"events": 42})
-        assert not bench_cli.check(full_only, fresh, "smoke", 0.25,
-                                   out=lambda *_: None)
-        smoke_only = {"smoke_metrics": {"a_per_sec": 10.0},
-                      "smoke_determinism": {"events": 7}}
-        assert not bench_cli.check(smoke_only, fresh, "full", 0.25,
-                                   out=lambda *_: None)
+        mode's gate rather than vacuously passing on an empty table."""
+        full_only = {"determinism": {"events": 42}}
+        assert not self.passes(full_only, {"events": 42}, "smoke")
+        smoke_only = {"smoke_determinism": {"events": 7}}
+        assert not self.passes(smoke_only, {"events": 7}, "full")

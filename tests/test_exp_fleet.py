@@ -189,30 +189,6 @@ class TestCache:
         cache = ResultCache(tmp_path)
         assert cache.key(tiny(seed=0)) != cache.key(tiny(seed=1))
 
-    def test_pure_fingerprint_ignores_on_disk_build(self, monkeypatch):
-        """Two identical pure runs must share a fingerprint whether or
-        not compiled artifacts happen to sit on disk — only a build that
-        is actually *running* may separate cache entries."""
-        import repro
-        from repro.exp import cache as cache_mod
-
-        def fingerprint(mode, backend):
-            monkeypatch.setattr(repro, "build_mode", lambda: mode)
-            monkeypatch.setattr(repro, "accel_backend", lambda: backend)
-            cache_mod._fingerprint = None
-            try:
-                return cache_mod.code_fingerprint()
-            finally:
-                cache_mod._fingerprint = None
-
-        # A pure run with a build manifest on disk == a pure run without.
-        assert fingerprint("pure", "ckernel") == fingerprint("pure", None)
-        # An actually-running compiled kernel still gets its own entries,
-        # keyed by backend.
-        assert fingerprint("accel", "ckernel") != fingerprint("pure", None)
-        assert fingerprint("accel", "ckernel") != fingerprint(
-            "accel", "mypyc")
-
 
 class TestWorkerErrors:
     def test_serial_error_carries_index_and_traceback(self):

@@ -24,15 +24,18 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 HEAVY = ("scipy", "networkx", "numpy")
 
 
-def run_fresh(script: str) -> str:
-    """Run ``script`` in a fresh interpreter that sees only ``src/``."""
-    env = dict(os.environ, PYTHONPATH=SRC)
+def run_python(*argv: str, **env: str) -> str:
+    """Run ``python *argv`` in a fresh interpreter that sees only ``src/``."""
     result = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script)],
-        env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, *argv], env=dict(os.environ, PYTHONPATH=SRC, **env),
+        capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def run_fresh(script: str, **env: str) -> str:
+    return run_python("-c", textwrap.dedent(script), **env)
 
 
 def test_import_and_simulation_runs_load_no_scientific_stack():
@@ -56,6 +59,25 @@ def test_import_and_simulation_runs_load_no_scientific_stack():
     count, loaded = out.split(maxsplit=1)
     assert int(count) >= 6  # 3v, nc3v, three baselines, chaos, streaming
     assert loaded.strip() == "[]"
+
+
+def test_no_compiled_kernel_is_loaded_or_selectable():
+    """PR 18 deleted the compiled kernel with its loader and switch.  A
+    checkout built before it may still hold the once git-ignored
+    ``src/repro/_accel/*.so``: nothing imports them, and ``REPRO_ACCEL=1``,
+    which used to demand a build, selects nothing."""
+    out = run_fresh("""
+        import sys
+        import repro, repro.cli
+        from repro.exp import ExperimentSpec, run_spec
+
+        spec = ExperimentSpec("3v", nodes=3, duration=6.0, entities=10, seed=1)
+        assert run_spec(spec).txn_count > 0
+        print(sorted(m for m in sys.modules if m.startswith("repro._accel")))
+    """, REPRO_ACCEL="1")
+    assert out.strip() == "[]"
+    out = run_python("-m", "repro", "--version", REPRO_ACCEL="1")
+    assert out == f"repro {repro.__version__}\n"
 
 
 def test_analysis_helpers_load_them_on_demand():

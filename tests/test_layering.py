@@ -198,42 +198,3 @@ def test_runtime_names_and_aggregator_are_allowed(tmp_path):
     })
     result = run_checker("--src", str(tmp_path))
     assert result.returncode == 0, result.stdout + result.stderr
-
-
-def test_detects_runtime_importing_accel(tmp_path):
-    # Build selection is invisible: only the kernel shim modules and the
-    # package root may touch repro._accel (rule 6).
-    seed_tree(str(tmp_path), {
-        "repro/__init__.py": "",
-        "repro/_accel/__init__.py": "",
-        "repro/runtime/__init__.py": "from repro._accel import load_accel\n",
-    })
-    result = run_checker("--src", str(tmp_path))
-    assert result.returncode == 1
-    assert "build selection is invisible" in result.stdout
-
-
-def test_detects_experiments_importing_accel(tmp_path):
-    seed_tree(str(tmp_path), {
-        "repro/__init__.py": "",
-        "repro/_accel/__init__.py": "",
-        "repro/exp/__init__.py": "import repro._accel\n",
-    })
-    result = run_checker("--src", str(tmp_path))
-    assert result.returncode == 1
-    assert "build selection is invisible" in result.stdout
-
-
-def test_kernel_shims_and_package_root_may_import_accel(tmp_path):
-    seed_tree(str(tmp_path), {
-        "repro/__init__.py": "from repro._accel import build_mode\n",
-        "repro/_accel/__init__.py": "",
-        "repro/sim/__init__.py": "",
-        "repro/sim/simulator.py": (
-            "from repro._accel import install\ninstall(globals())\n"
-        ),
-        "repro/storage/__init__.py": "",
-        "repro/storage/mvstore.py": "from repro._accel import install\n",
-    })
-    result = run_checker("--src", str(tmp_path))
-    assert result.returncode == 0, result.stdout + result.stderr

@@ -158,9 +158,8 @@ class GeneratorNode(ProtocolNode):
 
 
 #: Summary fields that are not simulation outcomes (the scheduled-callback
-#: count, host time, memory, the kernel build).
-NOT_OUTCOMES = ("sim_events", "wall_seconds", "peak_tracemalloc_bytes",
-                "build_mode")
+#: count, host time, memory).
+NOT_OUTCOMES = ("sim_events", "wall_seconds", "peak_tracemalloc_bytes")
 
 BASE = dict(nodes=4, duration=24.0, update_rate=6.0, inquiry_rate=4.0,
             audit_rate=0.5, entities=20, seed=5, advancement_period=6.0)

@@ -2,45 +2,132 @@
 
 The optimized :class:`~repro.sim.simulator.Simulator` routes zero-delay
 callbacks through a FIFO deque instead of the heap.  Its claim is *exact*
-behavioural equivalence with the seed scheduler (now preserved as
-:class:`~repro.sim.reference.ReferenceSimulator`): identical callback
-execution order, identical clock readings at every callback, identical
-final clocks.  These tests drive randomized schedule programs — mixed
-zero/positive delays, re-entrant scheduling from inside callbacks, nested
-generator processes — through both kernels and compare full execution logs.
-
-When a compiled kernel build is present the whole differential suite runs
-twice — once against the pure-Python ``Simulator`` (from the loader's
-pre-swap snapshot) and once against the compiled twin — so the oracle
-covers both builds regardless of what ``REPRO_ACCEL`` selected for the
-ambient process.  Without a build the ``accel`` leg skips cleanly.
+behavioural equivalence with the seed scheduler (preserved below as
+:class:`ReferenceSimulator`): identical callback execution order,
+identical clock readings at every callback, identical final clocks.
+These tests drive randomized schedule programs — mixed zero/positive
+delays, re-entrant scheduling from inside callbacks, nested generator
+processes — through both kernels and compare full execution logs.
 """
 
 from __future__ import annotations
 
+import heapq
+import typing
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro._accel import AccelUnavailableError, load_accel, pure_namespace
 from repro.errors import SimulationError
-from repro.sim import ReferenceSimulator, Simulator
+from repro.sim import Simulator
+from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.process import Process
 
 
-def _sim_builds():
-    builds = [pytest.param(pure_namespace("repro.sim.simulator")["Simulator"],
-                           id="pure")]
-    try:
-        compiled = load_accel("repro.sim.simulator").Simulator
-    except AccelUnavailableError:
-        builds.append(pytest.param(None, id="accel", marks=pytest.mark.skip(
-            reason="no compiled kernel build present")))
-    else:
-        builds.append(pytest.param(compiled, id="accel"))
-    return builds
+class ReferenceSimulator:
+    """The seed pure-heap scheduler, moved here verbatim from ``src/``.
 
+    *Every* callback, zero-delay or not, goes through a single binary
+    heap ordered by ``(time, sequence)``.  It is intentionally *not*
+    optimized.  It shares the :class:`Event` / :class:`Process` machinery
+    with the real simulator, so it implements the same scheduling
+    interface (including :meth:`schedule_now`, which here is just
+    ``schedule(0.0, ...)`` — the seed behaviour).
+    """
 
-#: Both kernel builds of the optimized Simulator (accel skips when absent).
-SIM_BUILDS = _sim_builds()
+    def __init__(self):
+        self.now: float = 0.0
+        self._heap: list = []
+        self._sequence = 0
+
+    # ------------------------------------------------------------------
+    # Scheduling primitives (same interface as Simulator)
+    # ------------------------------------------------------------------
+
+    def schedule(self, delay: float, callback, *args) -> None:
+        """Run ``callback(*args)`` after ``delay`` units of simulated time."""
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay!r}")
+        self._sequence += 1
+        heapq.heappush(self._heap, (self.now + delay, self._sequence, callback, args))
+
+    def schedule_now(self, callback, *args) -> None:
+        """Seed semantics: a zero-delay heap entry at ``(now, sequence)``."""
+        self._sequence += 1
+        heapq.heappush(self._heap, (self.now, self._sequence, callback, args))
+
+    def schedule_at(self, time: float, callback, *args) -> None:
+        """Run ``callback(*args)`` at absolute simulated ``time``."""
+        if time < self.now:
+            raise SimulationError(
+                f"schedule_at time {time!r} is in the past ({self.now!r})"
+            )
+        self._sequence += 1
+        heapq.heappush(self._heap, (time, self._sequence, callback, args))
+
+    def event(self) -> Event:
+        return Event(self)
+
+    def timeout(self, delay: float, value=None) -> Timeout:
+        return Timeout(self, delay, value)
+
+    def process(self, generator, name: str = "") -> Process:
+        return Process(self, generator, name=name)
+
+    def all_of(self, events: typing.Sequence[Event]) -> AllOf:
+        return AllOf(self, events)
+
+    def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
+        return AnyOf(self, events)
+
+    # ------------------------------------------------------------------
+    # Execution (verbatim seed implementation)
+    # ------------------------------------------------------------------
+
+    def step(self) -> bool:
+        """Execute the next scheduled callback; ``False`` when drained."""
+        if not self._heap:
+            return False
+        time, _seq, callback, args = heapq.heappop(self._heap)
+        if time < self.now:
+            raise SimulationError("event heap time went backwards")
+        self.now = time
+        callback(*args)
+        return True
+
+    def run(self, until: typing.Optional[float] = None) -> None:
+        """Run until the heap drains or the clock reaches ``until``."""
+        if until is None:
+            while self.step():
+                pass
+            return
+        if until < self.now:
+            raise SimulationError(f"run until {until!r} is in the past ({self.now!r})")
+        while self._heap and self._heap[0][0] <= until:
+            self.step()
+        self.now = until
+
+    def run_until_triggered(self, event: Event, limit: float = float("inf")) -> None:
+        """Run until ``event`` triggers (seed error semantics)."""
+        while not event.triggered:
+            if not self._heap:
+                raise SimulationError("simulation drained before event triggered")
+            if self._heap[0][0] > limit:
+                raise SimulationError(f"event not triggered by time limit {limit!r}")
+            self.step()
+
+    def peek_time(self) -> typing.Optional[float]:
+        """Simulated time of the next scheduled callback (``None`` if idle)."""
+        return self._heap[0][0] if self._heap else None
+
+    @property
+    def pending_count(self) -> int:
+        return len(self._heap)
+
+    @property
+    def scheduled_count(self) -> int:
+        return self._sequence
+
 
 #: A small palette of delays keeps schedules collision-rich (many events at
 #: the same instant, where ordering bugs live) while exercising both the
@@ -74,20 +161,18 @@ def run_callback_program(sim_class, program):
     return log, sim.now
 
 
-@pytest.mark.parametrize("fast_class", SIM_BUILDS)
 @given(program=PROGRAMS)
 @settings(max_examples=60, deadline=None)
-def test_callback_trees_equivalent(fast_class, program):
-    fast_log, fast_now = run_callback_program(fast_class, program)
+def test_callback_trees_equivalent(program):
+    fast_log, fast_now = run_callback_program(Simulator, program)
     ref_log, ref_now = run_callback_program(ReferenceSimulator, program)
     assert fast_log == ref_log
     assert fast_now == ref_now
 
 
-@pytest.mark.parametrize("fast_class", SIM_BUILDS)
 @given(program=PROGRAMS, until=st.sampled_from([0.0, 0.001, 0.5, 2.0]))
 @settings(max_examples=40, deadline=None)
-def test_bounded_run_equivalent(fast_class, program, until):
+def test_bounded_run_equivalent(program, until):
     """run(until=...) stops at the same point and clock on both kernels."""
 
     def run_bounded(sim_class):
@@ -104,7 +189,7 @@ def test_bounded_run_equivalent(fast_class, program, until):
         sim.run(until=until)
         return log, sim.now, sim.pending_count
 
-    assert run_bounded(fast_class) == run_bounded(ReferenceSimulator)
+    assert run_bounded(Simulator) == run_bounded(ReferenceSimulator)
 
 
 #: Process scripts: a sequence of timeout delays per process; processes are
@@ -134,24 +219,22 @@ def run_process_program(sim_class, scripts):
     return log, sim.now
 
 
-@pytest.mark.parametrize("fast_class", SIM_BUILDS)
 @given(scripts=PROCESS_SCRIPTS)
 @settings(max_examples=60, deadline=None)
-def test_nested_processes_equivalent(fast_class, scripts):
-    fast = run_process_program(fast_class, scripts)
+def test_nested_processes_equivalent(scripts):
+    fast = run_process_program(Simulator, scripts)
     ref = run_process_program(ReferenceSimulator, scripts)
     assert fast == ref
 
 
-@pytest.mark.parametrize("fast_class", SIM_BUILDS)
-def test_pending_and_scheduled_counts_agree(fast_class):
+def test_pending_and_scheduled_counts_agree():
     def load(sim_class):
         sim = sim_class()
         for delay in (0.0, 0.0, 1.0, 2.0):
             sim.schedule(delay, lambda: None)
         return sim
 
-    fast, ref = load(fast_class), load(ReferenceSimulator)
+    fast, ref = load(Simulator), load(ReferenceSimulator)
     assert fast.pending_count == ref.pending_count == 4
     assert fast.scheduled_count == ref.scheduled_count == 4
     fast.step()
@@ -159,9 +242,8 @@ def test_pending_and_scheduled_counts_agree(fast_class):
     assert fast.pending_count == ref.pending_count == 3
 
 
-@pytest.mark.parametrize("fast_class", SIM_BUILDS)
-def test_negative_delay_rejected_by_both(fast_class):
-    for sim_class in (fast_class, ReferenceSimulator):
+def test_negative_delay_rejected_by_both():
+    for sim_class in (Simulator, ReferenceSimulator):
         with pytest.raises(SimulationError):
             sim_class().schedule(-0.5, lambda: None)
 

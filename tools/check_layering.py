@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Import-layering lint for the runtime/plugin split.
 
-The refactor that introduced ``repro.runtime`` rests on two structural
-guarantees, and this script keeps them true by construction:
+The layering rests on five structural guarantees, and this script keeps
+them true by construction:
 
 1. **The runtime is mechanism, not policy.**  Nothing under
    ``repro/runtime/`` may import a protocol package (``repro.core``,
@@ -40,15 +40,6 @@ guarantees, and this script keeps them true by construction:
    hooks (``should_skip_write`` receives plain ``(key, operation)``
    pairs, not ``WriteOp`` objects), so replication stays reusable under
    every protocol and the unreplicated path never loads it at all.
-
-6. **Build selection is invisible.**  ``repro._accel`` (the
-   accelerated-build loader) may be imported only by the eight kernel
-   modules that end with its ``install()`` hook and by the package root
-   (which re-exports ``build_mode`` etc. for reporting).  Protocol,
-   runtime, and experiment code must never import it: they bind whatever
-   implementation the kernel modules expose, so the pure and compiled
-   builds stay interchangeable.  Introspection goes through the
-   ``repro``-root re-exports.
 
 The check is AST-based (``import x`` / ``from x import y``, including
 relative imports), so string mentions in docstrings or comments are
@@ -96,22 +87,6 @@ PLACEMENT_ALLOWED = (
     "repro.sim",
     "repro.storage",
     "repro.net",
-)
-
-#: The only modules allowed to import ``repro._accel``: the kernel
-#: modules carrying the install() hook, the loader package itself, and
-#: the package root (re-export surface for build_mode/accel_backend).
-ACCEL_IMPORTERS = (
-    "repro",
-    "repro._accel",
-    "repro.sim.events",
-    "repro.sim.process",
-    "repro.sim.simulator",
-    "repro.net.message",
-    "repro.net.network",
-    "repro.storage.values",
-    "repro.storage.counters",
-    "repro.storage.mvstore",
 )
 
 #: Layers the runtime package must never import.
@@ -217,16 +192,6 @@ def check(src_root: str) -> typing.List[str]:
                         f"{imported!r} (placement is substrate: it may "
                         f"only depend on errors/sim/storage/net, never "
                         f"the runtime or a protocol plugin)"
-                    )
-                if (hits(imported, ("repro._accel",))
-                        and module not in ACCEL_IMPORTERS
-                        and not hits(module, ("repro._accel",))):
-                    violations.append(
-                        f"{display}:{lineno}: {module} imports "
-                        f"{imported!r} (build selection is invisible: "
-                        f"only the kernel shim modules and the package "
-                        f"root may touch repro._accel; use the repro-root "
-                        f"re-exports for introspection)"
                     )
                 if group is None or module == "repro.protocols":
                     continue
