@@ -21,7 +21,12 @@ from __future__ import annotations
 import json
 import typing
 
-from repro.txn.history import History, ReadEvent, TxnRecord
+from repro.txn.history import (
+    AdvancementRecord,
+    History,
+    ReadEvent,
+    TxnRecord,
+)
 
 
 def _txn_line(record: TxnRecord) -> dict:
@@ -59,16 +64,7 @@ def export_history(history: History, path, include_ops: bool = True) -> int:
             handle.write(json.dumps(_txn_line(record)) + "\n")
             lines += 1
         for advancement in history.advancements:
-            handle.write(json.dumps({
-                "type": "advancement",
-                "new_update_version": advancement.new_update_version,
-                "started": advancement.started,
-                "phase1_done": advancement.phase1_done,
-                "phase2_done": advancement.phase2_done,
-                "phase3_done": advancement.phase3_done,
-                "gc_done": advancement.gc_done,
-                "counter_polls": advancement.counter_polls,
-            }) + "\n")
+            handle.write(json.dumps(_advancement_line(advancement)) + "\n")
             lines += 1
         if include_ops:
             for event in history.read_events:
@@ -105,6 +101,19 @@ def _read_line(event: ReadEvent) -> dict:
     }
 
 
+def _advancement_line(record: AdvancementRecord) -> dict:
+    return {
+        "type": "advancement",
+        "new_update_version": record.new_update_version,
+        "started": record.started,
+        "phase1_done": record.phase1_done,
+        "phase2_done": record.phase2_done,
+        "phase3_done": record.phase3_done,
+        "gc_done": record.gc_done,
+        "counter_polls": record.counter_polls,
+    }
+
+
 class TraceStreamWriter:
     """Spill-to-disk JSONL sink for a :class:`StreamingHistory`.
 
@@ -137,16 +146,8 @@ class TraceStreamWriter:
         """Flush, optionally appending ``history``'s advancement lines."""
         if history is not None:
             for advancement in history.advancements:
-                self._handle.write(json.dumps({
-                    "type": "advancement",
-                    "new_update_version": advancement.new_update_version,
-                    "started": advancement.started,
-                    "phase1_done": advancement.phase1_done,
-                    "phase2_done": advancement.phase2_done,
-                    "phase3_done": advancement.phase3_done,
-                    "gc_done": advancement.gc_done,
-                    "counter_polls": advancement.counter_polls,
-                }) + "\n")
+                self._handle.write(
+                    json.dumps(_advancement_line(advancement)) + "\n")
                 self.lines += 1
         self._handle.close()
         return self.lines

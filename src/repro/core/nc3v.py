@@ -122,6 +122,8 @@ class NC3VManager(TwoPhaseEngine):
 
     def record_undo_event(self, txn_name: str, entry: UndoEntry) -> None:
         node = self.node
+        if not node.history.keeps_writes:
+            return
         node.history.wrote(
             WriteEvent(
                 time=node.sim.now,

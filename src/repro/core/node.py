@@ -201,9 +201,11 @@ class ThreeVPlugin(ProtocolPlugin):
         version = instance.version
         # Event objects are built only when the history keeps them; with
         # detail off (large benchmark runs) reads record just their
-        # (key, value) and writes record nothing, skipping one dataclass
+        # (key, value), and a history that drops write events (detail off,
+        # or streaming) is not handed any, skipping one dataclass
         # allocation per operation on the hottest loop in the system.
         detail = node.history.detail
+        keeps_writes = node.history.keeps_writes
         store = node.store
         for op in instance.spec.ops:
             if isinstance(op, ReadOp):
@@ -242,7 +244,7 @@ class ThreeVPlugin(ProtocolPlugin):
                 else:
                     store.apply_exact(op.key, version, op.operation)
                     written = (version,)
-                if detail:
+                if keeps_writes:
                     node.history.wrote(
                         WriteEvent(
                             time=node.sim.now,
@@ -269,7 +271,7 @@ class ThreeVPlugin(ProtocolPlugin):
             else:
                 node.store.apply_exact(op.key, version, inverse)
                 written = (version,)
-            if not node.history.detail:
+            if not node.history.keeps_writes:
                 continue
             node.history.wrote(
                 WriteEvent(

@@ -180,17 +180,23 @@ class ProtocolPlugin:
     def execute_ops(self, node, instance: SubtxnInstance, kind: str) -> None:
         """Run the instance's local read/write operations."""
         version = instance.version
+        # Event objects are built only for a history that keeps them.
+        detail = node.history.detail
+        keeps_writes = node.history.keeps_writes
         for op in instance.spec.ops:
             if isinstance(op, ReadOp):
                 used, value = self.read_item(node, op.key, version)
-                node.history.read(
-                    ReadEvent(
-                        time=node.sim.now, txn=instance.txn.name,
-                        subtxn=instance.sid, node=node.node_id, key=op.key,
-                        version_requested=version, version_used=used,
-                        value=value,
+                if detail:
+                    node.history.read(
+                        ReadEvent(
+                            time=node.sim.now, txn=instance.txn.name,
+                            subtxn=instance.sid, node=node.node_id,
+                            key=op.key, version_requested=version,
+                            version_used=used, value=value,
+                        )
                     )
-                )
+                else:
+                    node.history.note_read(instance.txn.name, op.key, value)
             elif isinstance(op, WriteOp):
                 if kind == TxnKind.READ:
                     raise ProtocolError(
@@ -198,14 +204,15 @@ class ProtocolPlugin:
                         "attempted a write"
                     )
                 written = self.write_item(node, op.key, version, op.operation)
-                node.history.wrote(
-                    WriteEvent(
-                        time=node.sim.now, txn=instance.txn.name,
-                        subtxn=instance.sid, node=node.node_id, key=op.key,
-                        version=version, versions_written=written,
-                        operation=op.operation,
+                if keeps_writes:
+                    node.history.wrote(
+                        WriteEvent(
+                            time=node.sim.now, txn=instance.txn.name,
+                            subtxn=instance.sid, node=node.node_id,
+                            key=op.key, version=version,
+                            versions_written=written, operation=op.operation,
+                        )
                     )
-                )
 
     def apply_inverses(self, node, instance: SubtxnInstance) -> None:
         """Apply the compensating (inverse) writes of a subtransaction."""
@@ -214,6 +221,8 @@ class ProtocolPlugin:
                 continue
             inverse = op.operation.inverse()
             written = self.write_item(node, op.key, instance.version, inverse)
+            if not node.history.keeps_writes:
+                continue
             node.history.wrote(
                 WriteEvent(
                     time=node.sim.now, txn=instance.txn.name,

@@ -263,36 +263,40 @@ class TwoPhaseEngine:
                         node.store.get_exact(op.key, used)
                         if used is not None else None
                     )
-                    node.history.read(
-                        ReadEvent(
-                            time=node.sim.now,
-                            txn=txn_name,
-                            subtxn=instance.sid,
-                            node=node.node_id,
-                            key=op.key,
-                            version_requested=version,
-                            version_used=used,
-                            value=value,
+                    if node.history.detail:
+                        node.history.read(
+                            ReadEvent(
+                                time=node.sim.now,
+                                txn=txn_name,
+                                subtxn=instance.sid,
+                                node=node.node_id,
+                                key=op.key,
+                                version_requested=version,
+                                version_used=used,
+                                value=value,
+                            )
                         )
-                    )
+                    else:
+                        node.history.note_read(txn_name, op.key, value)
                 else:
                     node.store.ensure_version(op.key, version)
                     previous = node.store.get_exact(op.key, version)
                     undo = undo_operation(op.operation, previous)
                     node.store.apply_exact(op.key, version, op.operation)
                     state.undo_log.append(UndoEntry(op.key, version, undo))
-                    node.history.wrote(
-                        WriteEvent(
-                            time=node.sim.now,
-                            txn=txn_name,
-                            subtxn=instance.sid,
-                            node=node.node_id,
-                            key=op.key,
-                            version=version,
-                            versions_written=1,
-                            operation=op.operation,
+                    if node.history.keeps_writes:
+                        node.history.wrote(
+                            WriteEvent(
+                                time=node.sim.now,
+                                txn=txn_name,
+                                subtxn=instance.sid,
+                                node=node.node_id,
+                                key=op.key,
+                                version=version,
+                                versions_written=1,
+                                operation=op.operation,
+                            )
                         )
-                    )
         finally:
             node.executor.release()
         state.executed.append((instance.sid, instance.source_node))

@@ -184,6 +184,10 @@ class History:
 
     def __init__(self, detail: bool = True):
         self.detail = detail
+        #: Whether :meth:`wrote` stores the event it is given; executors
+        #: ask before building one.  (For reads the question is ``detail``:
+        #: without it :meth:`note_read` takes the ``(key, value)`` alone.)
+        self.keeps_writes = detail
         self.txns: typing.Dict[str, TxnRecord] = {}
         self.read_events: typing.List[ReadEvent] = []
         self.write_events: typing.List[WriteEvent] = []
@@ -315,6 +319,8 @@ class StreamingHistory:
     wait-episode totals, latency and staleness populations
     (:class:`~repro.txn.streamstats.StreamingStats`: exact mean/max,
     reservoir-exact small-run percentiles, P² beyond) — and discarded.
+    A population only queues the value there and does its arithmetic a
+    batch at a time, or when it is read; the answers are the same.
 
     ``self.txns`` holds only *in-flight* transactions, so memory is
     O(concurrency), not O(transactions).  Post-hoc queries that need the
@@ -334,6 +340,8 @@ class StreamingHistory:
     """
 
     streaming = True
+    #: :meth:`wrote` drops every event, whatever ``detail`` says.
+    keeps_writes = False
 
     def __init__(self, detail: bool = True, stats_seed: int = 0,
                  reservoir: int = DEFAULT_RESERVOIR):
@@ -438,7 +446,8 @@ class StreamingHistory:
             record.reads.append((key, value))
 
     def wrote(self, event: WriteEvent) -> None:
-        """Write events are not needed by any streaming aggregate."""
+        """Write events are not needed by any streaming aggregate
+        (``keeps_writes`` tells executors not to build them)."""
 
     # ------------------------------------------------------------------
     # Retirement folding

@@ -5,10 +5,11 @@ value and computes exact percentiles at the end of the run; a streaming
 history cannot.  This module provides the O(1)-memory machinery it folds
 values into instead:
 
-* :class:`ExactSum` — an incremental Shewchuk summation (the same
-  algorithm as :func:`math.fsum`), so streaming means are exactly rounded
-  and therefore *order-independent*: folding values in retirement order
-  yields bit-identical means to summing them in submission order.
+* :class:`ExactSum` — an incremental exact summation (a running total
+  kept as floats that lose nothing, :func:`math.fsum` doing the adding),
+  so streaming means are exactly rounded and therefore
+  *order-independent*: folding values in retirement order yields
+  bit-identical means to summing them in submission order.
 * :class:`P2Quantile` — the Jain & Chlamtac P² online quantile estimator
   (five markers, parabolic adjustment), used for percentiles once a
   population outgrows the reservoir.
@@ -17,7 +18,11 @@ values into instead:
   small-run percentiles are exact — the differential oracle against the
   materialized path.
 * :class:`StreamingStats` — one population's count / exact mean / max /
-  reservoir / P² markers, summarized as a :class:`LatencySummary`.
+  reservoir / P² markers, summarized as a :class:`LatencySummary`.  It
+  folds :data:`FOLD_BATCH` values at a time through each primitive's
+  ``extend`` — one loop per estimator instead of four method calls per
+  value — and starts the P² markers only when the population outgrows
+  the reservoir.
 
 :class:`LatencySummary` and :func:`percentile` live here (rather than in
 ``repro.analysis.metrics``, which re-exports them) because the streaming
@@ -77,13 +82,15 @@ class LatencySummary:
 
 
 class ExactSum:
-    """Incremental exactly-rounded float summation (Shewchuk partials).
+    """Incremental exactly-rounded float summation.
 
-    ``add`` maintains the same non-overlapping partials ``math.fsum``
-    builds internally; ``value`` rounds them once.  The result depends
-    only on the *multiset* of added values, never on their order — the
-    property that lets a streaming history fold latencies in retirement
-    order and still match a materialized history bit for bit.
+    The running total is held *exactly*, as a short list of floats whose
+    mathematical sum is the sum of everything added; ``value`` rounds it
+    once, as :func:`math.fsum` over all the values would.  The result
+    therefore depends only on the *multiset* of added values, never on
+    their order or on how they were batched — the property that lets a
+    streaming history fold latencies in retirement order and still match
+    a materialized history bit for bit.
     """
 
     __slots__ = ("_partials",)
@@ -92,18 +99,24 @@ class ExactSum:
         self._partials: typing.List[float] = []
 
     def add(self, x: float) -> None:
-        partials = self._partials
-        i = 0
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo:
-                partials[i] = lo
-                i += 1
-            x = hi
-        partials[i:] = [x]
+        self.extend((x,))
+
+    def extend(self, values: typing.Iterable[float]) -> None:
+        # fsum returns the exact sum of its arguments, rounded once.  What
+        # that rounding dropped is again an exact sum of floats (the terms
+        # and minus the result), so peeling rounded totals off until
+        # nothing is left gives partials that lose nothing: one or two in
+        # practice, each at most half an ulp of the one before.
+        terms = [*self._partials, *values]
+        partials = []
+        total = math.fsum(terms)
+        while total:
+            if not math.isfinite(total):
+                raise ValueError(f"ExactSum of a non-finite value: {total}")
+            partials.append(total)
+            terms.append(-total)
+            total = math.fsum(terms)
+        self._partials = partials
 
     @property
     def value(self) -> float:
@@ -143,8 +156,7 @@ class P2Quantile:
     interior desired positions are stored.
     """
 
-    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments",
-                 "_count")
+    __slots__ = ("q", "_heights", "_positions", "_desired", "_increments")
 
     def __init__(self, q: float):
         if not 0.0 < q < 1.0:
@@ -154,80 +166,89 @@ class P2Quantile:
         self._positions = (2.0, 3.0, 4.0, 5.0)
         self._desired = (1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q)
         self._increments = (q / 2.0, q, (1.0 + q) / 2.0)
-        self._count = 0
 
-    def add(self, x: float) -> None:
-        self._count += 1
+    def extend(self, values: typing.Iterable[float]) -> None:
+        """Observe ``values`` in order: one loop, the marker state held in
+        locals and written back once."""
+        values = iter(values)
         heights = self._heights
         if len(heights) < 5:
-            heights.append(x)
+            # The first five observations are the initial markers.
+            for x in values:
+                heights.append(x)
+                if len(heights) == 5:
+                    break
             heights.sort()
-            return
+            if len(heights) < 5:
+                return
         h0, h1, h2, h3, h4 = heights
         n1, n2, n3, n4 = self._positions
-        # Find the cell containing x, clamp the extreme markers, and shift
-        # the positions of the markers above the cell.
-        if x < h0:
-            h0 = x
-            n1 += 1.0
-            n2 += 1.0
-            n3 += 1.0
-        elif x >= h4:
-            h4 = x
-        elif x >= h1:
-            if x >= h2:
-                if not x >= h3:
-                    n3 += 1.0
-            else:
-                n2 += 1.0
-                n3 += 1.0
-        else:
-            n1 += 1.0
-            n2 += 1.0
-            n3 += 1.0
-        n4 += 1.0
         d1, d2, d3 = self._desired
         i1, i2, i3 = self._increments
-        d1 += i1
-        d2 += i2
-        d3 += i3
-        self._desired = (d1, d2, d3)
-        # Adjust the three interior markers toward their desired positions.
-        delta = d1 - n1
-        if delta >= 1.0:
-            if n2 - n1 > 1.0:
-                h1 = _p2_height(h0, h1, h2, 1.0, n1, n2, 1.0)
+        for x in values:
+            # Find the cell containing x, clamp the extreme markers, and
+            # shift the positions of the markers above the cell.
+            if x < h0:
+                h0 = x
                 n1 += 1.0
-        elif delta <= -1.0 and 1.0 - n1 < -1.0:
-            h1 = _p2_height(h0, h1, h2, 1.0, n1, n2, -1.0)
-            n1 -= 1.0
-        delta = d2 - n2
-        if delta >= 1.0:
-            if n3 - n2 > 1.0:
-                h2 = _p2_height(h1, h2, h3, n1, n2, n3, 1.0)
                 n2 += 1.0
-        elif delta <= -1.0 and n1 - n2 < -1.0:
-            h2 = _p2_height(h1, h2, h3, n1, n2, n3, -1.0)
-            n2 -= 1.0
-        delta = d3 - n3
-        if delta >= 1.0:
-            if n4 - n3 > 1.0:
-                h3 = _p2_height(h2, h3, h4, n2, n3, n4, 1.0)
                 n3 += 1.0
-        elif delta <= -1.0 and n2 - n3 < -1.0:
-            h3 = _p2_height(h2, h3, h4, n2, n3, n4, -1.0)
-            n3 -= 1.0
-        self._heights = [h0, h1, h2, h3, h4]
+            elif x >= h4:
+                h4 = x
+            elif x >= h1:
+                if x >= h2:
+                    if not x >= h3:
+                        n3 += 1.0
+                else:
+                    n2 += 1.0
+                    n3 += 1.0
+            else:
+                n1 += 1.0
+                n2 += 1.0
+                n3 += 1.0
+            n4 += 1.0
+            d1 += i1
+            d2 += i2
+            d3 += i3
+            # Adjust the three interior markers toward their desired
+            # positions.
+            delta = d1 - n1
+            if delta >= 1.0:
+                if n2 - n1 > 1.0:
+                    h1 = _p2_height(h0, h1, h2, 1.0, n1, n2, 1.0)
+                    n1 += 1.0
+            elif delta <= -1.0 and 1.0 - n1 < -1.0:
+                h1 = _p2_height(h0, h1, h2, 1.0, n1, n2, -1.0)
+                n1 -= 1.0
+            delta = d2 - n2
+            if delta >= 1.0:
+                if n3 - n2 > 1.0:
+                    h2 = _p2_height(h1, h2, h3, n1, n2, n3, 1.0)
+                    n2 += 1.0
+            elif delta <= -1.0 and n1 - n2 < -1.0:
+                h2 = _p2_height(h1, h2, h3, n1, n2, n3, -1.0)
+                n2 -= 1.0
+            delta = d3 - n3
+            if delta >= 1.0:
+                if n4 - n3 > 1.0:
+                    h3 = _p2_height(h2, h3, h4, n2, n3, n4, 1.0)
+                    n3 += 1.0
+            elif delta <= -1.0 and n2 - n3 < -1.0:
+                h3 = _p2_height(h2, h3, h4, n2, n3, n4, -1.0)
+                n3 -= 1.0
+        heights[:] = (h0, h1, h2, h3, h4)
         self._positions = (n1, n2, n3, n4)
+        self._desired = (d1, d2, d3)
 
     @property
     def estimate(self) -> float:
         """Current quantile estimate (exact while fewer than 5 samples)."""
-        if not self._heights:
+        heights = self._heights
+        if not heights:
             raise ValueError("P2 estimate of empty population")
-        if self._count < 5:
-            return percentile(self._heights, self.q * 100.0)
-        return self._heights[2]
+        if len(heights) < 5:
+            return percentile(heights, self.q * 100.0)
+        return heights[2]
 
 
 class ReservoirSample:
@@ -260,19 +281,34 @@ class ReservoirSample:
         """Whether the reservoir still holds the entire stream."""
         return self._seen <= self.capacity
 
-    def add(self, x: float) -> None:
-        self._seen += 1
-        if len(self.values) < self.capacity:
-            self.values.append(x)
-            return
-        slot = self._rng.randrange(self._seen)
-        if slot < self.capacity:
-            self.values[slot] = x
+    def extend(self, values: typing.Sequence[float]) -> None:
+        """Offer ``values`` in order: a ``list.extend`` while there is
+        room, one seeded draw per value after."""
+        kept = self.values
+        capacity = self.capacity
+        seen = self._seen
+        room = capacity - seen
+        if room > 0:
+            kept.extend(values[:room])
+            values = values[room:]
+            seen = len(kept)
+        randrange = self._rng.randrange
+        for x in values:
+            seen += 1
+            slot = randrange(seen)
+            if slot < capacity:
+                kept[slot] = x
+        self._seen = seen
 
 
 #: Default reservoir size: small runs (the differential-oracle regime)
 #: stay exact; large runs pay 32 KiB per population.
 DEFAULT_RESERVOIR = 4096
+
+#: Values a :class:`StreamingStats` collects before folding them, one
+#: loop per estimator.  A population's fold depends only on the order of
+#: its own values, so the batch size cannot change any summary.
+FOLD_BATCH = 256
 
 
 class StreamingStats:
@@ -283,9 +319,14 @@ class StreamingStats:
     :meth:`LatencySummary.of` over the materialized values — and P²
     estimates beyond that.  The mean is exactly rounded (order-independent)
     at every size; count and max are always exact.
+
+    ``add`` only queues the value; every :data:`FOLD_BATCH` values, and
+    whenever ``summary()`` is read, the queue is folded in arrival order.
+    Each estimator's state depends only on the sequence of values it has
+    seen, so where the sequence is cut into batches changes no result.
     """
 
-    __slots__ = ("_sum", "_count", "_max", "_reservoir", "_p2")
+    __slots__ = ("_sum", "_count", "_max", "_reservoir", "_p2", "_pending")
 
     QUANTILES = (0.50, 0.95, 0.99)
 
@@ -295,22 +336,47 @@ class StreamingStats:
         self._count = 0
         self._max = 0.0
         self._reservoir = ReservoirSample(capacity, rng)
-        self._p2 = tuple(P2Quantile(q) for q in self.QUANTILES)
+        #: Created by the drain that first overflows the reservoir: until
+        #: then the reservoir is the population and nothing reads them.
+        self._p2: typing.Tuple[P2Quantile, ...] = ()
+        #: Values added since the last drain, in arrival order.
+        self._pending: typing.List[float] = []
 
     @property
     def count(self) -> int:
-        return self._count
+        return self._count + len(self._pending)
 
     def add(self, x: float) -> None:
-        self._count += 1
-        self._sum.add(x)
-        if x > self._max or self._count == 1:
-            self._max = x
-        self._reservoir.add(x)
+        pending = self._pending
+        pending.append(x)
+        if len(pending) >= FOLD_BATCH:
+            self._drain()
+
+    def _drain(self) -> None:
+        """Fold the pending values, in order, into every estimator."""
+        batch = self._pending
+        if not batch:
+            return
+        top = max(batch)
+        if top > self._max or self._count == 0:
+            self._max = top
+        self._count += len(batch)
+        self._sum.extend(batch)
+        reservoir = self._reservoir
+        if not self._p2 and self._count > reservoir.capacity:
+            # The reservoir still holds every earlier value in arrival
+            # order, so the estimators start on the sequence they would
+            # have seen from the first value.
+            self._p2 = tuple(P2Quantile(q) for q in self.QUANTILES)
+            for estimator in self._p2:
+                estimator.extend(reservoir.values)
         for estimator in self._p2:
-            estimator.add(x)
+            estimator.extend(batch)
+        reservoir.extend(batch)
+        batch.clear()
 
     def summary(self) -> LatencySummary:
+        self._drain()
         if self._count == 0:
             return LatencySummary(count=0, mean=0.0, p50=0.0, p95=0.0,
                                   p99=0.0, max=0.0)

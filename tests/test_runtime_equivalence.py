@@ -19,7 +19,11 @@ import dataclasses
 
 import pytest
 
+import repro.core.nc3v
+import repro.core.node
+import repro.runtime.plugin
 import repro.runtime.system
+import repro.runtime.twophase
 from repro.core.node import ThreeVPlugin
 from repro.exp import ExperimentSpec
 from repro.exp.summary import audit_result, summarize
@@ -241,3 +245,47 @@ def test_callback_node_matches_generator_node(protocol, scenario,
         assert summary["aborted"] > 0
         if protocol != "2pc":  # 2PC rolls back from undo logs instead
             assert evidence["tombstones"] > 0, "no compensation overtake"
+
+
+#: Every module that builds a per-operation history event.
+EVENT_SITES = (repro.runtime.plugin, repro.runtime.twophase,
+               repro.core.node, repro.core.nc3v)
+
+#: History mode -> (spec fields, builds ReadEvents, builds WriteEvents).
+EVENT_MODES = {
+    "materialized_detail": (dict(detail=True), True, True),
+    "detail_off": (dict(detail=False), False, False),
+    "streamed_detail": (dict(detail=True, stream=1), True, False),
+    "streamed_detail_off": (dict(detail=False, stream=1), False, False),
+}
+
+
+@pytest.mark.parametrize("mode", EVENT_MODES)
+@pytest.mark.parametrize("protocol", tuple(PROTOCOLS))
+def test_no_event_is_built_for_a_history_that_drops_it(protocol, mode,
+                                                       monkeypatch):
+    """A ``ReadEvent`` is built only under ``detail`` and a ``WriteEvent``
+    only for a history that ``keeps_writes`` — on every protocol, so no
+    baseline pays for objects the 3V plugin skips."""
+    built = {"ReadEvent": 0, "WriteEvent": 0}
+
+    def counting(cls):
+        def build(*args, **kwargs):
+            built[cls.__name__] += 1
+            return cls(*args, **kwargs)
+        return build
+
+    for module in EVENT_SITES:
+        for name in built:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(getattr(module, name)))
+    fields, reads_built, writes_built = EVENT_MODES[mode]
+    spec = ExperimentSpec(protocol, **{**BASE, **fields,
+                                       "abort_fraction": 0.3,
+                                       "correction_rate": 1.0})
+    result = run_recording_experiment(protocol, **spec.run_kwargs())
+    assert result.history.count() > 50
+    assert (built["ReadEvent"] > 0) == reads_built
+    assert (built["WriteEvent"] > 0) == writes_built
+    assert result.history.keeps_writes == writes_built
