@@ -57,7 +57,6 @@ class ThreeVSystem(System):
             well-behaved updates, NR/NW + 2PC for non-commuting ones).
         detail: Record per-operation events in the history (turn off for
             very large benchmark runs).
-        fifo_links: Enforce per-link FIFO message delivery.
         policy: Optional automatic advancement trigger.
         lease_interval: When > 0, the coordinator heartbeats its lease and
             every node runs a standby monitor; if the lease lapses, the
@@ -80,7 +79,6 @@ class ThreeVSystem(System):
         detector: str = "two-wave",
         allow_noncommuting: bool = False,
         detail: bool = True,
-        fifo_links: bool = False,
         batch_delivery: bool = False,
         policy: typing.Optional[AdvancementPolicy] = None,
         faults=None,
@@ -90,8 +88,7 @@ class ThreeVSystem(System):
     ):
         super().__init__(
             node_ids, seed=seed, latency=latency, node_config=node_config,
-            detail=detail, fifo_links=fifo_links,
-            batch_delivery=batch_delivery,
+            detail=detail, batch_delivery=batch_delivery,
             plugin=ThreeVPlugin(allow_noncommuting=allow_noncommuting),
             faults=faults, history=history, placement=placement,
         )

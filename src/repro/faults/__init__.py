@@ -1,31 +1,29 @@
 """Fault injection: deterministic message loss, duplication, delay spikes,
 and node crash/recover schedules.
 
-The package is pure mechanism below the protocol layer: it may import
-``repro.net`` and ``repro.sim`` (enforced by ``tools/check_layering.py``)
-but never a protocol plugin, the runtime, or the experiment stack.  The
-chaos harness that *drives* protocols under these faults lives in
-:mod:`repro.exp.chaos`; the crash/recover surface lives on
-:class:`repro.runtime.System`.
+Fault plans are data; the network reads them.  The package may import
+only ``repro.sim`` and ``repro.errors`` (enforced by
+``tools/check_layering.py``): the stages that act on a plan live in
+:class:`repro.net.Network`, the crash/recover surface on
+:class:`repro.runtime.System`, and the chaos harness that *drives*
+protocols under these faults in :mod:`repro.exp.chaos`.
 
 See ``docs/FAULTS.md`` for the fault model and how it relates to the
 paper's reliability assumptions.
 """
 
-from repro.faults.network import ChaosNetwork, FaultyNetwork, build_network
 from repro.faults.plan import (
     CrashEvent,
     FaultPlan,
     LinkFaults,
     PartitionEvent,
+    RetransmitPolicy,
 )
 
 __all__ = [
-    "ChaosNetwork",
     "CrashEvent",
     "FaultPlan",
-    "FaultyNetwork",
     "LinkFaults",
     "PartitionEvent",
-    "build_network",
+    "RetransmitPolicy",
 ]

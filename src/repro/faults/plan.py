@@ -2,9 +2,10 @@
 
 A :class:`FaultPlan` is pure data: per-link drop/duplicate probabilities
 and delay spikes (:class:`LinkFaults`), a timed crash/recover schedule
-(:class:`CrashEvent`), retransmission tuning for the reliable-delivery
-layer, and its own ``fault_seed``.  The injector
-(:class:`~repro.faults.network.FaultyNetwork`) draws every fault decision
+(:class:`CrashEvent`), timed partitions (:class:`PartitionEvent`),
+retransmission tuning for reliable delivery (:class:`RetransmitPolicy`),
+and its own ``fault_seed``.  Fault plans are data; the network
+(:class:`repro.net.Network`) reads them, drawing every fault decision
 from an :class:`~repro.sim.distributions.RngRegistry` seeded with
 ``fault_seed`` — *not* the workload registry — so fault schedules are
 bit-reproducible and completely independent of workload randomness: the
@@ -23,7 +24,6 @@ import dataclasses
 import typing
 
 from repro.errors import SimulationError
-from repro.net.reliable import RetransmitPolicy
 from repro.sim.distributions import RngRegistry
 
 
@@ -32,6 +32,23 @@ def _check_probability(name: str, value: float) -> None:
         raise SimulationError(
             f"{name} must be a probability in [0, 1), got {value!r}"
         )
+
+
+@dataclasses.dataclass(frozen=True)
+class RetransmitPolicy:
+    """Retransmission timing: exponential backoff, capped, with jitter.
+
+    The first retransmit fires ``timeout`` (plus jitter) after the send;
+    each subsequent one multiplies the interval by ``backoff`` up to
+    ``max_interval``.  Jitter is uniform on ``[0, jitter)`` per timer,
+    drawn from a named RNG stream, so two runs with the same seed produce
+    identical retransmission schedules.
+    """
+
+    timeout: float = 5.0
+    backoff: float = 2.0
+    max_interval: float = 40.0
+    jitter: float = 0.5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,8 +83,8 @@ class LinkFaults:
 
     @property
     def lossy(self) -> bool:
-        """Whether this link can lose or duplicate messages (needs the
-        reliable-delivery layer to restore exactly-once semantics)."""
+        """Whether this link can lose or duplicate messages (needs
+        reliable delivery to restore exactly-once semantics)."""
         return bool(self.drop or self.dup)
 
 
@@ -157,7 +174,7 @@ class FaultPlan:
         links: Per-``(src, dst)`` overrides.
         crashes: Timed crash/recover events.
         partitions: Timed partition/heal events.
-        retransmit: Tuning for the reliable-delivery layer.
+        retransmit: Tuning for reliable delivery.
     """
 
     fault_seed: int = 0
@@ -192,12 +209,20 @@ class FaultPlan:
         return False
 
     @property
+    def active(self) -> bool:
+        """Whether any copy can be cut, dropped, duplicated or delayed."""
+        return bool(self.partitions) or any(
+            faults.active
+            for faults in (self.default_link, *self.links.values())
+        )
+
+    @property
     def lossy(self) -> bool:
         """Whether any link can lose (or duplicate) messages.
 
         A partitioned plan counts: cross-partition copies are dropped
-        outright, so without the reliable-delivery layer they would be
-        lost forever instead of retransmitted after the heal.
+        outright, so without reliable delivery they would be lost forever
+        instead of retransmitted after the heal.
         """
         return bool(self.partitions) or self.default_link.lossy or any(
             faults.lossy for faults in self.links.values()

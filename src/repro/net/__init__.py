@@ -11,7 +11,6 @@ from repro.net.latency import (
 )
 from repro.net.message import Message, MessageKind
 from repro.net.network import Network, NetworkStats
-from repro.net.reliable import ReliableNetwork, RetransmitPolicy
 
 __all__ = [
     "LatencyModel",
@@ -22,8 +21,6 @@ __all__ = [
     "Network",
     "NetworkStats",
     "PartitionedLatency",
-    "ReliableNetwork",
-    "RetransmitPolicy",
     "SkewedLatency",
     "UniformLatency",
     "constant_latency",

@@ -57,10 +57,10 @@ class MessageKind:
     VOTE = _intern("vote")
     DECISION = _intern("decision")
     DECISION_ACK = _intern("decision-ack")
-    # Transport-level acknowledgement (repro.net.reliable).  Deliberately in
-    # none of the kind buckets below: acks are consumed by the transport and
-    # never reach a mailbox, so they must not inflate the paper's
-    # user/control/commit message accounting.
+    # Transport-level acknowledgement (reliable delivery, repro.net.network).
+    # Deliberately in none of the kind buckets below: acks are consumed by
+    # the transport and never reach a mailbox, so they must not inflate the
+    # paper's user/control/commit message accounting.
     NET_ACK = _intern("net-ack")
 
     USER_KINDS = frozenset({SUBTXN_REQUEST, COMPLETION_NOTICE, COMPENSATION})

@@ -1,17 +1,30 @@
-"""The simulated message network.
+"""The simulated message network, its fault stages and reliable delivery.
 
 The network owns one mailbox (:class:`~repro.sim.resources.Store`) per
 registered endpoint and delivers messages after a latency sampled from the
 configured :class:`~repro.net.latency.LatencyModel`.  Delivery is
-*non-FIFO* by default — two messages on the same link may arrive out of
-order whenever the latency distribution has variance — because the 3V
-protocol is explicitly designed for that regime (a subtransaction can
-overtake the start-advancement notice, Table 1 time 19).  Per-link FIFO can
-be enabled for protocols that assume ordered channels.
+*non-FIFO* — two messages on the same link may arrive out of order
+whenever the latency distribution has variance — because the 3V protocol
+is explicitly designed for that regime (a subtransaction can overtake the
+start-advancement notice, Table 1 time 19).
+
+A fault plan (:class:`repro.faults.FaultPlan`, read duck-typed: this
+package never imports ``repro.faults``) adds per-copy fault stages, with
+draws from the plan's own RNG registry.  A lossy plan also turns on the
+standard at-least-once-plus-dedup discipline that restores the
+exactly-once channel the protocols assume: the sender holds each message
+until a transport-level ``NET_ACK`` for its id comes back, retransmitting
+on a capped exponential-backoff timer with jitter from the workload
+registry's ``net.retransmit`` stream; the receiver acks every copy but
+delivers each id at most once.  Acks are pure transport frames: never
+acked, retransmitted, mailboxed or counted in a user/control/commit
+bucket.  Retransmission never gives up; ``run_until_quiet(limit=...)``
+bounds the drain.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import typing
 
 from repro.errors import SimulationError
@@ -32,10 +45,8 @@ class NetworkStats:
     single lookup and two in-place adds.  The ``sent_by_kind`` /
     ``total_latency_by_kind`` views are materialized on access.
 
-    The four plain-int fault counters stay zero on a fault-free network;
-    they are bumped by the reliable-delivery layer
-    (:mod:`repro.net.reliable`) and the fault injector
-    (:mod:`repro.faults`).
+    The plain-int fault counters stay zero on a fault-free network; the
+    fault stages and reliable delivery of :class:`Network` bump them.
     """
 
     __slots__ = ("_by_kind", "retransmits", "dup_suppressed", "dropped",
@@ -44,15 +55,15 @@ class NetworkStats:
 
     def __init__(self):
         self._by_kind: typing.Dict[str, typing.List[float]] = {}
-        #: Retransmissions sent by the reliable-delivery layer.
+        #: Retransmissions sent by reliable delivery.
         self.retransmits = 0
         #: Duplicate deliveries suppressed by receiver-side dedup.
         self.dup_suppressed = 0
-        #: Transmissions dropped by the fault injector.
+        #: Transmissions dropped by the drop stage.
         self.dropped = 0
-        #: Extra copies injected by the fault injector.
+        #: Extra copies injected by the dup stage.
         self.duplicated = 0
-        #: Copies cut by an active network partition (fault injector).
+        #: Copies cut by an active network partition.
         self.partition_dropped = 0
         #: Advancement messages fenced for carrying a dead coordinator
         #: incarnation's epoch (bumped by the 3V control plane).
@@ -86,58 +97,56 @@ class NetworkStats:
     def total_sent(self) -> int:
         return sum(cell[0] for cell in self._by_kind.values())
 
+    def _sent_of(self, kinds: typing.AbstractSet[str]) -> int:
+        return sum(cell[0] for kind, cell in self._by_kind.items()
+                   if kind in kinds)
+
     @property
     def user_messages(self) -> int:
         """Messages carrying user-transaction work."""
-        return sum(
-            cell[0]
-            for kind, cell in self._by_kind.items()
-            if kind in MessageKind.USER_KINDS
-        )
+        return self._sent_of(MessageKind.USER_KINDS)
 
     @property
     def control_messages(self) -> int:
         """Version-advancement control messages."""
-        return sum(
-            cell[0]
-            for kind, cell in self._by_kind.items()
-            if kind in MessageKind.CONTROL_KINDS
-        )
+        return self._sent_of(MessageKind.CONTROL_KINDS)
 
     @property
     def commit_messages(self) -> int:
         """Locking / two-phase-commit messages (NC3V and 2PC baseline)."""
-        return sum(
-            cell[0]
-            for kind, cell in self._by_kind.items()
-            if kind in MessageKind.COMMIT_KINDS
-        )
+        return self._sent_of(MessageKind.COMMIT_KINDS)
 
 
 class Network:
     """Message transport between named endpoints.
 
-    Faults are injected by *subclassing*, never by monkey-patching: the
-    reliable-delivery layer overrides :meth:`_dispatch_send` and the fault
-    injector overrides :meth:`_transmit`.
+    One :meth:`_transmit` puts every physical copy on the wire, running
+    the plan's stages in the fixed order partition cut → drop → delay
+    spike → wire → dup.  A cut or dropped copy draws nothing further; the
+    dup copy goes straight to the wire with the original's spike, through
+    no second cut and no second draw.  Acks and retransmissions pass
+    through every stage.  One :meth:`_deliver` consumes acks, and acks and
+    de-duplicates every data copy, when delivery is reliable.
 
     Args:
         sim: The owning simulator.
-        rngs: RNG registry for latency sampling.
+        rngs: RNG registry for latency sampling and retransmit jitter.
         latency: Latency model; defaults to a constant 1.0 time units.
-        fifo_links: If ``True``, enforce per-``(src, dst)`` FIFO delivery by
-            clamping each delivery time to be no earlier than the previous
-            delivery on the same link.
         batch_delivery: If ``True``, coalesce all deliveries due at the
             same simulated time into one scheduled batch event (one heap
             entry, and one mailbox wake per destination, instead of N of
             each).  Within the tick messages deliver in transmission
             order — exactly the order the unbatched per-message callbacks
             would have run in, so anything triggered *by* a delivery
-            (e.g. the reliable layer's acks) also keeps its order and its
+            (e.g. reliable delivery's acks) also keeps its order and its
             fault-RNG draw sequence.  Only the scheduled-callback trace
             differs, so determinism digests are comparable between runs
             with the same setting only (hence opt-in, default off).
+        faults: Optional fault plan (duck-typed
+            :class:`repro.faults.FaultPlan`).  An ``active`` plan sets up
+            the fault stages; a ``lossy`` one also turns on reliable
+            delivery with its ``retransmit`` policy.  A zero-fault plan
+            sets up nothing, arms no timer and draws nothing.
     """
 
     def __init__(
@@ -145,21 +154,41 @@ class Network:
         sim: Simulator,
         rngs: typing.Optional[RngRegistry] = None,
         latency: typing.Optional[LatencyModel] = None,
-        fifo_links: bool = False,
         batch_delivery: bool = False,
+        faults=None,
     ):
         self.sim = sim
         self.rngs = rngs if rngs is not None else RngRegistry(0)
         self.latency = latency if latency is not None else constant_latency(1.0)
         self.latency.bind_clock(lambda: sim.now)
-        self.fifo_links = fifo_links
         # bool() so the experiment layer's 0/1 integer parameter works.
         self.batch_delivery = bool(batch_delivery)
         self.stats = NetworkStats()
         self._mailboxes: typing.Dict[str, Store] = {}
-        self._last_delivery: typing.Dict[typing.Tuple[str, str], float] = {}
         #: Open delivery batches, keyed by delivery tick (batch mode).
         self._batches: typing.Dict[float, list] = {}
+        #: The plan, kept only when some copy can be cut or faulted.
+        self.faults = None
+        #: Unacked messages by id, and the ids already delivered (ids are
+        #: unique across destinations); both ``None`` unless reliable.
+        self._pending: typing.Optional[typing.Dict[int, Message]] = None
+        self._seen: typing.Optional[typing.Set[int]] = None
+        if faults is not None and faults.active:
+            self.faults = faults
+            registry = faults.rng_registry()
+            self._drop_rng = registry.stream("faults.drop")
+            self._dup_rng = registry.stream("faults.dup")
+            self._spike_rng = registry.stream("faults.spike")
+        if faults is not None and faults.lossy:
+            self.policy = faults.retransmit
+            self._pending = {}
+            self._seen = set()
+            self._jitter_rng = self.rngs.stream("net.retransmit")
+
+    @property
+    def pending_unacked(self) -> int:
+        """Messages sent but not yet acked (always 0 unless reliable)."""
+        return len(self._pending or ())
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -178,10 +207,6 @@ class Network:
         except KeyError:
             raise SimulationError(f"unknown endpoint: {endpoint!r}") from None
 
-    @property
-    def endpoints(self) -> typing.List[str]:
-        return list(self._mailboxes)
-
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
@@ -192,60 +217,82 @@ class Network:
         Sending never blocks the caller: the message is queued for delivery
         after a sampled latency.  This is the mechanism behind the paper's
         requirement that all inter-node communication is asynchronous with
-        user transactions.
+        user transactions.  Under reliable delivery the message is held
+        for retransmission before its (possibly lost) first copy leaves.
         """
         if dst not in self._mailboxes:
             raise SimulationError(f"send to unknown endpoint: {dst!r}")
         message = Message(src=src, dst=dst, kind=kind, payload=payload,
                           sent_at=self.sim.now)
-        self._dispatch_send(message)
+        if self._pending is None:
+            self._transmit(message)
+        else:
+            self._pending[message.message_id] = message
+            self._transmit(message)
+            self._arm_timer(message, self.policy.timeout)
         return message
 
-    def _dispatch_send(self, message: Message) -> None:
-        """Hand a freshly built envelope to the transmission path.
+    def broadcast_to(self, src: str, dsts: typing.Iterable[str], kind: str,
+                     payload=None) -> typing.List[Message]:
+        """Send the same message to an explicit list of endpoints."""
+        return [self.send(src, dst, kind, payload) for dst in dsts]
 
-        The reliable-delivery layer overrides this to register the message
-        for retransmission before the (possibly lossy) first transmission.
+    def _transmit(self, message: Message) -> None:
+        """Run one physical copy through the plan's fault stages.
+
+        Partitions cut before any draw: the check is a pure function of
+        ``(src, dst, now)``, so a partition-free plan draws exactly what
+        it would without partitions.  A link whose faults are all zero
+        draws nothing.  Otherwise the draws per copy are drop, spike, dup,
+        each only when the link has that fault.
         """
-        self._transmit(message)
+        faults = self.faults
+        if faults is None:
+            self._wire(message, 0.0)
+            return
+        if faults.partitions and faults.cut(message.src, message.dst,
+                                            self.sim.now):
+            self.stats.partition_dropped += 1
+            return
+        link = (faults.link(message.src, message.dst) if faults.links
+                else faults.default_link)
+        if not link.active:
+            self._wire(message, 0.0)
+            return
+        if link.drop and self._drop_rng.random() < link.drop:
+            self.stats.dropped += 1
+            return
+        extra_delay = 0.0
+        if (link.spike_probability
+                and self._spike_rng.random() < link.spike_probability):
+            extra_delay = link.spike_delay
+        self._wire(message, extra_delay)
+        if link.dup and self._dup_rng.random() < link.dup:
+            self.stats.duplicated += 1
+            # Same message_id on purpose, so receiver-side dedup knows
+            # it; a fresh envelope keeps the two deliveries from fighting
+            # over delivered_at.
+            self._wire(dataclasses.replace(message, delivered_at=None),
+                       extra_delay)
 
-    def _transmit(self, message: Message, extra_delay: float = 0.0) -> None:
-        """Put one physical copy of ``message`` on the wire.
+    def _wire(self, message: Message, extra_delay: float) -> None:
+        """Sample a latency for one copy, record it, schedule delivery.
 
-        Samples the link latency, applies FIFO clamping, records stats, and
-        schedules delivery.  The fault injector overrides this to drop,
-        duplicate, or delay individual copies; retransmissions re-enter
-        here, so each copy draws a fresh latency.
+        Sits below every fault stage, so batching cannot perturb the
+        per-copy fault draws.  In batch mode all copies due at the same
+        tick share one scheduled callback and deliver in transmission
+        order — the exact order separate same-tick callbacks would have
+        run them in.  Keying by tick alone (not per destination) matters:
+        anything a delivery *triggers* (an ack per data copy) happens in
+        the same global order as unbatched, so the fault RNG streams are
+        consumed identically.
         """
         sim = self.sim
-        now = sim.now
         delay = self.latency.delay(message.src, message.dst, self.rngs)
         if delay < 0:
             raise SimulationError(f"latency model returned negative delay: {delay}")
         delay += extra_delay
-        if self.fifo_links:
-            link = (message.src, message.dst)
-            deliver_at = max(now + delay, self._last_delivery.get(link, 0.0))
-            self._last_delivery[link] = deliver_at
-            delay = deliver_at - now
         self.stats.record(message.kind, delay)
-        self._schedule_delivery(message, delay)
-
-    def _schedule_delivery(self, message: Message, delay: float) -> None:
-        """Schedule one already-faulted, already-recorded physical copy.
-
-        Sits *below* the fault injector's ``_transmit`` override: drops,
-        spikes, and duplications have all happened by the time a copy
-        reaches here, so batching cannot perturb per-message fault draws.
-        In batch mode all copies due at the same tick share one scheduled
-        callback and deliver in transmission order — the exact order
-        separate same-tick callbacks would have run them in.  Keying by
-        tick alone (not per destination) matters for fault equivalence:
-        anything a delivery *triggers* (the reliable layer transmits an
-        ack per data copy) happens in the same global order as unbatched,
-        so the fault injector's RNG streams are consumed identically.
-        """
-        sim = self.sim
         if not self.batch_delivery:
             sim.schedule(delay, self._deliver, message)
             return
@@ -259,26 +306,46 @@ class Network:
         self.stats.batches += 1
         sim.schedule_at(key, self._deliver_batch, key)
 
+    def _arm_timer(self, message: Message, interval: float) -> None:
+        jitter = self._jitter_rng.random() * self.policy.jitter
+        self.sim.schedule(interval + jitter, self._maybe_retransmit,
+                          message, interval)
+
+    def _maybe_retransmit(self, message: Message, interval: float) -> None:
+        if message.message_id not in self._pending:
+            return  # acked in the meantime; the timer dies quietly
+        self.stats.retransmits += 1
+        # A fresh envelope per physical copy: the original may be sitting
+        # in the delivery heap (merely slow, not lost), and delivery
+        # mutates the envelope's delivered_at.
+        self._transmit(dataclasses.replace(message, delivered_at=None))
+        self._arm_timer(message, min(interval * self.policy.backoff,
+                                     self.policy.max_interval))
+
+    # ------------------------------------------------------------------
+    # Receiving
+    # ------------------------------------------------------------------
+
     def _deliver_batch(self, key: float) -> None:
-        # Delivery goes through _deliver per message, preserving the
-        # reliable layer's per-copy ack/dedup override.
         for message in self._batches.pop(key):
             self._deliver(message)
 
     def _deliver(self, message: Message) -> None:
+        seen = self._seen
+        if seen is not None:
+            if message.kind is MessageKind.NET_ACK:
+                # payload = the acked data message's id.  Duplicate and
+                # stale acks are no-ops.
+                self._pending.pop(message.payload, None)
+                return
+            # Ack every copy received — a dropped ack leaves the sender
+            # retransmitting, and only the next ack can stop it.
+            self._transmit(Message(
+                src=message.dst, dst=message.src, kind=MessageKind.NET_ACK,
+                payload=message.message_id, sent_at=self.sim.now))
+            if message.message_id in seen:
+                self.stats.dup_suppressed += 1
+                return
+            seen.add(message.message_id)
         message.delivered_at = self.sim.now
         self._mailboxes[message.dst].put(message)
-
-    def broadcast(self, src: str, kind: str, payload=None,
-                  include_self: bool = True) -> typing.List[Message]:
-        """Send the same message to every registered endpoint."""
-        return [
-            self.send(src, dst, kind, payload)
-            for dst in self._mailboxes
-            if include_self or dst != src
-        ]
-
-    def broadcast_to(self, src: str, dsts: typing.Iterable[str], kind: str,
-                     payload=None) -> typing.List[Message]:
-        """Send the same message to an explicit list of endpoints."""
-        return [self.send(src, dst, kind, payload) for dst in dsts]

@@ -35,15 +35,14 @@ class System:
         node_config: Shared per-node tunables.
         detail: Record per-operation events in the history (turn off for
             very large benchmark runs).
-        fifo_links: Enforce per-link FIFO message delivery.
         batch_delivery: Coalesce same-tick deliveries into one scheduled
             batch event (see :class:`repro.net.network.Network`).
             Changes the scheduled-callback trace, so compare determinism
             digests only between runs with the same setting.
         plugin: Protocol plugin instance (default: ``plugin_class()``).
-        faults: Optional :class:`repro.faults.FaultPlan`.  Swaps the
-            network for the fault injector (plus the reliable-delivery
-            layer when the plan is lossy), enables write-ahead journaling
+        faults: Optional :class:`repro.faults.FaultPlan`.  Hands the
+            network the plan (its fault stages, plus reliable delivery
+            when the plan is lossy), enables write-ahead journaling
             on every node so :meth:`crash`/:meth:`recover` work, and
             schedules the plan's crash/recover events.
         history: Pre-built recording surface (e.g. a
@@ -76,7 +75,6 @@ class System:
         latency: typing.Optional[LatencyModel] = None,
         node_config: typing.Optional[NodeConfig] = None,
         detail: bool = True,
-        fifo_links: bool = False,
         batch_delivery: bool = False,
         plugin: typing.Optional[ProtocolPlugin] = None,
         faults=None,
@@ -88,20 +86,10 @@ class System:
         self.sim = Simulator()
         self.rngs = RngRegistry(seed)
         self.faults = faults
-        if faults is not None:
-            # Imported lazily: the runtime only depends on repro.faults
-            # when a plan is actually supplied.
-            from repro.faults import build_network
-
-            self.network = build_network(
-                self.sim, faults, rngs=self.rngs, latency=latency,
-                fifo_links=fifo_links, batch_delivery=batch_delivery,
-            )
-        else:
-            self.network = Network(
-                self.sim, rngs=self.rngs, latency=latency,
-                fifo_links=fifo_links, batch_delivery=batch_delivery,
-            )
+        self.network = Network(
+            self.sim, rngs=self.rngs, latency=latency,
+            batch_delivery=batch_delivery, faults=faults,
+        )
         self.history = history if history is not None else History(detail=detail)
         self.config = node_config if node_config is not None else NodeConfig()
         self.plugin = plugin if plugin is not None else self.plugin_class()

@@ -1,13 +1,12 @@
 """Delivery batching equivalence: coalescing may not change anything
 observable except the scheduled-event trace.
 
-``Network._schedule_delivery`` sits *below* the fault injector's
-``_transmit`` gauntlet and above the mailboxes, so with the same fault
-seed a batched and an unbatched run must make identical per-copy
-drop/spike/dup decisions, deliver identical message sequences at
-identical times, and report identical ``NetworkStats`` counters — for
-the bare injector and for the full chaos composition (reliable layer's
-acks, retransmissions, and dedup included).
+``Network._wire`` sits *below* the fault stages of ``_transmit`` and
+above the mailboxes, so with the same fault seed a batched and an
+unbatched run must make identical per-copy drop/spike/dup decisions,
+deliver identical message sequences at identical times, and report
+identical ``NetworkStats`` counters — reliable delivery's acks,
+retransmissions, and dedup included.
 """
 
 from __future__ import annotations
@@ -15,8 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.faults import FaultPlan
-from repro.faults.network import ChaosNetwork, FaultyNetwork, build_network
-from repro.net import constant_latency
+from repro.net import MessageKind, constant_latency
 from repro.net.network import Network
 from repro.sim import Simulator
 from repro.sim.distributions import RngRegistry
@@ -82,10 +80,9 @@ class TestFaultyNetworkEquivalence:
         def make(sim, batch):
             plan = FaultPlan.storm(ENDPOINTS, drop_rate=0.3, dup_rate=0.25,
                                    fault_seed=fault_seed)
-            return FaultyNetwork(sim, plan=plan,
-                                 latency=constant_latency(1.0),
-                                 rngs=RngRegistry(7),
-                                 batch_delivery=batch)
+            return Network(sim, latency=constant_latency(1.0),
+                           rngs=RngRegistry(7), batch_delivery=batch,
+                           faults=plan)
 
         plain_net, plain_log = run_network(make, batch=False)
         batched_net, batched_log = run_network(make, batch=True)
@@ -101,17 +98,14 @@ class TestFaultyNetworkEquivalence:
         assert batched_net.stats.batched_messages > 0
 
     def test_chaos_composition_identical(self):
-        """ReliableNetwork acks/retransmits/dedup compose unchanged: the
-        whole chaos stack is trace-equivalent under batching."""
+        """Reliable delivery's acks/retransmits/dedup compose unchanged:
+        the whole chaos path is trace-equivalent under batching."""
         def make(sim, batch):
             plan = FaultPlan.storm(ENDPOINTS, drop_rate=0.2, dup_rate=0.15,
                                    fault_seed=11)
-            network = build_network(sim, plan,
-                                    latency=constant_latency(1.0),
-                                    rngs=RngRegistry(7),
-                                    batch_delivery=batch)
-            assert isinstance(network, ChaosNetwork)
-            return network
+            return Network(sim, latency=constant_latency(1.0),
+                           rngs=RngRegistry(7), batch_delivery=batch,
+                           faults=plan)
 
         plain_net, plain_log = run_network(make, batch=False)
         batched_net, batched_log = run_network(make, batch=True)
@@ -121,6 +115,9 @@ class TestFaultyNetworkEquivalence:
         assert plain_net.stats.retransmits > 0, "no retransmissions drawn"
         assert plain_net.stats.dup_suppressed > 0, "dedup never fired"
         assert batched_net.stats.batched_messages > 0
+        for network in (plain_net, batched_net):
+            assert network.stats.sent_by_kind[MessageKind.NET_ACK] > 0
+            assert network.pending_unacked == 0
 
 
 class TestPlainNetworkBatching:
@@ -150,7 +147,7 @@ class TestPlainNetworkBatching:
                           batch_delivery=True)
         for endpoint in ENDPOINTS:
             network.register(endpoint)
-        network.broadcast("a", "DATA", "hello", include_self=False)
+        network.broadcast_to("a", ("b", "c"), "DATA", "hello")
         sim.run()
         assert network.stats.batches == 1
         assert network.stats.batched_messages == 1

@@ -1,9 +1,12 @@
-"""The fault-injection stack in isolation: plans, injector, reliable layer.
+"""The fault-injection stack in isolation: plans, fault stages, reliable
+delivery.
 
 Covers the pure-data :class:`FaultPlan` (validation, storm determinism),
-the :class:`FaultyNetwork` injector (seeded drops/dups/spikes), the
-reliable-delivery layer (exactly-once over arbitrary lossy links — the
-Hypothesis properties), write-ahead journaling, and mailbox freeze/thaw.
+the network's fault stages (seeded drops/dups/spikes), reliable delivery
+(exactly-once over arbitrary lossy links — the Hypothesis properties),
+write-ahead journaling, and mailbox freeze/thaw.  The bare injector and
+reliable delivery without faults, which no runtime caller builds, run
+against the old classes kept in ``tests/reference_network.py``.
 """
 
 import dataclasses
@@ -13,21 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.faults import (
-    ChaosNetwork,
-    CrashEvent,
-    FaultPlan,
-    FaultyNetwork,
-    LinkFaults,
-    build_network,
-)
-from repro.net import (
-    MessageKind,
-    Network,
-    ReliableNetwork,
-    RetransmitPolicy,
-    constant_latency,
-)
+from repro.faults import CrashEvent, FaultPlan, LinkFaults, RetransmitPolicy
+from repro.net import MessageKind, Network, constant_latency
 from repro.sim import RngRegistry, Simulator
 from repro.sim.resources import Store
 from repro.storage import Increment
@@ -38,6 +28,8 @@ from repro.storage.wal import (
     JournaledStore,
     NodeJournal,
 )
+
+from tests.reference_network import FaultyNetwork, ReliableNetwork
 
 SLOW = settings(
     max_examples=25,
@@ -105,11 +97,11 @@ class TestFaultPlan:
             FaultPlan.storm(["p"], duration=0.0)
 
 
-def _lossy_pair(plan, fifo=False):
-    """A two-endpoint network of the class ``build_network`` picks."""
+def _lossy_pair(plan):
+    """A two-endpoint network running ``plan``."""
     sim = Simulator()
-    network = build_network(sim, plan, rngs=RngRegistry(1),
-                            latency=constant_latency(1.0), fifo_links=fifo)
+    network = Network(sim, rngs=RngRegistry(1),
+                      latency=constant_latency(1.0), faults=plan)
     network.register("a")
     network.register("b")
     return sim, network
@@ -119,11 +111,11 @@ class TestFaultyNetwork:
     def test_zero_fault_link_draws_nothing(self):
         plan = FaultPlan()  # all-zero: no drops, no dups, no spikes
         sim, network = _lossy_pair(plan)
-        assert isinstance(network, FaultyNetwork)
-        assert not isinstance(network, ReliableNetwork)
         for i in range(10):
             network.send("a", "b", MessageKind.SUBTXN_REQUEST, payload=i)
         sim.run()
+        assert MessageKind.NET_ACK not in network.stats.sent_by_kind
+        assert sim.scheduled_count == 10  # deliveries only: no timers
         assert len(network.mailbox("b")) == 10
         assert network.stats.dropped == 0
         assert network.stats.duplicated == 0
@@ -131,8 +123,8 @@ class TestFaultyNetwork:
     def test_drops_lose_messages_without_reliable_layer(self):
         plan = FaultPlan(default_link=LinkFaults(drop=0.5))
         sim = Simulator()
-        # The bare injector: build FaultyNetwork directly so drops are
-        # permanent (build_network would add the reliable layer).
+        # The bare injector (reference only): drops are permanent, where
+        # the one Network would retransmit them.
         network = FaultyNetwork(sim, plan=plan, rngs=RngRegistry(1),
                                 latency=constant_latency(1.0))
         network.register("a")
@@ -166,9 +158,10 @@ class TestFaultyNetwork:
                                     spike_delay=50.0),
         )
         sim, network = _lossy_pair(plan)
-        assert isinstance(network, FaultyNetwork)  # spike-only: not lossy
         network.send("a", "b", MessageKind.SUBTXN_REQUEST)
         sim.run()
+        # Spike-only is not lossy: no acks, no timers.
+        assert MessageKind.NET_ACK not in network.stats.sent_by_kind
         inbox = network.mailbox("b").drain()
         assert inbox[0].delivered_at == pytest.approx(51.0)
 
@@ -200,9 +193,8 @@ class TestReliableDelivery:
             retransmit=RetransmitPolicy(timeout=3.0, jitter=0.25),
         )
         sim = Simulator()
-        network = ChaosNetwork(sim, plan=plan, policy=plan.retransmit,
-                               rngs=RngRegistry(workload_seed),
-                               latency=constant_latency(1.0))
+        network = Network(sim, rngs=RngRegistry(workload_seed),
+                          latency=constant_latency(1.0), faults=plan)
         network.register("a")
         network.register("b")
         for i in range(count):
@@ -252,8 +244,8 @@ class TestReliableDelivery:
         assert MessageKind.NET_ACK not in MessageKind.COMMIT_KINDS
 
     def test_lossless_reliable_layer_never_retransmits_needlessly(self):
-        """With no faults the timers all die quietly after the acks."""
-        plan = FaultPlan(default_link=LinkFaults(dup=0.0, drop=0.0))
+        """With no faults the timers all die quietly after the acks (the
+        reference reliable layer: no plan turns it on without faults)."""
         sim = Simulator()
         network = ReliableNetwork(sim, rngs=RngRegistry(1),
                                   latency=constant_latency(1.0))
@@ -266,14 +258,17 @@ class TestReliableDelivery:
         assert network.pending_unacked == 0
         assert len(network.mailbox("b")) == 10
 
-    def test_build_network_picks_reliable_only_when_lossy(self):
-        sim = Simulator()
-        lossy = build_network(sim, FaultPlan(
-            default_link=LinkFaults(drop=0.1)), rngs=RngRegistry(1))
-        assert isinstance(lossy, ChaosNetwork)
-        clean = build_network(Simulator(), FaultPlan(), rngs=RngRegistry(1))
-        assert isinstance(clean, FaultyNetwork)
-        assert not isinstance(clean, ReliableNetwork)
+    def test_reliable_delivery_only_when_lossy(self):
+        for plan, acked in ((FaultPlan(default_link=LinkFaults(drop=0.1)),
+                             True),
+                            (FaultPlan(), False),
+                            (None, False)):
+            sim, network = _lossy_pair(plan)
+            network.send("a", "b", MessageKind.SUBTXN_REQUEST)
+            sim.run()
+            sent = network.stats.sent_by_kind
+            assert (MessageKind.NET_ACK in sent) is acked
+            assert network.pending_unacked == 0
 
 
 class TestMailboxFreeze:

@@ -115,19 +115,28 @@ def test_txn_may_import_errors_and_storage(tmp_path):
     assert result.returncode == 0, result.stdout + result.stderr
 
 
-def test_faults_may_import_net_and_sim(tmp_path):
+def test_faults_may_import_sim_and_errors_only(tmp_path):
+    # Fault plans are data; the network reads them, so the plans never
+    # import the network.
     seed_tree(str(tmp_path), {
         "repro/__init__.py": "",
         "repro/faults/__init__.py": (
-            "from repro.net import network\nfrom repro.sim import simulator\n"
+            "from repro.sim import simulator\nfrom repro.errors import E\n"
         ),
-        "repro/net/__init__.py": "",
-        "repro/net/network.py": "",
+        "repro/errors.py": "E = Exception\n",
         "repro/sim/__init__.py": "",
         "repro/sim/simulator.py": "",
     })
     result = run_checker("--src", str(tmp_path))
     assert result.returncode == 0, result.stdout + result.stderr
+    seed_tree(str(tmp_path), {
+        "repro/faults/plan.py": "from repro.net import network\n",
+        "repro/net/__init__.py": "",
+        "repro/net/network.py": "",
+    })
+    result = run_checker("--src", str(tmp_path))
+    assert result.returncode == 1
+    assert "repro.faults imports 'repro.net" in result.stdout
 
 
 def test_detects_placement_importing_runtime(tmp_path):

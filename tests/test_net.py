@@ -63,7 +63,9 @@ class TestDelivery:
 
     def test_broadcast_reaches_everyone(self, sim):
         network = make_network(sim)
-        messages = network.broadcast("p", MessageKind.START_ADVANCEMENT, payload=2)
+        messages = network.broadcast_to(
+            "p", ("p", "q", "s"), MessageKind.START_ADVANCEMENT, payload=2
+        )
         assert sorted(m.dst for m in messages) == ["p", "q", "s"]
         sim.run()
         for node in ("p", "q", "s"):
@@ -71,8 +73,8 @@ class TestDelivery:
 
     def test_broadcast_excluding_self(self, sim):
         network = make_network(sim)
-        messages = network.broadcast(
-            "p", MessageKind.START_ADVANCEMENT, include_self=False
+        messages = network.broadcast_to(
+            "p", ("q", "s"), MessageKind.START_ADVANCEMENT
         )
         assert sorted(m.dst for m in messages) == ["q", "s"]
 
@@ -93,29 +95,6 @@ class TestDelivery:
         sim.run()
         assert sorted(order) == list(range(40))
         assert order != list(range(40)), "expected at least one overtake"
-
-    def test_fifo_links_preserve_order(self, sim):
-        network = Network(
-            sim,
-            rngs=RngRegistry(7),
-            latency=UniformLatency(Uniform(0.1, 10.0)),
-            fifo_links=True,
-        )
-        network.register("p")
-        network.register("q")
-        order = []
-
-        def receiver():
-            for _ in range(40):
-                message = yield network.mailbox("q").get()
-                order.append(message.payload)
-
-        sim.process(receiver())
-        for i in range(40):
-            sim.schedule(i * 0.01, network.send, "p", "q",
-                         MessageKind.SUBTXN_REQUEST, i)
-        sim.run()
-        assert order == list(range(40))
 
 
 class TestLatencyModels:

@@ -126,29 +126,6 @@ class TestExecutorKnobs:
 
 
 class TestTransportVariants:
-    def test_fifo_links_full_protocol(self):
-        from repro.analysis import audit
-        from repro.sim import RngRegistry
-        from repro.workloads import RecordingConfig, RecordingWorkload
-        from repro.workloads.arrivals import drive, poisson_arrivals
-
-        node_ids = ["a", "b", "c"]
-        system = ThreeVSystem(node_ids, seed=9, fifo_links=True)
-        config = RecordingConfig(nodes=node_ids, entities=6, span=2,
-                                 amount_mode="bitmask")
-        workload = RecordingWorkload(config, RngRegistry(10))
-        workload.install(system)
-        arrivals = RngRegistry(11)
-        drive(system, poisson_arrivals(arrivals, "u", 4.0, 15.0),
-              workload.make_recording)
-        drive(system, poisson_arrivals(arrivals, "r", 3.0, 15.0),
-              workload.make_inquiry)
-        system.sim.schedule(7.0, system.advance_versions)
-        system.run(until=15.0)
-        system.run_until_quiet()
-        report = audit(system.history, workload, check_snapshots=True)
-        assert report.clean
-
     def test_detail_off_keeps_lifecycle_metrics(self):
         system = ThreeVSystem(["p", "q"], seed=1, detail=False)
         system.load("p", "x", 0)

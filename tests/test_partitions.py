@@ -14,14 +14,8 @@ import dataclasses
 import pytest
 
 from repro.errors import SimulationError
-from repro.faults import (
-    ChaosNetwork,
-    CrashEvent,
-    FaultPlan,
-    PartitionEvent,
-    build_network,
-)
-from repro.net import MessageKind, constant_latency
+from repro.faults import CrashEvent, FaultPlan, PartitionEvent
+from repro.net import MessageKind, Network, constant_latency
 from repro.sim import RngRegistry, Simulator
 
 
@@ -99,8 +93,8 @@ class TestPartitionEvent:
 class TestPartitionInjection:
     def _network(self, plan):
         sim = Simulator()
-        network = build_network(sim, plan, rngs=RngRegistry(1),
-                                latency=constant_latency(1.0))
+        network = Network(sim, rngs=RngRegistry(1),
+                          latency=constant_latency(1.0), faults=plan)
         network.register("a")
         network.register("b")
         return sim, network
@@ -110,8 +104,11 @@ class TestPartitionInjection:
             PartitionEvent(side_a=("a",), side_b=("b",), at=0.0,
                            duration=5.0),
         ))
-        _, network = self._network(plan)
-        assert isinstance(network, ChaosNetwork)
+        sim, network = self._network(plan)
+        network.send("a", "b", MessageKind.SUBTXN_REQUEST)
+        sim.run()
+        assert network.stats.sent_by_kind[MessageKind.NET_ACK] > 0
+        assert network.pending_unacked == 0
 
     def test_cut_copies_counted_and_delivered_after_heal(self):
         """A message sent mid-partition reaches its mailbox exactly once,

@@ -17,13 +17,13 @@ them true by construction:
    and the substrate layers (sim/net/storage/txn/history/errors).
    ``repro.protocols`` is the one module allowed to import every plugin.
 
-3. **Fault injection is substrate.**  ``repro.faults`` may import only
-   the substrate it instruments (``repro.net``, ``repro.sim``,
-   ``repro.errors``) and itself — never the runtime, a protocol plugin,
-   or any higher layer.  The crash/recover surface lives on
+3. **Fault plans are data; the network reads them.**  ``repro.faults``
+   may import only ``repro.sim``, ``repro.errors`` and itself — not even
+   ``repro.net``, which applies a plan duck-typed and never imports
+   ``repro.faults`` either.  The crash/recover surface lives on
    ``repro.runtime.System`` and the chaos harness in ``repro.exp``;
-   both import *down* into ``repro.faults``, keeping the injector
-   reusable under every protocol.
+   both import *down* into ``repro.faults``, keeping plans reusable
+   under every protocol.
 
 4. **Transaction history is substrate.**  ``repro.txn`` (specs, the
    recording ``History``/``StreamingHistory``, and their online
@@ -68,7 +68,6 @@ PLUGIN_GROUPS = {
 #: The only ``repro.*`` prefixes ``repro.faults`` may import.
 FAULTS_ALLOWED = (
     "repro.faults",
-    "repro.net",
     "repro.sim",
     "repro.errors",
 )
@@ -172,8 +171,9 @@ def check(src_root: str) -> typing.List[str]:
                         and not hits(imported, FAULTS_ALLOWED)):
                     violations.append(
                         f"{display}:{lineno}: repro.faults imports "
-                        f"{imported!r} (the injector may only depend on "
-                        f"net/sim/errors, never a protocol or the runtime)"
+                        f"{imported!r} (fault plans may only depend on "
+                        f"sim/errors, never the network, a protocol or "
+                        f"the runtime)"
                     )
                 if (hits(module, ("repro.txn",))
                         and hits(imported, ("repro",))
