@@ -104,11 +104,22 @@ class ProtocolNode:
     # ------------------------------------------------------------------
 
     def submit(self, instance: SubtxnInstance) -> None:
-        """Deliver a root subtransaction directly to this node's mailbox."""
+        """Start a root subtransaction at this node.
+
+        A live node with nothing queued runs it inline, as its mailbox
+        would hand it over, and no :class:`Message` is built.  At a
+        crashed or backlogged node the root queues in the mailbox behind
+        what is already there and runs, in submission order, once the
+        node has recovered and drained what came before.
+        """
         if not instance.is_root:
             raise ProtocolError("submit() is for root subtransactions only")
+        mailbox = self._mailbox
+        if mailbox.hands_over:
+            self._arrive(instance)
+            return
         now = self.sim.now
-        self._mailbox.put(Message(
+        mailbox.put(Message(
             src=self.node_id, dst=self.node_id,
             kind=MessageKind.SUBTXN_REQUEST, payload=instance,
             sent_at=now, delivered_at=now,

@@ -193,7 +193,7 @@ class System:
 
     def submit_at(self, time: float, spec: TransactionSpec) -> None:
         """Schedule a submission at an absolute simulation time."""
-        self.sim.schedule(time - self.sim.now, self.submit, spec)
+        self.sim.schedule_at(time, self.submit, spec)
 
     @property
     def submitted_count(self) -> int:

@@ -51,7 +51,7 @@ class WaitReason:
     ADVANCEMENT = "advancement"  # blocked by a (synchronous) advancement
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class TxnRecord:
     """Lifecycle of one transaction."""
 
@@ -102,7 +102,7 @@ class TxnRecord:
         )
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ReadEvent:
     """One read operation (recorded only when ``detail`` is on)."""
 
@@ -116,7 +116,7 @@ class ReadEvent:
     value: typing.Any
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class WriteEvent:
     """One write operation (recorded only when ``detail`` is on)."""
 

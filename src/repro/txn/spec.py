@@ -27,14 +27,14 @@ from repro.errors import InvalidTransactionSpec
 from repro.storage.values import Operation
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class ReadOp:
     """Read one data item (at the transaction's version, per the protocol)."""
 
     key: typing.Hashable
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class WriteOp:
     """Apply a :class:`~repro.storage.values.Operation` to one data item."""
 
@@ -45,7 +45,7 @@ class WriteOp:
 OpType = typing.Union[ReadOp, WriteOp]
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class SubtxnSpec:
     """One subtransaction: a node, its local operations, its children.
 
@@ -106,6 +106,27 @@ class TransactionSpec:
     def __post_init__(self):
         self.validate()
 
+    @classmethod
+    def classified(cls, name: str, root: SubtxnSpec, *, read_only: bool,
+                   well_behaved: bool, wants_abort: bool = False
+                   ) -> "TransactionSpec":
+        """A spec whose builder already knows the tree's class.
+
+        For generators that build every tree of a class the same way (the
+        recording workload): the tree is well formed by construction and
+        its classification is stated, not derived, so :meth:`validate`'s
+        walk is skipped.  Hand-built trees go through the constructor.
+        """
+        spec = cls.__new__(cls)
+        spec.name = name
+        spec.root = root
+        spec.priority_hint = 0.0
+        spec.is_read_only = read_only
+        spec.is_well_behaved = well_behaved
+        spec.wants_abort = wants_abort
+        spec._nodes = None
+        return spec
+
     # ------------------------------------------------------------------
     # Classification
     #
@@ -117,12 +138,22 @@ class TransactionSpec:
     # immutable after construction (the workload builders finish mutating
     # ``abort_here`` before wrapping the tree in a TransactionSpec); call
     # :meth:`validate` again to refresh them if a tree is ever edited in
-    # place.
+    # place.  A :meth:`classified` spec states its class instead, and
+    # walks for its node set only when asked.
     # ------------------------------------------------------------------
 
     @property
     def nodes(self) -> typing.Set[str]:
         """All database nodes the transaction touches."""
+        if self._nodes is None:
+            # Filled in validate()'s order: the lock-release fan-out sends
+            # in this set's order.
+            nodes = self._nodes = set()
+            stack = [self.root]
+            while stack:
+                spec = stack.pop()
+                nodes.add(spec.node)
+                stack.extend(spec.children)
         return set(self._nodes)
 
     @property

@@ -7,13 +7,18 @@ database is doing.  Arrival times come from a named RNG stream, so two
 systems driven with the same seed see identical workloads
 (paired-comparison benchmarking).
 
-Two driving modes share the same sampled process:
+Two driving modes share the same sampled process, and both feed the
+simulator through a :class:`StreamingDriver` — one self-rescheduling
+callback, so exactly one pending arrival per transaction class at any
+instant — and differ only in *when* specs are built:
 
-* :func:`drive` pre-schedules every arrival (simple, but heap residency
-  and transaction-spec memory are O(arrivals) up front).
-* :func:`drive_streaming` walks the lazy :func:`poisson_arrival_times`
-  generator with a self-rescheduling simulator callback: exactly one
-  pending arrival per transaction class at any instant, so a
+* :func:`drive` builds every spec of its class up front, in index order
+  (the workload stream's draw order, so the caller's order of classes
+  decides every spec), and releases each one as it is submitted.  The
+  event heap never holds the workload; spec memory starts O(arrivals)
+  and falls as the run goes.
+* :func:`drive_streaming` builds each spec at its own arrival time from
+  the lazy :func:`poisson_arrival_times` generator, so a
   million-transaction run never materializes its workload.  Each class
   draws from its own stream, so laziness cannot change the sampled
   times — only *when* specs are built.
@@ -21,6 +26,7 @@ Two driving modes share the same sampled process:
 
 from __future__ import annotations
 
+import collections
 import typing
 
 from repro.sim.distributions import RngRegistry
@@ -83,30 +89,31 @@ def uniform_arrivals(
 
 
 def drive(system, arrivals: typing.Iterable[float], make_spec) -> int:
-    """Schedule one transaction per arrival time.
+    """Submit one transaction per arrival time, every spec built now.
 
     Args:
-        system: Any system with ``submit_at``.
-        arrivals: Arrival times.
-        make_spec: ``make_spec(index) -> TransactionSpec``.
+        system: Any system with ``sim`` and ``submit``.
+        arrivals: Arrival times, ascending.
+        make_spec: ``make_spec(index) -> TransactionSpec``, called here for
+            every index in order.
 
     Returns:
         Number of transactions scheduled.
     """
-    count = 0
-    for index, time in enumerate(arrivals):
-        system.submit_at(time, make_spec(index))
-        count += 1
-    return count
+    times = list(arrivals)
+    specs = collections.deque(make_spec(index) for index in range(len(times)))
+    StreamingDriver(system, times, lambda _index: specs.popleft())
+    return len(times)
 
 
 class StreamingDriver:
     """Submits one transaction class from a lazy arrival iterator.
 
     Holds exactly one pending simulator event: when it fires, the next
-    spec is built *at its own arrival time* and submitted, and the
-    following arrival is scheduled.  Workload memory is O(1) in run
-    length; ``count`` reports how many transactions were submitted.
+    spec is taken from ``make_spec`` *at its own arrival time* and
+    submitted, and the following arrival is scheduled.  With a
+    ``make_spec`` that builds, workload memory is O(1) in run length;
+    ``count`` reports how many transactions were submitted.
     """
 
     __slots__ = ("_sim", "_system", "_arrivals", "_make_spec", "count")

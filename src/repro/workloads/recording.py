@@ -135,6 +135,19 @@ class RecordingConfig:
         return self.replication_factor > 1
 
 
+def _flat_tree(name: str, subtxns: typing.List[SubtxnSpec], **classification
+               ) -> TransactionSpec:
+    """Root the first subtransaction, the rest as its children.
+
+    Every tree the builders make has this shape and a class they know
+    (``classification`` is :meth:`TransactionSpec.classified`'s), so none
+    of them goes through ``validate()``.
+    """
+    root = subtxns[0]
+    root.children = subtxns[1:]
+    return TransactionSpec.classified(name, root, **classification)
+
+
 class RecordingWorkload:
     """Generator of recording/inquiry/audit/correction transactions."""
 
@@ -225,20 +238,23 @@ class RecordingWorkload:
         return round(self._rng.uniform(self.config.charge_low,
                                        self.config.charge_high), 2)
 
-    def _write_groups(self, entity: int, make_ops) -> typing.Dict[str, list]:
-        """Group one entity's per-record writes by target node.
-
-        Iterates slots in order and each slot's replicas in placement
-        order, calling ``make_ops(slot, node)`` for every copy; the
-        node's ops accumulate in first-appearance order.  At rf=1 the
-        replica list collapses to the slot home, reproducing the historic
-        one-group-per-span-node trees exactly.
-        """
+    def _copies(self, entity: int, slot_ops) -> typing.List[SubtxnSpec]:
+        """One subtransaction per replica node holding a record of
+        ``entity`` (rf > 1): ``slot_ops[slot]`` goes to every replica of
+        the slot, slots in order and each slot's replicas in placement
+        order, so a node's ops accumulate in first-appearance order."""
         groups: typing.Dict[str, list] = {}
-        for slot in range(self.config.span):
-            for node in self.placement_map.replicas(entity, slot):
-                groups.setdefault(node, []).extend(make_ops(slot, node))
-        return groups
+        replicas = self.placement_map.replicas
+        for slot, ops in enumerate(slot_ops):
+            for node in replicas(entity, slot):
+                groups.setdefault(node, []).extend(ops)
+        return [SubtxnSpec(node, ops) for node, ops in groups.items()]
+
+    def _replica_read(self, entity: int, slot: int, label: str) -> SubtxnSpec:
+        """Read one record at its home, its other replicas as alternates."""
+        nodes = self.placement_map.replicas(entity, slot)
+        return SubtxnSpec(nodes[0], [ReadOp(balance_key(entity, slot))],
+                          label=label, alternates=nodes[1:])
 
     def make_recording(self, index: int) -> TransactionSpec:
         """A well-behaved multi-node recording transaction.
@@ -253,34 +269,32 @@ class RecordingWorkload:
         name = f"rec-{index}"
         if self.track_amounts:
             self.update_amounts[name] = (entity, amount)
+        config = self.config
         abort = (
-            self.config.abort_fraction > 0
-            and self._rng.random() < self.config.abort_fraction
+            config.abort_fraction > 0
+            and self._rng.random() < config.abort_fraction
         )
-        replicated = self.config.replicated
-
-        def ops(slot: int, node: str) -> list:
-            result = [WriteOp(self._bal(entity, slot), Increment(amount))]
-            if self.config.with_observations:
-                tag = slot if replicated else node
-                result.append(
-                    WriteOp(self._log(entity, slot), Record((name, tag)))
-                )
-            return result
-
-        groups = self._write_groups(entity, ops)
-        targets = list(groups)
-        children = [
-            SubtxnSpec(node=node, ops=groups[node]) for node in targets[1:]
-        ]
-        if abort and children:
-            children[-1].abort_here = True
-        root = SubtxnSpec(
-            node=targets[0], ops=groups[targets[0]], children=children
-        )
-        if abort and not children:
-            root.abort_here = True
-        return TransactionSpec(name=name, root=root)
+        increment = Increment(amount)
+        observe = config.with_observations
+        if config.replicated:
+            subtxns = self._copies(entity, [
+                [WriteOp(balance_key(entity, slot), increment),
+                 WriteOp(log_key(entity, slot), Record((name, slot)))]
+                if observe else [WriteOp(balance_key(entity, slot), increment)]
+                for slot in range(config.span)
+            ])
+        else:
+            write = WriteOp(balance_key(entity), increment)
+            log = log_key(entity)
+            subtxns = [
+                SubtxnSpec(node, [write, WriteOp(log, Record((name, node)))]
+                           if observe else [write])
+                for node in self.entity_homes[entity]
+            ]
+        if abort:
+            subtxns[-1].abort_here = True
+        return _flat_tree(name, subtxns, read_only=False, well_behaved=True,
+                          wants_abort=abort)
 
     def make_inquiry(self, index: int) -> TransactionSpec:
         """Read one entity's summary for every slot (read-one per record).
@@ -291,75 +305,41 @@ class RecordingWorkload:
         """
         entity = self._pick_entity()
         name = f"inq-{index}:{entity}"
-        if not self.config.replicated:
-            nodes = self.entity_homes[entity]
-            children = [
-                SubtxnSpec(node=node, ops=[ReadOp(balance_key(entity))])
-                for node in nodes[1:]
+        if self.config.replicated:
+            subtxns = [self._replica_read(entity, slot, f"s{slot}")
+                       for slot in range(self.config.span)]
+        else:
+            read = ReadOp(balance_key(entity))
+            subtxns = [
+                SubtxnSpec(node, [read]) for node in self.entity_homes[entity]
             ]
-            root = SubtxnSpec(
-                node=nodes[0], ops=[ReadOp(balance_key(entity))],
-                children=children,
-            )
-            return TransactionSpec(name=name, root=root)
-        specs = [
-            SubtxnSpec(
-                node=replicas[0],
-                ops=[ReadOp(self._bal(entity, slot))],
-                alternates=replicas[1:],
-                label=f"s{slot}",
-            )
-            for slot, replicas in (
-                (s, self.placement_map.replicas(entity, s))
-                for s in range(self.config.span)
-            )
-        ]
-        root = specs[0]
-        root.children = specs[1:]
-        return TransactionSpec(name=name, root=root)
+        return _flat_tree(name, subtxns, read_only=True, well_behaved=True)
 
     def make_audit(self, index: int) -> TransactionSpec:
         """Read the summaries of several entities (fans out wide)."""
         count = min(self.config.audit_entities, self.config.entities)
         entities = self._rng.sample(range(self.config.entities), count)
         name = f"aud-{index}"
-        if not self.config.replicated:
+        if self.config.replicated:
+            # One read per record at its home, alternates attached, so each
+            # record independently falls back to a readable replica.
+            subtxns = [self._replica_read(entity, slot, f"e{entity}s{slot}")
+                       for entity in entities
+                       for slot in range(self.config.span)]
+        else:
             # Group reads by node; root at the busiest node.
             by_node: typing.Dict[str, list] = {}
             for entity in entities:
+                read = ReadOp(balance_key(entity))
                 for node in self.entity_homes[entity]:
-                    by_node.setdefault(node, []).append(
-                        ReadOp(balance_key(entity))
-                    )
-            nodes_sorted = sorted(
-                by_node, key=lambda n: len(by_node[n]), reverse=True
-            )
-            root_node = nodes_sorted[0]
-            children = [
-                SubtxnSpec(node=node, ops=by_node[node])
-                for node in nodes_sorted[1:]
-            ]
-            root = SubtxnSpec(
-                node=root_node, ops=by_node[root_node], children=children
-            )
-            return TransactionSpec(name=name, root=root)
-        # Replicated: one read per record at its home, alternates attached,
-        # so each record independently falls back to a readable replica.
-        specs = []
-        for entity in entities:
-            for slot in range(self.config.span):
-                replicas = self.placement_map.replicas(entity, slot)
-                specs.append(
-                    SubtxnSpec(
-                        node=replicas[0],
-                        ops=[ReadOp(self._bal(entity, slot))],
-                        alternates=replicas[1:],
-                        label=f"e{entity}s{slot}",
-                    )
+                    by_node.setdefault(node, []).append(read)
+            subtxns = [
+                SubtxnSpec(node, by_node[node])
+                for node in sorted(
+                    by_node, key=lambda n: len(by_node[n]), reverse=True
                 )
-        root = specs[0]
-        root.children = specs[1:]
-        return TransactionSpec(name=name, root=root)
+            ]
+        return _flat_tree(name, subtxns, read_only=True, well_behaved=True)
 
     def make_correction(self, index: int, value: typing.Optional[int] = None
                         ) -> TransactionSpec:
@@ -375,20 +355,20 @@ class RecordingWorkload:
         new_value = value if value is not None else round(
             self._rng.uniform(0.0, 100.0), 2
         )
-
-        def ops(slot: int, node: str) -> list:
-            return [WriteOp(self._bal(entity, slot), Assign(new_value))]
-
-        groups = self._write_groups(entity, ops)
-        targets = list(groups)
-        children = [
-            SubtxnSpec(node=node, ops=groups[node]) for node in targets[1:]
-        ]
-        root = SubtxnSpec(
-            node=targets[0], ops=groups[targets[0]], children=children
-        )
-        self.correction_entities[f"cor-{index}"] = entity
-        return TransactionSpec(name=f"cor-{index}", root=root)
+        assign = Assign(new_value)
+        if self.config.replicated:
+            subtxns = self._copies(entity, [
+                [WriteOp(balance_key(entity, slot), assign)]
+                for slot in range(self.config.span)
+            ])
+        else:
+            write = WriteOp(balance_key(entity), assign)
+            subtxns = [
+                SubtxnSpec(node, [write]) for node in self.entity_homes[entity]
+            ]
+        name = f"cor-{index}"
+        self.correction_entities[name] = entity
+        return _flat_tree(name, subtxns, read_only=False, well_behaved=False)
 
     # ------------------------------------------------------------------
     # Oracles (used by the analysis package)
