@@ -4,7 +4,7 @@ Where ``bench_scaling_nodes`` grows the cluster, this suite grows the
 *run*: the same 3V workload at 10x apart transaction volumes (full mode:
 100k and 1M transactions on 64 nodes; smoke shrinks both), driven end to
 end through streaming mode — lazy arrival generators, a
-:class:`~repro.txn.history.StreamingHistory` folding every retired
+retiring :class:`~repro.txn.history.History` folding every retired
 transaction into online aggregates, and no materialized per-transaction
 state anywhere in the stack.
 

@@ -1,6 +1,5 @@
 """Analysis: serializability oracles, anomaly audits, metrics, tables."""
 
-from repro.analysis.anomalies import AnomalyReport, audit, committed_counts
 from repro.analysis.conflictgraph import (
     ConflictEdge,
     build_serialization_graph,
@@ -13,7 +12,7 @@ from repro.analysis.metrics import (
     StallSummary,
     abort_rate,
     advancement_stalls,
-    closed_at_from_history,
+    committed_counts,
     latency_summary,
     max_remote_wait,
     percentile,
@@ -22,7 +21,12 @@ from repro.analysis.metrics import (
     wait_summary,
 )
 from repro.analysis.report import Table, audit_verdict, fmt
-from repro.analysis.rolling import RollingAuditor
+from repro.analysis.rolling import (
+    AnomalyReport,
+    RollingAuditor,
+    atomic_visibility_violations,
+    audit,
+)
 from repro.analysis.stats import (
     ConfidenceInterval,
     mean_ci,
@@ -34,13 +38,7 @@ from repro.analysis.tracefile import (
     export_history,
     load_txn_records,
 )
-from repro.analysis.serializability import (
-    CommittedMasks,
-    Violation,
-    atomic_visibility_violations,
-    reads_checked,
-    snapshot_violations,
-)
+from repro.analysis.serializability import CommittedMasks, Violation
 
 __all__ = [
     "AnomalyReport",
@@ -59,7 +57,6 @@ __all__ = [
     "audit",
     "audit_verdict",
     "build_serialization_graph",
-    "closed_at_from_history",
     "committed_counts",
     "equivalent_serial_order",
     "is_conflict_serializable",
@@ -73,8 +70,6 @@ __all__ = [
     "percentile",
     "replicate",
     "welch_p_value",
-    "reads_checked",
-    "snapshot_violations",
     "staleness_summary",
     "throughput",
     "wait_summary",

@@ -3,7 +3,9 @@
 These functions turn a :class:`~repro.txn.history.History` into the numbers
 the benchmark tables report.  All of them are protocol-agnostic: the same
 summaries are computed for 3V and every baseline, so comparisons are
-apples-to-apples.
+apples-to-apples.  The distributions are reads of the history's one fold
+(:meth:`~repro.txn.history.History.stats`), which a caller wanting several
+of them from a retaining history makes once and reads itself.
 """
 
 from __future__ import annotations
@@ -14,11 +16,9 @@ import typing
 from repro.txn.history import History, TxnKind
 
 # The exact percentile function and the summary container live with the
-# streaming statistics (`repro.txn.streamstats`) so the streaming history
-# can build summaries without importing the analysis layer; this module
-# re-exports them under their historic names.  ``LatencySummary.of`` uses
-# ``math.fsum`` for the mean, so materialized and streaming summaries of
-# the same population are bit-identical regardless of fold order.
+# streaming statistics (`repro.txn.streamstats`) so the history's fold can
+# build summaries without importing the analysis layer; this module
+# re-exports them under their historic names.
 from repro.txn.streamstats import LatencySummary, percentile
 
 __all__ = [
@@ -26,7 +26,7 @@ __all__ = [
     "StallSummary",
     "abort_rate",
     "advancement_stalls",
-    "closed_at_from_history",
+    "committed_counts",
     "latency_summary",
     "max_remote_wait",
     "percentile",
@@ -46,18 +46,9 @@ def latency_summary(
     Args:
         kind: Restrict to one :class:`~repro.txn.history.TxnKind`.
         which: ``"local"`` (user-perceived root commit) or ``"global"``
-            (whole tree completed).
+            (whole tree completed); anything else raises ``ValueError``.
     """
-    if history.streaming:
-        return history.latency_stats(kind, which)
-    values = []
-    for record in history.committed_txns(kind):
-        latency = (
-            record.local_latency if which == "local" else record.global_latency
-        )
-        if latency is not None:
-            values.append(latency)
-    return LatencySummary.of(values)
+    return history.stats().latency(kind, which)
 
 
 def throughput(history: History, duration: float,
@@ -76,44 +67,31 @@ def abort_rate(history: History) -> float:
     return history.aborted_count() / total
 
 
+def committed_counts(history: History) -> typing.Dict[str, int]:
+    """Committed transactions by kind (convenience for tables)."""
+    return {
+        kind: history.count(kind)
+        for kind in (TxnKind.UPDATE, TxnKind.READ, TxnKind.NONCOMMUTING)
+    }
+
+
 def wait_summary(history: History, kind: typing.Optional[str] = None
                  ) -> typing.Dict[str, float]:
-    """Total wait time per :class:`~repro.txn.history.WaitReason`."""
-    if history.streaming:
-        return history.wait_summary(kind)
-    totals: typing.Dict[str, float] = {}
-    for record in history.committed_txns(kind):
-        for reason, duration in record.waits.items():
-            totals[reason] = totals.get(reason, 0.0) + duration
-    return totals
+    """Total wait time per :class:`~repro.txn.history.WaitReason`,
+    exactly rounded."""
+    return history.stats().waits(kind)
 
 
 def max_remote_wait(history: History, kind: typing.Optional[str] = None
                     ) -> float:
     """Largest remote-activity wait any committed transaction suffered —
     Theorem 4.2 says this is exactly 0 for well-behaved 3V traffic."""
-    if history.streaming:
-        return history.max_remote_wait(kind)
-    waits = [r.remote_wait for r in history.committed_txns(kind)]
-    return max(waits) if waits else 0.0
+    return history.stats().max_remote_wait(kind)
 
 
 # ----------------------------------------------------------------------
 # Staleness
 # ----------------------------------------------------------------------
-
-
-def closed_at_from_history(history: History) -> typing.Dict[int, float]:
-    """When each version stopped accepting new update transactions.
-
-    For 3V this is the end of Phase 1 of the advancement that introduced
-    the next update version; version 0 never accepted updates.
-    """
-    closed = {0: 0.0}
-    for record in history.advancements:
-        if record.phase1_done is not None:
-            closed[record.new_update_version - 1] = record.phase1_done
-    return closed
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,7 +116,7 @@ def advancement_stalls(
     history: History,
     horizon: float,
     budget: float,
-    closed_at: typing.Optional[typing.Dict[int, float]] = None,
+    closed_at: typing.Optional[typing.Mapping[int, float]] = None,
 ) -> StallSummary:
     """Detect advancement liveness stalls over ``[0, horizon]``.
 
@@ -147,10 +125,11 @@ def advancement_stalls(
     progress marks — including run start to first advancement, and last
     advancement to ``horizon`` — that exceeds ``budget`` counts as one
     stall, measured from the moment the budget lapsed to the next
-    progress mark.  Streaming histories keep no advancement records, so
-    the watchdog reports an empty summary there.
+    progress mark.  A retiring history reports an empty summary: it keeps
+    its advancement records, but the read records the staleness figure
+    needs have retired.
     """
-    if history.streaming or budget <= 0 or horizon <= 0:
+    if not history.retain or budget <= 0 or horizon <= 0:
         return StallSummary()
     points = sorted(
         record.phase3_done
@@ -171,7 +150,7 @@ def advancement_stalls(
     # cost of serving at the frozen read version while advancement is
     # wedged.  Uses the same closed_at convention as staleness_summary.
     if closed_at is None:
-        closed_at = closed_at_from_history(history)
+        closed_at = history.closed_at()
     staleness_max = 0.0
     for record in history.committed_txns(TxnKind.READ):
         if record.version is None:
@@ -190,29 +169,14 @@ def advancement_stalls(
 
 def staleness_summary(
     history: History,
-    closed_at: typing.Optional[typing.Dict[int, float]] = None,
+    closed_at: typing.Optional[typing.Mapping[int, float]] = None,
 ) -> LatencySummary:
     """Data staleness of committed reads.
 
     The staleness of a read is the age of its snapshot when the read was
-    submitted: ``submit_time - closed_at[version]``.  A system serving
-    fresh data (no versioning) has staleness 0 by construction.
+    submitted: ``submit_time - closed_at[version]``, 0.0 while the version
+    is still open.  A system serving fresh data (no versioning) has
+    staleness 0 by construction.  ``closed_at`` overrides the history's
+    own closure map (a retaining history only).
     """
-    if history.streaming:
-        # Streaming histories fold staleness at retirement (eager folding
-        # is provably equal to the end-of-run computation); an explicit
-        # closed_at override is a materialized-only feature.
-        return history.staleness_stats()
-    if closed_at is None:
-        closed_at = closed_at_from_history(history)
-    values = []
-    for record in history.committed_txns(TxnKind.READ):
-        if record.version is None:
-            values.append(0.0)
-            continue
-        closed = closed_at.get(record.version)
-        if closed is None:
-            values.append(0.0)  # version still open: perfectly fresh
-        else:
-            values.append(max(0.0, record.submit_time - closed))
-    return LatencySummary.of(values)
+    return history.stats(closed_at).staleness()

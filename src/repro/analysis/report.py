@@ -24,7 +24,8 @@ def audit_verdict(report) -> str:
     streaming run, reads its window dropped without checking."""
     if report.clean:
         return "audit: clean"
-    line = f"AUDIT FAILED: {len(report.violations)} violations"
+    found = report.fractured_reads + report.snapshot_mismatches
+    line = f"AUDIT FAILED: {found} violations"
     if report.violations:
         line += f", e.g. {report.violations[0]}"
     if report.reads_skipped:

@@ -1,26 +1,23 @@
-"""Serializability and atomic-visibility oracles.
+"""Serializability and atomic-visibility oracles: the pieces of the
+auditor's per-read check (:mod:`repro.analysis.rolling`).
 
 The correctness criterion is global serializability (Section 3.3); for the
 3V protocol specifically, Theorem 4.1 says every schedule is equivalent to
 the serial order *sorted by version number, updates before reads within a
-version*.  Two executable checks cover this:
+version*.  Each committed read transaction is checked twice:
 
-* :func:`atomic_visibility_violations` — for every committed read
-  transaction, each data item read on several nodes must reflect the same
-  set of update transactions.  Recording transactions write the *same
-  amount* to every node an entity spans, so any divergence between the
-  per-node values a single read observed is a fractured read.  Works on
-  any workload built by :class:`~repro.workloads.recording.RecordingWorkload`.
-* :func:`snapshot_violations` — the strict Theorem 4.1 check, requiring
-  the workload's ``"bitmask"`` amount mode: every read with version ``v``
-  must see **exactly** the committed recording transactions with version
+* for *fractured reads*: recording transactions write the *same amount*
+  to every node an entity spans, so one key showing values that are
+  :func:`effectively_distinct` on different nodes is a fractured read;
+* against its snapshot (:func:`snapshot_mismatches`, requiring the
+  workload's ``"bitmask"`` amount mode): a read with version ``v`` must
+  see **exactly** the committed recording transactions with version
   ``<= v`` — no partial transactions, nothing newer, nothing missing.
-  The expected value comes from :class:`CommittedMasks`, an index built
-  in one pass over the run's updates and shared with the streaming
-  :class:`~repro.analysis.rolling.RollingAuditor`, so an audit costs
-  O(updates + reads × versions-per-entity).
+  The expected value comes from :class:`CommittedMasks`, an index of the
+  run's committed updates, so an audit costs O(updates + reads ×
+  versions-per-entity).
 
-Both return structured :class:`Violation` records so tests can assert on
+Both report structured :class:`Violation` records so tests can assert on
 counts and benchmarks can tabulate anomaly rates.
 """
 
@@ -30,7 +27,7 @@ import dataclasses
 import math
 import typing
 
-from repro.txn.history import History, TxnKind
+from repro.txn.history import History
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,19 +68,6 @@ def effectively_distinct(values: typing.Iterable) -> set:
                             abs_tol=FLOAT_DRIFT_TOLERANCE):
             clusters.append(value)
     return {v for v in exact if not isinstance(v, float)} | set(clusters)
-
-
-def _reads_by_txn_and_key(history: History) -> typing.Dict[
-    str, typing.Dict[typing.Hashable, typing.List]
-]:
-    """Group detailed read events: txn -> key -> [events]."""
-    grouped: typing.Dict[str, typing.Dict[typing.Hashable, list]] = {}
-    for event in history.read_events:
-        record = history.txns.get(event.txn)
-        if record is None or record.aborted or record.kind != TxnKind.READ:
-            continue
-        grouped.setdefault(event.txn, {}).setdefault(event.key, []).append(event)
-    return grouped
 
 
 def balance_entity(key: typing.Hashable) -> typing.Optional[int]:
@@ -147,35 +131,6 @@ class CommittedMasks:
         return mask
 
 
-def _fractured(grouped) -> typing.List[Violation]:
-    """Fractured reads in an already-grouped history."""
-    violations = []
-    for txn, by_key in grouped.items():
-        for key, events in by_key.items():
-            values = {(event.node, event.value) for event in events}
-            distinct = effectively_distinct(
-                value for _node, value in values)
-            if len(distinct) > 1:
-                violations.append(
-                    Violation(
-                        kind="fractured-read",
-                        txn=txn,
-                        key=key,
-                        details=f"per-node values {sorted(values)!r}",
-                    )
-                )
-    return violations
-
-
-def atomic_visibility_violations(history: History) -> typing.List[Violation]:
-    """Fractured reads: one read transaction, one key, different values on
-    different nodes.
-
-    Requires the history to carry detailed read events (``detail=True``).
-    """
-    return _fractured(_reads_by_txn_and_key(history))
-
-
 def corrected_entities(workload) -> typing.FrozenSet[int]:
     """Entities the bitmask oracle must skip: a non-commuting correction
     overwrites a balance wholesale (possibly with a non-integer), so a
@@ -211,37 +166,3 @@ def snapshot_mismatches(
                         f"extra mask {extra:#x}"
                     ),
                 )
-
-
-def _snapshot(history: History, workload, grouped) -> typing.List[Violation]:
-    """Snapshot mismatches in an already-grouped history."""
-    masks = CommittedMasks.from_history(history, workload.update_amounts)
-    corrected = corrected_entities(workload)
-    violations: typing.List[Violation] = []
-    for txn, by_key in grouped.items():
-        violations.extend(
-            snapshot_mismatches(masks, corrected, history.txns[txn], by_key)
-        )
-    return violations
-
-
-def snapshot_violations(history: History, workload) -> typing.List[Violation]:
-    """Theorem 4.1: reads see exactly the committed updates of versions
-    ``<= V(read)``, atomically.
-
-    Args:
-        history: A detailed history.
-        workload: A :class:`~repro.workloads.recording.RecordingWorkload`
-            run in ``"bitmask"`` mode (so balances decompose uniquely).
-    """
-    return _snapshot(history, workload, _reads_by_txn_and_key(history))
-
-
-def _count(grouped) -> int:
-    """(read transaction, key) pairs in an already-grouped history."""
-    return sum(len(by_key) for by_key in grouped.values())
-
-
-def reads_checked(history: History) -> int:
-    """How many (read transaction, key) pairs the oracles examined."""
-    return _count(_reads_by_txn_and_key(history))

@@ -9,10 +9,10 @@ table.  The format is stable and self-describing: every line carries a
 Round-tripping is supported for transaction records so sweeps can be
 post-processed without re-running simulations.
 
-Streaming runs, which never materialize a full history, can spill the
-same ``txn`` / ``read`` lines *as transactions retire* through
-:class:`TraceStreamWriter` — a retirement sink for
-:class:`~repro.txn.history.StreamingHistory`.  The on-disk format is the
+Streaming runs, whose history retires its records, can spill the same
+``txn`` / ``read`` lines *as transactions retire* through
+:class:`TraceStreamWriter` — a retirement sink for a retiring
+:class:`~repro.txn.history.History`.  The on-disk format is the
 shared one, so :func:`load_txn_records` reads both kinds of trace.
 """
 
@@ -115,7 +115,7 @@ def _advancement_line(record: AdvancementRecord) -> dict:
 
 
 class TraceStreamWriter:
-    """Spill-to-disk JSONL sink for a :class:`StreamingHistory`.
+    """Spill-to-disk JSONL sink for a retiring :class:`History`.
 
     Writes each transaction's ``txn`` line (and, when the history records
     detail, its ``read`` lines) at retirement, so disk — not memory —

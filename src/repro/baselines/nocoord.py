@@ -10,7 +10,7 @@ single visit").
 
 The implementation is the :class:`~repro.runtime.plugin.ProtocolPlugin`
 defaults: one version (number 0), reads and writes hit it directly.  The
-anomaly detector in :mod:`repro.analysis.anomalies` quantifies the
+anomaly detector in :mod:`repro.analysis.rolling` quantifies the
 resulting fractured reads for experiment C4.
 """
 

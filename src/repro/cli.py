@@ -134,7 +134,7 @@ def cmd_run(args) -> int:
                          and spec.amount_mode == "bitmask"),
     )
     summary = summarize(spec, result, report)
-    mode = " [streaming]" if result.history.streaming else ""
+    mode = "" if result.history.retain else " [streaming]"
     table = Table(f"{spec.protocol}: {spec.duration:g}s on "
                   f"{spec.nodes} nodes{mode}",
                   ["system"] + _METRIC_COLUMNS)

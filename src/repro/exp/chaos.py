@@ -270,11 +270,10 @@ def _probe_liveness(
     else:
         # Staleness re-convergence: reads submitted after the first
         # post-heal advancement see a recently-closed version again.
-        from repro.analysis import closed_at_from_history
         from repro.txn.history import TxnKind
 
         budget = spec.stall_budget or 2.0 * spec.advancement_period
-        closed_at = closed_at_from_history(history)
+        closed_at = history.closed_at()
         worst = 0.0
         for record in history.committed_txns(TxnKind.READ):
             if record.version is None or record.submit_time <= post_heal[0]:

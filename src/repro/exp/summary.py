@@ -19,14 +19,7 @@ import hashlib
 import json
 import typing
 
-from repro.analysis import (
-    advancement_stalls,
-    audit,
-    latency_summary,
-    max_remote_wait,
-    staleness_summary,
-    throughput,
-)
+from repro.analysis import advancement_stalls, audit, throughput
 from repro.txn.history import TxnKind
 from repro.workloads.runner import collector_paused, run_recording_experiment
 
@@ -151,9 +144,10 @@ class ExperimentSummary:
 def summarize(spec: ExperimentSpec, result, report) -> ExperimentSummary:
     """Reduce a finished run + audit report to a summary."""
     history = result.history
-    updates = latency_summary(history, kind="update")
-    reads = latency_summary(history, kind="read", which="global")
-    staleness = staleness_summary(history)
+    fold = history.stats()  # the run's one fold: read every figure from it
+    updates = fold.latency(TxnKind.UPDATE)
+    reads = fold.latency(TxnKind.READ, which="global")
+    staleness = fold.staleness()
     stats = result.system.network.stats
     coordinator = getattr(result.system, "coordinator", None)
     if coordinator is not None:
@@ -169,7 +163,7 @@ def summarize(spec: ExperimentSpec, result, report) -> ExperimentSummary:
     # or an epoch-less one, and a whole-run "stall" there would be
     # noise, not signal).
     stalls = None
-    if getattr(coordinator, "epoch", 0) and not history.streaming:
+    if getattr(coordinator, "epoch", 0):
         budget = spec.stall_budget or 2.0 * spec.advancement_period
         stalls = advancement_stalls(history, result.duration, budget)
     return ExperimentSummary(
@@ -197,7 +191,7 @@ def summarize(spec: ExperimentSpec, result, report) -> ExperimentSummary:
         fractured_reads=report.fractured_reads,
         snapshot_mismatches=report.snapshot_mismatches,
         audit_clean=report.clean,
-        max_remote_wait=max_remote_wait(history),
+        max_remote_wait=fold.max_remote_wait(),
         advancement_runs=advancement_runs,
         advancement_counter_polls=counter_polls,
         messages_total=stats.total_sent,
@@ -235,25 +229,12 @@ def summarize(spec: ExperimentSpec, result, report) -> ExperimentSummary:
 
 
 def audit_result(result, check_snapshots: bool = False):
-    """Score a finished :class:`ExperimentResult`, whichever mode ran it.
-
-    Streaming runs are scored by their rolling auditor (already folded at
-    retirement; ``report()`` is its final exact drain).  Materialized
-    runs get the classic post-hoc :func:`repro.analysis.audit`.
-    """
+    """Score a finished :class:`ExperimentResult`: by its rolling auditor,
+    which checked reads as they retired (``report()`` is its final exact
+    drain), else by the post-hoc :func:`repro.analysis.audit` over the
+    read events the run kept (none, when it retired them unaudited)."""
     if result.auditor is not None:
         return result.auditor.report()
-    if result.history.streaming:
-        # Streaming without detail records no read events: zero checks,
-        # exactly like a detail-less materialized audit.
-        from repro.analysis import AnomalyReport
-
-        return AnomalyReport(
-            reads_checked=0, fractured_reads=0, snapshot_mismatches=0,
-            aborted_txns=result.history.aborted_count(),
-            compensated_txns=result.history.compensated_count(),
-            violations=[],
-        )
     return audit(result.history, result.workload,
                  check_snapshots=check_snapshots)
 

@@ -45,10 +45,9 @@ class System:
             when the plan is lossy), enables write-ahead journaling
             on every node so :meth:`crash`/:meth:`recover` work, and
             schedules the plan's crash/recover events.
-        history: Pre-built recording surface (e.g. a
-            :class:`~repro.txn.history.StreamingHistory` for
-            bounded-memory runs).  ``None`` builds the materialized
-            default; when supplied, ``detail`` is the history's concern
+        history: Pre-built recording surface (e.g. a retiring
+            :class:`~repro.txn.history.History` for bounded-memory
+            runs).  ``None`` builds a retaining one; when supplied, ``detail`` is the history's concern
             and the argument only shapes per-node event capture.
         placement: Optional :class:`repro.placement.PlacementState`.
             Turns on replica-aware routing: read-only submissions are

@@ -3,8 +3,8 @@
 from repro.txn.history import (
     AdvancementRecord,
     History,
+    HistoryStats,
     ReadEvent,
-    StreamingHistory,
     TxnKind,
     TxnRecord,
     WaitReason,
@@ -27,12 +27,12 @@ __all__ = [
     "AdvancementRecord",
     "ExactSum",
     "History",
+    "HistoryStats",
     "LatencySummary",
     "P2Quantile",
     "ReadEvent",
     "ReadOp",
     "ReservoirSample",
-    "StreamingHistory",
     "StreamingStats",
     "SubtxnInstance",
     "SubtxnSpec",

@@ -7,25 +7,23 @@ wait events, and version-advancement phase timestamps.  The analysis package
 fractured reads, and compute latency/staleness/throughput — so the checkers
 work identically across 3V and all baselines.
 
-Two implementations share the recording surface:
-
-* :class:`History` — materializes every :class:`TxnRecord` (and, with
-  ``detail=True``, every read/write event).  Memory is O(transactions);
-  the full post-hoc analysis toolbox applies.
-* :class:`StreamingHistory` — folds each transaction into online
-  aggregates (:mod:`repro.txn.streamstats`) the moment it completes and
-  then *retires* its record.  Memory is O(in-flight transactions), which
-  an open-loop workload bounds by rate × latency — the volume axis.
+A history either retains every record (memory O(transactions); the
+full post-hoc toolbox applies) or *retires* each one when its transaction
+completes (memory O(in-flight transactions), which an open-loop workload
+bounds by rate × latency — the volume axis).  Either way the aggregate
+figures come from one fold, :class:`HistoryStats`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import sys
 import types
 import typing
 
 from repro.txn.streamstats import (
     DEFAULT_RESERVOIR,
+    FOLD_BATCH,
     ExactSum,
     LatencySummary,
     StreamingStats,
@@ -166,34 +164,201 @@ class AdvancementRecord:
 
 def is_committed(record: TxnRecord,
                  kind: typing.Optional[str] = None) -> bool:
-    """The one committed-transaction predicate, shared by both histories."""
+    """The one committed-transaction predicate."""
     return not record.aborted and (kind is None or record.kind == kind)
 
 
-class History:
-    """Append-only record of everything a simulation did.
+#: A reservoir no population outgrows: a fold of retained records keeps
+#: every value, so its percentiles are exact.
+UNBOUNDED = sys.maxsize
+
+
+class HistoryStats:
+    """Tallies and populations folded from transaction records: the one
+    place a run's latency, wait, remote-wait and staleness figures are
+    computed, per transaction kind (``None``: every kind).
+
+    :meth:`fold` extends each population with one list comprehension over
+    a batch of records, so every population receives its values in the
+    order the records were folded.
 
     Args:
-        detail: When ``False``, per-operation read/write events are not
-            stored (large benchmark runs); transaction lifecycle records and
-            aggregate statistics are always kept.
+        stats_seed: Seed of the reservoir-sampling RNG streams.
+        reservoir: Per-population reservoir capacity (:data:`UNBOUNDED`
+            keeps every value).
     """
 
-    #: Streaming histories retire records; this one retains them.
-    streaming = False
+    def __init__(self, stats_seed: int = 0,
+                 reservoir: int = DEFAULT_RESERVOIR):
+        self._stats_seed = stats_seed
+        self._reservoir = reservoir
+        #: Records folded, and how many of them aborted / were compensated.
+        self.records = 0
+        self.aborted = 0
+        self.compensated = 0
+        self._committed: typing.Dict[typing.Optional[str], int] = {}
+        #: (kind, "local" / "global" / "staleness") -> population.
+        self._populations: typing.Dict[tuple, StreamingStats] = {}
+        #: (kind, wait reason) -> exactly rounded total.
+        self._waits: typing.Dict[tuple, ExactSum] = {}
+        self._max_remote: typing.Dict[typing.Optional[str], float] = {}
 
-    def __init__(self, detail: bool = True):
+    def fold(self, records: typing.Collection[TxnRecord],
+             closed_at: typing.Mapping[int, float]) -> None:
+        """Fold ``records`` in order; ``closed_at`` dates read staleness."""
+        self.records += len(records)
+        self.aborted += sum([record.aborted for record in records])
+        self.compensated += sum([record.compensated for record in records])
+        committed = [record for record in records if not record.aborted]
+        groups: typing.Dict[typing.Optional[str], typing.List[TxnRecord]] = {
+            None: committed,
+        }
+        for kind in dict.fromkeys([record.kind for record in committed]):
+            groups[kind] = [r for r in committed if r.kind == kind]
+        for kind, group in groups.items():
+            self._committed[kind] = self._committed.get(kind, 0) + len(group)
+            self._extend(kind, "local", [
+                r.local_commit_time - r.submit_time
+                for r in group if r.local_commit_time is not None])
+            self._extend(kind, "global", [
+                r.global_complete_time - r.submit_time
+                for r in group if r.global_complete_time is not None])
+            for reason in dict.fromkeys(
+                    [reason for r in group for reason in r.waits]):
+                total = self._waits.get((kind, reason))
+                if total is None:
+                    total = self._waits[(kind, reason)] = ExactSum()
+                total.extend([r.waits[reason] for r in group
+                              if reason in r.waits])
+            remote = max([r.remote_wait for r in group if r.waits],
+                         default=0.0)
+            if remote > self._max_remote.get(kind, 0.0):
+                self._max_remote[kind] = remote
+        # A version still open when its read is folded closes after the
+        # read was submitted, so folding before the end of the run dates
+        # the read exactly as the end of the run would: 0.0.
+        self._extend(TxnKind.READ, "staleness", [
+            0.0 if (closed := closed_at.get(r.version)) is None
+            else max(0.0, r.submit_time - closed)
+            for r in groups.get(TxnKind.READ, ())])
+
+    def _extend(self, kind: typing.Optional[str], which: str,
+                values: typing.List[float]) -> None:
+        if not values:
+            return
+        stats = self._populations.get((kind, which))
+        if stats is None:
+            # The RNG stream is named, so the order populations are
+            # created in cannot perturb reservoir draws.
+            name = ("staleness" if which == "staleness"
+                    else f"latency.{kind or 'all'}.{which}")
+            stats = self._populations[(kind, which)] = StreamingStats(
+                derived_rng(self._stats_seed, f"reservoir.{name}"),
+                capacity=self._reservoir)
+        stats.extend(values)
+
+    def _summary(self, kind: typing.Optional[str], which: str
+                 ) -> LatencySummary:
+        stats = self._populations.get((kind, which))
+        return stats.summary() if stats is not None else LatencySummary.of(())
+
+    def count(self, kind: typing.Optional[str] = None) -> int:
+        """Committed records folded, optionally by kind."""
+        return self._committed.get(kind, 0)
+
+    def latency(self, kind: typing.Optional[str] = None,
+                which: str = "local") -> LatencySummary:
+        """Latency of committed transactions, optionally by kind.
+
+        Args:
+            which: ``"local"`` (user-perceived root commit) or
+                ``"global"`` (whole tree completed).
+        """
+        if which not in ("local", "global"):
+            raise ValueError(
+                f"latency is 'local' or 'global', not {which!r}")
+        return self._summary(kind, which)
+
+    def staleness(self) -> LatencySummary:
+        """Staleness of committed reads: ``submit_time - closed_at[version]``,
+        0.0 for an unversioned read or a version still open."""
+        return self._summary(TxnKind.READ, "staleness")
+
+    def waits(self, kind: typing.Optional[str] = None
+              ) -> typing.Dict[str, float]:
+        """Total wait time per :class:`WaitReason`, exactly rounded."""
+        return {
+            reason: total.value
+            for (k, reason), total in self._waits.items()
+            if k == kind
+        }
+
+    def max_remote_wait(self, kind: typing.Optional[str] = None) -> float:
+        """Largest remote-activity wait any committed transaction suffered."""
+        return self._max_remote.get(kind, 0.0)
+
+
+#: Signature of a retirement sink: called once per transaction, at global
+#: completion, with the (about-to-be-discarded) record and its detailed
+#: read events (empty tuple when ``detail`` is off).
+RetireSink = typing.Callable[
+    [TxnRecord, typing.Sequence[ReadEvent]], None
+]
+
+
+class History:
+    """Record of everything a simulation did: the recording surface
+    (``begin_txn`` … ``wrote``) every protocol writes to.
+
+    ``globally_completed`` is called exactly once per transaction, by both
+    the plain runtime and the two-phase engine.  A retiring history pops
+    the record there from ``txns`` (which then holds only transactions in
+    flight), hands it and its read events to the retirement sinks (rolling
+    audit, JSONL spill), and folds it into its running
+    :class:`HistoryStats` with the rest of its batch: every
+    :data:`~repro.txn.streamstats.FOLD_BATCH` retirements, and on any
+    aggregate query.  ``committed_txns`` / ``aborted_txns`` raise there.
+
+    Args:
+        detail: Record per-operation read/write events (a retiring history
+            keeps a transaction's read events until it retires, and no
+            write events).
+        retain: Keep every record (``True``) or retire it at completion.
+        stats_seed: Seed for a retiring history's reservoir-sampling RNG
+            streams (derive it from the experiment seed so summaries are
+            bit-deterministic across hosts and worker counts).
+        reservoir: A retiring history's per-population reservoir
+            capacity; runs whose populations fit are summarized exactly.
+    """
+
+    def __init__(self, detail: bool = True, retain: bool = True,
+                 stats_seed: int = 0, reservoir: int = DEFAULT_RESERVOIR):
         self.detail = detail
+        self.retain = retain
         #: Whether :meth:`wrote` stores the event it is given; executors
         #: ask before building one.  (For reads the question is ``detail``:
         #: without it :meth:`note_read` takes the ``(key, value)`` alone.)
-        self.keeps_writes = detail
+        self.keeps_writes = detail and retain
+        #: Every transaction begun, or (retiring) those still in flight.
         self.txns: typing.Dict[str, TxnRecord] = {}
         self.read_events: typing.List[ReadEvent] = []
         self.write_events: typing.List[WriteEvent] = []
         self.advancements: typing.List[AdvancementRecord] = []
         #: Wait-free check support: count of wait episodes per reason.
         self.wait_episodes: typing.Dict[str, int] = {}
+        #: The retired records' running fold (empty while retaining).
+        self._stats = HistoryStats(stats_seed, reservoir)
+        #: Retired records the running fold has not taken yet.
+        self._retired: typing.List[TxnRecord] = []
+        self._sinks: typing.List[RetireSink] = []
+        self._pending_events: typing.Dict[str, typing.List[ReadEvent]] = {}
+        self._closed_at: typing.Dict[int, float] = {0: 0.0}
+        self._closed_view = types.MappingProxyType(self._closed_at)
+        self._adv_scan = 0
+
+    def add_retire_sink(self, sink: RetireSink) -> None:
+        """Attach a callback invoked for every retiring transaction."""
+        self._sinks.append(sink)
 
     # ------------------------------------------------------------------
     # Transaction lifecycle
@@ -219,7 +384,18 @@ class History:
             record.local_commit_time = time
 
     def globally_completed(self, name: str, time: float) -> None:
-        self.txns[name].global_complete_time = time
+        if self.retain:
+            self.txns[name].global_complete_time = time
+            return
+        record = self.txns.pop(name)
+        record.global_complete_time = time
+        events = self._pending_events.pop(name, ())
+        for sink in self._sinks:
+            sink(record, events)
+        retired = self._retired
+        retired.append(record)
+        if len(retired) >= FOLD_BATCH:
+            self._flush()
 
     def aborted(self, name: str, time: float, reason: str = "") -> None:
         record = self.txns[name]
@@ -246,8 +422,12 @@ class History:
         record = self.txns.get(event.txn)
         if record is not None:
             record.reads.append((event.key, event.value))
-        if self.detail:
+        if not self.detail:
+            return
+        if self.retain:
             self.read_events.append(event)
+        elif record is not None:
+            self._pending_events.setdefault(event.txn, []).append(event)
 
     def note_read(self, txn: str, key, value) -> None:
         """Record a read's ``(key, value)`` without a :class:`ReadEvent`.
@@ -262,250 +442,24 @@ class History:
             record.reads.append((key, value))
 
     def wrote(self, event: WriteEvent) -> None:
-        if self.detail:
+        if self.keeps_writes:
             self.write_events.append(event)
 
     # ------------------------------------------------------------------
-    # Queries
+    # Advancement closure
     # ------------------------------------------------------------------
-
-    def committed_txns(self, kind: typing.Optional[str] = None
-                       ) -> typing.List[TxnRecord]:
-        """Transactions that finished without aborting, optionally by kind."""
-        return [
-            record
-            for record in self.txns.values()
-            if is_committed(record, kind)
-        ]
-
-    def aborted_txns(self) -> typing.List[TxnRecord]:
-        return [record for record in self.txns.values() if record.aborted]
-
-    def count(self, kind: typing.Optional[str] = None) -> int:
-        """Committed transactions, optionally by kind (allocation-free)."""
-        return sum(
-            1 for record in self.txns.values() if is_committed(record, kind)
-        )
-
-    def aborted_count(self) -> int:
-        return sum(1 for record in self.txns.values() if record.aborted)
-
-    def compensated_count(self) -> int:
-        return sum(1 for record in self.txns.values() if record.compensated)
-
-    @property
-    def total_txns(self) -> int:
-        """Every transaction ever begun (committed or aborted)."""
-        return len(self.txns)
-
-
-#: Signature of a streaming retirement sink: called once per transaction,
-#: at global completion, with the (about-to-be-discarded) record and its
-#: detailed read events (empty tuple when ``detail`` is off).
-RetireSink = typing.Callable[
-    [TxnRecord, typing.Sequence[ReadEvent]], None
-]
-
-
-class StreamingHistory:
-    """A :class:`History` that folds completed transactions into online
-    aggregates instead of retaining them.
-
-    Implements the same recording surface (``begin_txn`` … ``wrote``) so
-    every protocol runs unchanged; the difference is the retirement step:
-    ``globally_completed`` is called exactly once per transaction (by both
-    the plain runtime and the two-phase engine), and that is where the
-    record is folded — per-kind commit/abort/compensation tallies,
-    wait-episode totals, latency and staleness populations
-    (:class:`~repro.txn.streamstats.StreamingStats`: exact mean/max,
-    reservoir-exact small-run percentiles, P² beyond) — and discarded.
-    A population only queues the value there and does its arithmetic a
-    batch at a time, or when it is read; the answers are the same.
-
-    ``self.txns`` holds only *in-flight* transactions, so memory is
-    O(concurrency), not O(transactions).  Post-hoc queries that need the
-    materialized records (``committed_txns`` / ``aborted_txns``) raise;
-    attach a retirement sink (rolling audit, JSONL spill) for anything
-    that must see individual transactions.
-
-    Args:
-        detail: Keep per-transaction read events until retirement and
-            hand them to the sinks (needed by the rolling serializability
-            check).  Never retained globally.
-        stats_seed: Seed for the reservoir-sampling RNG streams (derive
-            it from the experiment seed so summaries are bit-deterministic
-            across hosts, worker counts, and backends).
-        reservoir: Per-population reservoir capacity; runs whose
-            populations fit are summarized exactly.
-    """
-
-    streaming = True
-    #: :meth:`wrote` drops every event, whatever ``detail`` says.
-    keeps_writes = False
-
-    def __init__(self, detail: bool = True, stats_seed: int = 0,
-                 reservoir: int = DEFAULT_RESERVOIR):
-        self.detail = detail
-        #: In-flight transactions only (records retire at completion).
-        self.txns: typing.Dict[str, TxnRecord] = {}
-        self.advancements: typing.List[AdvancementRecord] = []
-        self.wait_episodes: typing.Dict[str, int] = {}
-        #: Always empty: streaming never retains global event lists.  Kept
-        #: as attributes so surface-probing code finds lists, not errors.
-        self.read_events: typing.List[ReadEvent] = []
-        self.write_events: typing.List[WriteEvent] = []
-        self._stats_seed = stats_seed
-        self._reservoir = reservoir
-        self._sinks: typing.List[RetireSink] = []
-        self._pending_events: typing.Dict[str, typing.List[ReadEvent]] = {}
-        self._retired = 0
-        self._aborted = 0
-        self._compensated = 0
-        self._committed: typing.Dict[str, int] = {}
-        #: (kind-or-None, "local"/"global") -> latency population.
-        self._latency: typing.Dict[
-            typing.Tuple[typing.Optional[str], str], StreamingStats
-        ] = {}
-        self._staleness: typing.Optional[StreamingStats] = None
-        #: (kind-or-None, reason) -> exactly-rounded wait total.
-        self._waits: typing.Dict[
-            typing.Tuple[typing.Optional[str], str], ExactSum
-        ] = {}
-        self._max_remote: typing.Dict[typing.Optional[str], float] = {}
-        #: Incremental mirror of ``closed_at_from_history``.
-        self._closed_at: typing.Dict[int, float] = {0: 0.0}
-        self._closed_view = types.MappingProxyType(self._closed_at)
-        self._adv_scan = 0
-
-    def add_retire_sink(self, sink: RetireSink) -> None:
-        """Attach a callback invoked for every retiring transaction."""
-        self._sinks.append(sink)
-
-    # ------------------------------------------------------------------
-    # Transaction lifecycle (the shared recording surface)
-    # ------------------------------------------------------------------
-
-    def begin_txn(self, name: str, kind: str, version: typing.Optional[int],
-                  time: float, root_node: str) -> TxnRecord:
-        if name in self.txns:
-            raise ValueError(f"duplicate transaction name: {name!r}")
-        record = TxnRecord(
-            name=name, kind=kind, version=version, submit_time=time,
-            root_node=root_node,
-        )
-        self.txns[name] = record
-        return record
-
-    def txn(self, name: str) -> TxnRecord:
-        return self.txns[name]
-
-    def locally_committed(self, name: str, time: float) -> None:
-        record = self.txns[name]
-        if record.local_commit_time is None:
-            record.local_commit_time = time
-
-    def globally_completed(self, name: str, time: float) -> None:
-        record = self.txns.pop(name)
-        record.global_complete_time = time
-        events = self._pending_events.pop(name, ())
-        for sink in self._sinks:
-            sink(record, events)
-        self._fold(record)
-
-    def aborted(self, name: str, time: float, reason: str = "") -> None:
-        record = self.txns[name]
-        record.aborted = True
-        record.abort_reason = reason
-        if record.global_complete_time is None:
-            record.global_complete_time = time
-
-    def compensated(self, name: str) -> None:
-        self.txns[name].compensated = True
-
-    def waited(self, name: str, reason: str, duration: float) -> None:
-        if duration <= 0:
-            return
-        record = self.txns[name]
-        record.waits[reason] = record.waits.get(reason, 0.0) + duration
-        self.wait_episodes[reason] = self.wait_episodes.get(reason, 0) + 1
-
-    # ------------------------------------------------------------------
-    # Operation events
-    # ------------------------------------------------------------------
-
-    def read(self, event: ReadEvent) -> None:
-        record = self.txns.get(event.txn)
-        if record is not None:
-            record.reads.append((event.key, event.value))
-            if self.detail:
-                self._pending_events.setdefault(event.txn, []).append(event)
-
-    def note_read(self, txn: str, key, value) -> None:
-        record = self.txns.get(txn)
-        if record is not None:
-            record.reads.append((key, value))
-
-    def wrote(self, event: WriteEvent) -> None:
-        """Write events are not needed by any streaming aggregate
-        (``keeps_writes`` tells executors not to build them)."""
-
-    # ------------------------------------------------------------------
-    # Retirement folding
-    # ------------------------------------------------------------------
-
-    def _fold(self, record: TxnRecord) -> None:
-        self._retired += 1
-        if record.compensated:
-            self._compensated += 1
-        if record.aborted:
-            self._aborted += 1
-            return
-        kind = record.kind
-        self._committed[kind] = self._committed.get(kind, 0) + 1
-        local = record.local_latency
-        if local is not None:
-            self._latency_stats(kind, "local").add(local)
-            self._latency_stats(None, "local").add(local)
-        global_latency = record.global_latency
-        if global_latency is not None:
-            self._latency_stats(kind, "global").add(global_latency)
-            self._latency_stats(None, "global").add(global_latency)
-        for reason, duration in record.waits.items():
-            self._wait_total(kind, reason).add(duration)
-            self._wait_total(None, reason).add(duration)
-        remote = record.remote_wait
-        if remote > self._max_remote.get(kind, 0.0):
-            self._max_remote[kind] = remote
-        if remote > self._max_remote.get(None, 0.0):
-            self._max_remote[None] = remote
-        if kind == TxnKind.READ:
-            self._fold_staleness(record)
-
-    def _fold_staleness(self, record: TxnRecord) -> None:
-        # Folding eagerly is exact: if the record's version has not closed
-        # by retirement time, any later close happens after the record
-        # submitted, so the end-of-run staleness would be 0.0 too.
-        if self._staleness is None:
-            self._staleness = self._new_stats("staleness")
-        if record.version is None:
-            self._staleness.add(0.0)
-            return
-        closed = self.closed_at().get(record.version)
-        if closed is None:
-            self._staleness.add(0.0)
-        else:
-            self._staleness.add(max(0.0, record.submit_time - closed))
 
     def closed_at(self) -> typing.Mapping[int, float]:
         """When each version stopped accepting new update transactions.
 
-        The incremental counterpart of ``analysis.closed_at_from_history``
-        and the one closure scan of a streaming run (the rolling auditor
-        settles parked reads on it).  Returns a read-only view that later
-        calls keep up to date, not a copy.
+        For 3V this is the end of Phase 1 of the advancement that
+        introduced the next update version; version 0 never accepted
+        updates.  The one closure scan: staleness is dated against it and
+        the rolling auditor settles parked reads on it.  Returns a
+        read-only view that later calls keep up to date, not a copy.
         """
         # Advancements complete strictly in sequence, so scanning forward
-        # from a saved index is amortized O(1) per retirement.
+        # from a saved index is amortized O(1) per call.
         advancements = self.advancements
         index = self._adv_scan
         last = len(advancements) - 1
@@ -524,92 +478,83 @@ class StreamingHistory:
         self._adv_scan = index
         return self._closed_view
 
-    def _new_stats(self, name: str) -> StreamingStats:
-        return StreamingStats(
-            derived_rng(self._stats_seed, f"reservoir.{name}"),
-            capacity=self._reservoir,
-        )
-
-    def _latency_stats(self, kind: typing.Optional[str], which: str
-                       ) -> StreamingStats:
-        key = (kind, which)
-        stats = self._latency.get(key)
-        if stats is None:
-            # The RNG stream name depends only on (kind, which), so lazy
-            # creation order cannot perturb reservoir draws.
-            stats = self._new_stats(f"latency.{kind or 'all'}.{which}")
-            self._latency[key] = stats
-        return stats
-
-    def _wait_total(self, kind: typing.Optional[str], reason: str
-                    ) -> ExactSum:
-        key = (kind, reason)
-        total = self._waits.get(key)
-        if total is None:
-            total = ExactSum()
-            self._waits[key] = total
-        return total
-
     # ------------------------------------------------------------------
-    # Aggregate queries (the streaming counterparts of repro.analysis)
+    # Queries
     # ------------------------------------------------------------------
 
-    def count(self, kind: typing.Optional[str] = None) -> int:
-        if kind is None:
-            return sum(self._committed.values())
-        return self._committed.get(kind, 0)
+    def stats(self, closed_at: typing.Optional[
+            typing.Mapping[int, float]] = None) -> HistoryStats:
+        """The fold every latency, wait and staleness figure is read from.
 
-    def aborted_count(self) -> int:
-        return self._aborted
+        A retiring history returns its running fold, brought up to date.
+        A retaining one folds every record it holds — including ones that
+        never completed — into a new fold with an :data:`UNBOUNDED`
+        reservoir (exact percentiles); that is a pass over the run, so
+        fold once per finished run and read every figure from the result.
 
-    def compensated_count(self) -> int:
-        return self._compensated
+        Args:
+            closed_at: Date read staleness against this map instead of
+                :meth:`closed_at` (a retaining history only: a retiring
+                one dated each read when it folded it).
+        """
+        if self.retain:
+            stats = HistoryStats(reservoir=UNBOUNDED)
+            stats.fold(self.txns.values(),
+                       self.closed_at() if closed_at is None else closed_at)
+            return stats
+        if closed_at is not None:
+            raise ValueError(
+                "a retiring history dates staleness as it folds; "
+                "closed_at cannot be overridden")
+        self._flush()
+        return self._stats
 
-    @property
-    def total_txns(self) -> int:
-        """Every transaction ever begun (retired plus still in flight)."""
-        return self._retired + len(self.txns)
+    def _flush(self) -> None:
+        self._stats.fold(self._retired, self.closed_at())
+        self._retired.clear()
 
-    @property
-    def in_flight(self) -> int:
-        return len(self.txns)
+    def _unfolded(self) -> typing.Collection[TxnRecord]:
+        """Records the running fold has not taken: every retained one, or
+        the retired batch still waiting."""
+        return self.txns.values() if self.retain else self._retired
 
-    def latency_stats(self, kind: typing.Optional[str] = None,
-                      which: str = "local") -> LatencySummary:
-        stats = self._latency.get((kind, which))
-        if stats is None:
-            return LatencySummary.of(())
-        return stats.summary()
-
-    def staleness_stats(self) -> LatencySummary:
-        if self._staleness is None:
-            return LatencySummary.of(())
-        return self._staleness.summary()
-
-    def wait_summary(self, kind: typing.Optional[str] = None
-                     ) -> typing.Dict[str, float]:
-        return {
-            reason: total.value
-            for (k, reason), total in self._waits.items()
-            if k == kind
-        }
-
-    def max_remote_wait(self, kind: typing.Optional[str] = None) -> float:
-        return self._max_remote.get(kind, 0.0)
-
-    # ------------------------------------------------------------------
-    # Materialized-only queries: fail loudly instead of lying
-    # ------------------------------------------------------------------
+    def _records(self) -> typing.Collection[TxnRecord]:
+        if not self.retain:
+            raise RuntimeError(
+                "a retiring history keeps no records; use count()/stats() "
+                "or attach a retirement sink"
+            )
+        return self.txns.values()
 
     def committed_txns(self, kind: typing.Optional[str] = None
                        ) -> typing.List[TxnRecord]:
-        raise RuntimeError(
-            "StreamingHistory retires transaction records; use count()/"
-            "latency_stats()/wait_summary() or attach a retirement sink"
-        )
+        """Transactions that finished without aborting, optionally by kind."""
+        return [
+            record for record in self._records() if is_committed(record, kind)
+        ]
 
     def aborted_txns(self) -> typing.List[TxnRecord]:
-        raise RuntimeError(
-            "StreamingHistory retires transaction records; use "
-            "aborted_count() or attach a retirement sink"
+        return [record for record in self._records() if record.aborted]
+
+    # The counts stay cheap in both modes — a scan of the unfolded records,
+    # never a fold — because policies poll them during the run.
+
+    def count(self, kind: typing.Optional[str] = None) -> int:
+        """Committed transactions, optionally by kind (allocation-free)."""
+        return self._stats.count(kind) + sum(
+            1 for record in self._unfolded() if is_committed(record, kind)
         )
+
+    def aborted_count(self) -> int:
+        return self._stats.aborted + sum(
+            1 for record in self._unfolded() if record.aborted)
+
+    def compensated_count(self) -> int:
+        return self._stats.compensated + sum(
+            1 for record in self._unfolded() if record.compensated)
+
+    @property
+    def total_txns(self) -> int:
+        """Every transaction ever begun (committed or aborted, retired or
+        still in flight)."""
+        return self._stats.records + len(self._retired) + len(self.txns)

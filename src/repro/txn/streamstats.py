@@ -1,22 +1,21 @@
-"""Online distribution statistics for streaming histories.
+"""Online distribution statistics for the history's fold.
 
-A materialized :class:`~repro.txn.history.History` keeps every latency
-value and computes exact percentiles at the end of the run; a streaming
-history cannot.  This module provides the O(1)-memory machinery it folds
-values into instead:
+A :class:`~repro.txn.history.History` that retires its records cannot keep
+every latency value for exact end-of-run percentiles.  This module provides
+the O(1)-memory machinery its fold feeds values into instead (a retaining
+history uses it with a reservoir nothing outgrows):
 
 * :class:`ExactSum` — an incremental exact summation (a running total
   kept as floats that lose nothing, :func:`math.fsum` doing the adding),
-  so streaming means are exactly rounded and therefore
-  *order-independent*: folding values in retirement order yields
-  bit-identical means to summing them in submission order.
+  so means are exactly rounded and therefore *order-independent*:
+  folding values in retirement order yields bit-identical means to
+  summing them in submission order.
 * :class:`P2Quantile` — the Jain & Chlamtac P² online quantile estimator
   (five markers, parabolic adjustment), used for percentiles once a
   population outgrows the reservoir.
 * :class:`ReservoirSample` — Algorithm R with a seeded RNG.  While the
   population fits inside the reservoir it *is* the population, so
-  small-run percentiles are exact — the differential oracle against the
-  materialized path.
+  small-run percentiles are exact.
 * :class:`StreamingStats` — one population's count / exact mean / max /
   reservoir / P² markers, summarized as a :class:`LatencySummary`.  It
   folds :data:`FOLD_BATCH` values at a time through each primitive's
@@ -25,8 +24,8 @@ values into instead:
   the reservoir.
 
 :class:`LatencySummary` and :func:`percentile` live here (rather than in
-``repro.analysis.metrics``, which re-exports them) because the streaming
-history is a ``repro.txn`` citizen and the txn layer must not import the
+``repro.analysis.metrics``, which re-exports them) because the history's
+fold is a ``repro.txn`` citizen and the txn layer must not import the
 analysis layer above it.
 """
 
@@ -89,8 +88,8 @@ class ExactSum:
     once, as :func:`math.fsum` over all the values would.  The result
     therefore depends only on the *multiset* of added values, never on
     their order or on how they were batched — the property that lets a
-    streaming history fold latencies in retirement order and still match
-    a materialized history bit for bit.
+    retiring history fold latencies in retirement order and still match
+    a retaining one bit for bit.
     """
 
     __slots__ = ("_partials",)
@@ -320,10 +319,11 @@ class StreamingStats:
     estimates beyond that.  The mean is exactly rounded (order-independent)
     at every size; count and max are always exact.
 
-    ``add`` only queues the value; every :data:`FOLD_BATCH` values, and
-    whenever ``summary()`` is read, the queue is folded in arrival order.
-    Each estimator's state depends only on the sequence of values it has
-    seen, so where the sequence is cut into batches changes no result.
+    ``add`` / ``extend`` only queue values; once :data:`FOLD_BATCH` are
+    queued, and whenever ``summary()`` is read, the queue is folded in
+    arrival order.  Each estimator's state depends only on the sequence of
+    values it has seen, so where the sequence is cut into batches changes
+    no result.
     """
 
     __slots__ = ("_sum", "_count", "_max", "_reservoir", "_p2", "_pending")
@@ -347,8 +347,12 @@ class StreamingStats:
         return self._count + len(self._pending)
 
     def add(self, x: float) -> None:
+        self.extend((x,))
+
+    def extend(self, values: typing.Iterable[float]) -> None:
+        """Queue ``values`` in order, folding once a batch is full."""
         pending = self._pending
-        pending.append(x)
+        pending.extend(values)
         if len(pending) >= FOLD_BATCH:
             self._drain()
 

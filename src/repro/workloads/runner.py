@@ -7,12 +7,13 @@ same seed produces the *identical* arrival sequence and transaction mix on
 every protocol, so cross-protocol comparisons are paired.
 
 With ``stream=1`` the run switches to bounded-memory mode: arrivals are
-walked lazily (one pending event per transaction class), the history is a
-:class:`~repro.txn.history.StreamingHistory` that folds each transaction
-into O(1) aggregates at retirement, a rolling serializability spot-check
-replaces the post-hoc audit, and an optional ``trace_path`` spills the
-full per-transaction trace to disk instead of RAM.  Peak memory is then
-independent of how many transactions the run processes.
+walked lazily (one pending event per transaction class), the
+:class:`~repro.txn.history.History` retires each transaction into O(1)
+aggregates at completion (``retain=False``), the rolling auditor checks
+reads as they retire instead of after the run, and an optional
+``trace_path`` spills the full per-transaction trace to disk instead of
+RAM.  Peak memory is then independent of how many transactions the run
+processes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.net.latency import LatencyModel, UniformLatency
 from repro.runtime.config import NodeConfig
 from repro.runtime.registry import PROTOCOLS
 from repro.sim.distributions import Constant, RngRegistry, Uniform
-from repro.txn.history import StreamingHistory
+from repro.txn.history import History
 from repro.workloads.arrivals import (
     drive,
     drive_streaming,
@@ -112,8 +113,8 @@ def build_system(
 
     ``latency_jitter`` shapes the default latency model and is ignored
     when an explicit ``latency`` is supplied.  ``history`` injects a
-    pre-built recording surface (a :class:`StreamingHistory` for
-    bounded-memory runs); ``None`` keeps the materialized default.
+    pre-built recording surface (a retiring :class:`History` for
+    bounded-memory runs); ``None`` builds a retaining one.
     ``placement`` injects a :class:`repro.placement.PlacementState` for
     replicated runs; ``None`` (always the case at rf=1) keeps the
     unreplicated hot paths bit-identical.
@@ -228,10 +229,10 @@ def run_recording_experiment(
     the run is bit-identical to a pre-replication run.
 
     ``stream=1`` selects the bounded-memory mode (lazy arrivals +
-    streaming history + rolling audit; see the module docstring).
+    retiring history + rolling audit; see the module docstring).
     ``stream_aggregates=False`` is the differential-oracle hook: it keeps
-    the lazy arrival scheduling of ``stream=1`` but materializes the full
-    history, so tests can compare streamed aggregates bit-for-bit against
+    the lazy arrival scheduling of ``stream=1`` but retains the full
+    history, so tests can compare retired aggregates bit-for-bit against
     exact end-of-run computation over the *same* trace.
     """
     del stall_budget  # analysis-side knob; accepted for spec round-trips
@@ -269,11 +270,11 @@ def run_recording_experiment(
                 faults, crashes=faults.crashes + extra
             )
     stream_mode = bool(stream)
-    history = None
-    if stream_mode and stream_aggregates:
-        # The reservoir stream draws from seed + 3: seeds +1/+2 already
-        # name the workload and arrival registries.
-        history = StreamingHistory(detail=bool(detail), stats_seed=seed + 3)
+    # The reservoir stream draws from seed + 3: seeds +1/+2 already name
+    # the workload and arrival registries.
+    history = History(detail=bool(detail),
+                      retain=not (stream_mode and stream_aggregates),
+                      stats_seed=seed + 3)
     placement = system_kwargs.pop("placement", None)
     if placement is None and replication_factor > 1:
         from repro.placement import PlacementState
@@ -299,7 +300,7 @@ def run_recording_experiment(
 
     auditor = None
     tracer = None
-    if stream_mode and stream_aggregates:
+    if not history.retain:
         if detail:
             # Imported lazily: repro.analysis never imports repro.workloads,
             # so the late edge cannot cycle.

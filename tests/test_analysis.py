@@ -3,12 +3,13 @@
 import pytest
 
 from repro.analysis import (
+    AnomalyReport,
     LatencySummary,
     Table,
     abort_rate,
     atomic_visibility_violations,
     audit,
-    closed_at_from_history,
+    audit_verdict,
     committed_counts,
     fmt,
     latency_summary,
@@ -18,6 +19,7 @@ from repro.analysis import (
     throughput,
     wait_summary,
 )
+from repro.analysis.serializability import Violation
 from repro.txn import (
     AdvancementRecord,
     History,
@@ -27,8 +29,8 @@ from repro.txn import (
 )
 
 
-def make_history():
-    history = History()
+def make_history(retain=True):
+    history = History(retain=retain)
     for index in range(4):
         history.begin_txn(f"u{index}", TxnKind.UPDATE, 1, float(index), "a")
         history.locally_committed(f"u{index}", index + 1.0)
@@ -78,6 +80,14 @@ class TestSummaries:
         )
         assert summary.mean == 2.0
 
+    @pytest.mark.parametrize("retain", [True, False])
+    def test_unknown_latency_is_rejected(self, retain):
+        history = make_history(retain)
+        with pytest.raises(ValueError, match="'Local'"):
+            latency_summary(history, kind=TxnKind.UPDATE, which="Local")
+        with pytest.raises(ValueError, match="'p95'"):
+            history.stats().latency(which="p95")
+
     def test_empty_summary(self):
         summary = LatencySummary.of([])
         assert summary.count == 0
@@ -110,7 +120,7 @@ class TestStaleness:
         record = AdvancementRecord(new_update_version=2, started=5.0)
         record.phase1_done = 6.0
         history.advancements.append(record)
-        assert closed_at_from_history(history) == {0: 0.0, 1: 6.0}
+        assert history.closed_at() == {0: 0.0, 1: 6.0}
 
     def test_staleness_of_reads(self):
         history = History()
@@ -228,6 +238,15 @@ class TestReport:
         table = Table("t", ["a", "b"])
         with pytest.raises(ValueError):
             table.add(1)
+
+    def test_verdict_counts_every_violation_not_the_evidence(self):
+        example = Violation(kind="fractured-read", txn="q", key="bal:1",
+                            details="per-node values")
+        report = AnomalyReport(
+            reads_checked=5000, fractured_reads=640, snapshot_mismatches=1206,
+            aborted_txns=0, compensated_txns=0, violations=[example] * 100)
+        assert audit_verdict(report) == (
+            f"AUDIT FAILED: 1846 violations, e.g. {example}")
 
     def test_fmt(self):
         assert fmt(1.23456) == "1.235"

@@ -9,8 +9,9 @@ queries it per read.  The old loop lives on here, verbatim, as
 against — together with the guards that keep the rewrite honest:
 
 * the index equals the reference on random and on real histories;
-* the streaming and post-hoc auditors agree count for count, on a clean
-  run and on a run the dual-write ablation has damaged;
+* the streaming and post-hoc auditors agree count for count, and with
+  the post-hoc audit they replaced (``tests/reference_history.py``), on
+  a clean run and on a run the dual-write ablation has damaged;
 * a rolling auditor that drops reads unchecked says so and is not clean;
 * audit work is linear in the number of updates (a lookup count, not a
   timing, so it cannot flap on a noisy host).
@@ -28,7 +29,6 @@ from repro.analysis import (
     CommittedMasks,
     audit,
     audit_verdict,
-    closed_at_from_history,
     staleness_summary,
 )
 from repro.analysis import rolling
@@ -38,6 +38,7 @@ from repro.runtime.config import NodeConfig
 from repro.txn import History, ReadEvent, TxnKind
 from repro.workloads import runner
 from repro.workloads.runner import run_recording_experiment
+from tests import reference_history as reference
 
 
 def reference_committed_mask(update_amounts, history, entity: int,
@@ -125,7 +126,8 @@ _SPEC = ExperimentSpec(
 
 def _streamed_and_materialized(monkeypatch, dual_write: bool):
     """The spec audited by the rolling auditor and, over the same lazy
-    trace materialized, by the post-hoc audit."""
+    trace retained, by the post-hoc audit — which counts exactly what the
+    post-hoc audit it replaced counts."""
     monkeypatch.setattr(
         runner, "NodeConfig",
         functools.partial(NodeConfig, dual_write=dual_write))
@@ -134,8 +136,17 @@ def _streamed_and_materialized(monkeypatch, dual_write: bool):
     materialized = run_recording_experiment(
         _SPEC.protocol, **kwargs, stream_aggregates=False)
     assert streamed.auditor is not None and materialized.auditor is None
-    return (audit_result(streamed, check_snapshots=True),
-            audit_result(materialized, check_snapshots=True), materialized)
+    post_hoc = audit_result(materialized, check_snapshots=True)
+    old = reference.audit(materialized.history, materialized.workload,
+                          check_snapshots=True)
+    assert _counts(post_hoc) == _counts(old)
+    # The same violations, interleaved per read instead of listed
+    # fractured-first, and only the first MAX_EVIDENCE of them.
+    assert set(post_hoc.violations) <= set(old.violations)
+    assert len(post_hoc.violations) == min(len(old.violations),
+                                           rolling.MAX_EVIDENCE)
+    return (audit_result(streamed, check_snapshots=True), post_hoc,
+            materialized)
 
 
 def _counts(report):
@@ -157,10 +168,14 @@ def test_rolling_equals_post_hoc_on_a_dirty_run(monkeypatch):
     assert _counts(rolled) == _counts(post_hoc)
     assert post_hoc.snapshot_mismatches > 0
     assert not rolled.clean and not post_hoc.clean
-    # The rolling auditor keeps the newest MAX_EVIDENCE violations; they
-    # are the post-hoc audit's, snapshot mismatches interleaved by
-    # retirement instead of listed after the fractured reads.
-    assert set(rolled.violations) <= set(post_hoc.violations)
+    # Both keep the first MAX_EVIDENCE violations they find, in the order
+    # they check reads: the rolling auditor by retirement.
+    found = rolled.fractured_reads + rolled.snapshot_mismatches
+    assert found > rolling.MAX_EVIDENCE == len(rolled.violations)
+    assert set(rolled.violations) <= set(reference.audit(
+        result.history, result.workload, check_snapshots=True).violations)
+    assert audit_verdict(rolled).startswith(
+        f"AUDIT FAILED: {found} violations, e.g. {rolled.violations[0]}")
     # The same damaged history, index against reference, for every
     # version a read was served at.
     history, amounts = result.history, result.workload.update_amounts
@@ -211,7 +226,8 @@ def test_closure_scan_passes_an_abandoned_advancement_record():
     assert abandoned and abandoned[0] is not (
         materialized.history.advancements[-1])
     closed = streamed.history.closed_at()
-    assert closed == closed_at_from_history(materialized.history)
+    assert closed == reference.closed_at_from_history(materialized.history)
+    assert closed == materialized.history.closed_at()
     with pytest.raises(TypeError):
         closed[0] = 1.0  # a view: the caller cannot edit the bookkeeping
     assert staleness_summary(streamed.history) == staleness_summary(

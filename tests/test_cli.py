@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.analysis import load_txn_records
 from repro.cli import build_parser, main
+from repro.exp import ExperimentSpec, run_spec
 
 FAST = ["--duration", "8", "--nodes", "3", "--update-rate", "3",
         "--inquiry-rate", "2", "--entities", "10"]
@@ -45,6 +47,16 @@ class TestRun:
 
     def test_run_with_corrections(self, capsys):
         assert main(["run", "3v", "--correction-rate", "0.5"] + FAST) == 0
+
+    def test_run_streaming_spills_every_transaction(self, capsys, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        argv = ["run", "3v", "--stream", "1"] + FAST
+        assert main(argv + ["--trace", str(path)]) == 0
+        title = capsys.readouterr().out.strip().splitlines()[0]
+        assert title.endswith("[streaming]")
+        summary = run_spec(ExperimentSpec.from_args(
+            build_parser().parse_args(argv)))
+        assert len(load_txn_records(path)) == summary.txn_count > 0
 
 
 class TestCompare:

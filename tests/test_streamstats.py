@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro.exp import ExperimentSpec, Fleet
 from repro.sim.distributions import RngRegistry
-from repro.txn.history import StreamingHistory
+from repro.txn.history import History
 from repro.txn.streamstats import (
     DEFAULT_RESERVOIR,
     FOLD_BATCH,
@@ -48,6 +48,7 @@ from repro.txn.streamstats import (
 from repro.workloads.arrivals import drive_streaming, poisson_arrival_times
 from repro.workloads.recording import RecordingConfig, RecordingWorkload
 from repro.workloads.runner import build_system
+from tests.reference_history import ReferenceFoldHistory
 
 #: Latency-like values: non-negative, finite, spanning several decades.
 latencies = st.floats(min_value=0.0, max_value=1e6,
@@ -589,16 +590,6 @@ class TestBatchedFoldMatchesReference:
         assert len(stats._p2) == len(StreamingStats.QUANTILES)
 
 
-class ReferenceFoldHistory(StreamingHistory):
-    """A streaming history whose populations are the reference stats."""
-
-    def _new_stats(self, name):
-        return ReferenceStreamingStats(
-            derived_rng(self._stats_seed, f"reservoir.{name}"),
-            capacity=self._reservoir,
-        )
-
-
 class TestHandOffMidRun:
     """The composition no unit test of ``StreamingStats`` covers: a real
     3V run whose populations outgrow a small reservoir while transactions
@@ -628,10 +619,17 @@ class TestHandOffMidRun:
         readings = []
 
         def read_all():
+            if isinstance(history, ReferenceFoldHistory):
+                readings.append(
+                    [history.latency_stats(kind, which)
+                     for kind, which in self.POPULATIONS]
+                    + [history.staleness_stats()])
+                return
+            stats = history.stats()
             readings.append(
-                [history.latency_stats(kind, which)
+                [stats.latency(kind, which)
                  for kind, which in self.POPULATIONS]
-                + [history.staleness_stats()])
+                + [stats.staleness()])
 
         system.sim.schedule_at(self.DURATION / 2, read_all)
         system.run(until=self.DURATION)
@@ -641,9 +639,10 @@ class TestHandOffMidRun:
         return readings
 
     def test_matches_the_reference_fold(self):
-        streamed = self.run(StreamingHistory(stats_seed=12, reservoir=64))
-        reference = self.run(ReferenceFoldHistory(stats_seed=12,
-                                                  reservoir=64))
+        streamed = self.run(History(retain=False, stats_seed=12,
+                                    reservoir=64))
+        reference = self.run(ReferenceFoldHistory(
+            ReferenceStreamingStats, stats_seed=12, reservoir=64))
         assert streamed == reference
         mid_run, final = streamed
         updates_local = self.POPULATIONS.index(("update", "local"))

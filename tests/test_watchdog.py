@@ -7,14 +7,12 @@ also prices the degradation: the worst staleness suffered by a read
 submitted inside a stall span.
 """
 
-import types
-
 from repro.analysis import StallSummary, advancement_stalls
 from repro.txn.history import AdvancementRecord, History, TxnKind, TxnRecord
 
 
-def history_with_marks(*phase3_times):
-    history = History(detail=True)
+def history_with_marks(*phase3_times, retain=True):
+    history = History(detail=True, retain=retain)
     for i, done in enumerate(phase3_times):
         history.advancements.append(AdvancementRecord(
             new_update_version=i + 2, started=done - 1.0, phase3_done=done,
@@ -56,8 +54,10 @@ class TestAdvancementStalls:
         history = history_with_marks(12.0)
         assert advancement_stalls(history, 20.0, 0.0) == StallSummary()
         assert advancement_stalls(history, 0.0, 5.0) == StallSummary()
-        streaming = types.SimpleNamespace(streaming=True)
-        assert advancement_stalls(streaming, 20.0, 5.0) == StallSummary()
+        # A retiring history keeps its advancements (these marks stall
+        # once retained) but not the read records a stall is priced with.
+        retiring = history_with_marks(12.0, retain=False)
+        assert advancement_stalls(retiring, 20.0, 5.0) == StallSummary()
 
     def test_marks_past_the_horizon_are_ignored(self):
         history = history_with_marks(4.0, 99.0)

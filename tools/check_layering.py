@@ -26,11 +26,11 @@ them true by construction:
    under every protocol.
 
 4. **Transaction history is substrate.**  ``repro.txn`` (specs, the
-   recording ``History``/``StreamingHistory``, and their online
-   aggregates) may import only ``repro.errors``, ``repro.storage``, and
-   itself.  In particular it must never import ``repro.analysis``: the
-   streaming history *computes* latency aggregates that the analysis
-   layer re-exports, and an upward edge would make that a cycle.
+   recording ``History``, and its fold and online aggregates) may import
+   only ``repro.errors``, ``repro.storage``, and itself.  In particular
+   it must never import ``repro.analysis``: the history's fold
+   *computes* latency aggregates that the analysis layer re-exports, and
+   an upward edge would make that a cycle.
 
 5. **Placement is substrate.**  ``repro.placement`` (replica maps, the
    missed-op ledger, the refresh protocol) may import only
