@@ -50,7 +50,6 @@ from repro.errors import (
     InvariantViolation,
     ProtocolError,
     ReproError,
-    TransactionAborted,
 )
 from repro.net import LinkLatency, Network, UniformLatency, constant_latency
 from repro.sim import Constant, Exponential, LogNormal, RngRegistry, Simulator, Uniform
@@ -108,7 +107,6 @@ __all__ = [
     "Table",
     "ThreeVNode",
     "ThreeVSystem",
-    "TransactionAborted",
     "TransactionSpec",
     "TwoPCSystem",
     "TxnKind",

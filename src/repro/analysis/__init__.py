@@ -10,9 +10,7 @@ from repro.analysis.conflictgraph import (
 from repro.analysis.metrics import (
     LatencySummary,
     StallSummary,
-    abort_rate,
     advancement_stalls,
-    committed_counts,
     latency_summary,
     max_remote_wait,
     percentile,
@@ -30,7 +28,6 @@ from repro.analysis.rolling import (
 from repro.analysis.stats import (
     ConfidenceInterval,
     mean_ci,
-    replicate,
     welch_p_value,
 )
 from repro.analysis.tracefile import (
@@ -51,13 +48,11 @@ __all__ = [
     "Table",
     "TraceStreamWriter",
     "Violation",
-    "abort_rate",
     "advancement_stalls",
     "atomic_visibility_violations",
     "audit",
     "audit_verdict",
     "build_serialization_graph",
-    "committed_counts",
     "equivalent_serial_order",
     "is_conflict_serializable",
     "serialization_cycles",
@@ -68,7 +63,6 @@ __all__ = [
     "max_remote_wait",
     "mean_ci",
     "percentile",
-    "replicate",
     "welch_p_value",
     "staleness_summary",
     "throughput",

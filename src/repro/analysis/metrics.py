@@ -24,9 +24,7 @@ from repro.txn.streamstats import LatencySummary, percentile
 __all__ = [
     "LatencySummary",
     "StallSummary",
-    "abort_rate",
     "advancement_stalls",
-    "committed_counts",
     "latency_summary",
     "max_remote_wait",
     "percentile",
@@ -57,22 +55,6 @@ def throughput(history: History, duration: float,
     if duration <= 0:
         raise ValueError(f"duration must be > 0: {duration}")
     return history.count(kind) / duration
-
-
-def abort_rate(history: History) -> float:
-    """Fraction of all finished transactions that aborted."""
-    total = history.total_txns
-    if total == 0:
-        return 0.0
-    return history.aborted_count() / total
-
-
-def committed_counts(history: History) -> typing.Dict[str, int]:
-    """Committed transactions by kind (convenience for tables)."""
-    return {
-        kind: history.count(kind)
-        for kind in (TxnKind.UPDATE, TxnKind.READ, TxnKind.NONCOMMUTING)
-    }
 
 
 def wait_summary(history: History, kind: typing.Optional[str] = None

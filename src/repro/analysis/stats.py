@@ -83,9 +83,3 @@ def welch_p_value(a: typing.Sequence[float],
         return 1.0 if a[0] == b[0] else 0.0
     _stat, p_value = _scipy_stats().ttest_ind(a, b, equal_var=False)
     return float(p_value)
-
-
-def replicate(run: typing.Callable[[int], float],
-              seeds: typing.Iterable[int]) -> typing.List[float]:
-    """Run ``run(seed)`` for every seed and collect the scalar results."""
-    return [run(seed) for seed in seeds]

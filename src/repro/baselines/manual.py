@@ -64,8 +64,8 @@ class ManualPlugin(ProtocolPlugin):
         while node._frozen:
             yield node._thaw
 
-    # write_item: inherited apply_exact — deliberately *no* dual-write
-    # rule; a straggler updates only its own version's copy.
+    # Writes use the inherited execute_ops (apply_exact) — deliberately
+    # *no* dual-write rule; a straggler updates only its own version's copy.
 
     # -- control messages --------------------------------------------------
 

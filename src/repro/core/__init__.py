@@ -7,8 +7,6 @@ from repro.core.advancement import (
     DETECTORS,
     InterleavedDetector,
     TwoWaveDetector,
-    TwoWaveScanDetector,
-    TwoWaveVerifyDetector,
 )
 from repro.core.invariants import (
     InvariantMonitor,
@@ -47,8 +45,6 @@ __all__ = [
     "ThreeVSystem",
     "TransactionTriggerPolicy",
     "TwoWaveDetector",
-    "TwoWaveScanDetector",
-    "TwoWaveVerifyDetector",
     "check_all",
     "check_version_agreement",
     "check_version_bounds",

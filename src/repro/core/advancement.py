@@ -34,9 +34,6 @@ compares cluster-wide sums (:func:`repro.storage.counters.aggregate_quiescent`),
 making each poll O(nodes) instead of O(nodes²).  The ordering argument
 carries over unchanged: with completions read first, ``C_pq <= R_pq``
 per pair, so the scalar sums match iff every pair matches.
-:class:`TwoWaveScanDetector` keeps the original full-row scan as the
-debug/differential oracle, and :class:`TwoWaveVerifyDetector` runs both
-in one wave pair and cross-checks their verdicts.
 
 The unsound alternatives are provided for the C7 ablation:
 :class:`InterleavedDetector` (single combined wave) and
@@ -77,9 +74,8 @@ class TwoWaveDetector(QuiescenceDetector):
     """Sound detector: completions wave strictly before requests wave.
 
     Production variant: each wave reads one *aggregate total* per node
-    ("CT" then "RT") and compares cluster-wide sums — O(nodes) per poll.
-    Same message count and wave order as the full-row scan, so it is a
-    drop-in sound replacement (see the module docstring for the argument).
+    ("CT" then "RT") and compares cluster-wide sums — O(nodes) per poll
+    (see the module docstring for why that equals the per-pair scan).
     """
 
     name = "two-wave"
@@ -88,67 +84,6 @@ class TwoWaveDetector(QuiescenceDetector):
         completions = yield from self.coordinator.gather_counters(version, "CT")
         requests = yield from self.coordinator.gather_counters(version, "RT")
         return aggregate_quiescent(requests, completions)
-
-
-class TwoWaveScanDetector(QuiescenceDetector):
-    """Sound detector, full O(nodes²) per-peer row scan.
-
-    The original implementation, retained as the debug/differential
-    oracle for :class:`TwoWaveDetector`'s aggregate check.
-    """
-
-    name = "two-wave-scan"
-
-    def check(self, version: int):
-        completions = yield from self.coordinator.gather_counters(version, "C")
-        requests = yield from self.coordinator.gather_counters(version, "R")
-        return quiescent(requests, completions)
-
-
-class TwoWaveVerifyDetector(QuiescenceDetector):
-    """Sound detector running the aggregate check *and* the row scan on
-    the same wave pair, raising if they ever disagree.
-
-    Each wave carries ``(total, rows)`` per node ("CV" then "RV"); the
-    node asserts snapshot consistency (``total == sum(rows)``) is checked
-    here too, so a divergence pinpoints whether the incremental totals or
-    the aggregation argument broke.  Debug tool — one message per node
-    per wave like the others, but with O(nodes²) payload.
-    """
-
-    name = "two-wave-verify"
-
-    def check(self, version: int):
-        completions = yield from self.coordinator.gather_counters(version, "CV")
-        requests = yield from self.coordinator.gather_counters(version, "RV")
-        req_totals = {}
-        req_rows = {}
-        for node_id, (total, rows) in requests.items():
-            if total != sum(rows.values()):
-                raise ProtocolError(
-                    f"node {node_id}: request total {total} != row sum "
-                    f"{sum(rows.values())} for version {version}"
-                )
-            req_totals[node_id] = total
-            req_rows[node_id] = rows
-        comp_totals = {}
-        comp_rows = {}
-        for node_id, (total, rows) in completions.items():
-            if total != sum(rows.values()):
-                raise ProtocolError(
-                    f"node {node_id}: completion total {total} != row sum "
-                    f"{sum(rows.values())} for version {version}"
-                )
-            comp_totals[node_id] = total
-            comp_rows[node_id] = rows
-        aggregate = aggregate_quiescent(req_totals, comp_totals)
-        scan = quiescent(req_rows, comp_rows)
-        if aggregate != scan:
-            raise ProtocolError(
-                f"quiescence divergence for version {version}: "
-                f"aggregate={aggregate} scan={scan}"
-            )
-        return aggregate
 
 
 class InterleavedDetector(QuiescenceDetector):
@@ -182,8 +117,6 @@ class ActivePollDetector(QuiescenceDetector):
 
 DETECTORS = {
     TwoWaveDetector.name: TwoWaveDetector,
-    TwoWaveScanDetector.name: TwoWaveScanDetector,
-    TwoWaveVerifyDetector.name: TwoWaveVerifyDetector,
     InterleavedDetector.name: InterleavedDetector,
     ActivePollDetector.name: ActivePollDetector,
 }
@@ -538,7 +471,7 @@ class AdvancementCoordinator:
         Returns:
             ``{node_id: snapshot}``.  The snapshot shape depends on the
             wave kind: a per-peer row dict for "R"/"C"/"ACTIVE", a scalar
-            total for "RT"/"CT", a ``(total, row)`` pair for "RV"/"CV".
+            total for "RT"/"CT".
         """
         for node_id in self.node_ids:
             self.network.send(

@@ -57,11 +57,6 @@ class NC3VManager(TwoPhaseEngine):
         self._gate_waiters: typing.List[typing.Tuple[int, Event]] = []
         self.aborts_version_conflict = 0
 
-    @property
-    def aborts_deadlock(self) -> int:
-        """Wait-die aborts (engine counter, kept under the historic name)."""
-        return self.deadlock_aborts
-
     # ------------------------------------------------------------------
     # Root admission (Section 5 steps 1-2)
     # ------------------------------------------------------------------

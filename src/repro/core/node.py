@@ -403,18 +403,6 @@ class ThreeVPlugin(ProtocolPlugin):
             snapshot = dict(node.counters.requests_view(version))
         elif which == "C":
             snapshot = dict(node.counters.completions_view(version))
-        elif which == "RV":
-            # Differential-verify wave: total and row from the same
-            # atomic moment, so the coordinator can cross-check them.
-            snapshot = (
-                node.counters.request_total(version),
-                dict(node.counters.requests_view(version)),
-            )
-        elif which == "CV":
-            snapshot = (
-                node.counters.completion_total(version),
-                dict(node.counters.completions_view(version)),
-            )
         elif which == "ACTIVE":
             # Support for the naive ActivePollDetector ablation: how many
             # subtransactions of this version are *executing right now* —

@@ -168,15 +168,6 @@ class ThreeVSystem(System):
     # Coordinator fault surface
     # ------------------------------------------------------------------
 
-    def crash_coordinator(self) -> None:
-        """Fail-stop the advancement coordinator (see
-        :meth:`AdvancementCoordinator.crash`)."""
-        self.coordinator.crash()
-
-    def recover_coordinator(self) -> None:
-        """Restart the coordinator in place as a new incarnation."""
-        self.coordinator.recover()
-
     def crash(self, node_id: str) -> None:
         # A takeover moves the coordinator role onto a database node, so
         # crashing that node fail-stops the hosted incarnation too.

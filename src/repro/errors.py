@@ -53,19 +53,6 @@ class InvalidTransactionSpec(TransactionError):
     """A transaction tree specification is malformed."""
 
 
-class TransactionAborted(TransactionError):
-    """A transaction aborted and (if applicable) was compensated.
-
-    Attributes:
-        reason: Human-readable abort cause (e.g. ``"version-conflict"``,
-            ``"wait-die"``, ``"requested"``).
-    """
-
-    def __init__(self, reason: str = "aborted"):
-        super().__init__(reason)
-        self.reason = reason
-
-
 class ProtocolError(ReproError):
     """A protocol implementation violated one of its internal preconditions."""
 

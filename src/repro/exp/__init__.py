@@ -11,7 +11,7 @@
   multi-seed studies with per-cell aggregation.
 """
 
-from repro.exp.chaos import ChaosReport, chaos_spec, run_chaos, run_chaos_spec
+from repro.exp.chaos import ChaosReport, chaos_spec, run_chaos_spec
 from repro.exp.cache import (
     DEFAULT_CACHE_DIR,
     CacheStats,
@@ -31,7 +31,6 @@ from repro.exp.spec import (
     PARAMETERS_BY_FLAG,
     ExperimentSpec,
     Parameter,
-    known_protocols,
     parse_parameter_value,
 )
 from repro.exp.summary import (
@@ -62,9 +61,7 @@ __all__ = [
     "code_fingerprint",
     "expand_grid",
     "flatten_specs",
-    "known_protocols",
     "parse_parameter_value",
-    "run_chaos",
     "run_chaos_spec",
     "audit_result",
     "run_spec",

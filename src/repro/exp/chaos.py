@@ -54,7 +54,7 @@ from repro.workloads.runner import run_recording_experiment
 from repro.exp.spec import ExperimentSpec
 from repro.exp.summary import ExperimentSummary, summarize
 
-__all__ = ["ChaosReport", "chaos_spec", "run_chaos", "run_chaos_spec"]
+__all__ = ["ChaosReport", "chaos_spec", "run_chaos_spec"]
 
 #: Version bound that sees every installed version of a key.
 _ANY_VERSION = 1 << 60
@@ -409,21 +409,3 @@ def run_chaos_spec(
         repeat_identical=repeat_identical,
         failures=tuple(failures),
     )
-
-
-def run_chaos(
-    protocols: typing.Optional[typing.Sequence[str]] = None,
-    *,
-    verify_repeat: bool = True,
-    drain_limit: float = 100000.0,
-    **spec_kwargs,
-) -> typing.List[ChaosReport]:
-    """Run the chaos harness across protocols (default: all registered)."""
-    names = tuple(protocols) if protocols is not None else PROTOCOLS.names()
-    return [
-        run_chaos_spec(
-            chaos_spec(name, **spec_kwargs),
-            verify_repeat=verify_repeat, drain_limit=drain_limit,
-        )
-        for name in names
-    ]

@@ -34,11 +34,27 @@ class Parameter:
     type: type                # int or float — values keep this exact type
     default: typing.Any
     help: str
+    #: 1 for the parameters spec digest version 1 was defined over, 2 for
+    #: those added since.  A parameter newer than ``_SPEC_DIGEST_VERSION``
+    #: joins the digest only while it can affect the run (see
+    #: :meth:`inert`), so specs written before it existed keep their
+    #: content addresses.
+    added_in: int = 1
+    #: When the parameter cannot affect the run; ``None`` means "while it
+    #: is at its default".
+    inert_when: typing.Optional[
+        typing.Callable[["ExperimentSpec"], bool]] = None
 
     @property
     def dest(self) -> str:
         """The argparse destination (``--update-rate`` -> ``update_rate``)."""
         return self.flag.replace("-", "_")
+
+    def inert(self, spec: "ExperimentSpec") -> bool:
+        """True while the parameter's value in ``spec`` cannot matter."""
+        if self.inert_when is not None:
+            return self.inert_when(spec)
+        return getattr(spec, self.field) == self.default
 
 
 #: Every parameter an experiment accepts, in CLI display order.  ``sweep``
@@ -94,41 +110,36 @@ PARAMETERS: typing.Tuple[Parameter, ...] = (
               "crash/recover cycles per node (fault injection)"),
     Parameter("fault-seed", "fault_seed", int, 0,
               "seed for the fault schedule (independent of the workload)"),
+    # The control-plane chaos axes and the replication axes below came
+    # after digest version 1: each hashes only while it can affect the run.
     Parameter("partition-count", "partition_count", int, 0,
-              "timed network partition/heal cycles (fault injection)"),
+              "timed network partition/heal cycles (fault injection)",
+              added_in=2),
     Parameter("coordinator-crashes", "coordinator_crashes", int, 0,
               "mid-wave advancement-coordinator crash/recover cycles "
-              "(coordinator-ful protocols only; ignored by baselines)"),
+              "(coordinator-ful protocols only; ignored by baselines)",
+              added_in=2),
     Parameter("stall-budget", "stall_budget", float, 0.0,
               "advancement liveness budget for the stall watchdog "
-              "(0 = twice the advancement period)"),
+              "(0 = twice the advancement period)",
+              added_in=2),
     # Replication axes (repro.placement): replication-factor 1 means no
     # placement machinery is attached and the run is bit-identical to the
-    # single-owner path (digest() also omits both fields then, so specs
-    # predating replication keep their content addresses).
+    # single-owner path, so the refresh delay cannot matter either.
     Parameter("replication-factor", "replication_factor", int, 1,
               "replicas per record: read-one / write-all-available "
-              "(1 = unreplicated, bit-identical to the historic path)"),
+              "(1 = unreplicated, bit-identical to the historic path)",
+              added_in=2),
     Parameter("refresh-delay", "refresh_delay", float, 2.0,
               "delay between a replica's recovery and its refresh "
-              "request (it serves no reads until refresh completes)"),
+              "request (it serves no reads until refresh completes)",
+              added_in=2,
+              inert_when=lambda spec: spec.replication_factor == 1),
 )
 
 PARAMETERS_BY_FLAG: typing.Dict[str, Parameter] = {
     p.flag: p for p in PARAMETERS
 }
-
-
-def known_protocols() -> typing.Tuple[str, ...]:
-    """The runnable protocol names, from the runtime registry.
-
-    Imported lazily so building/pickling a spec never loads the protocol
-    stacks; specs deliberately accept *any* protocol string — an unknown
-    one fails at run time in the worker, where the fleet can report it.
-    """
-    from repro.runtime.registry import PROTOCOLS
-
-    return tuple(PROTOCOLS)
 
 
 def parse_parameter_value(flag: str, text: str) -> typing.Union[int, float]:
@@ -200,9 +211,6 @@ class ExperimentSpec:
         """A copy with some fields changed (specs are immutable)."""
         return dataclasses.replace(self, **changes)
 
-    def with_seed(self, seed: int) -> "ExperimentSpec":
-        return self.replace(seed=seed)
-
     def run_kwargs(self) -> typing.Dict[str, typing.Any]:
         """Keyword arguments for ``run_recording_experiment``."""
         kwargs = dataclasses.asdict(self)
@@ -214,24 +222,15 @@ class ExperimentSpec:
 
         Ints and floats hash differently (``json`` renders ``4`` and
         ``4.0`` distinctly), which is exactly right: integer parameters
-        must stay exact.
+        must stay exact.  A parameter newer than the digest version is
+        hashed only while it can affect the run (:meth:`Parameter.inert`),
+        so older specs and their cached fleet results keep their address.
         """
         payload = dataclasses.asdict(self)
-        if self.replication_factor == 1:
-            # Unreplicated specs hash exactly as they did before the
-            # replication axes existed, keeping every cached fleet digest
-            # valid; refresh_delay is placement-only so it drops too.
-            payload.pop("replication_factor")
-            payload.pop("refresh_delay")
-        # Same backwards-compatibility rule for the chaos axes added
-        # later: each drops from the hash at its default, so pre-existing
-        # spec digests (and cached fleet results) stay valid.
-        if self.partition_count == 0:
-            payload.pop("partition_count")
-        if self.coordinator_crashes == 0:
-            payload.pop("coordinator_crashes")
-        if self.stall_budget == 0.0:
-            payload.pop("stall_budget")
+        for parameter in PARAMETERS:
+            if (parameter.added_in > _SPEC_DIGEST_VERSION
+                    and parameter.inert(self)):
+                payload.pop(parameter.field)
         payload["_spec_version"] = _SPEC_DIGEST_VERSION
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()

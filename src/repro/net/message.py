@@ -120,11 +120,6 @@ class Message:
             raise ValueError("message not delivered yet")
         return self.delivered_at - self.sent_at
 
-    @property
-    def is_user_traffic(self) -> bool:
-        """Whether the message carries user-transaction work."""
-        return self.kind in MessageKind.USER_KINDS
-
     def __repr__(self) -> str:
         return (
             f"Message(#{self.message_id} {self.kind} {self.src}->{self.dst} "

@@ -230,10 +230,24 @@ class RefreshProtocol:
             gate.succeed()
 
     def _apply(self, node, entries: typing.Sequence[MissedOp]) -> None:
-        plugin = self.system.plugin
+        store = node.store
         for entry in entries:
-            plugin.apply_refresh_op(node, entry.key, entry.version,
-                                    entry.operation)
+            # Refresh operations are reconciliation, not new requests:
+            # they bypass request/completion accounting entirely (the
+            # skipped dispatch never incremented a request counter, so no
+            # completion is owed) and re-apply the commuting operation at
+            # its original version with the dual-write ``apply_geq`` rule,
+            # so every version copy at or above it absorbs the update.  If
+            # garbage collection moved the chain floor past the op's
+            # version while the replica was down, the op lands on the
+            # floor instead — exactly where a live replica's own GC would
+            # have folded it.
+            version = entry.version
+            versions = store.versions(entry.key)
+            if versions and version < versions[0]:
+                version = versions[0]
+            store.ensure_version(entry.key, version)
+            store.apply_geq(entry.key, version, entry.operation)
             # Register the subtransaction as executed here so a
             # compensator arriving after the refresh applies its inverse
             # instead of tombstoning (and double-counting the original).

@@ -154,7 +154,7 @@ class ProtocolNode:
                     return
                 placement.note_read_served(self.node_id)
 
-            kind = plugin.classify(instance)
+            kind = instance.txn.kind
 
             # A plugin may divert this transaction class into its own
             # lifecycle (NC3V's and 2PC's two-phase-commit engine).

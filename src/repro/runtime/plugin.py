@@ -96,15 +96,8 @@ class ProtocolPlugin:
         """
 
     # ------------------------------------------------------------------
-    # Classification and lifecycle takeover
+    # Lifecycle takeover
     # ------------------------------------------------------------------
-
-    def classify(self, instance: SubtxnInstance) -> str:
-        if instance.txn.is_read_only:
-            return TxnKind.READ
-        if instance.txn.is_well_behaved:
-            return TxnKind.UPDATE
-        return TxnKind.NONCOMMUTING
 
     def takeover(self, node, instance: SubtxnInstance, kind: str):
         """Return a generator replacing the whole subtransaction lifecycle,
@@ -183,9 +176,14 @@ class ProtocolPlugin:
         # Event objects are built only for a history that keeps them.
         detail = node.history.detail
         keeps_writes = node.history.keeps_writes
+        store = node.store
         for op in instance.spec.ops:
             if isinstance(op, ReadOp):
-                used, value = self.read_item(node, op.key, version)
+                used = store.version_max_leq(op.key, version)
+                value = (
+                    store.get_exact(op.key, used) if used is not None
+                    else None
+                )
                 if detail:
                     node.history.read(
                         ReadEvent(
@@ -203,14 +201,15 @@ class ProtocolPlugin:
                         f"read-only transaction {instance.txn.name!r} "
                         "attempted a write"
                     )
-                written = self.write_item(node, op.key, version, op.operation)
+                store.ensure_version(op.key, version)
+                store.apply_exact(op.key, version, op.operation)
                 if keeps_writes:
                     node.history.wrote(
                         WriteEvent(
                             time=node.sim.now, txn=instance.txn.name,
                             subtxn=instance.sid, node=node.node_id,
                             key=op.key, version=version,
-                            versions_written=written, operation=op.operation,
+                            versions_written=1, operation=op.operation,
                         )
                     )
 
@@ -220,48 +219,18 @@ class ProtocolPlugin:
             if not isinstance(op, WriteOp):
                 continue
             inverse = op.operation.inverse()
-            written = self.write_item(node, op.key, instance.version, inverse)
+            node.store.ensure_version(op.key, instance.version)
+            node.store.apply_exact(op.key, instance.version, inverse)
             if not node.history.keeps_writes:
                 continue
             node.history.wrote(
                 WriteEvent(
                     time=node.sim.now, txn=instance.txn.name,
                     subtxn=instance.sid, node=node.node_id, key=op.key,
-                    version=instance.version, versions_written=written,
+                    version=instance.version, versions_written=1,
                     operation=inverse, compensating=True,
                 )
             )
-
-    def read_item(self, node, key, version: int):
-        """Return ``(version_used, value)``."""
-        used = node.store.version_max_leq(key, version)
-        value = node.store.get_exact(key, used) if used is not None else None
-        return used, value
-
-    def write_item(self, node, key, version: int, operation) -> int:
-        """Apply a write; return the number of version copies touched."""
-        node.store.ensure_version(key, version)
-        node.store.apply_exact(key, version, operation)
-        return 1
-
-    def apply_refresh_op(self, node, key, version: int, operation) -> None:
-        """Apply one missed write during a replica refresh.
-
-        Refresh operations are reconciliation, not new requests: they
-        bypass request/completion accounting entirely (the skipped
-        dispatch never incremented a request counter, so no completion is
-        owed) and re-apply the commuting operation at its original
-        version with the dual-write ``apply_geq`` rule, so every version
-        copy at or above it absorbs the update.  If garbage collection
-        moved the chain floor past the op's version while the replica was
-        down, the op lands on the floor instead — exactly where a live
-        replica's own GC would have folded it.
-        """
-        versions = node.store.versions(key)
-        if versions and version < versions[0]:
-            version = versions[0]
-        node.store.ensure_version(key, version)
-        node.store.apply_geq(key, version, operation)
 
     # ------------------------------------------------------------------
     # Commit / completion participation

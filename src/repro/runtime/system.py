@@ -3,7 +3,7 @@
 One class ties the simulator, RNG registry, network, history, and nodes
 together; protocol subclasses add their coordinator machinery on top but
 the driving surface — ``load`` / ``submit`` / ``submit_at`` / ``run`` /
-``run_for`` / ``run_until_quiet(limit=)`` / ``stop_policy()`` — is
+``run_until_quiet(limit=)`` / ``stop_policy()`` — is
 identical across all of them, so benchmarks, the experiment fleet, and the
 analysis package can treat any system interchangeably.
 """
@@ -278,9 +278,6 @@ class System:
     def run(self, until: typing.Optional[float] = None) -> None:
         """Advance the simulation (see :meth:`repro.sim.Simulator.run`)."""
         self.sim.run(until=until)
-
-    def run_for(self, duration: float) -> None:
-        self.sim.run(until=self.sim.now + duration)
 
     def run_until_quiet(self, limit: float = float("inf")) -> None:
         """Run until no scheduled work remains (needs no periodic policy).

@@ -112,7 +112,7 @@ class TwoPhaseEngine:
         node = self.node
         instance.version = 0
         node.history.begin_txn(
-            instance.txn.name, node.plugin.classify(instance), 0,
+            instance.txn.name, instance.txn.kind, 0,
             node.sim.now, node.node_id,
         )
         return None

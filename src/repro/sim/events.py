@@ -104,12 +104,6 @@ class Event:
             self.sim.schedule_now(self._run_callbacks)
         return self
 
-    def _schedule(self) -> None:
-        """Queue callback execution at the current simulation time."""
-        if not self._scheduled:
-            self._scheduled = True
-            self.sim.schedule_now(self._run_callbacks)
-
     def _run_callbacks(self) -> None:
         callbacks, self.callbacks = self.callbacks, []
         for callback in callbacks:

@@ -11,7 +11,6 @@ from repro.storage.values import (
     Operation,
     Record,
     Unrecord,
-    apply_all,
 )
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "Record",
     "SlotStore",
     "Unrecord",
-    "apply_all",
     "compatible",
     "quiescent",
 ]

@@ -31,7 +31,6 @@ __all__ = [
     "Unrecord",
     "Assign",
     "AssignUndo",
-    "apply_all",
     "undo_operation",
 ]
 
@@ -187,13 +186,6 @@ class AssignUndo(Operation):
 
     def __repr__(self) -> str:
         return f"AssignUndo({self.previous_state!r})"
-
-
-def apply_all(state, operations: typing.Iterable[Operation]):
-    """Fold a sequence of operations over a state."""
-    for operation in operations:
-        state = operation.apply(state)
-    return state
 
 
 def undo_operation(operation: Operation, previous_state) -> Operation:

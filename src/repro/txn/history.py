@@ -156,11 +156,6 @@ class AdvancementRecord:
             return None
         return self.gc_done - self.started
 
-    @property
-    def read_visible_at(self) -> typing.Optional[float]:
-        """When queries could first see the advanced data (end of phase 3)."""
-        return self.phase3_done
-
 
 def is_committed(record: TxnRecord,
                  kind: typing.Optional[str] = None) -> bool:

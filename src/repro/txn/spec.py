@@ -25,6 +25,7 @@ import typing
 
 from repro.errors import InvalidTransactionSpec
 from repro.storage.values import Operation
+from repro.txn.history import TxnKind
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -97,6 +98,8 @@ class TransactionSpec:
             well-behaved ("the read set R is well-behaved by definition")
             but are classified separately.
         wants_abort: True when some subtransaction is scripted to abort.
+        kind: The :class:`~repro.txn.history.TxnKind` the two flags above
+            put the transaction in (read, update or non-commuting).
     """
 
     name: str
@@ -121,9 +124,7 @@ class TransactionSpec:
         spec.name = name
         spec.root = root
         spec.priority_hint = 0.0
-        spec.is_read_only = read_only
-        spec.is_well_behaved = well_behaved
-        spec.wants_abort = wants_abort
+        spec._classify(read_only, well_behaved, wants_abort)
         spec._nodes = None
         return spec
 
@@ -134,7 +135,7 @@ class TransactionSpec:
     # decision (submit gate, version stamping, compensation), so it is
     # computed once during :meth:`validate` — a single walk of the tree —
     # and stored as plain attributes (``is_read_only``, ``is_well_behaved``,
-    # ``wants_abort``), read without a call.  Specs are treated as
+    # ``wants_abort``, ``kind``), read without a call.  Specs are treated as
     # immutable after construction (the workload builders finish mutating
     # ``abort_here`` before wrapping the tree in a TransactionSpec); call
     # :meth:`validate` again to refresh them if a tree is ever edited in
@@ -155,24 +156,6 @@ class TransactionSpec:
                 nodes.add(spec.node)
                 stack.extend(spec.children)
         return set(self._nodes)
-
-    @property
-    def keys_written(self) -> typing.Set[typing.Hashable]:
-        return {
-            op.key
-            for spec in self.root.walk()
-            for op in spec.ops
-            if isinstance(op, WriteOp)
-        }
-
-    @property
-    def keys_read(self) -> typing.Set[typing.Hashable]:
-        return {
-            op.key
-            for spec in self.root.walk()
-            for op in spec.ops
-            if isinstance(op, ReadOp)
-        }
 
     def subtxn_count(self) -> int:
         return sum(1 for _ in self.root.walk())
@@ -236,10 +219,19 @@ class TransactionSpec:
             # label or another id ("x.0" beside "x"'s first child).  The
             # index rejects a repeated id as it builds.
             TxnIndex(self)
+        self._classify(read_only, well_behaved, wants_abort)
+        self._nodes = nodes
+
+    def _classify(self, read_only: bool, well_behaved: bool,
+                  wants_abort: bool) -> None:
         self.is_read_only = read_only
         self.is_well_behaved = well_behaved
         self.wants_abort = wants_abort
-        self._nodes = nodes
+        self.kind = (
+            TxnKind.READ if read_only
+            else TxnKind.UPDATE if well_behaved
+            else TxnKind.NONCOMMUTING
+        )
 
 
 def subtxn_id(parent_id: str, child: SubtxnSpec, index: int) -> str:

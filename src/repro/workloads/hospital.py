@@ -18,11 +18,7 @@ from __future__ import annotations
 import typing
 
 from repro.sim.distributions import RngRegistry
-from repro.workloads.recording import (
-    RecordingConfig,
-    RecordingWorkload,
-    balance_key,
-)
+from repro.workloads.recording import RecordingConfig, RecordingWorkload
 
 #: Default department names (database nodes).
 DEPARTMENTS = (
@@ -56,9 +52,6 @@ class HospitalWorkload(RecordingWorkload):
 
     def patient_departments(self, patient: int) -> typing.List[str]:
         return self.entity_homes[patient]
-
-    def patient_balance_key(self, patient: int):
-        return balance_key(patient)
 
 
 def hospital_workload(

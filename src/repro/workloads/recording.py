@@ -369,11 +369,3 @@ class RecordingWorkload:
         name = f"cor-{index}"
         self.correction_entities[name] = entity
         return _flat_tree(name, subtxns, read_only=False, well_behaved=False)
-
-    # ------------------------------------------------------------------
-    # Oracles (used by the analysis package)
-    # ------------------------------------------------------------------
-
-    def entity_of_inquiry(self, name: str) -> int:
-        """Recover the entity an inquiry transaction targeted."""
-        return int(name.rsplit(":", 1)[1])

@@ -37,9 +37,6 @@ class RetailWorkload(RecordingWorkload):
     def make_stock_inquiry(self, index: int):
         return self.make_inquiry(index)
 
-    def make_inventory_audit(self, index: int):
-        return self.make_audit(index)
-
     def make_stock_take(self, index: int, counted: typing.Optional[int] = None):
         """A physical recount overwriting the stock level (non-commuting)."""
         return self.make_correction(index, counted)

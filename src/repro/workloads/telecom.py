@@ -34,13 +34,6 @@ class TelecomWorkload(RecordingWorkload):
     def make_balance_check(self, index: int):
         return self.make_inquiry(index)
 
-    def make_fraud_sweep(self, index: int):
-        return self.make_audit(index)
-
-    def make_rebill(self, index: int, value=None):
-        """A rebilling correction (non-commuting overwrite)."""
-        return self.make_correction(index, value)
-
 
 def telecom_workload(
     switches: int = 8,

@@ -6,11 +6,9 @@ from repro.analysis import (
     AnomalyReport,
     LatencySummary,
     Table,
-    abort_rate,
     atomic_visibility_violations,
     audit,
     audit_verdict,
-    committed_counts,
     fmt,
     latency_summary,
     max_remote_wait,
@@ -41,6 +39,19 @@ def make_history(retain=True):
     history.begin_txn("dead", TxnKind.UPDATE, 1, 0.0, "a")
     history.aborted("dead", 1.0)
     return history
+
+
+def abort_rate(history):
+    """Fraction of all finished transactions that aborted."""
+    return history.aborted_count() / history.total_txns
+
+
+def committed_counts(history):
+    """Committed transactions by kind."""
+    return {
+        kind: history.count(kind)
+        for kind in (TxnKind.UPDATE, TxnKind.READ, TxnKind.NONCOMMUTING)
+    }
 
 
 class TestPercentile:

@@ -96,10 +96,8 @@ class TestMessageEnvelope:
         assert b.message_id > a.message_id
 
     def test_user_traffic_classification(self):
-        assert Message(src="a", dst="b",
-                       kind=MessageKind.COMPENSATION).is_user_traffic
-        assert not Message(src="a", dst="b",
-                           kind=MessageKind.PREPARE).is_user_traffic
+        assert MessageKind.COMPENSATION in MessageKind.USER_KINDS
+        assert MessageKind.PREPARE not in MessageKind.USER_KINDS
 
     def test_kind_categories_are_disjoint(self):
         assert not (MessageKind.USER_KINDS & MessageKind.CONTROL_KINDS)

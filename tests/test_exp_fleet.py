@@ -62,6 +62,25 @@ class TestSpec:
         # parameters must stay exact ints end to end.
         assert tiny(nodes=2).digest() != tiny(nodes=2.0).digest()
 
+    @pytest.mark.parametrize("changes, expected", [
+        ({}, "918a280d217853b2a08b1256e38047977563ac03f9cfc2cad509546da1ca1238"),
+        ({"replication_factor": 3},
+         "a82ad321746fa1b3c101fdbc495e627ba61b7cc6dc1b1f59d1ebdd95177787c9"),
+        ({"replication_factor": 1, "refresh_delay": 99.0},
+         "918a280d217853b2a08b1256e38047977563ac03f9cfc2cad509546da1ca1238"),
+        ({"partition_count": 1},
+         "2cf5af07200b99d10e737c38886df5a81b45e9c83e5a30721a35a4b12e86a83d"),
+        ({"coordinator_crashes": 1},
+         "f39ed8dda5181c2f64c526ba970833495ec71b6c11ebfda8ae4bbe3792a4558a"),
+        ({"stall_budget": 2.5},
+         "acfd13c080864a869f393d06d087b1eb15c8f8bbee40a21e73dbcc5aa8aec240"),
+    ], ids=["default", "rf3", "rf1-odd-delay", "partition", "coord-crash",
+            "stall-budget"])
+    def test_digest_is_pinned(self, changes, expected):
+        # Every ResultCache address is a digest: a refactor of digest()
+        # that moved any of these would orphan every cached fleet result.
+        assert ExperimentSpec("3v").replace(**changes).digest() == expected
+
     def test_run_kwargs_round_trip(self):
         kwargs = tiny().run_kwargs()
         assert "protocol" not in kwargs

@@ -42,11 +42,12 @@ def test_import_and_simulation_runs_load_no_scientific_stack():
     out = run_fresh(f"""
         import sys
         import repro, repro.exp, repro.cli
-        from repro.exp import ExperimentSpec, known_protocols, run_spec
+        from repro.exp import ExperimentSpec, run_spec
+        from repro.runtime.registry import PROTOCOLS
 
         short = dict(nodes=3, duration=6.0, entities=10, seed=1)
         specs = [ExperimentSpec(protocol, **short)
-                 for protocol in known_protocols()]
+                 for protocol in PROTOCOLS]
         specs.append(ExperimentSpec(
             "3v", detail=True, drop_rate=0.05, crash_count=1,
             partition_count=1, replication_factor=3, **short))

@@ -30,8 +30,17 @@ from repro.exp.summary import audit_result, summarize
 from repro.net.message import MessageKind
 from repro.runtime import PROTOCOLS
 from repro.runtime.node import ProtocolNode
-from repro.txn.history import WaitReason
+from repro.txn.history import TxnKind, WaitReason
 from repro.workloads.runner import run_recording_experiment
+
+
+def _classify(instance):
+    """The former ``ProtocolPlugin.classify`` hook body."""
+    if instance.txn.is_read_only:
+        return TxnKind.READ
+    if instance.txn.is_well_behaved:
+        return TxnKind.UPDATE
+    return TxnKind.NONCOMMUTING
 
 
 def _local_service(plugin, node, instance):
@@ -92,7 +101,7 @@ class GeneratorNode(ProtocolNode):
                 yield gate
             placement.note_read_served(self.node_id)
 
-        kind = plugin.classify(instance)
+        kind = _classify(instance)
 
         takeover = plugin.takeover(self, instance, kind)
         if takeover is not None:

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import mean_ci, replicate, welch_p_value
+from repro.analysis import mean_ci, welch_p_value
+
+
+def replicate(run, seeds):
+    """Run ``run(seed)`` for every seed and collect the scalar results."""
+    return [run(seed) for seed in seeds]
 
 
 class TestMeanCI:

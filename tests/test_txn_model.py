@@ -65,8 +65,6 @@ class TestClassification:
     def test_nodes_and_keys(self):
         spec = tree()
         assert spec.nodes == {"a", "b", "c"}
-        assert spec.keys_written == {"x", "z"}
-        assert spec.keys_read == {"y"}
         assert spec.subtxn_count() == 4
 
 

@@ -5,7 +5,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from repro.storage import Assign, Increment, Record, Unrecord, apply_all
+from repro.storage import Assign, Increment, Record, Unrecord
+
+
+def apply_all(state, operations):
+    """Fold a sequence of operations over a state."""
+    for operation in operations:
+        state = operation.apply(state)
+    return state
 
 
 class TestIncrement:

@@ -20,6 +20,11 @@ from repro.workloads import (
 NODES = ["n0", "n1", "n2", "n3"]
 
 
+def entity_of_inquiry(name: str) -> int:
+    """The entity an inquiry transaction targeted (``inq-<i>:<entity>``)."""
+    return int(name.rsplit(":", 1)[1])
+
+
 @pytest.fixture
 def workload():
     config = RecordingConfig(nodes=NODES, entities=10, span=2,
@@ -88,7 +93,7 @@ class TestRecordingWorkload:
 
     def test_inquiry_reads_balance_everywhere(self, workload):
         spec = workload.make_inquiry(0)
-        entity = workload.entity_of_inquiry(spec.name)
+        entity = entity_of_inquiry(spec.name)
         assert spec.is_read_only
         assert spec.nodes == set(workload.entity_homes[entity])
         for sub in spec.root.walk():
@@ -183,7 +188,7 @@ class TestDomainWorkloads:
         assert inquiry.is_read_only
         assert statement.is_read_only
         assert not adjustment.is_well_behaved
-        patient = workload.entity_of_inquiry(inquiry.name)
+        patient = entity_of_inquiry(inquiry.name)
         assert workload.patient_departments(patient)
 
     def test_telecom_shape(self):
