@@ -33,6 +33,7 @@ from repro.runtime.plugin import ProtocolPlugin
 from repro.runtime.registry import PROTOCOLS
 from repro.runtime.system import System
 from repro.sim.events import Event
+from repro.storage.mvstore import MVStore
 from repro.txn.history import TxnKind
 
 MANUAL_COORDINATOR_ID = "manual-coordinator"
@@ -51,6 +52,11 @@ class ManualPlugin(ProtocolPlugin):
         node._frozen = False
         node._thaw = Event(node.sim)
         node._thaw.succeed()  # starts open
+
+    def make_store(self, node):
+        # Unchecked: the paper's strawman keeps more than three versions
+        # (7 live in a default 60 s recording run; 5 for manual-sync).
+        return MVStore()
 
     # -- versioning hooks ------------------------------------------------
 

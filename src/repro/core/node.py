@@ -68,9 +68,6 @@ class ThreeVPlugin(ProtocolPlugin):
         if self.allow_noncommuting:
             system.config.enable_locking = True
 
-    def make_store(self, node):
-        return node.config.store_factory()
-
     def init_node(self, node) -> None:
         counters = CounterTable(node.node_id)
         if node.journal is not None:

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 from repro.sim.distributions import Constant, Distribution
-from repro.storage.mvstore import MVStore
 
 
 @dataclasses.dataclass
@@ -28,10 +26,6 @@ class NodeConfig:
             subtransaction dispatches its children and commits — the
             literal Section 4.1 step 6, under which only the two-wave
             counter read is sound (the C7 ablation exploits this).
-        store_factory: Constructor for the per-node versioned store —
-            :class:`~repro.storage.mvstore.MVStore` (default) or the
-            fixed three-slot :class:`~repro.storage.slotstore.SlotStore`
-            that reuses version numbers as the paper suggests.
         dual_write: Section 4.1 step 4's "update all versions of x greater
             or equal to version V(T)".  ``False`` is an ABLATION that
             updates only ``x(V(T))``, reintroducing the straggler
@@ -48,7 +42,6 @@ class NodeConfig:
     executor_capacity: int = 1
     enable_locking: bool = False
     completion: str = "hierarchical"
-    store_factory: typing.Callable[[], MVStore] = MVStore
     dual_write: bool = True
     initial_update_version: int = 1
     initial_read_version: int = 0

@@ -78,8 +78,14 @@ class ProtocolPlugin:
         self.system = system
 
     def make_store(self, node):
-        """Build the node's versioned store."""
-        return MVStore()
+        """Build the node's versioned store.
+
+        Every protocol keeps at most three live versions of an item, so
+        its store refuses a fourth (the three-slot rule in
+        :mod:`repro.storage.mvstore`); only the manual-versioning
+        baseline overrides this.
+        """
+        return MVStore(three_slots=True)
 
     def init_node(self, node) -> None:
         """Attach protocol-specific state to a freshly built node."""

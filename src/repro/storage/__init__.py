@@ -3,7 +3,6 @@
 from repro.storage.counters import CounterTable, quiescent
 from repro.storage.locktable import LockMode, LockTable, compatible
 from repro.storage.mvstore import MVStore
-from repro.storage.slotstore import SlotStore
 from repro.storage.values import (
     Assign,
     AssignUndo,
@@ -23,7 +22,6 @@ __all__ = [
     "MVStore",
     "Operation",
     "Record",
-    "SlotStore",
     "Unrecord",
     "compatible",
     "quiescent",

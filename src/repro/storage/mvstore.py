@@ -18,6 +18,18 @@ The store also tracks the high-water mark of simultaneously live versions
 per item, which lets tests and benchmarks verify the paper's "at most three
 versions" bound (Section 4.4, properties 1a/2a).
 
+**The three-slot rule.**  "A real implementation could re-use old version
+numbers, employing only three distinct numbers" (Section 4): version ``v``
+would live in slot ``v mod 3``.  A store built with ``three_slots=True``
+enforces exactly what such a store needs: creating a new version ``v`` of
+a key raises :class:`~repro.errors.StorageError` while a live version
+``v' != v`` with ``v' = v (mod 3)`` exists.  The check runs only where a
+version is created on an existing chain (``load``, ``ensure_version`` and
+``collect``'s rename), so a violation of the paper's bound fails loudly at
+the operation that causes it instead of surviving as a fourth version.
+The protocol plugin decides whether its stores check
+(:meth:`~repro.runtime.plugin.ProtocolPlugin.make_store`).
+
 Performance note: alongside each version chain the store maintains the
 chain's **maximum live version**.  The paper bounds chains at three live
 versions, and between advancements almost every chain has exactly one — so
@@ -39,16 +51,26 @@ __all__ = ["MVStore"]
 _RAISE: typing.Final[object] = object()
 
 
+def _collision(key, version: int, live: int) -> StorageError:
+    return StorageError(
+        f"slot collision on {key!r}: version {version} vs live {live} — "
+        f"more than three concurrent versions (Section 4.4 bound violated)"
+    )
+
+
 class MVStore:
     """A per-node store mapping ``key -> {version -> value}``."""
 
-    __slots__ = ("_chains", "_maxes", "max_live_versions", "dual_writes",
-                 "total_writes")
+    __slots__ = ("_chains", "_maxes", "_three_slots", "max_live_versions",
+                 "dual_writes", "total_writes")
 
-    def __init__(self):
+    def __init__(self, three_slots: bool = False):
         self._chains: typing.Dict[typing.Hashable, typing.Dict[int, typing.Any]] = {}
         #: Per-key maximum live version (kept in lockstep with ``_chains``).
         self._maxes: typing.Dict[typing.Hashable, int] = {}
+        #: Refuse a new version that shares its slot (``v mod 3``) with a
+        #: live one (see the module docstring).
+        self._three_slots = three_slots
         #: Highest number of simultaneously live versions ever seen (any key).
         self.max_live_versions: int = 0
         #: Number of ``apply_geq`` calls that touched more than one version.
@@ -145,6 +167,10 @@ class MVStore:
             return
         if version in chain:
             raise StorageError(f"duplicate load of {key!r} version {version}")
+        if self._three_slots:
+            for live in chain:
+                if (live - version) % 3 == 0:
+                    raise _collision(key, version, live)
         chain[version] = value
         if version > self._maxes[key]:
             self._maxes[key] = version
@@ -169,6 +195,10 @@ class MVStore:
             return True
         if version in chain:
             return False
+        if self._three_slots:
+            for live in chain:
+                if (live - version) % 3 == 0:
+                    raise _collision(key, version, live)
         maximum = self._maxes[key]
         if maximum < version:
             # Common case: extending the chain head copies from the head.
@@ -250,6 +280,13 @@ class MVStore:
             if not earlier:
                 continue
             if read_version not in chain:
+                if self._three_slots:
+                    # The earlier versions are dropped; a later one may
+                    # hold the read version's slot.
+                    for live in chain:
+                        if live > read_version and (
+                                live - read_version) % 3 == 0:
+                            raise _collision(key, read_version, live)
                 chain[read_version] = chain[earlier[-1]]
             for v in earlier:
                 del chain[v]

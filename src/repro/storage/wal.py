@@ -9,9 +9,9 @@ discards the volatile component objects; recovery rebuilds each one from
 its factory and replays the log, restoring exactly the pre-crash state.
 
 The wrappers are transparent: :class:`JournaledStore` forwards the full
-read surface of :class:`~repro.storage.mvstore.MVStore` /
-:class:`~repro.storage.slotstore.SlotStore` (the two share one mutator
-vocabulary), and :class:`JournaledCounters` wraps
+read surface of :class:`~repro.storage.mvstore.MVStore` (a replay
+rebuilds the store from the plugin's ``make_store``, so a checking store
+refuses a colliding version again), and :class:`JournaledCounters` wraps
 :class:`~repro.storage.counters.CounterTable`.  Journaling draws no
 randomness and schedules no simulation events, so enabling it never
 perturbs a run's determinism digest.

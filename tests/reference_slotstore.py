@@ -1,20 +1,19 @@
-"""Fixed three-slot version storage (Section 4's implementation note).
+"""The three-slot store that the checking :class:`repro.storage.MVStore`
+replaced.
 
-"We assume for simplicity that version numbers increase monotonically
-with time.  A real implementation could re-use old version numbers,
-employing only three distinct numbers."  :class:`SlotStore` is that real
-implementation: each data item owns exactly **three physical slots**, and
-logical version ``v`` lives in slot ``v mod 3``.  The Section 4.4 window
-property (``vr < vu <= vr + 2`` and at most three live versions, all
-within the ``[vr, vu]`` window) guarantees the mapping never collides —
-and the store *checks* that: a fourth concurrent version raises
-:class:`~repro.errors.StorageError`, turning any violation of the paper's
-bound into an immediate failure instead of silent corruption.
+Kept verbatim, for tests only, as the reference the differential in
+``tests/test_slotstore.py`` runs ``MVStore(three_slots=True)`` against.
+It is the paper's "a real implementation could re-use old version
+numbers, employing only three distinct numbers" (Section 4): each data
+item owns three physical slots, and logical version ``v`` lives in slot
+``v mod 3``.  A new version whose slot holds a different live version
+raises :class:`~repro.errors.StorageError` (``_claim_slot``); the checking
+``MVStore`` applies that rule where it creates a version.
 
-The class is a drop-in replacement for
-:class:`~repro.storage.mvstore.MVStore` (``NodeConfig.store_factory``);
-``tests/test_slotstore.py`` differential-tests the two against identical
-workloads.
+One known divergence: ``collect``'s rename does not claim its slot, so
+with live versions ``{0, 5}`` ``collect(2)`` writes version 2 over
+version 5 and silently loses it.  The checking ``MVStore`` raises
+there instead.
 """
 
 from __future__ import annotations

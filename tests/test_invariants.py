@@ -13,7 +13,8 @@ from repro.core.invariants import (
     check_version_bounds,
     check_version_counts,
 )
-from repro.errors import InvariantViolation
+from repro.errors import InvariantViolation, StorageError
+from repro.storage import MVStore
 
 
 @pytest.fixture
@@ -61,9 +62,17 @@ class TestCorruptionsCaught:
             check_version_counts(system)
 
     def test_four_versions_always_wrong(self, system):
-        store = system.node("p").store
+        node = system.node("p")
+        # A 3V store refuses the fourth version outright...
+        for version in (1, 2):
+            node.store.ensure_version("x", version)
+        with pytest.raises(StorageError):
+            node.store.ensure_version("x", 3)
+        # ...so the checker is shown one on an unchecked store.
+        node.store = MVStore()
+        node.store.load("x", 0)
         for version in (1, 2, 3):
-            store.ensure_version("x", version)
+            node.store.ensure_version("x", version)
         system.coordinator.running = True
         try:
             with pytest.raises(InvariantViolation):

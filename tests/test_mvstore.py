@@ -217,3 +217,56 @@ class TestVersionLifecycleProperties:
             store.apply_geq("K", 1, Increment(delta))
         assert store.get_exact("K", 0) == 42
         assert store.get_exact("K", 1) == 42 + sum(deltas)
+
+
+class TestThreeSlotRule:
+    """``three_slots=True``: version ``v`` may not share slot ``v mod 3``
+    with a different live version, wherever a version is created."""
+
+    def test_ensure_version_refuses_a_fourth_version(self):
+        store = MVStore(three_slots=True)
+        store.load("x", 10)
+        store.ensure_version("x", 1)
+        store.ensure_version("x", 2)
+        with pytest.raises(StorageError, match="version 3 vs live 0"):
+            store.ensure_version("x", 3)
+        with pytest.raises(StorageError):
+            store.ensure_version("x", -1)  # below the chain, slot of 2
+        assert store.versions("x") == [0, 1, 2]
+        assert store.max_live_versions == 3
+
+    def test_load_refuses_a_colliding_version(self):
+        store = MVStore(three_slots=True)
+        store.load("x", 10)
+        with pytest.raises(StorageError, match="slot collision"):
+            store.load("x", 20, version=3)
+        store.load("x", 20, version=4)
+        assert store.snapshot() == {"x": {0: 10, 4: 20}}
+
+    def test_collect_refuses_to_rename_onto_a_live_slot(self):
+        """Live ``{0, 5}``: renaming 0 to the new read version 2 would
+        land in 5's slot (the three-slot store overwrote 5 silently)."""
+        store = MVStore(three_slots=True)
+        store.load("x", 10)
+        store.ensure_version("x", 5)  # residues 0 and 2: allowed
+        with pytest.raises(StorageError, match="version 2 vs live 5"):
+            store.collect(2)
+        assert store.snapshot() == {"x": {0: 10, 5: 10}}
+
+    def test_collect_may_reuse_the_slots_it_frees(self):
+        store = MVStore(three_slots=True)
+        store.load("x", 10)
+        store.ensure_version("x", 4)
+        assert store.collect(3) == 1  # 0 is dropped, so 3 may take its slot
+        assert store.snapshot() == {"x": {3: 10, 4: 10}}
+
+    def test_unchecked_store_keeps_any_number_of_versions(self):
+        store = MVStore()
+        store.load("x", 10)
+        store.load("x", 10, version=3)
+        store.ensure_version("x", 5)
+        for version in (6, 7, 8):
+            store.ensure_version("x", version)
+        store.collect(2)
+        assert store.versions("x") == [2, 3, 5, 6, 7, 8]
+        assert store.max_live_versions == 6
