@@ -11,7 +11,8 @@ as bounded extra staleness and (possibly) a stall span, never as lost
 work — committed counts stay level and the audit stays clean.
 
 Standalone by design: control-plane cells run fault storms, so they do
-not belong in the zero-fault ``BENCH_hotpath.json`` determinism baseline.
+not belong in the zero-fault sweep tables of ``GOLDEN.json`` (whose
+``cli`` table gates the ``repro chaos`` storms instead).
 
 Run directly::
 

@@ -17,11 +17,11 @@ numbers the suite replays the same spec through
 ``run_recording_experiment`` *without mentioning replication at all* and
 asserts both summaries share one determinism digest — turning the axis
 on at its default must perturb nothing.  The digest is exported as
-``repl_rf1_digest`` so ``tools/bench.py --check`` also fails if either
-path drifts from the committed baseline.
+``repl_rf1_digest`` so ``tools/golden.py --check`` also fails if either
+path drifts from the committed value.
 
-The determinism counts and the digest feed ``BENCH_hotpath.json`` via
-:func:`bench_hotpath.run_suite`; the rates are this suite's own table.
+The determinism counts and the digest are gated in ``GOLDEN.json`` by
+``tools/golden.py``; the rates are this suite's own table.
 Run directly for the replication table::
 
     PYTHONPATH=src python benchmarks/bench_replication.py [--smoke]

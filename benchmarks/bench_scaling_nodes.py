@@ -19,7 +19,7 @@ Two kinds of output:
   is the honest same-work-per-wall-second comparison.
 * ``determinism`` — per-cell event/message/advancement counts, which must
   be bit-stable across hosts and worker counts like every other digest;
-  :func:`bench_hotpath.run_suite` merges them into ``BENCH_hotpath.json``.
+  ``tools/golden.py`` gates them in ``GOLDEN.json``.
 
 The batched and unbatched variants of each cell must also agree exactly
 on everything except the scheduled-event trace (messages, advancement

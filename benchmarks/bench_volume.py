@@ -9,8 +9,8 @@ transaction into online aggregates, and no materialized per-transaction
 state anywhere in the stack.
 
 The point of the axis is the *memory* claim: peak heap must be flat in
-transaction count.  Three kinds of output, of which only the last feeds
-``BENCH_hotpath.json`` (via :func:`bench_hotpath.run_suite`):
+transaction count.  Three kinds of output, of which only the last is
+gated in ``GOLDEN.json`` (by ``tools/golden.py``):
 
 * ``volume_memory_flatness`` — peak tracemalloc bytes of the small cell
   over the large one.  Flat memory puts the ratio near 1.0; any O(txns)
@@ -18,7 +18,7 @@ transaction count.  Three kinds of output, of which only the last feeds
   ``small/large`` (0.1).  A hard assert caps the large cell at
   ``MEMORY_FLATNESS_LIMIT`` (1.5x) of the small one — the tentpole
   acceptance bar — so a blown ratio fails the suite, and with it
-  ``tools/bench.py --check``, outright.
+  ``tools/golden.py --check``, outright.
 * ``volume_stream_txns_per_sec`` — fresh, untraced wall-clock throughput
   of the small cell (the memory cells run under ``tracemalloc``, which
   roughly doubles wall-clock, so they are never used for rate metrics).

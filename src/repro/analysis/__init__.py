@@ -28,7 +28,6 @@ from repro.analysis.rolling import (
 from repro.analysis.stats import (
     ConfidenceInterval,
     mean_ci,
-    welch_p_value,
 )
 from repro.analysis.tracefile import (
     TraceStreamWriter,
@@ -63,7 +62,6 @@ __all__ = [
     "max_remote_wait",
     "mean_ci",
     "percentile",
-    "welch_p_value",
     "staleness_summary",
     "throughput",
     "wait_summary",

@@ -3,8 +3,7 @@
 A single seeded run is deterministic but still one draw from the
 workload distribution; benchmark conclusions ("3V's goodput is flat in
 cluster size") should rest on several seeds.  This module provides the
-two tools the harness needs: mean with a Student-t confidence interval,
-and Welch's t-test for "is A really faster than B".
+tool the harness needs: mean with a Student-t confidence interval.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ def _scipy_stats():
         from scipy import stats
     except ImportError as error:
         raise ReproError(
-            "confidence intervals and t-tests need scipy; install the "
+            "confidence intervals need scipy; install the "
             "'analysis' extra (pip install 'repro[analysis]')"
         ) from error
     return stats
@@ -69,17 +68,3 @@ def mean_ci(values: typing.Sequence[float],
         n=n, confidence=confidence,
     )
 
-
-def welch_p_value(a: typing.Sequence[float],
-                  b: typing.Sequence[float]) -> float:
-    """Welch's t-test p-value for mean(a) != mean(b).
-
-    Degenerate samples (all-identical values on both sides) return 0.0
-    when the means differ and 1.0 when they coincide.
-    """
-    if len(a) < 2 or len(b) < 2:
-        raise ValueError("welch_p_value needs >= 2 observations per side")
-    if max(a) == min(a) and max(b) == min(b):
-        return 1.0 if a[0] == b[0] else 0.0
-    _stat, p_value = _scipy_stats().ttest_ind(a, b, equal_var=False)
-    return float(p_value)

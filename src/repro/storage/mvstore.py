@@ -93,11 +93,6 @@ class MVStore:
         chain = self._chains.get(key)
         return sorted(chain) if chain else []
 
-    def exists(self, key, version: int) -> bool:
-        """Does ``key`` exist at exactly ``version``?"""
-        chain = self._chains.get(key)
-        return chain is not None and version in chain
-
     def exists_above(self, key, version: int) -> bool:
         """Does any version of ``key`` strictly greater than ``version`` exist?
 

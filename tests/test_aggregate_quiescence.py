@@ -13,11 +13,15 @@ soundness argument from the module docstring:
 * on any reachable two-wave snapshot (completions read strictly before
   requests), the aggregate verdict equals the full-scan verdict, and
   both equal ground truth (no subtransaction outstanding).
+
+A last test times the two checks against each other: the aggregate one
+is the fast path the detector polls.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import time
 import typing
 
 from hypothesis import given, settings
@@ -192,3 +196,43 @@ def test_aggregate_agrees_with_scan_on_two_wave_snapshots(
     truth = not any(send.version == version for send in pending)
     assert aggregate_quiescent(req_totals, comp_totals) == truth
     assert quiescent(req_rows, comp_rows) == truth
+
+
+def quiescent_storm(n: int, nodes: int) -> bool:
+    """The O(nodes²) differential-oracle scan (kept for comparison)."""
+    ids = [f"n{i:02d}" for i in range(nodes)]
+    reqs = {p: {q: 7 for q in ids} for p in ids}
+    comps = {q: {p: 7 for p in ids} for q in ids}
+    ok = True
+    for _ in range(n):
+        ok = quiescent(reqs, comps) and ok
+    return ok
+
+
+def aggregate_quiescent_storm(n: int, nodes: int) -> bool:
+    """The aggregate-total check the two-wave detector actually runs.
+
+    One scalar per node per wave — the shape ``gather_counters`` returns
+    for the ``RT``/``CT`` waves — so each check is two dict-sums instead
+    of a nodes² cell scan.
+    """
+    ids = [f"n{i:02d}" for i in range(nodes)]
+    req_totals = {p: 7 * nodes for p in ids}
+    comp_totals = {q: 7 * nodes for q in ids}
+    ok = True
+    for _ in range(n):
+        ok = aggregate_quiescent(req_totals, comp_totals) and ok
+    return ok
+
+
+def test_aggregate_check_is_the_fast_path():
+    """The quiescence check the detector polls is the aggregate-total
+    path; the O(nodes²) scan stays on the books as the (much slower)
+    oracle."""
+    def checks_per_sec(storm, checks):
+        started = time.perf_counter()
+        assert storm(checks, 16)
+        return checks / (time.perf_counter() - started)
+
+    assert (checks_per_sec(aggregate_quiescent_storm, 10_000)
+            > 5 * checks_per_sec(quiescent_storm, 100))

@@ -42,8 +42,8 @@ class TestReads:
             store.get_exact("A", 1)
 
     def test_exists_and_exists_above(self, store):
-        assert store.exists("A", 0)
-        assert not store.exists("A", 1)
+        assert 0 in store.versions("A")
+        assert 1 not in store.versions("A")
         assert not store.exists_above("A", 0)
         store.ensure_version("A", 2)
         assert store.exists_above("A", 0)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis import mean_ci, welch_p_value
+from repro.analysis import mean_ci
 
 
 def replicate(run, seeds):
@@ -55,27 +55,6 @@ class TestMeanCI:
     def test_mean_always_inside_interval(self, values):
         ci = mean_ci(values)
         assert ci.low <= ci.mean <= ci.high
-
-
-class TestWelch:
-    def test_clearly_different_samples(self):
-        a = [1.0, 1.1, 0.9, 1.05, 0.95]
-        b = [5.0, 5.1, 4.9, 5.05, 4.95]
-        assert welch_p_value(a, b) < 0.001
-
-    def test_identical_samples(self):
-        a = [1.0, 2.0, 3.0]
-        assert welch_p_value(a, a) == pytest.approx(1.0)
-
-    def test_degenerate_equal(self):
-        assert welch_p_value([2.0, 2.0], [2.0, 2.0]) == 1.0
-
-    def test_degenerate_different(self):
-        assert welch_p_value([2.0, 2.0], [3.0, 3.0]) == 0.0
-
-    def test_too_few_observations_rejected(self):
-        with pytest.raises(ValueError):
-            welch_p_value([1.0], [2.0, 3.0])
 
 
 class TestReplicate:

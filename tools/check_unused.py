@@ -49,8 +49,6 @@ ALLOWED: typing.Dict[str, str] = {
         "conflict-graph analysis API (a witness serial order)",
     "repro.analysis.rolling:atomic_visibility_violations":
         "analysis API: the fractured reads of a history, as evidence",
-    "repro.analysis.stats:welch_p_value":
-        "statistics API named in README.md and docs/PERFORMANCE.md",
     "repro.analysis.tracefile:load_txn_records":
         "reads back what export_trace writes (the trace file's reader)",
     "repro.core.invariants:InvariantMonitor":
