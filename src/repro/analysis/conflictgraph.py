@@ -19,6 +19,10 @@ baselines put everything on version 0; the 3V protocol's dual writes are
 expanded to every version they touched (recorded in
 ``WriteEvent.versions``).
 
+The graph is a plain adjacency dict (:data:`Graph`).  Kahn's algorithm
+orders it; the transactions it cannot order lie on or after a cycle, and
+a walk back over them finds the cycles.
+
 For a fractured read the graph shows a crisp witness: the reader
 observed key copies *before* an update on one node and *after* it on
 another, producing the two-cycle ``reader -> updater -> reader``.
@@ -26,26 +30,11 @@ another, producing the two-cycle ``reader -> updater -> reader``.
 
 from __future__ import annotations
 
+import collections
 import typing
 
 from repro.errors import ReproError
 from repro.txn.history import History
-
-if typing.TYPE_CHECKING:
-    import networkx
-
-
-def _networkx():
-    """``networkx``, loaded on first use: only the graph checker needs it,
-    and no simulation run builds the graph."""
-    try:
-        import networkx
-    except ImportError as error:
-        raise ReproError(
-            "the conflict-graph checker needs networkx; install the "
-            "'analysis' extra (pip install 'repro[analysis]')"
-        ) from error
-    return networkx
 
 
 class ConflictEdge(typing.NamedTuple):
@@ -59,12 +48,13 @@ class ConflictEdge(typing.NamedTuple):
     kinds: str  # "wr", "rw", or "ww"
 
 
-def _committed(history: History) -> typing.Set[str]:
-    return {
+def _committed(history: History) -> typing.Dict[str, None]:
+    """The committed transactions' names, in the history's order."""
+    return dict.fromkeys(
         record.name
         for record in history.txns.values()
         if not record.aborted
-    }
+    )
 
 
 def _copy_events(history: History):
@@ -93,14 +83,17 @@ def _conflicts(kind_a: str, op_a, kind_b: str, op_b) -> bool:
     return True
 
 
-def build_serialization_graph(history: History) -> networkx.DiGraph:
+#: ``graph[src][dst]`` lists the :class:`ConflictEdge` witnesses of the
+#: edge ``src -> dst``; every committed transaction is a key.
+Graph = typing.Dict[str, typing.Dict[str, typing.List[ConflictEdge]]]
+
+
+def build_serialization_graph(history: History) -> Graph:
     """Construct the commutativity-aware serialization graph.
 
-    Edge data: ``witnesses`` — a list of :class:`ConflictEdge` explaining
-    each edge (capped at 5 per edge to bound memory).
+    Each edge's witnesses are capped at 5 to bound memory.
     """
-    graph = _networkx().DiGraph()
-    graph.add_nodes_from(_committed(history))
+    graph: Graph = {txn: {} for txn in _committed(history)}
     per_copy: typing.Dict[tuple, list] = {}
     for copy, time, txn, kind, operation in _copy_events(history):
         per_copy.setdefault(copy, []).append((time, txn, kind, operation))
@@ -113,50 +106,88 @@ def build_serialization_graph(history: History) -> networkx.DiGraph:
                 if not _conflicts(kind_a, op_a, kind_b, op_b):
                     continue
                 node, key, version = copy
-                if graph.has_edge(txn_a, txn_b):
-                    witnesses = graph[txn_a][txn_b]["witnesses"]
-                    if len(witnesses) < 5:
-                        witnesses.append(ConflictEdge(
-                            txn_a, txn_b, node, key, version,
-                            kind_a + kind_b,
-                        ))
-                else:
-                    graph.add_edge(txn_a, txn_b, witnesses=[ConflictEdge(
+                witnesses = graph[txn_a].setdefault(txn_b, [])
+                if len(witnesses) < 5:
+                    witnesses.append(ConflictEdge(
                         txn_a, txn_b, node, key, version, kind_a + kind_b,
-                    )])
+                    ))
     return graph
+
+
+def _topological_order(
+    graph: Graph,
+) -> typing.Tuple[typing.List[str], typing.Dict[str, int]]:
+    """Kahn's algorithm: the nodes it can order, in order, and the
+    in-degree left on each node it cannot (empty iff acyclic).  Each node
+    left behind keeps at least one edge from another node left behind."""
+    indegree = dict.fromkeys(graph, 0)
+    for successors in graph.values():
+        for dst in successors:
+            indegree[dst] += 1
+    ready = collections.deque(
+        txn for txn, degree in indegree.items() if degree == 0)
+    order = []
+    while ready:
+        txn = ready.popleft()
+        order.append(txn)
+        for dst in graph[txn]:
+            indegree[dst] -= 1
+            if indegree[dst] == 0:
+                ready.append(dst)
+    return order, {txn: degree for txn, degree in indegree.items() if degree}
 
 
 def serialization_cycles(
     history: History, limit: int = 5
 ) -> typing.List[typing.List[str]]:
-    """Return up to ``limit`` cycles of the serialization graph.
+    """Return up to ``limit`` node-disjoint cycles of the serialization
+    graph, each a list whose consecutive nodes (and last to first) are
+    edges.
 
     An empty list certifies commutativity-aware conflict serializability
     of the history.
     """
     graph = build_serialization_graph(history)
+    _order, stuck = _topological_order(graph)
+    # Every stuck node has a stuck predecessor, so walking back along one
+    # fixed predecessor per node must close a cycle; a walk that reaches a
+    # node an earlier walk visited would only close that walk's cycle.
+    predecessor: typing.Dict[str, str] = {}
+    for src in stuck:
+        for dst in graph[src]:
+            if dst in stuck:
+                predecessor.setdefault(dst, src)
+    walked: typing.Dict[str, int] = {}
     cycles = []
-    for cycle in _networkx().simple_cycles(graph):
-        cycles.append(cycle)
-        if len(cycles) >= limit:
-            break
+    for walk, start in enumerate(stuck):
+        path = []
+        txn = start
+        while txn not in walked:
+            walked[txn] = walk
+            path.append(txn)
+            txn = predecessor[txn]
+        if walked[txn] == walk:
+            cycles.append(path[path.index(txn):][::-1])
+            if len(cycles) >= limit:
+                break
     return cycles
 
 
 def is_conflict_serializable(history: History) -> bool:
-    """Convenience wrapper: ``True`` iff the graph is acyclic."""
-    return _networkx().is_directed_acyclic_graph(
-        build_serialization_graph(history)
-    )
+    """``True`` iff the serialization graph is acyclic."""
+    return not _topological_order(build_serialization_graph(history))[1]
 
 
 def equivalent_serial_order(history: History) -> typing.List[str]:
     """A witness serial order (topological sort of the graph).
 
     Raises:
-        networkx.NetworkXUnfeasible: If the history is not serializable.
+        ReproError: If the history is not serializable.
     """
-    return list(_networkx().topological_sort(
-        build_serialization_graph(history)
-    ))
+    order, stuck = _topological_order(build_serialization_graph(history))
+    if stuck:
+        raise ReproError(
+            f"not conflict-serializable: {len(stuck)} transactions lie on "
+            f"or after a serialization cycle"
+        )
+    return order

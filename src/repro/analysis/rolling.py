@@ -2,7 +2,9 @@
 
 Both checks of :mod:`repro.analysis.serializability` — fractured reads
 and the Theorem 4.1 snapshot comparison — are made per committed read
-transaction, with its read events grouped by key.
+transaction, with its read events grouped by key; the fractured check
+merges the slots of a replicated balance (``bal:7#0``, ``bal:7#1``, …)
+into their entity, ``bal:7``.
 
 :class:`RollingAuditor` makes them as transactions retire from a
 retiring :class:`~repro.txn.history.History`, in O(entities × versions +
@@ -30,6 +32,7 @@ import typing
 from repro.analysis.serializability import (
     CommittedMasks,
     Violation,
+    balance_entity,
     corrected_entities,
     effectively_distinct,
     snapshot_mismatches,
@@ -66,7 +69,8 @@ class AnomalyReport:
 
     @property
     def fractured_rate(self) -> float:
-        """Fraction of examined (read, key) pairs that were fractured."""
+        """Fractured (read, entity) pairs per examined (read, key) pair
+        (one key per entity at replication factor 1)."""
         if self.reads_checked == 0:
             return 0.0
         return self.fractured_reads / self.reads_checked
@@ -140,9 +144,10 @@ class RollingAuditor:
         """The per-read check of one transaction's read events: only a
         committed read transaction is held to snapshot semantics (an update
         legitimately sees in-progress same-version state).  Each key counts
-        as one read checked; with ``check_snapshots`` the read is compared
-        with the committed masks now if ``settled``, else once its version
-        settles."""
+        as one read checked; the keys of one entity are checked together
+        for a fractured read.  With ``check_snapshots`` the read is
+        compared with the committed masks now if ``settled``, else once its
+        version settles."""
         if record.aborted or record.kind != TxnKind.READ or not events:
             return
         by_key: typing.Dict[typing.Hashable,
@@ -150,13 +155,23 @@ class RollingAuditor:
         for event in events:
             by_key.setdefault(event.key, []).append(event)
         self.tally.reads_checked += len(by_key)
+        # Read-one routing reads each slot of a replicated balance from one
+        # replica, so a fracture shows only across the entity's slots.
+        by_item: typing.Dict[typing.Hashable, set] = {}
         for key, key_events in by_key.items():
+            entity = balance_entity(key)
+            item = key if entity is None else f"bal:{entity}"
             values = {(event.node, event.value) for event in key_events}
+            if item in by_item:
+                by_item[item] |= values
+            else:
+                by_item[item] = values
+        for item, values in by_item.items():
             if len(effectively_distinct(
                     value for _node, value in values)) > 1:
                 self.tally.fractured_reads += 1
                 self._evidence(Violation(
-                    kind="fractured-read", txn=record.name, key=key,
+                    kind="fractured-read", txn=record.name, key=item,
                     details=f"per-node values {sorted(values)!r}",
                 ))
         if not self.check_snapshots:
@@ -248,7 +263,8 @@ def audit(history: History, workload=None,
 
 
 def atomic_visibility_violations(history: History) -> typing.List[Violation]:
-    """Fractured reads: one read transaction, one key, different values on
-    different nodes (the first :data:`MAX_EVIDENCE` of them).  Requires
-    detailed read events (``detail=True``)."""
+    """Fractured reads: one read transaction, one entity (every slot of a
+    replicated balance), different values on different nodes (the first
+    :data:`MAX_EVIDENCE` of them).  Requires detailed read events
+    (``detail=True``)."""
     return audit(history).violations

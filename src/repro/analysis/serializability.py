@@ -7,8 +7,11 @@ the serial order *sorted by version number, updates before reads within a
 version*.  Each committed read transaction is checked twice:
 
 * for *fractured reads*: recording transactions write the *same amount*
-  to every node an entity spans, so one key showing values that are
-  :func:`effectively_distinct` on different nodes is a fractured read;
+  to every node an entity spans, so one entity showing values that are
+  :func:`effectively_distinct` on different nodes is a fractured read.
+  Under replication the entity's slots (``bal:7#0``, ``bal:7#1``, …)
+  are compared together: read-one routing reads each slot from a single
+  replica, so a fracture shows only across slots;
 * against its snapshot (:func:`snapshot_mismatches`, requiring the
   workload's ``"bitmask"`` amount mode): a read with version ``v`` must
   see **exactly** the committed recording transactions with version

@@ -1,15 +1,27 @@
-"""Tests for the commutativity-aware serialization-graph checker."""
+"""Tests for the commutativity-aware serialization-graph checker.
+
+The differential tests hold the standard-library graph pass to
+``networkx`` where it is installed (a test-only reference); the rest run
+without it.
+"""
+
+import functools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
+    audit,
     build_serialization_graph,
     equivalent_serial_order,
     is_conflict_serializable,
     serialization_cycles,
 )
+from repro.errors import ReproError
 from repro.storage import Assign, Increment
 from repro.txn import History, ReadEvent, TxnKind, WriteEvent
+from repro.workloads import run_recording_experiment
 
 
 def history_with(events):
@@ -27,6 +39,11 @@ def history_with(events):
     return history
 
 
+def edges(graph):
+    return {(src, dst) for src, successors in graph.items()
+            for dst in successors}
+
+
 class TestSyntheticHistories:
     def test_commuting_writes_induce_no_edges(self):
         history = history_with([
@@ -34,7 +51,7 @@ class TestSyntheticHistories:
             ("w", 2.0, "t2", "a", "x", Increment(2)),
         ])
         graph = build_serialization_graph(history)
-        assert graph.number_of_edges() == 0
+        assert edges(graph) == set()
         assert is_conflict_serializable(history)
 
     def test_non_commuting_writes_induce_edge(self):
@@ -43,8 +60,7 @@ class TestSyntheticHistories:
             ("w", 2.0, "t2", "a", "x", Assign(2)),
         ])
         graph = build_serialization_graph(history)
-        assert graph.has_edge("t1", "t2")
-        assert not graph.has_edge("t2", "t1")
+        assert edges(graph) == {("t1", "t2")}
 
     def test_read_write_conflicts_ordered_by_time(self):
         history = history_with([
@@ -52,7 +68,7 @@ class TestSyntheticHistories:
             ("w", 2.0, "u", "a", "x", Increment(1)),
         ])
         graph = build_serialization_graph(history)
-        assert graph.has_edge("q", "u")
+        assert edges(graph) == {("q", "u")}
         assert equivalent_serial_order(history) == ["q", "u"]
 
     def test_fractured_read_creates_cycle(self):
@@ -67,7 +83,7 @@ class TestSyntheticHistories:
         assert not is_conflict_serializable(history)
         cycles = serialization_cycles(history)
         assert any(set(cycle) == {"u", "q"} for cycle in cycles)
-        with pytest.raises(Exception):
+        with pytest.raises(ReproError):
             equivalent_serial_order(history)
 
     def test_aborted_txns_excluded(self):
@@ -77,7 +93,7 @@ class TestSyntheticHistories:
         ])
         history.aborted("dead", 3.0)
         graph = build_serialization_graph(history)
-        assert list(graph.nodes) == ["t2"]
+        assert list(graph) == ["t2"]
 
     def test_different_copies_do_not_conflict(self):
         """Writes to different versions of the same key touch different
@@ -92,7 +108,7 @@ class TestSyntheticHistories:
         history.wrote(WriteEvent(2.0, "t2", "t2", "a", "x", 2, 1, Assign(2),
                                  versions=(2,)))
         graph = build_serialization_graph(history)
-        assert graph.number_of_edges() == 0
+        assert edges(graph) == set()
 
     def test_edge_witnesses_recorded(self):
         history = history_with([
@@ -100,52 +116,129 @@ class TestSyntheticHistories:
             ("w", 2.0, "u", "a", "x", Increment(1)),
         ])
         graph = build_serialization_graph(history)
-        witness = graph["q"]["u"]["witnesses"][0]
+        witness = graph["q"]["u"][0]
         assert witness.kinds == "rw"
         assert witness.key == "x"
 
 
+    def test_witnesses_capped_at_five(self):
+        history = history_with([
+            ("r", float(time), "q", "a", key, None) for time, key in
+            enumerate("vwxyz01")
+        ] + [
+            ("w", 10.0 + time, "u", "a", key, Increment(1)) for time, key in
+            enumerate("vwxyz01")
+        ])
+        assert len(build_serialization_graph(history)["q"]["u"]) == 5
+
+    def test_cycles_are_node_disjoint_and_limited(self):
+        """Three two-cycles ``q_i <-> u_i``: one cycle each, ``limit``
+        honoured."""
+        rows = []
+        for i in range(3):
+            rows += [
+                ("w", 1.0, f"u{i}", "b", f"y{i}", Increment(1)),
+                ("r", 2.0, f"q{i}", "b", f"y{i}", None),
+                ("r", 3.0, f"q{i}", "a", f"x{i}", None),
+                ("w", 4.0, f"u{i}", "a", f"x{i}", Increment(1)),
+            ]
+        history = history_with(rows)
+        cycles = serialization_cycles(history)
+        assert sorted(sorted(cycle) for cycle in cycles) == [
+            [f"q{i}", f"u{i}"] for i in range(3)]
+        assert len(serialization_cycles(history, limit=2)) == 2
+
+
+def check_against_networkx(history):
+    """The graph pass against ``networkx`` on the same graph: the same
+    acyclic verdict, every returned cycle a cycle of the graph, and the
+    returned order respecting every edge."""
+    networkx = pytest.importorskip("networkx")
+    graph = build_serialization_graph(history)
+    reference = networkx.DiGraph()
+    reference.add_nodes_from(graph)
+    reference.add_edges_from(edges(graph))
+    acyclic = networkx.is_directed_acyclic_graph(reference)
+    assert is_conflict_serializable(history) == acyclic
+    cycles = serialization_cycles(history)
+    assert bool(cycles) != acyclic
+    for cycle in cycles:
+        assert len(set(cycle)) == len(cycle)
+        for src, dst in zip(cycle, cycle[1:] + cycle[:1]):
+            assert reference.has_edge(src, dst), (cycle, src, dst)
+    if not acyclic:
+        with pytest.raises(ReproError):
+            equivalent_serial_order(history)
+        return
+    order = equivalent_serial_order(history)
+    assert sorted(order) == sorted(graph)
+    position = {txn: index for index, txn in enumerate(order)}
+    for src, dst in reference.edges:
+        assert position[src] < position[dst], (src, dst)
+
+
+ROWS = st.lists(st.tuples(
+    st.sampled_from("rw"),
+    st.integers(0, 20).map(float),
+    st.sampled_from(["t0", "t1", "t2", "t3", "t4"]),
+    st.sampled_from("ab"),
+    st.sampled_from("xy"),
+    st.sampled_from([Increment(1), Assign(1)]),  # a read ignores it
+), max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ROWS)
+def test_graph_pass_agrees_with_networkx(rows):
+    check_against_networkx(history_with(rows))
+
+
+#: The real runs of this file: protocol, replication factor, settings.
+SMALL = dict(nodes=4, duration=20.0, update_rate=5.0, inquiry_rate=4.0,
+             audit_rate=0.3, entities=10, span=3, seed=14)
+BUSY = dict(nodes=4, duration=30.0, update_rate=6.0, inquiry_rate=5.0,
+            audit_rate=0.3, entities=8, span=3, seed=14)
+CROSS = dict(nodes=4, duration=25.0, update_rate=6.0, inquiry_rate=5.0,
+             audit_rate=0.2, entities=8, span=3, seed=3)
+RUNS = {"small": SMALL, "busy": BUSY, "cross": CROSS}
+REAL_RUNS = [
+    ("3v", "small", 1), ("2pc", "small", 1), ("nocoord", "busy", 1),
+    ("3v", "cross", 1), ("nocoord", "cross", 1),
+    ("3v", "cross", 3), ("nocoord", "cross", 3),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def recorded(protocol, run, replication_factor=1):
+    return run_recording_experiment(
+        protocol, replication_factor=replication_factor, **RUNS[run])
+
+
 class TestRealHistories:
     def test_3v_histories_are_conflict_serializable(self):
-        from repro.workloads import run_recording_experiment
-
-        result = run_recording_experiment(
-            "3v", nodes=4, duration=20.0, update_rate=5.0, inquiry_rate=4.0,
-            audit_rate=0.3, entities=10, span=3, seed=14,
-        )
-        assert is_conflict_serializable(result.history)
+        assert is_conflict_serializable(recorded("3v", "small").history)
 
     def test_2pc_histories_are_conflict_serializable(self):
-        from repro.workloads import run_recording_experiment
-
-        result = run_recording_experiment(
-            "2pc", nodes=4, duration=20.0, update_rate=5.0, inquiry_rate=4.0,
-            audit_rate=0.3, entities=10, span=3, seed=14,
-        )
-        assert is_conflict_serializable(result.history)
+        assert is_conflict_serializable(recorded("2pc", "small").history)
 
     def test_nocoord_histories_are_not(self):
-        from repro.workloads import run_recording_experiment
-
-        result = run_recording_experiment(
-            "nocoord", nodes=4, duration=30.0, update_rate=6.0,
-            inquiry_rate=5.0, audit_rate=0.3, entities=8, span=3, seed=14,
-        )
-        cycles = serialization_cycles(result.history)
+        cycles = serialization_cycles(recorded("nocoord", "busy").history)
         assert cycles, "expected a serialization cycle under no coordination"
 
     def test_agrees_with_bitmask_oracle(self):
         """Cross-validation of the two instruments: on the same runs the
-        graph checker and the bitmask oracle reach the same verdict."""
-        from repro.analysis import audit
-        from repro.workloads import run_recording_experiment
+        graph checker and the bitmask oracle reach the same verdict, at
+        replication factor 3 too (where a fractured read shows only
+        across an entity's slots)."""
+        for protocol, replication_factor in (
+                ("3v", 1), ("nocoord", 1), ("3v", 3), ("nocoord", 3)):
+            history = recorded(protocol, "cross", replication_factor).history
+            oracle_clean = audit(history).clean
+            graph_clean = is_conflict_serializable(history)
+            assert oracle_clean == graph_clean, (protocol, replication_factor)
 
-        for protocol, seed in (("3v", 3), ("nocoord", 3)):
-            result = run_recording_experiment(
-                protocol, nodes=4, duration=25.0, update_rate=6.0,
-                inquiry_rate=5.0, audit_rate=0.2, entities=8, span=3,
-                seed=seed,
-            )
-            oracle_clean = audit(result.history).clean
-            graph_clean = is_conflict_serializable(result.history)
-            assert oracle_clean == graph_clean, protocol
+    @pytest.mark.parametrize("protocol, run, replication_factor", REAL_RUNS)
+    def test_graph_pass_agrees_with_networkx(self, protocol, run,
+                                             replication_factor):
+        check_against_networkx(
+            recorded(protocol, run, replication_factor).history)

@@ -1,10 +1,10 @@
 """What `import repro` and a simulation run may load.
 
-scipy and networkx serve six analysis helpers (a t quantile, a t-test,
-four graph calls) that no simulation run reaches.  Loaded eagerly they
-are most of `import repro`'s time and resident memory, paid again by
-every CLI call, test process and spawned fleet worker — so they are
-imported inside the functions that use them, and this file pins that:
+The package has no dependencies: a simulation run and the analysis
+helpers (`mean_ci`'s t quantile, the conflict-graph oracle) are standard
+library.  numpy, scipy and networkx would cost `import repro` most of its
+time and resident memory, paid again by every CLI call, test process and
+spawned fleet worker, so this file pins that none of them is loaded —
 module-set assertions in a fresh interpreter, no wall-clock thresholds.
 """
 
@@ -13,11 +13,7 @@ import subprocess
 import sys
 import textwrap
 
-import pytest
-
-import repro.analysis
-from repro.errors import ReproError
-from repro.txn.history import History
+import repro
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
@@ -81,35 +77,31 @@ def test_no_compiled_kernel_is_loaded_or_selectable():
     assert out == f"repro {repro.__version__}\n"
 
 
-def test_analysis_helpers_load_them_on_demand():
-    pytest.importorskip("scipy")
-    pytest.importorskip("networkx")
+def test_analysis_helpers_need_neither_scipy_nor_networkx():
+    """The t quantile and the graph pass are standard library: with both
+    packages blocked, ``mean_ci`` and the four graph functions work."""
     out = run_fresh("""
         import sys
-        from repro.analysis import is_conflict_serializable, mean_ci
-        from repro.txn.history import History
+        sys.modules["scipy"] = sys.modules["networkx"] = None
+        from repro.analysis import (
+            build_serialization_graph, equivalent_serial_order,
+            is_conflict_serializable, mean_ci, serialization_cycles)
+        from repro.workloads import run_recording_experiment
 
-        before = {"scipy", "networkx"} & set(sys.modules)
         ci = mean_ci([1.0, 2.0, 3.0])
-        assert ci.mean == 2.0 and ci.low < 2.0 < ci.high
-        assert is_conflict_serializable(History())
-        after = {"scipy", "networkx"} & set(sys.modules)
-        print(sorted(before), sorted(after))
+        assert ci.mean == 2.0 and round(ci.half_width, 6) == 2.484138
+        history = run_recording_experiment(
+            "nocoord", nodes=3, duration=20.0, update_rate=6.0,
+            inquiry_rate=5.0, audit_rate=0.3, entities=6, span=3,
+            seed=14).history
+        graph = build_serialization_graph(history)
+        assert graph and serialization_cycles(history)
+        assert not is_conflict_serializable(history)
+        history = run_recording_experiment(
+            "3v", nodes=3, duration=10.0, entities=6, seed=14).history
+        assert is_conflict_serializable(history)
+        assert len(equivalent_serial_order(history)) == len(
+            build_serialization_graph(history))
+        print("ok")
     """)
-    assert out.strip() == "[] ['networkx', 'scipy']"
-
-
-@pytest.mark.parametrize("module, helper, args", [
-    ("scipy", "mean_ci", ([1.0, 2.0, 3.0],)),
-    ("networkx", "build_serialization_graph", (History(),)),
-    ("networkx", "equivalent_serial_order", (History(),)),
-    ("networkx", "serialization_cycles", (History(),)),
-    ("networkx", "is_conflict_serializable", (History(),)),
-])
-def test_missing_extra_fails_loudly(monkeypatch, module, helper, args):
-    """Without the `analysis` extra the helpers raise a ReproError that
-    names it, rather than a bare ModuleNotFoundError from deep inside."""
-    # A None entry makes `import <module>` raise ImportError.
-    monkeypatch.setitem(sys.modules, module, None)
-    with pytest.raises(ReproError, match=r"repro\[analysis\]"):
-        getattr(repro.analysis, helper)(*args)
+    assert out.strip() == "ok"

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis import mean_ci
+from repro.analysis.stats import t_critical
 
 
 def replicate(run, seeds):
@@ -55,6 +56,22 @@ class TestMeanCI:
     def test_mean_always_inside_interval(self, values):
         ci = mean_ci(values)
         assert ci.low <= ci.mean <= ci.high
+
+
+class TestTCritical:
+    def test_known_values(self):
+        assert t_critical(0.95, 1) == pytest.approx(12.706204736, rel=1e-9)
+        assert t_critical(0.95, 2) == pytest.approx(4.302652730, rel=1e-9)
+        assert t_critical(0.99, 10) == pytest.approx(3.169272673, rel=1e-9)
+
+    def test_matches_scipy(self):
+        """The closed-form quantile against scipy, a test-only reference."""
+        stats = pytest.importorskip("scipy.stats")
+        for df in [*range(1, 60), 100, 500, 1000, 5000]:
+            for confidence in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+                expected = stats.t.ppf((1 + confidence) / 2, df)
+                assert t_critical(confidence, df) == pytest.approx(
+                    expected, rel=1e-9), (confidence, df)
 
 
 class TestReplicate:

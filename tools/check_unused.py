@@ -44,7 +44,7 @@ SCANNED = ("src", "tests", "benchmarks", "tools", "examples")
 ALLOWED: typing.Dict[str, str] = {
     # Public API: exported for library users and documented, with a test.
     "repro.analysis.conflictgraph:serialization_cycles":
-        "conflict-graph analysis API (the networkx-backed certifier)",
+        "conflict-graph analysis API (the cycles that refute serializability)",
     "repro.analysis.conflictgraph:equivalent_serial_order":
         "conflict-graph analysis API (a witness serial order)",
     "repro.analysis.rolling:atomic_visibility_violations":
@@ -52,7 +52,7 @@ ALLOWED: typing.Dict[str, str] = {
     "repro.analysis.tracefile:load_txn_records":
         "reads back what export_trace writes (the trace file's reader)",
     "repro.core.invariants:InvariantMonitor":
-        "exported invariant checker (README.md); ROADMAP item 12",
+        "exported invariant checker (README.md); ROADMAP item 5's fuzzer",
     "repro.core.policy:ManualPolicy":
         "advancement trigger (Section 4.3: advance on demand)",
     "repro.core.policy:CountPolicy":
