@@ -64,9 +64,6 @@ class TwoPCPlugin(ProtocolPlugin):
         else:
             super().handle_message(node, message)
 
-    def on_recover(self, node) -> None:
-        node.twophase.on_recover()
-
 
 class TwoPCSystem(System):
     """A cluster where every transaction is a full distributed transaction.

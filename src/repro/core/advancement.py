@@ -51,7 +51,6 @@ from repro.net.network import Network
 from repro.sim.events import Event
 from repro.sim.simulator import Simulator
 from repro.storage.counters import aggregate_quiescent, quiescent
-from repro.storage.wal import JournaledCoordinatorState
 from repro.txn.history import AdvancementRecord, History
 
 COORDINATOR_ID = "coordinator"
@@ -146,12 +145,12 @@ class AdvancementCoordinator:
     coordinator fence anything stamped with an older epoch — so a dead
     incarnation's stragglers can never drive (or confuse) an advancement
     after a restart or a standby takeover.  The role's control record
-    (vr, vu, epoch, in-flight wave) is write-ahead journaled via
-    :class:`repro.storage.wal.JournaledCoordinatorState`; a successor
-    replays it and re-runs the in-flight wave from the top, which is safe
-    because every phase is idempotent: version bumps no-op at or below a
-    node's current version and the RT/CT quiescence aggregates are
-    monotone, so re-gathering never double-counts.
+    (vr, vu, epoch, in-flight wave) is durable and survives a crash as it
+    was; a successor takes it over and re-runs the in-flight wave from
+    the top, which is safe because every phase is idempotent: version
+    bumps no-op at or below a node's current version and the RT/CT
+    quiescence aggregates are monotone, so re-gathering never
+    double-counts.
     """
 
     def __init__(
@@ -193,9 +192,9 @@ class AdvancementCoordinator:
         #: while the original dedicated endpoint holds it).
         self.host: typing.Optional[str] = None
         self.endpoint = COORDINATOR_ID
-        #: Durable control record (vr/vu/epoch/in-flight wave) — what a
-        #: successor incarnation replays to resume mid-protocol.
-        self._durable = JournaledCoordinatorState()
+        #: Target update version of the wave in flight (``None`` between
+        #: waves) — what a successor incarnation re-runs to resume.
+        self._in_flight: typing.Optional[int] = None
         self._mailbox = network.register(COORDINATOR_ID)
         #: Drain batched mailbox wakes synchronously (one resume per
         #: batch of same-tick replies instead of one per reply).
@@ -231,7 +230,7 @@ class AdvancementCoordinator:
                 f"advancement to version {self.vu + 1} already running"
             )
         self.running = True
-        self._durable.begin_wave(self.vu + 1)
+        self._in_flight = self.vu + 1
         self._process = self.sim.process(
             self._advance(self.vu + 1), name="advancement"
         )
@@ -247,7 +246,7 @@ class AdvancementCoordinator:
         The in-flight advancement process (if any) is killed, its
         stranded mailbox getter is abandoned (a dead getter would swallow
         the next reply), and the mailbox freezes so stragglers queue
-        durably.  The journaled control record survives for the next
+        durably.  The control record survives for the next
         incarnation — :meth:`recover` in place, or :meth:`failover` to a
         standby.
         """
@@ -261,18 +260,18 @@ class AdvancementCoordinator:
     def recover(self) -> None:
         """Restart the role in place as a new incarnation.
 
-        Replays the durable control record, bumps the epoch (fencing every
-        message the dead incarnation left in flight), thaws the mailbox,
-        and — if a wave was in flight — re-runs it from the top.  A no-op
-        when a standby already took the role over (the scheduled recovery
-        of a superseded incarnation must not resurrect it).
+        Bumps the epoch (fencing every message the dead incarnation left
+        in flight), thaws the mailbox, and — if a wave was in flight —
+        re-runs it from the top.  A no-op when a standby already took the
+        role over (the scheduled recovery of a superseded incarnation must
+        not resurrect it).
         """
         if not self.down:
             return
         self.down = False
         self.recoveries += 1
         self._mailbox.thaw()
-        self._resume_from_journal()
+        self._resume()
 
     def failover(self, node_id: str) -> None:
         """Deterministic takeover: ``node_id``'s standby assumes the role.
@@ -281,9 +280,8 @@ class AdvancementCoordinator:
         stops acting, so any still-live process of the old incarnation is
         halted and its endpoint frozen (stale replies addressed to it pile
         up unread; anything re-routed to the new endpoint is fenced by
-        epoch).  The new incarnation registers ``coordinator@<node_id>``,
-        replays the shared journal, and resumes exactly like an in-place
-        recovery.
+        epoch).  The new incarnation registers ``coordinator@<node_id>``
+        and resumes exactly like an in-place recovery.
         """
         self._halt_incarnation()
         if not self._mailbox.frozen:
@@ -294,7 +292,7 @@ class AdvancementCoordinator:
         self.endpoint = f"{COORDINATOR_ID}@{node_id}"
         self._mailbox = self.network.register(self.endpoint)
         self._mailbox.thaw()
-        self._resume_from_journal()
+        self._resume()
 
     def stop_heartbeats(self) -> None:
         """Kill the lease heartbeat process (lets the system drain)."""
@@ -312,24 +310,19 @@ class AdvancementCoordinator:
         self._mailbox.abandon_getters()
         self.running = False
 
-    def _resume_from_journal(self) -> None:
-        """Rebuild control state from the journal and restart the wave."""
-        self._durable.replay()
-        state = self._durable.raw
-        self.vr = state.vr
-        self.vu = state.vu
-        self.epoch = state.epoch + 1
-        self._durable.set_epoch(self.epoch)
+    def _resume(self) -> None:
+        """Start a new incarnation and restart the in-flight wave."""
+        self.epoch += 1
         if self.lease_interval > 0:
             self._heartbeat_process = self.sim.process(
                 self._heartbeat(), name="coordinator-heartbeat"
             )
-        if state.in_flight is not None:
+        if self._in_flight is not None:
             # Re-run the interrupted wave from the top; completed phases
             # degenerate to no-ops (see the class docstring).
             self.running = True
             self._process = self.sim.process(
-                self._advance(state.in_flight), name="advancement"
+                self._advance(self._in_flight), name="advancement"
             )
 
     def _heartbeat(self):
@@ -363,7 +356,6 @@ class AdvancementCoordinator:
                     MessageKind.START_ADVANCEMENT_ACK, vu_new
                 )
                 self.vu = vu_new
-                self._durable.set_vu(vu_new)
                 record.phase1_done = self.sim.now
 
             # Phase 2: wait for vu_old to quiesce (always re-checked on a
@@ -378,7 +370,6 @@ class AdvancementCoordinator:
                     MessageKind.READ_ADVANCE_ACK, vr_new
                 )
                 self.vr = vr_new
-                self._durable.set_vr(vr_new)
                 record.phase3_done = self.sim.now
 
             # Phase 4: wait for vr_old queries to drain, then collect
@@ -389,7 +380,7 @@ class AdvancementCoordinator:
                 MessageKind.GARBAGE_COLLECT_ACK, vr_new
             )
             record.gc_done = self.sim.now
-            self._durable.end_wave()
+            self._in_flight = None
             self.completed_runs += 1
         finally:
             # Kills are delivered one sim step late, so a crashed

@@ -69,21 +69,7 @@ class ThreeVPlugin(ProtocolPlugin):
             system.config.enable_locking = True
 
     def init_node(self, node) -> None:
-        counters = CounterTable(node.node_id)
-        if node.journal is not None:
-            # Fault-injected runs: counter mutations are write-ahead
-            # journaled alongside the store, so a crash loses no
-            # request/completion increments (the paper's Section 6
-            # "standard logging techniques" for the counter state the
-            # termination-detection proof depends on).
-            from repro.storage.wal import JournaledCounters
-
-            node_id = node.node_id
-            counters = JournaledCounters(
-                counters, lambda: CounterTable(node_id)
-            )
-            node.journal.attach("counters", counters)
-        node.counters = counters
+        node.counters = CounterTable(node.node_id)
         node.vu = node.config.initial_update_version
         node.vr = node.config.initial_read_version
         node.counters.ensure_version(node.vr)
@@ -106,12 +92,12 @@ class ThreeVPlugin(ProtocolPlugin):
             node.nc3v = None
 
     def on_recover(self, node) -> None:
-        # The journal replay restored the counter tables and the store;
-        # vu/vr and the advancement bookkeeping are checkpointed control
-        # state.  Re-ensure the rows of the active version window
-        # (defensive against a crash landing between a version bump and
-        # its ensure_version) and re-check NC3V's admission gate so any
-        # gated roots re-evaluate against the recovered state.
+        # The counter table, the store, vu/vr and the advancement
+        # bookkeeping are durable and survived the crash as they were.
+        # Re-ensure the rows of the active version window (defensive
+        # against a crash landing between a version bump and its
+        # ensure_version) and re-check NC3V's admission gate so any gated
+        # roots re-evaluate against the recovered state.
         for version in range(node.vr, node.vu + 1):
             node.counters.ensure_version(version)
         # Restart the lease clock: the backlog this node is about to drain
@@ -119,7 +105,6 @@ class ThreeVPlugin(ProtocolPlugin):
         # declare the coordinator dead on stale evidence.
         node._coord_seen = node.sim.now
         if node.nc3v is not None:
-            node.nc3v.on_recover()
             node.nc3v.on_read_advance()
 
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ messages and crash/recovers nodes, then audits the wreckage:
   cannot converge under loss hangs the drain and fails here).
 * **Store agreement** — after the drain, every entity's summary value is
   identical on every node the entity spans: exactly-once delivery plus
-  crash-recovery replay must leave no replica behind.  With
+  crash recovery must leave no replica behind.  With
   ``--replication-factor`` > 1 the comparison runs per (entity, slot)
   record across its replica set, and two extra properties apply:
   recovered replicas must serve zero reads before their refresh

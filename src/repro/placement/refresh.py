@@ -1,10 +1,11 @@
 """Recovery-readability: the refresh protocol for recovered replicas.
 
-A replica that crashes and recovers has replayed its write-ahead journal,
-so it holds exactly its *pre-crash* state — but write-all-available fan-out
-kept committing while it was down, skipping the unavailable copy.  Until
-those missed writes are transferred back, the replica is **unreadable**:
-readers are routed to (or gated until) a refreshed copy.  The state
+A replica that crashes and recovers keeps its durable store as the
+crash left it, so it holds exactly its *pre-crash* state — but
+write-all-available fan-out kept committing while it was down, skipping
+the unavailable copy.  Until those missed writes are transferred back,
+the replica is **unreadable**: readers are routed to (or gated until) a
+refreshed copy.  The state
 machine per node is::
 
     READABLE --crash--> DOWN --recover--> UNREFRESHED --refresh--> READABLE
@@ -159,7 +160,7 @@ class RefreshProtocol:
             return  # Already refreshed, or crashed again (next recovery
             # schedules its own cycle).
         if self.ledger.pending_ops(node_id) == 0:
-            # Nothing was skipped: the journal replay already restored a
+            # Nothing was skipped: the store that survived the crash is a
             # complete copy, so the node re-admits itself without a peer.
             # (Also breaks the mutual-unreadability tie when every node
             # recovered at once: the last node down never missed a write.)

@@ -27,7 +27,6 @@ from repro.errors import ProtocolError
 from repro.net.message import Message, MessageKind
 from repro.sim.resources import Resource
 from repro.storage.locktable import LockTable
-from repro.storage.wal import JournaledStore, NodeJournal
 from repro.txn.history import WaitReason
 from repro.txn.runtime import SubtxnInstance
 
@@ -45,14 +44,7 @@ class ProtocolNode:
         self.plugin = system.plugin
         self.node_id = node_id
 
-        #: Write-ahead journal for crash-recovery (only when the system
-        #: runs with fault injection; ``None`` keeps the seed path exact).
-        self.journal = NodeJournal(node_id) if system.journaling else None
-        store = self.plugin.make_store(self)
-        if self.journal is not None:
-            store = JournaledStore(store, lambda: self.plugin.make_store(self))
-            self.journal.attach("store", store)
-        self.store = store
+        self.store = self.plugin.make_store(self)
         self.locks = LockTable(self.sim)
         self.executor = Resource(self.sim, capacity=self.config.executor_capacity)
 

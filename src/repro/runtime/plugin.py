@@ -93,12 +93,12 @@ class ProtocolPlugin:
     def on_recover(self, node) -> None:
         """The node came back from a fail-stop crash.
 
-        Called after the write-ahead journal rebuilt the node's durable
-        components and before its mailbox thaws.  Plugins re-arm whatever
-        protocol state needs it (3V re-ensures its active counter rows and
-        re-checks NC3V admission gates; the two-phase engines re-resolve
-        in-doubt transactions).  The default protocol keeps no state
-        beyond the journaled store, so this is a no-op.
+        Called before its mailbox thaws.  The node's store, counter table
+        and protocol tables are durable and survived the crash as they
+        were; plugins re-arm whatever protocol state needs it (3V
+        re-ensures its active counter rows, restarts its lease clock and
+        re-checks NC3V admission gates).  The default is a no-op: in-doubt
+        two-phase transactions resolve as the thawed mailbox drains.
         """
 
     # ------------------------------------------------------------------

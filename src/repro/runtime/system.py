@@ -42,9 +42,8 @@ class System:
         plugin: Protocol plugin instance (default: ``plugin_class()``).
         faults: Optional :class:`repro.faults.FaultPlan`.  Hands the
             network the plan (its fault stages, plus reliable delivery
-            when the plan is lossy), enables write-ahead journaling
-            on every node so :meth:`crash`/:meth:`recover` work, and
-            schedules the plan's crash/recover events.
+            when the plan is lossy), lets :meth:`crash`/:meth:`recover`
+            run, and schedules the plan's crash/recover events.
         history: Pre-built recording surface (e.g. a retiring
             :class:`~repro.txn.history.History` for bounded-memory
             runs).  ``None`` builds a retaining one; when supplied, ``detail`` is the history's concern
@@ -133,11 +132,6 @@ class System:
                             )
         self._submitted = 0
 
-    @property
-    def journaling(self) -> bool:
-        """Whether nodes keep write-ahead journals (crash-recovery on)."""
-        return self.faults is not None
-
     # ------------------------------------------------------------------
     # Data loading and inspection
     # ------------------------------------------------------------------
@@ -206,21 +200,20 @@ class System:
         """Fail-stop a node.
 
         Its mailbox freezes — messages keep accumulating in the durable
-        queue but the node consumes nothing — and at :meth:`recover` time
-        its volatile store/counter state is discarded and rebuilt from the
-        write-ahead journal.  In-flight local work runs to completion
-        against the journaled state (the model is a local recovery manager
-        finishing redo-logged work, not a torn execution); what a crash
-        interrupts is all *future* message processing.
+        queue but the node consumes nothing.  The node's store, counter
+        table and protocol tables are durable and survive the crash as
+        they were.  In-flight local work runs to completion against that
+        state (the model is a local recovery manager finishing logged
+        work, not a torn execution); what a crash interrupts is all
+        *future* message processing.
 
-        Requires the system to have been built with ``faults=`` (that is
-        what turns journaling on).
+        Requires the system to have been built with ``faults=``.
         """
         node = self.node(node_id)
-        if node.journal is None:
+        if self.faults is None:
             raise ProtocolError(
                 f"cannot crash {node_id!r}: system was built without "
-                "faults= (write-ahead journaling is off)"
+                "faults= (crash injection is off)"
             )
         if node_id in self.down_nodes:
             raise ProtocolError(f"node {node_id!r} is already down")
@@ -231,25 +224,23 @@ class System:
             self.placement.on_crash(node_id)
 
     def recover(self, node_id: str) -> None:
-        """Bring a crashed node back: replay the journal, re-arm, thaw.
+        """Bring a crashed node back: re-arm, thaw.
 
-        The journal replay rebuilds the store (and any plugin-attached
-        components, e.g. 3V's counter table) to the exact pre-crash state;
-        ``plugin.on_recover`` then re-arms protocol state, and thawing the
+        The node's durable state is as the crash left it;
+        ``plugin.on_recover`` re-arms protocol state, and thawing the
         mailbox lets the node drain everything that arrived while it was
         down — including retransmitted copies and in-doubt 2PC decisions.
         """
         node = self.node(node_id)
         if node_id not in self.down_nodes:
             raise ProtocolError(f"node {node_id!r} is not down")
-        node.journal.replay()
         self.plugin.on_recover(node)
         self.down_nodes.discard(node_id)
         self.recovery_count += 1
         if self.placement is not None:
             # Mark the replica unreadable *before* thawing: reads queued
             # while it was down must hit the refresh gate, not the
-            # journal-replayed (but refresh-pending) store.
+            # recovered (but refresh-pending) store.
             self.placement.on_recover(node_id)
         node._mailbox.thaw()
 
@@ -301,7 +292,7 @@ class System:
 
         System, plugin, nodes and mailboxes hold each other, so a system
         nobody uses any more frees nothing by itself: every record of the
-        run (history events, journal entries, stored versions) waits for
+        run (history events, stored versions) waits for
         a cyclic collection, which first has to walk all of them.  With
         the nodes and the system emptied no record hangs off a cycle, and
         reference counting reclaims the run as its holders drop it, at a

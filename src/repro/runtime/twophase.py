@@ -134,24 +134,6 @@ class TwoPhaseEngine:
     def on_finished(self, instance: SubtxnInstance, committed: bool) -> None:
         """The root's transaction finished (the 2PC baseline retries)."""
 
-    def on_recover(self) -> int:
-        """Re-resolve in-doubt transactions after a fail-stop crash.
-
-        The engine's transaction table — participant states with their
-        undo logs, and root coordination state — is checkpointed control
-        state in the crash model; the store those undo logs refer to was
-        just rebuilt from the write-ahead journal, so the two are
-        consistent by construction.  Every in-doubt participant (prepared,
-        decision not yet applied) resolves as the thawed mailbox drains:
-        the DECISION either already sits in the durable queue or is
-        retransmitted by the reliable-delivery layer.  Roots resume the
-        same way — their pending vote/ack events trigger as the frozen
-        messages are processed.
-
-        Returns the number of in-doubt transactions, for observability.
-        """
-        return len(self._participants)
-
     # ------------------------------------------------------------------
     # Node integration
     # ------------------------------------------------------------------

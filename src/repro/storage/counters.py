@@ -31,8 +31,8 @@ and the coordinator's quiescence check collapses from an O(nodes²)
 counter scan (:func:`quiescent`) to summing one scalar per node
 (:func:`aggregate_quiescent`).  The full scan stays for the C7
 ablation's interleaved detector; ``tests/test_aggregate_quiescence.py``
-property-checks the equivalence (including re-derivation of the totals
-through WAL replay).
+property-checks the equivalence (including through garbage
+collection).
 """
 
 from __future__ import annotations

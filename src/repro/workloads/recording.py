@@ -129,6 +129,10 @@ class RecordingConfig:
             raise ReproError(f"unknown amount mode: {self.amount_mode!r}")
         if self.zipf < 0:
             raise ReproError(f"zipf exponent must be >= 0: {self.zipf}")
+        if not 0.0 <= self.abort_fraction <= 1.0:
+            raise ReproError(
+                f"abort_fraction must be in [0, 1]: {self.abort_fraction}"
+            )
 
     @property
     def replicated(self) -> bool:

@@ -139,7 +139,7 @@ class collector_paused(contextlib.ContextDecorator):
     """Keep CPython's cyclic collector off for the duration of a run.
 
     A run retains hundreds of thousands of long-lived *acyclic* records
-    (history events, WAL entries, messages in the delivery heap) that the
+    (history events, stored versions, messages in the delivery heap) that the
     generational collector would re-walk on the transaction path, and it
     makes no cyclic garbage per transaction (``tests/test_gc_pause.py``
     holds every registered protocol to that), so there is nothing for it

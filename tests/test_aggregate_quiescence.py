@@ -8,8 +8,7 @@ soundness argument from the module docstring:
 
 * the incrementally-maintained totals always equal the sum of the
   per-peer rows, under arbitrary interleavings of increments, version
-  allocation, garbage collection, and crash-recovery (WAL replay
-  re-deriving the totals from the redo log);
+  allocation and garbage collection;
 * on any reachable two-wave snapshot (completions read strictly before
   requests), the aggregate verdict equals the full-scan verdict, and
   both equal ground truth (no subtransaction outstanding).
@@ -32,7 +31,6 @@ from repro.storage.counters import (
     aggregate_quiescent,
     quiescent,
 )
-from repro.storage.wal import JournaledCounters
 
 NODES = ("a", "b", "c")
 VERSIONS = (1, 2, 3)
@@ -57,17 +55,11 @@ class Gc:
     version: int
 
 
-@dataclasses.dataclass(frozen=True)
-class Crash:
-    node: str
-
-
 ops = st.lists(
     st.one_of(
         st.builds(Send, st.sampled_from(NODES), st.sampled_from(NODES),
                   st.sampled_from(VERSIONS)),
         st.builds(Complete, st.integers(min_value=0, max_value=10 ** 6)),
-        st.builds(Crash, st.sampled_from(NODES)),
     ),
     max_size=60,
 )
@@ -77,19 +69,13 @@ ops_with_gc = st.lists(
         st.builds(Send, st.sampled_from(NODES), st.sampled_from(NODES),
                   st.sampled_from(VERSIONS)),
         st.builds(Complete, st.integers(min_value=0, max_value=10 ** 6)),
-        st.builds(Crash, st.sampled_from(NODES)),
         st.builds(Gc, st.sampled_from(NODES), st.sampled_from(VERSIONS)),
     ),
     max_size=60,
 )
 
 
-def journaled(node_id: str) -> JournaledCounters:
-    return JournaledCounters(CounterTable(node_id),
-                             lambda: CounterTable(node_id))
-
-
-def apply_ops(tables: typing.Dict[str, JournaledCounters],
+def apply_ops(tables: typing.Dict[str, CounterTable],
               sequence) -> typing.List[Send]:
     """Drive the tables; returns the sends still outstanding."""
     pending: typing.List[Send] = []
@@ -104,10 +90,8 @@ def apply_ops(tables: typing.Dict[str, JournaledCounters],
             send = pending.pop(op.pick % len(pending))
             tables[send.dst].ensure_version(send.version)
             tables[send.dst].inc_completion(send.version, send.src)
-        elif isinstance(op, Gc):
+        else:
             tables[op.node].gc_below(op.version)
-        else:  # Crash: lose the volatile table, rebuild from the redo log.
-            tables[op.node].replay()
     return pending
 
 
@@ -125,41 +109,11 @@ def assert_totals_match_rows(table: CounterTable) -> None:
 @given(ops_with_gc)
 def test_totals_track_rows_through_gc_and_replay(sequence):
     """The aggregate totals are always exactly the sum of the rows —
-    including after GC drops versions and WAL replay rebuilds the table
-    (re-deriving the totals by re-running the logged increments)."""
-    tables = {node: journaled(node) for node in NODES}
+    including after GC drops versions."""
+    tables = {node: CounterTable(node) for node in NODES}
     apply_ops(tables, sequence)
-    for wrapper in tables.values():
-        assert_totals_match_rows(wrapper.raw)
-
-
-@settings(deadline=None)
-@given(ops_with_gc)
-def test_replay_restores_identical_state(sequence):
-    """Crash recovery is exact: rows, totals, and the GC loss counter all
-    survive a replay bit-for-bit."""
-    tables = {node: journaled(node) for node in NODES}
-    apply_ops(tables, sequence)
-    for wrapper in tables.values():
-        before = wrapper.raw
-        snapshot = {
-            version: (before.requests(version), before.completions(version),
-                      before.request_total(version),
-                      before.completion_total(version))
-            for version in before.versions()
-        }
-        lost = before.lost_increments
-        wrapper.replay()
-        after = wrapper.raw
-        assert after is not before
-        assert after.versions() == list(snapshot)
-        assert after.lost_increments == lost
-        for version, (reqs, comps, req_total, comp_total) in \
-                snapshot.items():
-            assert after.requests(version) == reqs
-            assert after.completions(version) == comps
-            assert after.request_total(version) == req_total
-            assert after.completion_total(version) == comp_total
+    for table in tables.values():
+        assert_totals_match_rows(table)
 
 
 @settings(deadline=None)
@@ -177,7 +131,7 @@ def test_aggregate_agrees_with_scan_on_two_wave_snapshots(
     exists to tolerate: the new requests can only make snapshots look
     *less* quiescent, never more.
     """
-    tables = {node: journaled(node) for node in NODES}
+    tables = {node: CounterTable(node) for node in NODES}
     pending = apply_ops(tables, sequence)
 
     # Wave 1: completions (totals and rows read at the same instant).

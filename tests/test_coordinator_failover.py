@@ -2,10 +2,10 @@
 
 The paper assumes "some distributed mutual exclusion mechanism" keeps
 advancement single-threaded; these tests exercise the implemented scheme:
-the role's control record is write-ahead journaled, every incarnation
-stamps its messages with a monotone epoch, a crashed incarnation can
-recover in place or be taken over by the lowest-id live node's standby
-monitor, and a resumed wave replays idempotently from the journal.
+the role's control record survives a crash, every incarnation stamps its
+messages with a monotone epoch, a crashed incarnation can recover in
+place or be taken over by the lowest-id live node's standby monitor, and
+a resumed wave re-runs idempotently from the top.
 """
 
 import pytest
@@ -74,7 +74,7 @@ class TestCrashRecover:
         coordinator.crash()
         coordinator.recover()
         system.run_until_quiet()
-        # No in-flight wave in the journal: nothing restarted.
+        # No wave in flight: nothing restarted.
         assert coordinator.completed_runs == 1
         assert not coordinator.running
         assert coordinator.epoch == 2
@@ -92,7 +92,7 @@ class TestWedgeRegression:
         wave.kill()
         system.run_until_quiet()
         assert not system.coordinator.running
-        # The journaled wave is still in flight; a recovery cycle fences
+        # The killed wave is still in flight; a recovery cycle fences
         # the dead wave's stragglers (epoch bump) and resumes it.
         system.coordinator.crash()
         system.coordinator.recover()

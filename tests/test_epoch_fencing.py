@@ -80,7 +80,7 @@ class TestEpochFencingProperties:
             system.sim.schedule(
                 now + 0.5, lambda: epochs.append(coordinator.epoch)
             )
-        # Always end restarted so any journaled wave can finish.
+        # Always end restarted so any in-flight wave can finish.
         system.run_until_quiet(limit=10000.0)
         assert not coordinator.down
         assert not coordinator.running

@@ -4,9 +4,9 @@ delivery.
 Covers the pure-data :class:`FaultPlan` (validation, storm determinism),
 the network's fault stages (seeded drops/dups/spikes), reliable delivery
 (exactly-once over arbitrary lossy links — the Hypothesis properties),
-write-ahead journaling, and mailbox freeze/thaw.  The bare injector and
-reliable delivery without faults, which no runtime caller builds, run
-against the old classes kept in ``tests/reference_network.py``.
+and mailbox freeze/thaw.  The bare injector and reliable delivery without
+faults, which no runtime caller builds, run against the old classes kept
+in ``tests/reference_network.py``.
 """
 
 import dataclasses
@@ -20,14 +20,6 @@ from repro.faults import CrashEvent, FaultPlan, LinkFaults, RetransmitPolicy
 from repro.net import MessageKind, Network, constant_latency
 from repro.sim import RngRegistry, Simulator
 from repro.sim.resources import Store
-from repro.storage import Increment
-from repro.storage.mvstore import MVStore
-from repro.storage.counters import CounterTable
-from repro.storage.wal import (
-    JournaledCounters,
-    JournaledStore,
-    NodeJournal,
-)
 
 from tests.reference_network import FaultyNetwork, ReliableNetwork
 
@@ -297,42 +289,3 @@ class TestMailboxFreeze:
         store.thaw()
         sim.run()
         assert got == ["x"]
-
-
-class TestJournaling:
-    def test_store_replay_restores_state(self):
-        store = JournaledStore(MVStore(), lambda: MVStore())
-        store.load("x", 0)
-        store.ensure_version("x", 1)
-        store.apply_geq("x", 1, Increment(5))
-        before = store.snapshot()
-        assert store.journal_length == 3
-        store.replay()
-        assert store.snapshot() == before
-        assert "x" in store
-
-    def test_counters_replay_restores_state(self):
-        counters = JournaledCounters(CounterTable("p"),
-                                     lambda: CounterTable("p"))
-        counters.ensure_version(0)
-        counters.ensure_version(1)
-        counters.inc_request(1, "q")
-        counters.inc_completion(1, "q")
-        counters.gc_below(1)
-        counters.inc_request(0, "q")  # below the gc floor: dropped
-        before = (counters.versions(), counters.lost_increments)
-        assert counters.lost_increments == 1
-        counters.replay()
-        assert (counters.versions(), counters.lost_increments) == before
-
-    def test_node_journal_replays_all_components(self):
-        journal = NodeJournal("p")
-        store = JournaledStore(MVStore(), lambda: MVStore())
-        journal.attach("store", store)
-        store.load("x", 7)
-        raw_before = store.raw
-        journal.replay()
-        assert journal.replays == 1
-        assert store.raw is not raw_before  # rebuilt, not reused
-        assert store.read_max_leq("x", 0) == 7
-        assert journal.names == ("store",)

@@ -8,7 +8,7 @@ The placement layer's contract has three parts, each tested here:
   single-owner assignment) and statistical balance.
 * Refresh makes a crashed-and-recovered replica's copy byte-equal to the
   copies that never crashed, even when the *source* of the transfer has
-  itself been through a journal replay.
+  itself crashed and recovered.
 * Recovery-readability: a recovered-but-unrefreshed replica never serves
   a read — readers gate on the refresh, then observe the refreshed state.
 """
@@ -173,8 +173,8 @@ class TestRefreshConvergence:
     def test_refreshed_copies_equal_their_sources(self, protocol, rf):
         """Under a storm that crashes every node once, all replica chains
         — balance counters and observation logs alike — end byte-equal.
-        Every node recovers via journal replay, so the refresh sources
-        are themselves WAL-replayed stores, not pristine ones."""
+        Every node crashes and recovers, so the refresh sources are
+        themselves recovered stores, not pristine ones."""
         result = run_recording_experiment(
             protocol, nodes=4, duration=15, entities=30,
             replication_factor=rf, refresh_delay=1.5,
@@ -274,8 +274,7 @@ class TestRecoveryReadability:
         """Crash a replica during an advancement wave, keep writing (the
         skips land in the ledger), recover it, and immediately aim a
         pinned read at it: the read must gate on the refresh and observe
-        the fully refreshed value — never the stale journal-replayed
-        state."""
+        the fully refreshed value — never the stale recovered state."""
         placement = PlacementState(refresh_delay=2.0)
         system = ThreeVSystem(["p", "q"], seed=1, faults=FaultPlan(),
                               poll_interval=0.25, placement=placement)
@@ -330,7 +329,7 @@ class TestRecoveryReadability:
         assert counters["reads_gated"] >= 1
         assert counters["unreadable_reads_served"] == 0
         # The gated probe executed only once the refresh marked q
-        # readable — the journal-replayed-but-unrefreshed store never
+        # readable — the recovered-but-unrefreshed store never
         # served it.
         (read_event,) = [e for e in system.history.read_events
                          if e.txn == "probe"]

@@ -172,6 +172,11 @@ class TestRecordingWorkload:
         with pytest.raises(ReproError):
             RecordingConfig(nodes=NODES, span=9)
 
+    @pytest.mark.parametrize("fraction", [1.5, -0.5])
+    def test_invalid_abort_fraction_rejected(self, fraction):
+        with pytest.raises(ReproError):
+            RecordingConfig(nodes=NODES, abort_fraction=fraction)
+
     def test_invalid_amount_mode_rejected(self):
         with pytest.raises(ReproError):
             RecordingConfig(nodes=NODES, amount_mode="bitcoin")

@@ -94,7 +94,6 @@ ALLOWED: typing.Dict[str, str] = {
     "repro.storage.locktable:LockTable.queue_length": "inspection API",
     "repro.storage.mvstore:MVStore.live_version_histogram":
         "inspection API (live versions per key: the paper's bound of three)",
-    "repro.storage.wal:JournaledComponent.journal_length": "inspection API",
     "repro.txn.history:TxnRecord.global_latency": "inspection API",
     "repro.txn.history:TxnRecord.total_wait": "inspection API",
     # Kernel API and hooks the standard library calls.
