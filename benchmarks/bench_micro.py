@@ -13,13 +13,14 @@ from repro.workloads import run_recording_experiment
 
 
 def drain_kernel(events: int = 20_000) -> float:
+    """A timer chain: each callback schedules the next one 1 ms later."""
     sim = Simulator()
 
-    def ticker():
-        for _ in range(events):
-            yield sim.timeout(0.001)
+    def tick(left):
+        if left:
+            sim.schedule(0.001, tick, left - 1)
 
-    sim.process(ticker())
+    sim.schedule(0.001, tick, events - 1)
     sim.run()
     return sim.now
 

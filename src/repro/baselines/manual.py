@@ -12,7 +12,7 @@ Two variants are provided:
   new update version, and after a fixed ``safety_delay`` makes the previous
   version readable — with *no termination detection*.  A straggler
   subtransaction that lands after the switch writes only its own version's
-  copy (there is no dual-write rule), so an undersized safety delay yields
+  copy (there is no dual-write rule), so an undersized safety delay produces
   exactly the paper's failure mode: "a bill generation query ... may still
   report only a part of the charges from the January 31st procedures".
 * **Synchronous** (``synchronous=True``): the coordinator freezes admission
@@ -24,6 +24,8 @@ Two variants are provided:
 
 from __future__ import annotations
 
+import collections
+import functools
 import typing
 
 from repro.errors import ProtocolError
@@ -32,7 +34,7 @@ from repro.runtime.node import ProtocolNode
 from repro.runtime.plugin import ProtocolPlugin
 from repro.runtime.registry import PROTOCOLS
 from repro.runtime.system import System
-from repro.sim.events import Event
+from repro.sim.events import Event, Machine, Ticker, after_trigger
 from repro.storage.mvstore import MVStore
 from repro.txn.history import TxnKind
 
@@ -64,11 +66,15 @@ class ManualPlugin(ProtocolPlugin):
         return node.vr if kind == TxnKind.READ else node.vu
 
     def admission_gate(self, node, instance, kind):
-        return self._gate(node) if node._frozen else None
+        return functools.partial(self._gate, node) if node._frozen else None
 
-    def _gate(self, node):
-        while node._frozen:
-            yield node._thaw
+    def _gate(self, node, then) -> None:
+        """Hold a root until its node thaws (checked again at each thaw:
+        the node may have frozen again by then)."""
+        if node._frozen:
+            node._thaw.add_callback(lambda _thaw: self._gate(node, then))
+        else:
+            then()
 
     # Writes use the inherited execute_ops (apply_exact) — deliberately
     # *no* dual-write rule; a straggler updates only its own version's copy.
@@ -127,6 +133,9 @@ class ManualVersioningSystem(System):
         synchronous: Use the blocking drain-the-world variant instead.
         poll_interval: Drain-poll cadence for the synchronous variant.
         start_after: Time of the first switch (defaults to ``period``).
+
+    The switching runs as one state machine: a :class:`Ticker` of
+    :meth:`_switch`, or a :class:`_SyncSwitcher`.
     """
 
     plugin_class = ManualPlugin
@@ -144,6 +153,8 @@ class ManualVersioningSystem(System):
         super().__init__(node_ids, **kwargs)
         if period <= 0:
             raise ProtocolError(f"switch period must be > 0: {period}")
+        if safety_delay < 0:
+            raise ProtocolError(f"safety_delay must be >= 0: {safety_delay}")
         self.period = period
         self.safety_delay = safety_delay
         self.synchronous = synchronous
@@ -156,10 +167,8 @@ class ManualVersioningSystem(System):
         #: When each version became readable.
         self.version_readable_at: typing.Dict[int, float] = {0: 0.0}
         self._mailbox = self.network.register(MANUAL_COORDINATOR_ID)
-        self._driver = self.sim.process(
-            self._sync_driver() if synchronous else self._async_driver(),
-            name="manual-switcher",
-        )
+        self._driver = _SyncSwitcher(self) if synchronous else Ticker(
+            self.sim, period, self._switch, first=self.start_after)
 
     def current_read_version(self, node) -> int:
         return node.vr
@@ -167,89 +176,120 @@ class ManualVersioningSystem(System):
     def stop_policy(self) -> None:
         self._driver.kill()
 
+    def _broadcast(self, kind: str, payload=None) -> None:
+        self.network.broadcast_to(
+            MANUAL_COORDINATOR_ID, list(self.nodes), kind, payload)
+
     # ------------------------------------------------------------------
-    # Asynchronous (classic) switching
+    # Asynchronous (classic) switching: no termination detection
     # ------------------------------------------------------------------
 
-    def _async_driver(self):
-        yield self.sim.timeout(self.start_after)
-        while True:
-            old_update = self.vu
-            self.vu += 1
-            self.version_closed_at[old_update] = self.sim.now
-            self.network.broadcast_to(
-                MANUAL_COORDINATOR_ID, list(self.nodes),
-                MessageKind.START_ADVANCEMENT, self.vu,
-            )
-            self.sim.process(
-                self._delayed_read_switch(old_update),
-                name=f"read-switch-{old_update}",
-            )
-            yield self.sim.timeout(self.period)
+    def _switch(self) -> None:
+        """Open a new update version; ``safety_delay`` later the previous
+        one becomes readable (a timer of its own, which ``stop_policy``
+        does not cancel)."""
+        old_update = self.vu
+        self.vu += 1
+        self.version_closed_at[old_update] = self.sim.now
+        self._broadcast(MessageKind.START_ADVANCEMENT, self.vu)
+        self.sim.schedule_now(self._arm_read_switch, old_update)
 
-    def _delayed_read_switch(self, version: int):
-        yield self.sim.timeout(self.safety_delay)
+    def _arm_read_switch(self, version: int) -> None:
+        self.sim.schedule(self.safety_delay, self._read_switch, version)
+
+    def _read_switch(self, version: int) -> None:
         self.vr = max(self.vr, version)
         self.version_readable_at[version] = self.sim.now
-        self.network.broadcast_to(
-            MANUAL_COORDINATOR_ID, list(self.nodes),
-            MessageKind.READ_ADVANCE, version,
-        )
+        self._broadcast(MessageKind.READ_ADVANCE, version)
+        # It ends like a Machine: one triggered event.
+        Event(self.sim).succeed()
 
-    # ------------------------------------------------------------------
-    # Synchronous (blocking) switching
-    # ------------------------------------------------------------------
 
-    def _sync_driver(self):
-        yield self.sim.timeout(self.start_after)
-        while True:
-            self.network.broadcast_to(
-                MANUAL_COORDINATOR_ID, list(self.nodes), MessageKind.FREEZE
-            )
-            # Wait until every node is actually frozen before checking for
-            # quiescence — otherwise a root admitted on a not-yet-frozen
-            # node can slip past a drain poll that already sampled it.
-            acked: typing.Set[str] = set()
-            while len(acked) < len(self.nodes):
-                message = yield self._mailbox.get()
-                if message.kind != MessageKind.FREEZE_ACK:
-                    raise ProtocolError(
-                        f"manual coordinator: unexpected {message.kind!r} "
-                        "while collecting freeze acks"
-                    )
-                acked.add(message.payload)
-            yield from self._drain()
-            old_update = self.vu
-            self.vu += 1
-            self.vr = old_update
-            self.version_closed_at[old_update] = self.sim.now
-            self.version_readable_at[old_update] = self.sim.now
-            # One atomic switch-and-thaw message per node (see handler).
-            self.network.broadcast_to(
-                MANUAL_COORDINATOR_ID, list(self.nodes),
-                MessageKind.START_ADVANCEMENT, (self.vu, old_update),
-            )
-            yield self.sim.timeout(self.period)
+class _SyncSwitcher(Machine):
+    """Synchronous (blocking) switching: freeze every node, wait for all
+    freeze acks, poll until no subtransaction is active, then switch both
+    versions and thaw in one message per node.
 
-    def _drain(self):
-        """Poll until every node reports zero active subtransactions."""
-        while True:
-            self.network.broadcast_to(
-                MANUAL_COORDINATOR_ID, list(self.nodes),
-                MessageKind.ACTIVE_QUERY,
+    Each step is a round: a broadcast and one reply per node
+    (``replies``), collected from the coordinator mailbox's consumer
+    (:meth:`_deliver`); a reply that arrives while nothing waits queues
+    in ``inbox``.
+    """
+
+    def __init__(self, system: ManualVersioningSystem):
+        self.system = system
+        self.inbox: collections.deque = collections.deque()
+        self.waiting = False
+        system._mailbox.consume(self._deliver)
+        super().__init__(system.sim)
+
+    def _start(self) -> None:
+        self.sim.schedule(self.system.start_after, self._freeze)
+
+    def _freeze(self) -> None:
+        # Wait until every node is actually frozen before checking for
+        # quiescence — otherwise a root admitted on a not-yet-frozen
+        # node can slip past a drain poll that already sampled it.
+        self._round(MessageKind.FREEZE, MessageKind.FREEZE_ACK)
+
+    def _query(self) -> None:
+        self._round(MessageKind.ACTIVE_QUERY, MessageKind.ACTIVE_REPLY)
+
+    def _round(self, kind: str, reply_kind: str) -> None:
+        if self.triggered:
+            return
+        self.system._broadcast(kind)
+        self.expect = reply_kind
+        self.replies: typing.Dict[str, int] = {}
+        self._receive()
+
+    def _on_reply(self, message) -> None:
+        if self.triggered:
+            return
+        if message.kind != self.expect:
+            raise ProtocolError(
+                f"manual coordinator: unexpected {message.kind!r} "
+                f"while collecting {self.expect!r}"
             )
-            replies: typing.Dict[str, int] = {}
-            while len(replies) < len(self.nodes):
-                message = yield self._mailbox.get()
-                if message.kind != MessageKind.ACTIVE_REPLY:
-                    raise ProtocolError(
-                        f"manual coordinator: unexpected {message.kind!r}"
-                    )
-                node_id, active = message.payload
-                replies[node_id] = active
-            if all(count == 0 for count in replies.values()):
-                return
-            yield self.sim.timeout(self.poll_interval)
+        if self.expect == MessageKind.FREEZE_ACK:
+            self.replies[message.payload] = 0
+        else:
+            node_id, active = message.payload
+            self.replies[node_id] = active
+        if len(self.replies) < len(self.system.nodes):
+            self._receive()
+        elif self.expect == MessageKind.FREEZE_ACK:
+            self._query()
+        elif any(self.replies.values()):
+            self.sim.schedule(self.system.poll_interval, self._query)
+        else:
+            self._switch()
+
+    def _switch(self) -> None:
+        system = self.system
+        old_update = system.vu
+        system.vu += 1
+        system.vr = old_update
+        system.version_closed_at[old_update] = self.sim.now
+        system.version_readable_at[old_update] = self.sim.now
+        # One atomic switch-and-thaw message per node (see handler).
+        system._broadcast(MessageKind.START_ADVANCEMENT,
+                          (system.vu, old_update))
+        self.sim.schedule(system.period, self._freeze)
+
+    def _receive(self) -> None:
+        """Take the next reply in a later callback."""
+        if self.inbox:
+            after_trigger(self.sim, self._on_reply, self.inbox.popleft())
+        else:
+            self.waiting = True
+
+    def _deliver(self, message) -> None:
+        if self.waiting:
+            self.waiting = False
+            self.sim.schedule_now(self._on_reply, message)
+        else:
+            self.inbox.append(message)
 
 
 def _build_manual(node_ids, *, seed, latency, node_config, detail,

@@ -26,6 +26,7 @@ turn off global coordination in data recording systems.
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro.net.message import Message
@@ -56,7 +57,7 @@ class TwoPCPlugin(ProtocolPlugin):
         node.twophase = TwoPCEngine(node)
 
     def takeover(self, node, instance: SubtxnInstance, kind: str):
-        return node.twophase.run_subtxn(instance)
+        return functools.partial(node.twophase.run_subtxn, instance)
 
     def handle_message(self, node, message: Message) -> None:
         if node.twophase.handles(message.kind):

@@ -39,16 +39,21 @@ The unsound alternatives are provided for the C7 ablation:
 :class:`InterleavedDetector` (single combined wave) and
 :class:`ActivePollDetector` (the naive "is any transaction running on v?"
 check the paper warns about in Section 2.2, blind to in-transit children).
+
+One advancement is an :class:`AdvancementWave`, a state machine whose
+``phase`` field walks Table 1's rows: every reply, counter snapshot and
+poll timer is a callback that moves it along.
 """
 
 from __future__ import annotations
 
+import collections
 import typing
 
 from repro.errors import AdvancementInProgress, ProtocolError
 from repro.net.message import MessageKind
 from repro.net.network import Network
-from repro.sim.events import Event
+from repro.sim.events import Machine, Ticker, after_trigger
 from repro.sim.simulator import Simulator
 from repro.storage.counters import aggregate_quiescent, quiescent
 from repro.txn.history import AdvancementRecord, History
@@ -57,16 +62,20 @@ COORDINATOR_ID = "coordinator"
 
 
 class QuiescenceDetector:
-    """Strategy deciding when all transactions of a version have finished."""
+    """Strategy deciding when all transactions of a version have finished.
+
+    One check gathers the counter-read :attr:`waves` one after the other
+    (each an asynchronous read of every node) and hands their snapshots,
+    in wave order, to :meth:`decide`.
+    """
 
     name = "abstract"
+    #: Counter-read wave kinds, in the order they are gathered.
+    waves: typing.Tuple[str, ...] = ()
 
-    def __init__(self, coordinator: "AdvancementCoordinator"):
-        self.coordinator = coordinator
-
-    def check(self, version: int):  # generator
-        """Yield simulation events; return ``True`` when quiescent."""
-        raise NotImplementedError  # pragma: no cover
+    def decide(self, *snapshots) -> bool:  # pragma: no cover - abstract
+        """``True`` when the gathered snapshots prove quiescence."""
+        raise NotImplementedError
 
 
 class TwoWaveDetector(QuiescenceDetector):
@@ -78,10 +87,9 @@ class TwoWaveDetector(QuiescenceDetector):
     """
 
     name = "two-wave"
+    waves = ("CT", "RT")
 
-    def check(self, version: int):
-        completions = yield from self.coordinator.gather_counters(version, "CT")
-        requests = yield from self.coordinator.gather_counters(version, "RT")
+    def decide(self, completions, requests) -> bool:
         return aggregate_quiescent(requests, completions)
 
 
@@ -91,10 +99,9 @@ class InterleavedDetector(QuiescenceDetector):
     subtransaction.  Kept to demonstrate why the wave order matters."""
 
     name = "interleaved"
+    waves = ("R", "C")
 
-    def check(self, version: int):
-        requests = yield from self.coordinator.gather_counters(version, "R")
-        completions = yield from self.coordinator.gather_counters(version, "C")
+    def decide(self, requests, completions) -> bool:
         return quiescent(requests, completions)
 
 
@@ -108,9 +115,9 @@ class ActivePollDetector(QuiescenceDetector):
     """
 
     name = "active-poll"
+    waves = ("ACTIVE",)
 
-    def check(self, version: int):
-        active = yield from self.coordinator.gather_counters(version, "ACTIVE")
+    def decide(self, active) -> bool:
         return all(count == 0 for row in active.values() for count in row.values())
 
 
@@ -119,6 +126,190 @@ DETECTORS = {
     InterleavedDetector.name: InterleavedDetector,
     ActivePollDetector.name: ActivePollDetector,
 }
+
+#: The reply every node owes each coordinator request.
+_REPLY_TO = {
+    MessageKind.START_ADVANCEMENT: MessageKind.START_ADVANCEMENT_ACK,
+    MessageKind.READ_ADVANCE: MessageKind.READ_ADVANCE_ACK,
+    MessageKind.GARBAGE_COLLECT: MessageKind.GARBAGE_COLLECT_ACK,
+    MessageKind.COUNTER_READ: MessageKind.COUNTER_READ_REPLY,
+}
+
+
+class AdvancementWave(Machine):
+    """One advancement to update version ``vu_new``, as a state machine.
+
+    ``phase`` is the step of Section 4.2 it is in: ``"switch-update"``
+    (phase 1), ``"drain-update"`` (2), ``"switch-read"`` (3),
+    ``"drain-read"`` (4), ``"collect"``, then ``"done"``.  A phase is made
+    of rounds: a request to every node and one reply from each
+    (``replies``) — an ack, or in a drain phase the counter snapshot of
+    the detector's wave ``which``.  Replies come through the
+    coordinator's inbox (:meth:`_listen`).
+    """
+
+    def __init__(self, coordinator: "AdvancementCoordinator", vu_new: int):
+        self.coordinator = coordinator
+        self.vu_new = vu_new
+        self.phase = "start"
+        super().__init__(coordinator.sim)
+
+    def _start(self) -> None:
+        coordinator = self.coordinator
+        self.epoch = coordinator.epoch
+        self.record = AdvancementRecord(
+            new_update_version=self.vu_new, started=self.sim.now
+        )
+        coordinator.history.advancements.append(self.record)
+        # Phase 1: switch every node to the new update version.  A resumed
+        # wave whose predecessor already committed the vu bump skips
+        # straight to quiescence (phase1_done stays unset on the resume
+        # record, so staleness keeps the true close time).
+        if coordinator.vu < self.vu_new:
+            self._round("switch-update", MessageKind.START_ADVANCEMENT,
+                        self.vu_new)
+        else:
+            self._await_quiescence("drain-update", self.vu_new - 1)
+
+    def _acked(self) -> None:
+        coordinator, now = self.coordinator, self.sim.now
+        if self.phase == "switch-update":
+            coordinator.vu = self.vu_new
+            self.record.phase1_done = now
+            # Phase 2: wait for vu_old to quiesce (always re-checked on a
+            # resume — the aggregates are monotone, so this only waits).
+            self._await_quiescence("drain-update", self.vu_new - 1)
+        elif self.phase == "switch-read":
+            coordinator.vr = self.vu_new - 1
+            self.record.phase3_done = now
+            self._await_quiescence("drain-read", self.vu_new - 2)
+        else:
+            self.record.gc_done = now
+            coordinator._in_flight = None
+            coordinator.completed_runs += 1
+            self.phase = "done"
+            self._release_role()
+            self.succeed()
+
+    def _quiescent(self) -> None:
+        vr_new = self.vu_new - 1
+        if self.phase == "drain-update":
+            self.record.phase2_done = self.sim.now
+            # Phase 3: make vu_old (= vr_new) readable.
+            if self.coordinator.vr < vr_new:
+                self._round("switch-read", MessageKind.READ_ADVANCE, vr_new)
+            else:
+                self._await_quiescence("drain-read", self.vu_new - 2)
+        else:
+            # Phase 4 done: vr_old's queries drained; collect (node-side
+            # GC is idempotent, so a resume redoes it safely).
+            self._round("collect", MessageKind.GARBAGE_COLLECT, vr_new)
+
+    def _on_stop(self) -> None:
+        self._release_role()
+
+    def _release_role(self) -> None:
+        # Kills are delivered one sim step late, so a crashed
+        # incarnation's teardown can run after its successor already
+        # restarted the wave — the epoch guard keeps it from clobbering
+        # the live incarnation's state.
+        coordinator = self.coordinator
+        if coordinator.epoch == self.epoch:
+            coordinator.running = False
+            coordinator._wave = None
+
+    # -- rounds ----------------------------------------------------------
+
+    def _await_quiescence(self, phase: str, version: int) -> None:
+        self.phase, self.drained = phase, version
+        self._poll()
+
+    def _poll(self) -> None:
+        """One quiescence check: the detector's counter waves, in order."""
+        if not self.triggered:
+            self.record.counter_polls += 1
+            self.snapshots: typing.List[dict] = []
+            self._read_counters()
+
+    def _read_counters(self) -> None:
+        which = self.coordinator.detector.waves[len(self.snapshots)]
+        self._round(self.phase, MessageKind.COUNTER_READ, self.drained, which)
+
+    def _round(self, phase: str, kind: str, version: int,
+               which: typing.Optional[str] = None) -> None:
+        """Send ``kind`` to every node (stamped with the epoch) and wait
+        for all their replies."""
+        coordinator = self.coordinator
+        self.phase, self.version, self.which = phase, version, which
+        self.expect = _REPLY_TO[kind]
+        self.replies: typing.Dict[str, typing.Any] = {}
+        coordinator.network.broadcast_to(
+            coordinator.endpoint, coordinator.node_ids, kind,
+            (coordinator.epoch, version) if which is None
+            else (coordinator.epoch, version, which),
+        )
+        self._listen()
+
+    def _replied(self) -> None:
+        if self.which is None:
+            self._acked()
+            return
+        detector = self.coordinator.detector
+        self.snapshots.append(self.replies)
+        if len(self.snapshots) < len(detector.waves):
+            self._read_counters()
+        elif detector.decide(*self.snapshots):
+            self._quiescent()
+        else:
+            self.sim.schedule(self.coordinator.poll_interval, self._poll)
+
+    def _listen(self) -> None:
+        """Feed the coordinator's inbox to the current round: inline with
+        batched delivery (a wave's same-tick replies land together), else
+        one reply per later callback; an empty inbox makes this wave its
+        reader."""
+        coordinator = self.coordinator
+        inbox = coordinator._inbox
+        while inbox:
+            if not coordinator._drain:
+                after_trigger(self.sim, self._on_message, inbox.popleft())
+                return
+            if self._take(inbox.popleft()):
+                return
+        coordinator._reader = self._on_message
+
+    def _on_message(self, message) -> None:
+        if not self.triggered and not self._take(message):
+            self._listen()
+
+    def _take(self, message) -> bool:
+        """Apply one reply; ``True`` once it completed the round.
+
+        The snapshot shape depends on the counter wave: a per-peer row
+        dict for "R"/"C"/"ACTIVE", a scalar total for "RT"/"CT".
+        """
+        coordinator = self.coordinator
+        if coordinator._stale(message):
+            return False
+        if message.kind != self.expect:
+            raise ProtocolError(
+                f"coordinator expected {self.expect!r}, got {message.kind!r}"
+            )
+        if self.which is None:
+            node_id, version, _epoch = message.payload
+            which = snapshot = None
+        else:
+            node_id, version, which, snapshot, _epoch = message.payload
+        if version != self.version or which != self.which:
+            raise ProtocolError(
+                f"stale {message.kind!r} for ({version}, {which!r}) during "
+                f"round ({self.version}, {self.which!r})"
+            )
+        self.replies[node_id] = snapshot
+        if len(self.replies) < len(coordinator.node_ids):
+            return False
+        self._replied()
+        return True
 
 
 class AdvancementCoordinator:
@@ -130,7 +321,8 @@ class AdvancementCoordinator:
             endpoint).
         node_ids: All database nodes.
         history: Where advancement phase timestamps are recorded.
-        poll_interval: Delay between quiescence polls in phases 2 and 4.
+        poll_interval: Delay between quiescence polls in phases 2 and 4
+            (``>= 0``).
         detector: Name of the quiescence detector (see :data:`DETECTORS`).
         lease_interval: When > 0, the coordinator broadcasts lease
             heartbeats (half this interval apart) so node-side standby
@@ -169,13 +361,13 @@ class AdvancementCoordinator:
         self.history = history
         self.poll_interval = poll_interval
         try:
-            self.detector: QuiescenceDetector = DETECTORS[detector](self)
+            self.detector: QuiescenceDetector = DETECTORS[detector]()
         except KeyError:
             raise ProtocolError(f"unknown quiescence detector: {detector!r}")
-        if lease_interval < 0:
-            raise ProtocolError(
-                f"lease_interval must be >= 0: {lease_interval}"
-            )
+        for name, value in (("poll_interval", poll_interval),
+                            ("lease_interval", lease_interval)):
+            if value < 0:
+                raise ProtocolError(f"{name} must be >= 0: {value}")
         self.vr = 0
         self.vu = 1
         self.running = False
@@ -191,27 +383,28 @@ class AdvancementCoordinator:
         #: Node currently hosting the role after a takeover (``None``
         #: while the original dedicated endpoint holds it).
         self.host: typing.Optional[str] = None
-        self.endpoint = COORDINATOR_ID
         #: Target update version of the wave in flight (``None`` between
         #: waves) — what a successor incarnation re-runs to resume.
         self._in_flight: typing.Optional[int] = None
-        self._mailbox = network.register(COORDINATOR_ID)
-        #: Drain batched mailbox wakes synchronously (one resume per
-        #: batch of same-tick replies instead of one per reply).
+        #: Delivered, unread replies per endpoint the role has held (a
+        #: frozen endpoint keeps its own until the role comes back), and
+        #: the wave waiting on an empty one.
+        self._inboxes: typing.Dict[str, collections.deque] = {}
+        self._reader = None
+        #: Read batched same-tick replies inline (one wake per batch).
         self._drain = network.batch_delivery
-        self._process = None
-        self._heartbeat_process = None
-        if lease_interval > 0:
-            self._heartbeat_process = sim.process(
-                self._heartbeat(), name="coordinator-heartbeat"
-            )
+        self._attach(COORDINATOR_ID)
+        self._wave: typing.Optional[AdvancementWave] = None
+        self._heartbeat: typing.Optional[Ticker] = None
+        self._start_heartbeats()
 
     # ------------------------------------------------------------------
     # Public entry point
     # ------------------------------------------------------------------
 
-    def advance(self) -> Event:
-        """Start one advancement; returns the process (an event).
+    def advance(self) -> AdvancementWave:
+        """Start one advancement; returns the wave (an event that
+        triggers when it ends).
 
         Raises:
             AdvancementInProgress: If an advancement is already running
@@ -231,10 +424,8 @@ class AdvancementCoordinator:
             )
         self.running = True
         self._in_flight = self.vu + 1
-        self._process = self.sim.process(
-            self._advance(self.vu + 1), name="advancement"
-        )
-        return self._process
+        self._wave = AdvancementWave(self, self.vu + 1)
+        return self._wave
 
     # ------------------------------------------------------------------
     # Crash / recovery / failover (the coordinator as a fault target)
@@ -243,12 +434,10 @@ class AdvancementCoordinator:
     def crash(self) -> None:
         """Fail-stop this incarnation of the coordinator role.
 
-        The in-flight advancement process (if any) is killed, its
-        stranded mailbox getter is abandoned (a dead getter would swallow
-        the next reply), and the mailbox freezes so stragglers queue
-        durably.  The control record survives for the next
-        incarnation — :meth:`recover` in place, or :meth:`failover` to a
-        standby.
+        The in-flight wave (if any) is stopped and no longer reads the
+        inbox, and the mailbox freezes so stragglers queue durably.  The
+        control record survives for the next incarnation —
+        :meth:`recover` in place, or :meth:`failover` to a standby.
         """
         if self.down:
             raise ProtocolError("the coordinator is already down")
@@ -270,14 +459,14 @@ class AdvancementCoordinator:
             return
         self.down = False
         self.recoveries += 1
-        self._mailbox.thaw()
+        self._attach(self.endpoint)
         self._resume()
 
     def failover(self, node_id: str) -> None:
         """Deterministic takeover: ``node_id``'s standby assumes the role.
 
         The lease model is fail-stop: an incarnation that lost its lease
-        stops acting, so any still-live process of the old incarnation is
+        stops acting, so the old incarnation's wave and heartbeat are
         halted and its endpoint frozen (stale replies addressed to it pile
         up unread; anything re-routed to the new endpoint is fenced by
         epoch).  The new incarnation registers ``coordinator@<node_id>``
@@ -289,125 +478,71 @@ class AdvancementCoordinator:
         self.down = False
         self.takeovers += 1
         self.host = node_id
-        self.endpoint = f"{COORDINATOR_ID}@{node_id}"
-        self._mailbox = self.network.register(self.endpoint)
-        self._mailbox.thaw()
+        self._attach(f"{COORDINATOR_ID}@{node_id}")
         self._resume()
 
+    def _start_heartbeats(self) -> None:
+        """Broadcast the lease every half lease interval (failover mode
+        only)."""
+        if self.lease_interval > 0:
+            self._heartbeat = Ticker(
+                self.sim, self.lease_interval / 2.0, self._send_heartbeat)
+
+    def _send_heartbeat(self) -> None:
+        self.network.broadcast_to(
+            self.endpoint, self.node_ids,
+            MessageKind.COORDINATOR_HEARTBEAT, (self.epoch,),
+        )
+
     def stop_heartbeats(self) -> None:
-        """Kill the lease heartbeat process (lets the system drain)."""
-        if (self._heartbeat_process is not None
-                and self._heartbeat_process.is_alive):
-            self._heartbeat_process.kill()
-        self._heartbeat_process = None
+        """Kill the lease heartbeat (lets the system drain)."""
+        if self._heartbeat is not None:
+            self._heartbeat.kill()
+        self._heartbeat = None
 
     def _halt_incarnation(self) -> None:
-        """Stop every live process of the current incarnation."""
-        if self._process is not None and self._process.is_alive:
-            self._process.kill()
-        self._process = None
+        """Stop the current incarnation's wave and heartbeat."""
+        if self._wave is not None:
+            self._wave.kill()
+        self._wave = None
         self.stop_heartbeats()
-        self._mailbox.abandon_getters()
+        self._reader = None
         self.running = False
 
     def _resume(self) -> None:
         """Start a new incarnation and restart the in-flight wave."""
         self.epoch += 1
-        if self.lease_interval > 0:
-            self._heartbeat_process = self.sim.process(
-                self._heartbeat(), name="coordinator-heartbeat"
-            )
+        self._start_heartbeats()
         if self._in_flight is not None:
             # Re-run the interrupted wave from the top; completed phases
             # degenerate to no-ops (see the class docstring).
             self.running = True
-            self._process = self.sim.process(
-                self._advance(self._in_flight), name="advancement"
-            )
-
-    def _heartbeat(self):
-        """Broadcast the lease heartbeat (failover mode only)."""
-        while True:
-            self.network.broadcast_to(
-                self.endpoint, self.node_ids,
-                MessageKind.COORDINATOR_HEARTBEAT, (self.epoch,),
-            )
-            yield self.sim.timeout(self.lease_interval / 2.0)
-
-    # ------------------------------------------------------------------
-    # The four phases
-    # ------------------------------------------------------------------
-
-    def _advance(self, vu_new: int):
-        epoch = self.epoch
-        vu_old, vr_new, vr_old = vu_new - 1, vu_new - 1, vu_new - 2
-        record = AdvancementRecord(
-            new_update_version=vu_new, started=self.sim.now
-        )
-        self.history.advancements.append(record)
-        try:
-            # Phase 1: switch every node to the new update version.  A
-            # resumed wave whose predecessor already committed the vu bump
-            # skips straight to quiescence (phase1_done stays unset on the
-            # resume record, so staleness keeps the true close time).
-            if self.vu < vu_new:
-                self._broadcast(MessageKind.START_ADVANCEMENT, vu_new)
-                yield from self._collect_acks(
-                    MessageKind.START_ADVANCEMENT_ACK, vu_new
-                )
-                self.vu = vu_new
-                record.phase1_done = self.sim.now
-
-            # Phase 2: wait for vu_old to quiesce (always re-checked on a
-            # resume — the aggregates are monotone, so this only waits).
-            yield from self._await_quiescence(vu_old, record)
-            record.phase2_done = self.sim.now
-
-            # Phase 3: make vu_old (= vr_new) readable.
-            if self.vr < vr_new:
-                self._broadcast(MessageKind.READ_ADVANCE, vr_new)
-                yield from self._collect_acks(
-                    MessageKind.READ_ADVANCE_ACK, vr_new
-                )
-                self.vr = vr_new
-                record.phase3_done = self.sim.now
-
-            # Phase 4: wait for vr_old queries to drain, then collect
-            # (node-side GC is idempotent, so a resume redoes it safely).
-            yield from self._await_quiescence(vr_old, record)
-            self._broadcast(MessageKind.GARBAGE_COLLECT, vr_new)
-            yield from self._collect_acks(
-                MessageKind.GARBAGE_COLLECT_ACK, vr_new
-            )
-            record.gc_done = self.sim.now
-            self._in_flight = None
-            self.completed_runs += 1
-        finally:
-            # Kills are delivered one sim step late, so a crashed
-            # incarnation's teardown can run after its successor already
-            # restarted the wave — the epoch guard keeps it from
-            # clobbering the live incarnation's state.
-            if self.epoch == epoch:
-                self.running = False
-                self._process = None
-
-    def _await_quiescence(self, version: int, record: AdvancementRecord):
-        while True:
-            record.counter_polls += 1
-            done = yield from self.detector.check(version)
-            if done:
-                return
-            yield self.sim.timeout(self.poll_interval)
+            self._wave = AdvancementWave(self, self._in_flight)
 
     # ------------------------------------------------------------------
     # Messaging helpers
     # ------------------------------------------------------------------
 
-    def _broadcast(self, kind: str, version: int) -> None:
-        """Broadcast a phase request stamped with the current epoch."""
-        self.network.broadcast_to(
-            self.endpoint, self.node_ids, kind, (self.epoch, version)
-        )
+    def _attach(self, endpoint: str) -> None:
+        """Read ``endpoint``'s mailbox: what it queued while frozen joins
+        the endpoint's inbox, in order, and later replies arrive through
+        :meth:`_deliver`."""
+        self.endpoint = endpoint
+        self._mailbox = self.network.register(endpoint)
+        self._inbox = self._inboxes.setdefault(endpoint, collections.deque())
+        self._inbox.extend(self._mailbox.drain())
+        self._mailbox.consume(self._deliver)
+        self._mailbox.thaw()
+
+    def _deliver(self, message) -> None:
+        """The mailbox's consumer: wake the waiting wave in one scheduled
+        callback, or queue the reply until a wave reads it."""
+        reader = self._reader
+        if reader is None:
+            self._inbox.append(message)
+        else:
+            self._reader = None
+            self.sim.schedule_now(reader, message)
 
     def _stale(self, message) -> bool:
         """Fence a reply stamped by a dead incarnation.
@@ -421,70 +556,3 @@ class AdvancementCoordinator:
             self.network.stats.stale_epoch_dropped += 1
             return True
         return False
-
-    def _receive(self):
-        """Take the coordinator's next message (batch-drain aware).
-
-        With batched delivery a wave's same-tick replies land in the
-        mailbox together; consuming the backlog via ``take_nowait`` skips
-        the event + scheduled resume a blocking ``get`` would cost per
-        message.
-        """
-        if self._drain:
-            message = self._mailbox.take_nowait()
-            if message is not None:
-                return message
-        message = yield self._mailbox.get()
-        return message
-
-    def _collect_acks(self, kind: str, version: int):
-        """Wait until every node acked ``(node_id, version, epoch)``."""
-        pending = set(self.node_ids)
-        while pending:
-            message = yield from self._receive()
-            if self._stale(message):
-                continue
-            if message.kind != kind:
-                raise ProtocolError(
-                    f"coordinator expected {kind!r}, got {message.kind!r}"
-                )
-            node_id, acked_version, _epoch = message.payload
-            if acked_version != version:
-                raise ProtocolError(
-                    f"stale ack for version {acked_version} during "
-                    f"advancement to {version}"
-                )
-            pending.discard(node_id)
-
-    def gather_counters(self, version: int, which: str):
-        """One asynchronous read wave of all nodes' counters.
-
-        Returns:
-            ``{node_id: snapshot}``.  The snapshot shape depends on the
-            wave kind: a per-peer row dict for "R"/"C"/"ACTIVE", a scalar
-            total for "RT"/"CT".
-        """
-        for node_id in self.node_ids:
-            self.network.send(
-                self.endpoint, node_id, MessageKind.COUNTER_READ,
-                (self.epoch, version, which),
-            )
-        snapshots: typing.Dict[str, typing.Any] = {}
-        while len(snapshots) < len(self.node_ids):
-            message = yield from self._receive()
-            if self._stale(message):
-                continue
-            if message.kind != MessageKind.COUNTER_READ_REPLY:
-                raise ProtocolError(
-                    f"coordinator expected counter reply, got {message.kind!r}"
-                )
-            node_id, reply_version, reply_which, snapshot, _epoch = (
-                message.payload
-            )
-            if reply_version != version or reply_which != which:
-                raise ProtocolError(
-                    f"stale counter reply ({reply_version}, {reply_which!r}) "
-                    f"during wave ({version}, {which!r})"
-                )
-            snapshots[node_id] = snapshot
-        return snapshots

@@ -21,6 +21,7 @@ from __future__ import annotations
 import typing
 
 from repro.errors import InvariantViolation
+from repro.sim.events import Ticker
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.system import ThreeVSystem
@@ -90,8 +91,8 @@ def check_all(system: "ThreeVSystem") -> None:
     check_version_agreement(system)
 
 
-class InvariantMonitor:
-    """A process that runs :func:`check_all` on a fixed cadence.
+class InvariantMonitor(Ticker):
+    """A state machine that runs :func:`check_all` every ``every``.
 
     Attach one in tests and long benchmarks to turn a silent protocol bug
     into an immediate, located failure.
@@ -99,15 +100,12 @@ class InvariantMonitor:
 
     def __init__(self, system: "ThreeVSystem", every: float = 0.25):
         self.system = system
-        self.every = every
         self.checks_run = 0
-        self._process = system.sim.process(self._run(), name="invariant-monitor")
+        super().__init__(system.sim, every, self._check, first=every)
 
-    def _run(self):
-        while True:
-            yield self.system.sim.timeout(self.every)
-            check_all(self.system)
-            self.checks_run += 1
+    def _check(self) -> None:
+        check_all(self.system)
+        self.checks_run += 1
 
     def stop(self) -> None:
-        self._process.kill()
+        self.kill()

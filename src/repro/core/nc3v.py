@@ -33,6 +33,7 @@ rounds, undo logs, wait-die — are
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro.runtime.twophase import (
@@ -40,7 +41,6 @@ from repro.runtime.twophase import (
     TwoPhaseEngine,
     UndoEntry,
 )
-from repro.sim.events import Event
 from repro.txn.history import TxnKind, WaitReason, WriteEvent
 from repro.txn.runtime import SubtxnInstance
 from repro.txn.spec import WriteOp
@@ -53,8 +53,9 @@ class NC3VManager(TwoPhaseEngine):
 
     def __init__(self, node):
         super().__init__(node)
-        #: Transactions gated on the ``vu == vr + 1`` condition.
-        self._gate_waiters: typing.List[typing.Tuple[int, Event]] = []
+        #: Roots gated on the ``vu == vr + 1`` condition:
+        #: ``(instance, gated_at, then)``.
+        self._gate_waiters: typing.List[tuple] = []
         self.aborts_version_conflict = 0
 
     # ------------------------------------------------------------------
@@ -72,28 +73,30 @@ class NC3VManager(TwoPhaseEngine):
         )
         # Step 2: wait until V(K) == vr + 1.
         if instance.version != node.vr + 1:
-            return self._gate(instance)
+            return functools.partial(self._gate, instance)
         return None
 
-    def _gate(self, instance: SubtxnInstance):
+    def _gate(self, instance: SubtxnInstance, then) -> None:
+        self._gate_waiters.append((instance, self.node.sim.now, then))
+
+    def on_read_advance(self) -> None:
+        """Called by the node when ``vr`` changes: re-check gated roots,
+        opening each passable gate in one scheduled callback."""
+        still_waiting = []
+        for waiter in self._gate_waiters:
+            if waiter[0].version == self.node.vr + 1:
+                self.node.sim.schedule_now(self._open_gate, *waiter)
+            else:
+                still_waiting.append(waiter)
+        self._gate_waiters = still_waiting
+
+    def _open_gate(self, instance: SubtxnInstance, gated_at: float,
+                   then) -> None:
         node = self.node
-        gate = Event(node.sim)
-        self._gate_waiters.append((instance.version, gate))
-        gated_at = node.sim.now
-        yield gate
         node.history.waited(
             instance.txn.name, WaitReason.VERSION_GATE, node.sim.now - gated_at
         )
-
-    def on_read_advance(self) -> None:
-        """Called by the node when ``vr`` changes: re-check gated roots."""
-        still_waiting = []
-        for version, event in self._gate_waiters:
-            if version == self.node.vr + 1:
-                event.succeed()
-            else:
-                still_waiting.append((version, event))
-        self._gate_waiters = still_waiting
+        then()
 
     # ------------------------------------------------------------------
     # Version-aware engine hooks

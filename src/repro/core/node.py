@@ -29,7 +29,9 @@ conservative and correct.
 
 from __future__ import annotations
 
-from repro.errors import DeadlockAbort, ProtocolError
+import functools
+
+from repro.errors import ProtocolError
 from repro.net.message import Message, MessageKind
 from repro.runtime.config import NodeConfig
 from repro.runtime.node import ProtocolNode
@@ -119,7 +121,7 @@ class ThreeVPlugin(ProtocolPlugin):
                 f"node {node.node_id}: non-commuting transaction "
                 f"{instance.txn.name!r} but NC3V is not enabled"
             )
-        return node.nc3v.run_subtxn(instance)
+        return functools.partial(node.nc3v.run_subtxn, instance)
 
     def admit_root(self, node, instance: SubtxnInstance, kind: str):
         version = node.vr if kind == TxnKind.READ else node.vu
@@ -140,38 +142,8 @@ class ThreeVPlugin(ProtocolPlugin):
     def pre_execute(self, node, instance: SubtxnInstance, kind: str):
         # Commute locks (only in mixed NC3V deployments).
         if node.config.enable_locking and kind == TxnKind.UPDATE:
-            return self._acquire_commute_locks(node, instance)
+            return _CommuteLocks(node, instance)
         return None
-
-    def _acquire_commute_locks(self, node, instance: SubtxnInstance):
-        """Take CR/CW locks for every op (Section 5; retry-on-die keeps
-        well-behaved transactions abort-free)."""
-        spec = instance.spec
-        requests = []
-        for op in spec.ops:
-            if isinstance(op, WriteOp):
-                requests.append((op.key, LockMode.CW))
-            else:
-                requests.append((op.key, LockMode.CR))
-        timestamp = node.history.txns[instance.txn.name].submit_time
-        for key, mode in requests:
-            queued_at = node.sim.now
-            while True:
-                event = node.locks.acquire(key, mode, instance.txn.name, timestamp)
-                try:
-                    yield event
-                except DeadlockAbort:
-                    # Wait-die killed the request; retry after a beat.  The
-                    # transaction keeps its other locks (wound-free retry),
-                    # and the whole retry loop counts as lock-wait time.
-                    yield node.sim.timeout(
-                        node.rngs.sample("node.lock-retry", node.config.op_service)
-                    )
-                    continue
-                break
-            node.history.waited(
-                instance.txn.name, WaitReason.LOCK, node.sim.now - queued_at
-            )
 
     def service_time(self, node, instance: SubtxnInstance):
         # One draw per subtransaction, ops or not.
@@ -427,3 +399,53 @@ class ThreeVPlugin(ProtocolPlugin):
             node.node_id, message.src, MessageKind.GARBAGE_COLLECT_ACK,
             (node.node_id, new_read_version, epoch),
         )
+
+
+class _CommuteLocks:
+    """The wait that takes a well-behaved update's CR/CW locks, one op at
+    a time (Section 5).  A request wait-die refuses is retried after a
+    beat, keeping the locks held (wound-free retry), so well-behaved
+    transactions never abort; the retries count as lock-wait time."""
+
+    __slots__ = ("node", "instance", "then", "timestamp", "index",
+                 "queued_at")
+
+    def __init__(self, node, instance: SubtxnInstance):
+        self.node = node
+        self.instance = instance
+        self.timestamp = node.history.txns[instance.txn.name].submit_time
+        self.index = 0
+
+    def __call__(self, then) -> None:
+        self.then = then
+        self._next_op()
+
+    def _next_op(self) -> None:
+        if self.index == len(self.instance.spec.ops):
+            self.then()
+            return
+        self.queued_at = self.node.sim.now
+        self._request()
+
+    def _request(self) -> None:
+        op = self.instance.spec.ops[self.index]
+        mode = LockMode.CW if isinstance(op, WriteOp) else LockMode.CR
+        self.node.locks.acquire(
+            op.key, mode, self.instance.txn.name, self.timestamp
+        ).add_callback(self._answered)
+
+    def _answered(self, request) -> None:
+        node = self.node
+        if request.exception is not None:
+            # Refused by wait-die (DeadlockAbort): retry after a beat.
+            node.sim.schedule(
+                node.rngs.sample("node.lock-retry", node.config.op_service),
+                self._request,
+            )
+            return
+        node.history.waited(
+            self.instance.txn.name, WaitReason.LOCK,
+            node.sim.now - self.queued_at,
+        )
+        self.index += 1
+        self._next_op()

@@ -3,15 +3,17 @@
 The paper's "desired solution" automates *when* to advance: "we may want to
 advance versions every hour, or once a certain number of update
 transactions have accumulated, ... or after a particular update transaction
-commits".  A policy is a process that watches the system and calls the
-coordinator; the protocol itself is policy-agnostic.
+commits".  A started policy is a :class:`PolicyDriver`, a state machine
+that watches the system and calls the coordinator; the protocol itself is
+policy-agnostic.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.errors import AdvancementInProgress, ProcessKilled, ProtocolError
+from repro.errors import AdvancementInProgress, ProtocolError
+from repro.sim.events import Machine
 from repro.sim.simulator import Simulator
 from repro.txn.history import History, TxnKind
 
@@ -19,39 +21,58 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.advancement import AdvancementCoordinator
 
 
-def _advance_once(sim, coordinator):
-    """Trigger one advancement, robust to coordinator faults.
+class PolicyDriver(Machine):
+    """A policy's trigger loop: sleep ``first``, then at every beat run
+    the ``waves`` that ``beat()`` asks for one after the other, each to
+    its end, and sleep ``interval`` — or end, once ``again`` is false.
 
-    Plain ``yield coordinator.advance()`` wedges a policy under fault
-    injection two ways: if the coordinator is down (or a recovered
-    incarnation is still finishing its resumed wave) the synchronous
-    ``advance()`` call raises and kills the whole driver process — no
-    later trigger ever fires again; and if the wave process is killed by a
-    coordinator crash mid-flight, the raise propagates out of the
-    ``yield``.  Policies skip the beat in both cases and try again at
-    their next trigger.  Only those two conditions are absorbed: any other
-    exception out of the wave is a real protocol bug and re-raises.
+    Coordinator faults skip a wave rather than wedge the driver: a down
+    (or still resuming) coordinator refuses ``advance()``, and a wave a
+    crash kills ends failed; the policy tries again at its next trigger.
+    Any other error out of a wave is a protocol bug and propagates.
     """
-    try:
-        wave = coordinator.advance()
-    except (AdvancementInProgress, ProtocolError):
-        return
-    try:
-        yield wave
-    except ProcessKilled as exc:
-        # ProcessKilled reaches this yield two ways: the *wave* process
-        # was killed (the wave event fails with that exact instance —
-        # absorb and retry at the next trigger), or the *policy driver
-        # itself* is being killed (e.g. ``stop_policy`` throws a fresh
-        # instance in) — that one must propagate or the driver would
-        # survive its own kill and keep advancing forever.
-        if exc is wave.exception:
+
+    def __init__(self, sim: Simulator, coordinator: "AdvancementCoordinator",
+                 first: float, interval: float,
+                 beat: typing.Callable[[], typing.Tuple[int, bool]]):
+        self.coordinator = coordinator
+        self.first = first
+        self.interval = interval
+        self.beat = beat
+        super().__init__(sim)
+
+    def _start(self) -> None:
+        self.sim.schedule(self.first, self._beat)
+
+    def _beat(self) -> None:
+        if self.triggered:
             return
-        raise
+        # The advancements still to run in this beat, and whether another
+        # beat follows.
+        self.waves_owed, self.again = self.beat()
+        self._next_wave()
+
+    def _next_wave(self) -> None:
+        while self.waves_owed:
+            self.waves_owed -= 1
+            try:
+                wave = self.coordinator.advance()
+            except (AdvancementInProgress, ProtocolError):
+                continue
+            wave.add_callback(self._wave_over)
+            return
+        if self.again:
+            self.sim.schedule(self.interval, self._beat)
+        else:
+            self.succeed()
+
+    def _wave_over(self, _wave) -> None:
+        if not self.triggered:
+            self._next_wave()
 
 
 class AdvancementPolicy:
-    """Base class: start a driving process against a coordinator."""
+    """Base class: start a :class:`PolicyDriver` against a coordinator."""
 
     #: Set by :class:`~repro.core.system.ThreeVSystem` before ``start`` so
     #: store-inspecting policies (e.g. :class:`DivergencePolicy`) can read
@@ -88,13 +109,8 @@ class PeriodicPolicy(AdvancementPolicy):
         self.start_after = interval if start_after is None else start_after
 
     def start(self, sim, coordinator, history):
-        def driver():
-            yield sim.timeout(self.start_after)
-            while True:
-                yield from _advance_once(sim, coordinator)
-                yield sim.timeout(self.interval)
-
-        return sim.process(driver(), name="periodic-advancement")
+        return PolicyDriver(sim, coordinator, self.start_after,
+                            self.interval, lambda: (1, True))
 
 
 class CountPolicy(AdvancementPolicy):
@@ -110,16 +126,18 @@ class CountPolicy(AdvancementPolicy):
         self.check_interval = check_interval
 
     def start(self, sim, coordinator, history):
-        def driver():
-            committed_at_last = 0
-            while True:
-                yield sim.timeout(self.check_interval)
-                committed = history.count(TxnKind.UPDATE)
-                if committed - committed_at_last >= self.threshold:
-                    yield from _advance_once(sim, coordinator)
-                    committed_at_last = committed
+        committed_at_last = 0
 
-        return sim.process(driver(), name="count-advancement")
+        def beat():
+            nonlocal committed_at_last
+            committed = history.count(TxnKind.UPDATE)
+            if committed - committed_at_last < self.threshold:
+                return 0, True
+            committed_at_last = committed
+            return 1, True
+
+        return PolicyDriver(sim, coordinator, self.check_interval,
+                            self.check_interval, beat)
 
 
 class DivergencePolicy(AdvancementPolicy):
@@ -162,13 +180,11 @@ class DivergencePolicy(AdvancementPolicy):
         if self.system is None:
             raise ValueError("DivergencePolicy must be bound to a system")
 
-        def driver():
-            while True:
-                yield sim.timeout(self.check_interval)
-                if self.divergence() > self.threshold:
-                    yield from _advance_once(sim, coordinator)
+        def beat():
+            return int(self.divergence() > self.threshold), True
 
-        return sim.process(driver(), name="divergence-advancement")
+        return PolicyDriver(sim, coordinator, self.check_interval,
+                            self.check_interval, beat)
 
 
 class TransactionTriggerPolicy(AdvancementPolicy):
@@ -188,18 +204,19 @@ class TransactionTriggerPolicy(AdvancementPolicy):
         self.check_interval = check_interval
 
     def start(self, sim, coordinator, history):
-        def driver():
-            pending = set(self.txn_names)
-            while pending:
-                yield sim.timeout(self.check_interval)
-                fired = {
-                    name for name in pending
-                    if name in history.txns
-                    and history.txns[name].global_complete_time is not None
-                    and not history.txns[name].aborted
-                }
-                for _name in sorted(fired):
-                    yield from _advance_once(sim, coordinator)
-                pending -= fired
+        pending = set(self.txn_names)
 
-        return sim.process(driver(), name="txn-trigger-advancement")
+        def beat():
+            fired = {
+                name for name in pending
+                if name in history.txns
+                and history.txns[name].global_complete_time is not None
+                and not history.txns[name].aborted
+            }
+            pending.difference_update(fired)
+            # One advancement per fired transaction; the driver ends
+            # once every trigger has fired.
+            return len(fired), bool(pending)
+
+        return PolicyDriver(sim, coordinator, self.check_interval,
+                            self.check_interval, beat)

@@ -29,6 +29,7 @@ submission checks.
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro.core.advancement import COORDINATOR_ID, AdvancementCoordinator
@@ -38,7 +39,7 @@ from repro.errors import ProtocolError
 from repro.net.latency import LatencyModel
 from repro.runtime.registry import PROTOCOLS
 from repro.runtime.system import System
-from repro.sim.events import Event
+from repro.sim.events import Event, Ticker
 from repro.txn.spec import TransactionSpec
 
 
@@ -62,7 +63,7 @@ class ThreeVSystem(System):
             every node runs a standby monitor; if the lease lapses, the
             lowest-id live node deterministically takes the role over
             (epoch fencing keeps a late-recovering incarnation harmless).
-            0 (the default) adds no processes and no messages.
+            0 (the default) adds no monitors and no messages.
     """
 
     #: The advancement coordinator is a crashable fault target alongside
@@ -98,19 +99,19 @@ class ThreeVSystem(System):
             lease_interval=lease_interval,
         )
         self.policy = policy
-        self._policy_process = None
-        self._monitor_processes: typing.List = []
-        if lease_interval > 0:
-            # Standby monitors: one per node, staggered patience by rank so
-            # the lowest-id live node always wins the takeover race.
-            for rank, node_id in enumerate(sorted(node_ids)):
-                self._monitor_processes.append(self.sim.process(
-                    self._standby_monitor(node_id, rank),
-                    name=f"coordinator-standby-{node_id}",
-                ))
+        self._policy_driver = None
+        # Standby monitors: one per node, staggered patience by rank so
+        # the lowest-id live node always wins the takeover race.
+        beat = lease_interval / 2.0
+        self._monitors: typing.List[Ticker] = [
+            Ticker(self.sim, beat, functools.partial(
+                self._standby_check, node_id,
+                2.0 * lease_interval + rank * lease_interval), first=beat)
+            for rank, node_id in enumerate(sorted(node_ids))
+        ] if lease_interval > 0 else []
         if policy is not None:
             policy.bind(self)
-            self._policy_process = policy.start(
+            self._policy_driver = policy.start(
                 self.sim, self.coordinator, self.history
             )
 
@@ -135,7 +136,8 @@ class ThreeVSystem(System):
     # ------------------------------------------------------------------
 
     def advance_versions(self) -> Event:
-        """Manually start one version advancement; returns its process."""
+        """Manually start one version advancement; returns its wave (an
+        event that triggers when the wave ends)."""
         return self.coordinator.advance()
 
     @property
@@ -149,13 +151,12 @@ class ThreeVSystem(System):
     def stop_policy(self) -> None:
         """Kill every automatic driver (policy, heartbeats, standby
         monitors) so the system can drain."""
-        if self._policy_process is not None:
-            self._policy_process.kill()
-            self._policy_process = None
-        for process in self._monitor_processes:
-            if process.is_alive:
-                process.kill()
-        self._monitor_processes = []
+        if self._policy_driver is not None:
+            self._policy_driver.kill()
+            self._policy_driver = None
+        for monitor in self._monitors:
+            monitor.kill()
+        self._monitors = []
         self.coordinator.stop_heartbeats()
 
     def close(self) -> None:
@@ -177,36 +178,32 @@ class ThreeVSystem(System):
                 and not coordinator.down):
             coordinator.crash()
 
+    def _standby_check(self, node_id: str, patience: float) -> None:
+        """One beat of ``node_id``'s lease watcher (``lease_interval > 0``
+        only).
+
+        Patience is ``2 * lease + rank * lease`` with the rank taken in
+        sorted node-id order, so the lowest-id live node's monitor always
+        fires first — a deterministic election with no extra messages.
+        """
+        if node_id in self.down_nodes:
+            return
+        node = self.nodes[node_id]
+        coordinator = self.coordinator
+        if coordinator.host == node_id and not coordinator.down:
+            # This node hosts the live incarnation; its own silence is
+            # not evidence of coordinator death.
+            node._coord_seen = self.sim.now
+        elif self.sim.now - node._coord_seen > patience:
+            coordinator.failover(node_id)
+            node._coord_seen = self.sim.now
+
     def _scheduled_extra_crash(self, event) -> None:
         """Run a planned coordinator crash/recover cycle."""
         if self.coordinator.down:
             return
         self.coordinator.crash()
         self.sim.schedule(event.down_for, self.coordinator.recover)
-
-    def _standby_monitor(self, node_id: str, rank: int):
-        """Per-node lease watcher (runs only with ``lease_interval > 0``).
-
-        Patience is ``2 * lease + rank * lease`` with the rank taken in
-        sorted node-id order, so the lowest-id live node's monitor always
-        fires first — a deterministic election with no extra messages.
-        """
-        lease = self.coordinator.lease_interval
-        patience = 2.0 * lease + rank * lease
-        node = self.nodes[node_id]
-        while True:
-            yield self.sim.timeout(lease / 2.0)
-            if node_id in self.down_nodes:
-                continue
-            coordinator = self.coordinator
-            if coordinator.host == node_id and not coordinator.down:
-                # This node hosts the live incarnation; its own silence is
-                # not evidence of coordinator death.
-                node._coord_seen = self.sim.now
-                continue
-            if self.sim.now - node._coord_seen > patience:
-                coordinator.failover(node_id)
-                node._coord_seen = self.sim.now
 
 
 def _build_3v(node_ids, *, seed, latency, node_config, detail,

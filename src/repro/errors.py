@@ -17,10 +17,6 @@ class SimulationError(ReproError):
     """The discrete-event simulation kernel was used incorrectly."""
 
 
-class ProcessKilled(SimulationError):
-    """A simulated process was forcibly terminated."""
-
-
 class StorageError(ReproError):
     """Base class for storage-substrate errors."""
 

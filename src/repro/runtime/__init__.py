@@ -35,7 +35,6 @@ from repro.runtime.registry import PROTOCOLS, ProtocolEntry, ProtocolRegistry
 from repro.runtime.system import System
 from repro.runtime.twophase import (
     ParticipantState,
-    RootState,
     TwoPhaseEngine,
     UndoEntry,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "ProtocolNode",
     "ProtocolPlugin",
     "ProtocolRegistry",
-    "RootState",
     "System",
     "TwoPhaseEngine",
     "UndoEntry",

@@ -11,12 +11,12 @@ lives in the system's :class:`~repro.runtime.plugin.ProtocolPlugin`.
 The node is callback-driven: the network hands each delivered message
 straight to :meth:`ProtocolNode._dispatch`, and a subtransaction is two
 callbacks — :meth:`ProtocolNode._arrive` up to the service wait,
-:meth:`ProtocolNode._finish` after it — with a generator process started
-only from the point where a plugin hook really waits.  Local commit comes
-right after the local operations and child dispatch, having waited for
-nothing non-local (Theorem 4.2); *completion* bookkeeping is delegated to
-plugin hooks so 3V can implement both the hierarchical (Table 1) and the
-literal-step-6 "immediate" counter timing.
+:meth:`ProtocolNode._finish` after it — plus, only where a plugin hook
+really waits, the hook's own wait and a re-entry into ``_arrive``.  Local
+commit comes right after the local operations and child dispatch, having
+waited for nothing non-local (Theorem 4.2); *completion* bookkeeping is
+delegated to plugin hooks so 3V can implement both the hierarchical
+(Table 1) and the literal-step-6 "immediate" counter timing.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import typing
 
 from repro.errors import ProtocolError
 from repro.net.message import Message, MessageKind
+from repro.sim.events import Event
 from repro.sim.resources import Resource
 from repro.storage.locktable import LockTable
 from repro.txn.history import WaitReason
@@ -152,8 +153,8 @@ class ProtocolNode:
             # lifecycle (NC3V's and 2PC's two-phase-commit engine).
             takeover = plugin.takeover(self, instance, kind)
             if takeover is not None:
-                self.sim.process(
-                    takeover, name=f"{self.node_id}:{instance.sid}")
+                # One scheduled start and, at its end, one triggered event.
+                self.sim.schedule_now(takeover, Event(self.sim).succeed)
                 return
 
             # --- Arrival: version assignment and request accounting ---
@@ -188,12 +189,16 @@ class ProtocolNode:
         else:
             self.sim.schedule(service, self._finish, instance, kind)
 
-    def _wait(self, waits, instance: SubtxnInstance, *progress) -> None:
-        """Sit out a hook's waits in a process, then re-arrive."""
-        def waiting():
-            yield from waits
+    def _wait(self, wait, instance: SubtxnInstance, *progress) -> None:
+        """Sit out a hook's wait: start it in one scheduled callback; its
+        ``then`` re-enters :meth:`_arrive` and triggers the wait's end."""
+        done = Event(self.sim)
+
+        def then():
             self._arrive(instance, *progress)
-        self.sim.process(waiting(), name=f"{self.node_id}:{instance.sid}")
+            done.succeed()
+
+        self.sim.schedule_now(wait, then)
 
     def _finish(self, instance: SubtxnInstance, kind: str) -> None:
         """Finish callback: the service time is over — run the local

@@ -10,18 +10,20 @@ the hooks.
 Hook contract (see ``docs/PROTOCOL.md`` for the full walk-through):
 
 * The node runs a subtransaction as plain callbacks (arrival, then finish
-  after the service time); there is no process behind it by default.
+  after the service time).
 * ``admit_root`` / ``pre_execute`` / ``admission_gate`` may need to wait
   on simulation events.  They return ``None`` when they finished
   synchronously — the node then carries straight on in the same callback
-  — or a *generator* of the events to wait for.  Only in that case does
-  the node start a process: it drives the generator and, when it is
-  exhausted, re-enters the arrival callback at the step after the hook.
-  Return a generator only when there is something to wait for.
+  — or a *wait*: a callable ``wait(then)`` that starts waiting when it is
+  called and calls ``then()`` once, inline, from the callback that ends
+  the wait.  The node starts it in one scheduled callback and, from
+  ``then``, re-enters the arrival callback at the step after the hook.
+  Return a wait only when there is something to wait for.
 * ``takeover`` lets a plugin replace the runtime's whole subtransaction
   lifecycle for some transaction class (NC3V and 2PC divert into the
-  shared :mod:`repro.runtime.twophase` engine this way); the generator it
-  returns runs as that subtransaction's process.
+  shared :mod:`repro.runtime.twophase` engine this way).  It returns a
+  callable ``run(then)`` shaped like a wait, which the node starts in one
+  scheduled callback and which calls ``then()`` when the lifecycle ends.
 * ``service_time`` returns the local service time as a number (or
   ``None`` for "no service wait at all"); it owns the protocol's
   service-RNG draw discipline.  The node turns it into one scheduled
@@ -32,9 +34,9 @@ Hook contract (see ``docs/PROTOCOL.md`` for the full walk-through):
   (``workloads.runner.collector_paused``), so whatever a transaction
   leaves behind must die by reference count: no record that points back
   at its owner, no closure or bound method stored on the object it
-  closes over, no caught exception kept alive with its traceback (the
-  process kernel already drops the traceback of an exception a generator
-  caught at its ``yield``).  ``tests/test_gc_pause.py`` runs every
+  closes over, no caught exception kept alive with its traceback.  A
+  wait's state lives on the events it waits on, and their callbacks are
+  dropped as each event fires.  ``tests/test_gc_pause.py`` runs every
   registered protocol in four regimes and fails when the unreachable
   objects grow with the run.  What is cyclic once per *system* (a
   coordinator and the network, through its mailbox) is the ``System``
@@ -48,7 +50,7 @@ all nodes of a system.
 
 from __future__ import annotations
 
-import typing
+import functools
 
 from repro.errors import ProtocolError
 from repro.net.message import Message
@@ -106,8 +108,9 @@ class ProtocolPlugin:
     # ------------------------------------------------------------------
 
     def takeover(self, node, instance: SubtxnInstance, kind: str):
-        """Return a generator replacing the whole subtransaction lifecycle,
-        or ``None`` to run the shared runtime path."""
+        """Return a ``run(then)`` callable replacing the whole
+        subtransaction lifecycle, or ``None`` to run the shared runtime
+        path."""
         return None
 
     # ------------------------------------------------------------------
@@ -118,20 +121,22 @@ class ProtocolPlugin:
         """Admit a root: assign its version and begin the history record.
 
         Returns ``None`` when admission completed synchronously, or a
-        generator to wait on (admission gates).
+        wait that admits the root once its admission gate opens.
         """
         arrived_at = node.sim.now
         gate = self.admission_gate(node, instance, kind)
         if gate is not None:
-            return self._gated_admission(node, instance, kind, arrived_at, gate)
+            return functools.partial(
+                self._gated_admission, node, instance, kind, arrived_at, gate)
         self._admit(node, instance, kind, arrived_at)
         return None
 
-    def _gated_admission(self, node, instance, kind, arrived_at, gate):
-        yield from gate
-        self._admit(node, instance, kind, arrived_at)
+    def _gated_admission(self, node, instance, kind, arrived_at, gate,
+                         then) -> None:
+        gate(functools.partial(
+            self._admit, node, instance, kind, arrived_at, then))
 
-    def _admit(self, node, instance, kind, arrived_at) -> None:
+    def _admit(self, node, instance, kind, arrived_at, then=None) -> None:
         instance.version = self.assign_version(node, kind)
         node.history.begin_txn(
             instance.txn.name, kind, instance.version, arrived_at,
@@ -141,9 +146,11 @@ class ProtocolPlugin:
             instance.txn.name, WaitReason.ADVANCEMENT,
             node.sim.now - arrived_at,
         )
+        if then is not None:
+            then()
 
     def admission_gate(self, node, instance: SubtxnInstance, kind: str):
-        """Generator run before a root is admitted, or ``None`` (no gate).
+        """Wait run before a root is admitted, or ``None`` (no gate).
 
         E.g. the synchronous manual-versioning variant blocks new roots
         mid-switch.
@@ -162,8 +169,8 @@ class ProtocolPlugin:
     # ------------------------------------------------------------------
 
     def pre_execute(self, node, instance: SubtxnInstance, kind: str):
-        """Generator run before the executor is acquired (e.g. commute
-        locks), or ``None``."""
+        """Wait run before the executor is acquired (e.g. commute locks),
+        or ``None``."""
         return None
 
     def service_time(self, node, instance: SubtxnInstance):

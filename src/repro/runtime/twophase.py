@@ -28,9 +28,9 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.errors import DeadlockAbort, ProtocolError
+from repro.errors import ProtocolError
 from repro.net.message import Message, MessageKind
-from repro.sim.events import Event
+from repro.sim.events import after_trigger
 from repro.storage.locktable import LockMode
 from repro.storage.values import Operation, undo_operation
 from repro.txn.history import ReadEvent, WaitReason, WriteEvent
@@ -61,25 +61,6 @@ class ParticipantState:
     failed: bool = False
 
 
-@dataclasses.dataclass
-class RootState:
-    """Two-phase-commit coordination state at the root node."""
-
-    instance: SubtxnInstance
-    #: Subtransaction ids whose execution report is still expected.
-    outstanding: typing.Set[str] = dataclasses.field(default_factory=set)
-    participants: typing.Set[str] = dataclasses.field(default_factory=set)
-    any_failure: bool = False
-    reports_done: Event = None
-    votes: typing.Set[str] = dataclasses.field(default_factory=set)
-    vote_no: bool = False
-    votes_done: Event = None
-    acks: typing.Set[str] = dataclasses.field(default_factory=set)
-    acks_done: Event = None
-    expected_voters: typing.Set[str] = dataclasses.field(default_factory=set)
-    expected_ackers: typing.Set[str] = dataclasses.field(default_factory=set)
-
-
 class TwoPhaseEngine:
     """Per-node participant + coordinator for two-phase commitment."""
 
@@ -96,7 +77,8 @@ class TwoPhaseEngine:
     def __init__(self, node):
         self.node = node
         self._participants: typing.Dict[str, ParticipantState] = {}
-        self._roots: typing.Dict[str, RootState] = {}
+        #: The run of every root transaction this node coordinates.
+        self._roots: typing.Dict[str, "SubtxnRun"] = {}
         self.deadlock_aborts = 0
         self.commits = 0
 
@@ -107,7 +89,8 @@ class TwoPhaseEngine:
     def admit_root(self, instance: SubtxnInstance):
         """Assign the root's version and begin its history record.
 
-        Returns ``None``, or a generator to wait on (NC3V's version gate).
+        Returns ``None``, or a wait to sit out (NC3V's version gate; see
+        :mod:`repro.runtime.plugin` for the shape of a wait).
         """
         node = self.node
         instance.version = 0
@@ -155,200 +138,64 @@ class TwoPhaseEngine:
     # Subtransaction execution
     # ------------------------------------------------------------------
 
-    def run_subtxn(self, instance: SubtxnInstance):
+    def run_subtxn(self, instance: SubtxnInstance, then) -> None:
+        """The ``takeover`` lifecycle: run ``instance`` here under 2PL and
+        two-phase commitment, and call ``then()`` once its part is over."""
+        SubtxnRun(self, instance, then)
+
+    def _apply_ops(self, instance: SubtxnInstance,
+                   state: ParticipantState) -> None:
+        """The local operations, under the held locks, with undo entries."""
         node = self.node
         txn_name = instance.txn.name
-        if instance.is_root:
-            gate = self.admit_root(instance)
-            if gate is not None:
-                yield from gate
-
-        state = self._participants.get(txn_name)
-        if state is None:
-            state = ParticipantState(txn_name=txn_name,
-                                     version=instance.version)
-            self._participants[txn_name] = state
-
-        ok = yield from self._execute_locally(instance, state)
-
-        dispatched: typing.List[str] = []
-        if ok:
-            for child_sid, child_spec, target in instance.child_targets():
-                child = instance.child(child_sid, child_spec, node.node_id)
-                self.note_request(instance.version, target)
-                node.network.send(
-                    node.node_id, target, MessageKind.SUBTXN_REQUEST, child
+        version = instance.version
+        for op in instance.spec.ops:
+            if isinstance(op, ReadOp):
+                used = node.store.version_max_leq(op.key, version)
+                value = (
+                    node.store.get_exact(op.key, used)
+                    if used is not None else None
                 )
-                dispatched.append(child_sid)
-
-        if instance.is_root:
-            yield from self._coordinate(instance, ok, dispatched)
-        else:
-            # Report execution outcome (and what was dispatched) to the
-            # root, which sent the first envelope from its own node.
-            root = instance.parent
-            while root.parent is not None:
-                root = root.parent
-            node.network.send(
-                node.node_id, root.source_node, MessageKind.VOTE,
-                (self._EXEC_REPORT, txn_name, instance.sid, node.node_id,
-                 ok, dispatched),
-            )
-
-    def _execute_locally(self, instance: SubtxnInstance,
-                         state: ParticipantState):
-        """Locks, version check, and writes for one subtransaction.
-
-        Returns ``True`` on success, ``False`` if the subtransaction failed
-        (wait-die or version conflict) — failure aborts the whole
-        transaction at decision time.
-        """
-        node = self.node
-        txn_name = instance.txn.name
-        spec = instance.spec
-        timestamp = self._root_timestamp(instance)
-
-        # 2PL acquisition (NR/NW), wait-die on conflict.
-        for op in spec.ops:
-            mode = LockMode.NW if isinstance(op, WriteOp) else LockMode.NR
-            queued_at = node.sim.now
-            event = node.locks.acquire(op.key, mode, txn_name, timestamp)
-            try:
-                yield event
-            except DeadlockAbort:
-                self.deadlock_aborts += 1
-                state.failed = True
-                state.executed.append((instance.sid, instance.source_node))
-                return False
-            node.history.waited(
-                txn_name, WaitReason.LOCK, node.sim.now - queued_at
-            )
-
-        queued_at = node.sim.now
-        yield node.executor.request()
-        node.history.waited(
-            txn_name, WaitReason.EXECUTOR, node.sim.now - queued_at
-        )
-        try:
-            if spec.ops:
-                service = node.rngs.sample(
-                    "node.service", node.config.op_service
-                )
-                yield node.sim.timeout(service * len(spec.ops))
-            version = instance.version
-            if self.check_version_conflict(instance):
-                state.failed = True
-                state.executed.append((instance.sid, instance.source_node))
-                return False
-            for op in spec.ops:
-                if isinstance(op, ReadOp):
-                    used = node.store.version_max_leq(op.key, version)
-                    value = (
-                        node.store.get_exact(op.key, used)
-                        if used is not None else None
+                if node.history.detail:
+                    node.history.read(
+                        ReadEvent(
+                            time=node.sim.now,
+                            txn=txn_name,
+                            subtxn=instance.sid,
+                            node=node.node_id,
+                            key=op.key,
+                            version_requested=version,
+                            version_used=used,
+                            value=value,
+                        )
                     )
-                    if node.history.detail:
-                        node.history.read(
-                            ReadEvent(
-                                time=node.sim.now,
-                                txn=txn_name,
-                                subtxn=instance.sid,
-                                node=node.node_id,
-                                key=op.key,
-                                version_requested=version,
-                                version_used=used,
-                                value=value,
-                            )
-                        )
-                    else:
-                        node.history.note_read(txn_name, op.key, value)
                 else:
-                    node.store.ensure_version(op.key, version)
-                    previous = node.store.get_exact(op.key, version)
-                    undo = undo_operation(op.operation, previous)
-                    node.store.apply_exact(op.key, version, op.operation)
-                    state.undo_log.append(UndoEntry(op.key, version, undo))
-                    if node.history.keeps_writes:
-                        node.history.wrote(
-                            WriteEvent(
-                                time=node.sim.now,
-                                txn=txn_name,
-                                subtxn=instance.sid,
-                                node=node.node_id,
-                                key=op.key,
-                                version=version,
-                                versions_written=1,
-                                operation=op.operation,
-                            )
+                    node.history.note_read(txn_name, op.key, value)
+            else:
+                node.store.ensure_version(op.key, version)
+                previous = node.store.get_exact(op.key, version)
+                undo = undo_operation(op.operation, previous)
+                node.store.apply_exact(op.key, version, op.operation)
+                state.undo_log.append(UndoEntry(op.key, version, undo))
+                if node.history.keeps_writes:
+                    node.history.wrote(
+                        WriteEvent(
+                            time=node.sim.now,
+                            txn=txn_name,
+                            subtxn=instance.sid,
+                            node=node.node_id,
+                            key=op.key,
+                            version=version,
+                            versions_written=1,
+                            operation=op.operation,
                         )
-        finally:
-            node.executor.release()
-        state.executed.append((instance.sid, instance.source_node))
-        return True
+                    )
 
     def _root_timestamp(self, instance: SubtxnInstance) -> float:
         record = self.node.history.txns.get(instance.txn.name)
         if record is not None:
             return record.submit_time
         return instance.txn.priority_hint
-
-    # ------------------------------------------------------------------
-    # Two-phase commitment (root side)
-    # ------------------------------------------------------------------
-
-    def _coordinate(self, instance: SubtxnInstance, root_ok: bool,
-                    dispatched: typing.List[str]):
-        node = self.node
-        txn_name = instance.txn.name
-        state = RootState(instance=instance)
-        state.reports_done = Event(node.sim)
-        state.votes_done = Event(node.sim)
-        state.acks_done = Event(node.sim)
-        state.outstanding = set(dispatched)
-        state.participants = {node.node_id}
-        state.any_failure = not root_ok
-        self._roots[txn_name] = state
-
-        remote_wait_start = node.sim.now
-        if state.outstanding:
-            yield state.reports_done
-
-        decision_commit = not state.any_failure
-        # Sorted: iteration drives message sends (and therefore latency RNG
-        # draws), so set order must not leak the per-process hash seed.
-        remote = sorted(state.participants - {node.node_id})
-        if decision_commit and remote:
-            # Prepare round: every remote participant votes.
-            state.expected_voters = set(remote)
-            for participant in remote:
-                node.network.send(
-                    node.node_id, participant, MessageKind.PREPARE, txn_name
-                )
-            yield state.votes_done
-            decision_commit = not state.vote_no
-
-        # Decision round.
-        self._apply_decision_locally(txn_name, decision_commit)
-        if remote:
-            state.expected_ackers = set(remote)
-            for participant in remote:
-                node.network.send(
-                    node.node_id, participant, MessageKind.DECISION,
-                    (txn_name, decision_commit),
-                )
-        node.history.waited(
-            txn_name, WaitReason.REMOTE, node.sim.now - remote_wait_start
-        )
-        if decision_commit:
-            self.commits += 1
-            node.history.locally_committed(txn_name, node.sim.now)
-        else:
-            node.history.aborted(txn_name, node.sim.now, self.abort_reason)
-        if remote:
-            yield state.acks_done
-        node.history.globally_completed(txn_name, node.sim.now)
-        del self._roots[txn_name]
-        self.on_finished(instance, decision_commit)
 
     # ------------------------------------------------------------------
     # Message handlers
@@ -358,30 +205,30 @@ class TwoPhaseEngine:
         tag = message.payload[0]
         if tag == self._EXEC_REPORT:
             _tag, txn_name, sid, participant, ok, dispatched = message.payload
-            state = self._roots.get(txn_name)
-            if state is None:
-                raise ProtocolError(f"exec report for unknown root {txn_name!r}")
-            state.outstanding.discard(sid)
-            state.outstanding.update(dispatched)
-            state.participants.add(participant)
+            run = self._root(txn_name, "exec report")
+            run.outstanding.discard(sid)
+            run.outstanding.update(dispatched)
+            run.participants.add(participant)
             if not ok:
-                state.any_failure = True
-            if not state.outstanding and not state.reports_done.triggered:
-                state.reports_done.succeed()
+                run.any_failure = True
+            if not run.outstanding:
+                run.wake("reports", run._reported)
         elif tag == self._PREPARE_VOTE:
             _tag, txn_name, participant, vote_yes = message.payload
-            state = self._roots.get(txn_name)
-            if state is None:
-                raise ProtocolError(f"vote for unknown root {txn_name!r}")
-            state.votes.add(participant)
+            run = self._root(txn_name, "vote")
+            run.votes.add(participant)
             if not vote_yes:
-                state.vote_no = True
-            if state.votes >= state.expected_voters and not (
-                state.votes_done.triggered
-            ):
-                state.votes_done.succeed()
+                run.vote_no = True
+            if run.votes >= run.remote:
+                run.wake("votes", run._voted)
         else:
             raise ProtocolError(f"unknown vote tag {tag!r}")
+
+    def _root(self, txn_name: str, what: str) -> "SubtxnRun":
+        run = self._roots.get(txn_name)
+        if run is None:
+            raise ProtocolError(f"{what} for unknown root {txn_name!r}")
+        return run
 
     def _on_prepare(self, message: Message) -> None:
         txn_name = message.payload
@@ -402,12 +249,10 @@ class TwoPhaseEngine:
 
     def _on_decision_ack(self, message: Message) -> None:
         txn_name, participant = message.payload
-        state = self._roots.get(txn_name)
-        if state is None:
-            raise ProtocolError(f"decision ack for unknown root {txn_name!r}")
-        state.acks.add(participant)
-        if state.acks >= state.expected_ackers and not state.acks_done.triggered:
-            state.acks_done.succeed()
+        run = self._root(txn_name, "decision ack")
+        run.acks.add(participant)
+        if run.acks >= run.remote:
+            run.wake("acks", run._acked)
 
     def _apply_decision_locally(self, txn_name: str, commit: bool) -> None:
         """Commit or roll back this node's part, release locks, and run the
@@ -423,3 +268,206 @@ class TwoPhaseEngine:
         self.after_decision(state)
         node.locks.release_all(txn_name)
         node.locks.cancel_waits(txn_name)
+
+
+class SubtxnRun:
+    """One subtransaction's two-phase lifecycle on one node, as explicit
+    state: admission (NC3V's version gate), the NR/NW locks one op at a
+    time (``index``; one that wait-die refuses fails the subtransaction),
+    the executor and the service time, then the version check and the
+    operations.  A non-root then reports to its root.  A root coordinates
+    through ``phase`` ``"reports"`` (every execution report), ``"votes"``
+    (the PREPARE round, when there are remote participants) and
+    ``"acks"`` (every DECISION_ACK), woken by the engine's handlers.
+    """
+
+    __slots__ = ("engine", "instance", "then", "state", "timestamp",
+                 "index", "queued_at", "phase", "outstanding",
+                 "participants", "any_failure", "remote", "votes",
+                 "vote_no", "acks", "commit", "remote_wait_start")
+
+    def __init__(self, engine: TwoPhaseEngine, instance: SubtxnInstance,
+                 then):
+        self.engine = engine
+        self.instance = instance
+        self.then = then
+        gate = engine.admit_root(instance) if instance.is_root else None
+        if gate is None:
+            self._admitted()
+        else:
+            gate(self._admitted)
+
+    def _admitted(self) -> None:
+        engine = self.engine
+        instance = self.instance
+        txn_name = instance.txn.name
+        state = engine._participants.get(txn_name)
+        if state is None:
+            state = ParticipantState(txn_name=txn_name,
+                                     version=instance.version)
+            engine._participants[txn_name] = state
+        self.state = state
+        self.timestamp = engine._root_timestamp(instance)
+        self.index = 0
+        self._lock_next()
+
+    # -- local execution -----------------------------------------------
+
+    def _lock_next(self) -> None:
+        node = self.engine.node
+        ops = self.instance.spec.ops
+        self.queued_at = node.sim.now
+        if self.index < len(ops):
+            op = ops[self.index]
+            mode = LockMode.NW if isinstance(op, WriteOp) else LockMode.NR
+            node.locks.acquire(
+                op.key, mode, self.instance.txn.name, self.timestamp
+            ).add_callback(self._locked)
+        elif node.executor.acquire(self._executing):
+            after_trigger(node.sim, self._executing)
+
+    def _locked(self, request) -> None:
+        node = self.engine.node
+        if request.exception is not None:
+            # Refused by wait-die (DeadlockAbort).
+            self.engine.deadlock_aborts += 1
+            self._executed(False)
+            return
+        node.history.waited(
+            self.instance.txn.name, WaitReason.LOCK,
+            node.sim.now - self.queued_at,
+        )
+        self.index += 1
+        self._lock_next()
+
+    def _executing(self) -> None:
+        node = self.engine.node
+        ops = self.instance.spec.ops
+        node.history.waited(
+            self.instance.txn.name, WaitReason.EXECUTOR,
+            node.sim.now - self.queued_at,
+        )
+        if ops:
+            service = node.rngs.sample("node.service", node.config.op_service)
+            node.sim.schedule(service * len(ops), self._serve)
+        else:
+            self._serve()
+
+    def _serve(self) -> None:
+        engine = self.engine
+        try:
+            # A version conflict (NC3V's step 4) fails the subtransaction.
+            ok = not engine.check_version_conflict(self.instance)
+            if ok:
+                engine._apply_ops(self.instance, self.state)
+        finally:
+            engine.node.executor.release()
+        self._executed(ok)
+
+    def _executed(self, ok: bool) -> None:
+        """The local part is over: ``ok``, or failed (which aborts the
+        whole transaction at decision time)."""
+        engine = self.engine
+        node = engine.node
+        instance = self.instance
+        self.state.executed.append((instance.sid, instance.source_node))
+        if not ok:
+            self.state.failed = True
+        dispatched: typing.List[str] = []
+        if ok:
+            for child_sid, child_spec, target in instance.child_targets():
+                child = instance.child(child_sid, child_spec, node.node_id)
+                engine.note_request(instance.version, target)
+                node.network.send(
+                    node.node_id, target, MessageKind.SUBTXN_REQUEST, child
+                )
+                dispatched.append(child_sid)
+        if instance.is_root:
+            self._coordinate(ok, dispatched)
+            return
+        # Report execution outcome (and what was dispatched) to the
+        # root, which sent the first envelope from its own node.
+        root = instance.parent
+        while root.parent is not None:
+            root = root.parent
+        node.network.send(
+            node.node_id, root.source_node, MessageKind.VOTE,
+            (engine._EXEC_REPORT, instance.txn.name, instance.sid,
+             node.node_id, ok, dispatched),
+        )
+        self.then()
+
+    # -- two-phase commitment (root side) --------------------------------
+
+    def wake(self, phase: str, step) -> None:
+        """A handler completed ``phase``: take ``step`` in one scheduled
+        callback, once."""
+        if self.phase == phase:
+            self.phase = f"{phase}-done"
+            self.engine.node.sim.schedule_now(step)
+
+    def _coordinate(self, root_ok: bool, dispatched: typing.List[str]) -> None:
+        node = self.engine.node
+        self.outstanding = set(dispatched)
+        self.participants = {node.node_id}
+        self.any_failure = not root_ok
+        self.remote = set()
+        self.votes, self.vote_no, self.acks = set(), False, set()
+        self.engine._roots[self.instance.txn.name] = self
+        self.remote_wait_start = node.sim.now
+        self.phase = "reports"
+        if not self.outstanding:
+            self._reported()
+
+    def _reported(self) -> None:
+        node = self.engine.node
+        self.remote = self.participants - {node.node_id}
+        if not self.any_failure and self.remote:
+            # Prepare round: every remote participant votes.
+            self.phase = "votes"
+            # Sorted: iteration drives message sends (and therefore
+            # latency RNG draws), so set order must not leak the
+            # per-process hash seed.
+            for participant in sorted(self.remote):
+                node.network.send(
+                    node.node_id, participant, MessageKind.PREPARE,
+                    self.instance.txn.name,
+                )
+        else:
+            self._decide(not self.any_failure)
+
+    def _voted(self) -> None:
+        self._decide(not self.vote_no)
+
+    def _decide(self, commit: bool) -> None:
+        engine = self.engine
+        node = engine.node
+        txn_name = self.instance.txn.name
+        self.commit = commit
+        engine._apply_decision_locally(txn_name, commit)
+        for participant in sorted(self.remote):
+            node.network.send(
+                node.node_id, participant, MessageKind.DECISION,
+                (txn_name, commit),
+            )
+        node.history.waited(
+            txn_name, WaitReason.REMOTE, node.sim.now - self.remote_wait_start
+        )
+        if commit:
+            engine.commits += 1
+            node.history.locally_committed(txn_name, node.sim.now)
+        else:
+            node.history.aborted(txn_name, node.sim.now, engine.abort_reason)
+        self.phase = "acks"
+        if not self.remote:
+            self._acked()
+
+    def _acked(self) -> None:
+        engine = self.engine
+        node = engine.node
+        txn_name = self.instance.txn.name
+        self.phase = "done"
+        node.history.globally_completed(txn_name, node.sim.now)
+        del engine._roots[txn_name]
+        engine.on_finished(self.instance, self.commit)
+        self.then()

@@ -1,9 +1,11 @@
 """Deterministic discrete-event simulation kernel.
 
 This subpackage is a small, self-contained simulation framework in the style
-of SimPy: a :class:`~repro.sim.simulator.Simulator` owns the virtual clock,
-generator-based :class:`~repro.sim.process.Process` objects model concurrent
-activities, and :class:`~repro.sim.resources.Resource`/:class:`~repro.sim.resources.Store`
+of SimPy: a :class:`~repro.sim.simulator.Simulator` owns the virtual clock and
+runs scheduled callbacks, :class:`~repro.sim.events.Event` objects let
+callbacks wait on one another, :class:`~repro.sim.events.Machine` runs a
+control-plane activity as explicit state, and
+:class:`~repro.sim.resources.Resource`/:class:`~repro.sim.resources.Store`
 model contention and mailboxes.  All randomness flows through named
 :class:`~repro.sim.distributions.RngRegistry` streams for reproducibility.
 """
@@ -16,24 +18,20 @@ from repro.sim.distributions import (
     RngRegistry,
     Uniform,
 )
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process
+from repro.sim.events import Event, Machine
 from repro.sim.resources import Resource, Store
 from repro.sim.simulator import Simulator
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Constant",
     "Distribution",
     "Event",
     "Exponential",
     "LogNormal",
-    "Process",
+    "Machine",
     "Resource",
     "RngRegistry",
     "Simulator",
     "Store",
-    "Timeout",
     "Uniform",
 ]

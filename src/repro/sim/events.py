@@ -1,16 +1,21 @@
-"""Events for the discrete-event simulation kernel.
+"""Events and state machines for the discrete-event simulation kernel.
 
-An :class:`Event` is a one-shot occurrence that processes can wait on.  Events
+An :class:`Event` is a one-shot occurrence that callbacks can wait on.  Events
 follow a small subset of the SimPy protocol: an event is created untriggered,
 is eventually *succeeded* (with an optional value) or *failed* (with an
-exception), and then runs its callbacks exactly once.  Waiting on an already
-triggered event resumes the waiter immediately (at the current simulation
-time, in deterministic FIFO order).
+exception), and then runs its callbacks exactly once, in one scheduled
+callback.  A callback added to an event that has already run its callbacks
+is scheduled on its own at the current time, in deterministic FIFO order.
 
-All event classes declare ``__slots__``: events are the single most
-frequently allocated object in a simulation (every message hand-off, timer,
-and process resume creates at least one), and slotted instances both
-allocate faster and make the attribute loads in the trigger path cheaper.
+A :class:`Machine` is a control-plane activity — an advancement wave, a
+policy's trigger loop, a lease monitor — written as explicit state: its
+phase is a field and its continuations are callbacks on events, timers and
+messages.  A machine is the event of its own end.
+
+Both classes declare ``__slots__``: events are the single most frequently
+allocated object in a simulation (every lock grant, gate and completion
+round creates one), and slotted instances both allocate faster and make
+the attribute loads in the trigger path cheaper.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from repro.errors import SimulationError
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.simulator import Simulator
 
-__all__ = ["Event", "Timeout", "Condition", "AllOf", "AnyOf"]
+__all__ = ["Event", "Machine", "Ticker", "after_trigger"]
 
 # Sentinel distinguishing "no value yet" from a legitimate ``None`` value.
 _PENDING: typing.Final[object] = object()
@@ -61,10 +66,8 @@ class Event:
     def exception(self) -> typing.Optional[BaseException]:
         """The exception the event failed with (``None`` otherwise).
 
-        Lets a waiter that caught an exception at its ``yield`` tell
-        whether it came from the awaited event's failure (instance
-        identity) or was thrown into the waiter itself (e.g. its own
-        ``kill()``).
+        A lock request refused by wait-die, for instance, fails with
+        :class:`~repro.errors.DeadlockAbort`.
         """
         return self._exception
 
@@ -125,76 +128,75 @@ class Event:
             self.callbacks.append(callback)
 
 
-class Timeout(Event):
-    """An event that triggers automatically after a simulated delay."""
-
-    __slots__ = ("_delay",)
-
-    def __init__(self, sim: "Simulator", delay: float, value=None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
-        super().__init__(sim)
-        self._delay = delay
-        sim.schedule(delay, self._fire, value)
-
-    def _fire(self, value) -> None:
-        self._value = value
-        self._scheduled = True
-        self._run_callbacks()
+def after_trigger(sim: "Simulator", callback, *args) -> None:
+    """Run ``callback(*args)`` where a waiter added to an event triggered
+    this instant runs: after the event's own dispatch, one callback later.
+    A wait for something already there (a queued reply, a free executor)
+    costs that when it is an event: two scheduled callbacks."""
+    Event(sim).succeed()
+    sim.schedule_now(callback, *args)
 
 
-class Condition(Event):
-    """Base for composite events built from several child events."""
+class Machine(Event):
+    """A control-plane activity run as explicit state and callbacks.
 
-    __slots__ = ("_events", "_pending")
-
-    def __init__(self, sim: "Simulator", events: typing.Sequence["Event"]):
-        super().__init__(sim)
-        self._events = list(events)
-        self._pending = len(self._events)
-        if not self._events:
-            self.succeed([])
-            return
-        for event in self._events:
-            event.add_callback(self._on_child)
-
-    def _on_child(self, event: "Event") -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(Condition):
-    """Triggers when every child event has triggered.
-
-    Succeeds with the list of child values (in construction order); fails as
-    soon as any child fails.
+    Subclasses implement ``_start`` and keep their phase in fields; every
+    later step is a callback on an event, a timer or a message.  Each
+    lifecycle step is one scheduled callback, at fixed points that the
+    pinned event counts and tie order depend on: construction schedules
+    ``_start``; the machine is the event of its own end (a subclass ends
+    it with :meth:`succeed`); :meth:`kill` schedules one :meth:`_stop`,
+    which runs :meth:`_on_stop` and fails the machine.  Callbacks already
+    due before the stop still step the machine (a kill lands one step
+    late); a step reached after it finds the machine :attr:`triggered`
+    and returns.
     """
 
-    __slots__ = ()
+    __slots__ = ("_stopping",)
 
-    def _on_child(self, event: "Event") -> None:
+    def __init__(self, sim: "Simulator"):
+        super().__init__(sim)
+        self._stopping = False
+        sim.schedule_now(self._start)
+
+    def kill(self) -> None:
+        """Stop the machine one scheduled step from now (a no-op once it
+        has ended or a stop is already on its way)."""
+        if self._stopping or self.triggered:
+            return
+        self._stopping = True
+        self.sim.schedule_now(self._stop)
+
+    def _stop(self) -> None:
         if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event._exception)
-            return
-        self._pending -= 1
-        if self._pending == 0:
-            self.succeed([child.value for child in self._events])
+            return  # ended on its own before the stop came round
+        self._on_stop()
+        self.fail(SimulationError(f"{type(self).__name__} killed"))
+
+    def _on_stop(self) -> None:
+        """Teardown a kill runs before the machine fails (default: none)."""
 
 
-class AnyOf(Condition):
-    """Triggers as soon as any child event triggers.
+class Ticker(Machine):
+    """A machine that calls ``tick()`` every ``interval``: the first time
+    after ``first``, or in its start callback when ``first`` is ``None``."""
 
-    Succeeds with the first triggered child event itself, so the waiter can
-    inspect which one fired.
-    """
+    __slots__ = ("interval", "tick", "first")
 
-    __slots__ = ()
+    def __init__(self, sim: "Simulator", interval: float, tick,
+                 first: typing.Optional[float] = None):
+        self.interval = interval
+        self.tick = tick
+        self.first = first
+        super().__init__(sim)
 
-    def _on_child(self, event: "Event") -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event._exception)
-            return
-        self.succeed(event)
+    def _start(self) -> None:
+        if self.first is None:
+            self._beat()
+        else:
+            self.sim.schedule(self.first, self._beat)
+
+    def _beat(self) -> None:
+        if not self.triggered:
+            self.tick()
+            self.sim.schedule(self.interval, self._beat)

@@ -2,9 +2,8 @@
 
 :class:`Simulator` owns the virtual clock and the event queues.  Everything
 in the library — network delivery, transaction execution, version
-advancement — runs as callbacks or generator processes scheduled here, which
-makes every simulation single-threaded, deterministic, and reproducible from
-a seed.
+advancement — runs as callbacks scheduled here, which makes every
+simulation single-threaded, deterministic, and reproducible from a seed.
 
 Two queues, one ordering
 ------------------------
@@ -15,8 +14,8 @@ identity.  Physically the simulator keeps two structures:
 
 * a binary heap for callbacks scheduled with a *positive* delay, and
 * a plain FIFO deque for *zero-delay* callbacks (the overwhelmingly common
-  case: every event trigger, process resume, and mailbox hand-off is a
-  ``schedule(0.0, ...)``).
+  case: every event trigger, state-machine start, and mailbox hand-off is
+  a ``schedule(0.0, ...)``).
 
 The split is an optimization only — it cannot change execution order.  A
 zero-delay callback enters the deque at the current time with a fresh
@@ -36,8 +35,7 @@ from collections import deque
 from heapq import heappop, heappush
 
 from repro.errors import SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process
+from repro.sim.events import Event
 
 __all__ = ["Simulator"]
 
@@ -50,12 +48,10 @@ class Simulator:
 
     Example:
         >>> sim = Simulator()
-        >>> def hello():
-        ...     yield sim.timeout(5.0)
-        ...     return sim.now
-        >>> proc = sim.process(hello())
-        >>> sim.run()
-        >>> proc.value
+        >>> done = sim.event()
+        >>> sim.schedule(5.0, lambda: done.succeed(sim.now))
+        >>> sim.run_until_triggered(done)
+        >>> done.value
         5.0
     """
 
@@ -113,22 +109,6 @@ class Simulator:
     def event(self) -> Event:
         """Create a fresh untriggered event."""
         return Event(self)
-
-    def timeout(self, delay: float, value=None) -> Timeout:
-        """Create an event that triggers after ``delay`` time units."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator, name: str = "") -> Process:
-        """Start a generator as a simulated process."""
-        return Process(self, generator, name=name)
-
-    def all_of(self, events: typing.Sequence[Event]) -> AllOf:
-        """Event that triggers when all of ``events`` have triggered."""
-        return AllOf(self, events)
-
-    def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
-        """Event that triggers when any of ``events`` triggers."""
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # Execution

@@ -191,7 +191,7 @@ class LockTable:
     def cancel_waits(self, txn_id: str) -> None:
         """Cancel any queued (not yet granted) requests of ``txn_id``.
 
-        Cancelled requests fail with :class:`DeadlockAbort` so a process
+        Cancelled requests fail with :class:`DeadlockAbort` so a waiter
         blocked on one is woken rather than hung forever.
         """
         for key, queue in self._queues.items():

@@ -235,6 +235,8 @@ def run_recording_experiment(
     history, so tests can compare retired aggregates bit-for-bit against
     exact end-of-run computation over the *same* trace.
     """
+    if stall_budget < 0:
+        raise ValueError(f"stall_budget must be >= 0: {stall_budget}")
     del stall_budget  # analysis-side knob; accepted for spec round-trips
     node_ids = [f"n{index:02d}" for index in range(nodes)]
     span = min(span, nodes)

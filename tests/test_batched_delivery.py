@@ -45,15 +45,10 @@ def delivered(network):
     """Drain every mailbox: ``{dst: [(src, payload, delivered_at)]}``."""
     log = {}
     for endpoint in ENDPOINTS:
-        mailbox = network.mailbox(endpoint)
-        items = []
-        while True:
-            message = mailbox.take_nowait()
-            if message is None:
-                break
-            items.append((message.src, message.payload,
-                          message.delivered_at))
-        log[endpoint] = items
+        log[endpoint] = [
+            (message.src, message.payload, message.delivered_at)
+            for message in network.mailbox(endpoint).drain()
+        ]
     return log
 
 

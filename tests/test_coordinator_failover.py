@@ -82,7 +82,7 @@ class TestCrashRecover:
 
 class TestWedgeRegression:
     def test_killed_wave_resets_running(self):
-        """Regression: a killed advancement process must not leave the
+        """Regression: a killed advancement wave must not leave the
         ``running`` flag wedged (every later ``advance()`` would raise
         AdvancementInProgress forever)."""
         system = make_system()
@@ -207,10 +207,10 @@ class TestLeaseFailover:
     def test_zero_lease_interval_spawns_no_machinery(self):
         quiet = make_system()
         leased = make_system(lease_interval=2.0)
-        assert quiet.coordinator._heartbeat_process is None
-        assert not quiet._monitor_processes
-        assert leased.coordinator._heartbeat_process is not None
-        assert len(leased._monitor_processes) == 2
+        assert quiet.coordinator._heartbeat is None
+        assert not quiet._monitors
+        assert leased.coordinator._heartbeat is not None
+        assert len(leased._monitors) == 2
         with pytest.raises(ProtocolError):
             make_system(lease_interval=-1.0)
 

@@ -268,22 +268,22 @@ class TestMailboxFreeze:
         sim = Simulator()
         store = Store(sim)
         got = []
-        store.get().add_callback(lambda ev: got.append(ev.value))
+        store.consume(got.append)
         store.freeze()
         store.put("x")
         sim.run()
-        assert got == []  # the waiting getter is starved while frozen
+        assert got == []  # the consumer is starved while frozen
         store.thaw()
         sim.run()
         assert got == ["x"]
 
-    def test_frozen_store_starves_new_getters(self):
+    def test_frozen_store_starves_a_new_consumer(self):
         sim = Simulator()
         store = Store(sim)
         store.put("x")
         store.freeze()
         got = []
-        store.get().add_callback(lambda ev: got.append(ev.value))
+        store.consume(got.append)
         sim.run()
         assert got == []
         store.thaw()

@@ -10,8 +10,11 @@ run.  Four groups of tests:
   unreachable objects a full collection finds while the result is still
   alive do not grow with the duration (a plugin registered later is
   covered by construction);
-* its one general fix, in ``sim.process``: an exception a process caught
-  at its ``yield`` keeps no traceback, an unhandled one keeps all of it;
+* the one general fix of the generator-process kernel, which the
+  control plane ran on until it became callbacks and which the
+  generator-driven differentials still run on (``Process`` in
+  ``tests/reference_process.py``): an exception a process caught at its
+  ``yield`` keeps no traceback, an unhandled one keeps all of it;
 * the pause is scoped: it hands the collector back as it found it, on
   return and on error, nests (also when a decorated function re-enters
   itself), and starts no collection of its own;
@@ -31,6 +34,7 @@ from repro.exp import summary as exp_summary
 from repro.runtime.registry import PROTOCOLS
 from repro.sim import Simulator
 from repro.workloads.runner import collector_paused, run_recording_experiment
+from tests.reference_process import Process, Timeout
 
 
 @pytest.fixture(autouse=True)
@@ -70,9 +74,9 @@ REGIMES = {
     "stream": dict(stream=1),
 }
 DURATION = 40.0
-#: What a run may leave behind however long it is: a process killed while
-#: it waits (a crashed coordinator's wave) is one small cycle through the
-#: event it waited on.  The second run below adds some three hundred
+#: What a run may leave behind however long it is: a state machine killed
+#: while it waits (a crashed coordinator's wave) is one small cycle
+#: through the event it waited on.  The second run below adds some three hundred
 #: transactions, so one cyclic object per ten of them would exceed this.
 RUN_CONSTANT = 32
 
@@ -108,12 +112,12 @@ def test_a_caught_event_failure_leaves_nothing_to_collect():
         except ValueError as error:
             caught.append(str(error))
         # Outlive the handler, as the two-phase engine's generators do.
-        yield sim.timeout(1.0)
+        yield Timeout(sim, 1.0)
 
     def run():
         for index in range(50):
             event = sim.event()
-            sim.process(waiter(event))
+            Process(sim, waiter(event))
             event.fail(ValueError(f"boom {index}"))
         sim.run()
         return sim
@@ -134,7 +138,7 @@ def test_a_caught_failure_that_ends_the_process_leaves_nothing_either():
     def run():
         for _ in range(50):
             event = sim.event()
-            sim.process(waiter(event))
+            Process(sim, waiter(event))
             event.fail(ValueError("boom"))
         sim.run()
         return sim
@@ -149,7 +153,7 @@ def test_an_unhandled_failure_still_surfaces_with_its_traceback():
         yield event
 
     event = sim.event()
-    process = sim.process(waiter(event))
+    process = Process(sim, waiter(event))
     event.fail(ValueError("bug in model"))
     with pytest.raises(ValueError) as raised:
         sim.run()
@@ -265,8 +269,8 @@ def test_run_spec_leaves_the_run_to_reference_counting(protocol, regime):
     # Not closed, the dead system is one cycle holding every record of the
     # run: 3,000 to 25,000 objects here.  Closed, what is left is what was
     # a cycle by itself: a transaction that never finished (`manual-sync`
-    # under crashes strands most of them) is a blocked process, which is
-    # a generator, its Process, and the callback on the event it awaits.
+    # under crashes strands most of them) is a blocked wait: the state it
+    # keeps and the callback on the event it awaits.
     stranded = summary.submitted - (
         summary.committed_updates + summary.committed_reads
         + summary.committed_noncommuting)

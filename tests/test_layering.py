@@ -207,3 +207,45 @@ def test_runtime_names_and_aggregator_are_allowed(tmp_path):
     })
     result = run_checker("--src", str(tmp_path))
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def _generator_functions(root):
+    """``(path, line, name)`` of every function under ``root`` whose own
+    body yields (nested functions are checked on their own)."""
+    import ast
+
+    found = []
+    for directory, _dirs, files in os.walk(root):
+        for filename in sorted(files):
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(directory, filename)
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for function in ast.walk(tree):
+                if not isinstance(function, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef)):
+                    continue
+                pending = list(function.body)
+                while pending:
+                    node = pending.pop()
+                    if isinstance(node, (ast.Yield, ast.YieldFrom)):
+                        found.append((os.path.relpath(path, REPO_ROOT),
+                                      function.lineno, function.name))
+                        break
+                    if not isinstance(node, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef,
+                                             ast.Lambda, ast.ClassDef)):
+                        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_the_protocol_layers_run_no_generators():
+    """The node runtime, the protocols and the control plane are
+    callbacks and state machines: a generator function under these
+    packages would need a process kernel to drive it."""
+    generators = []
+    for package in ("core", "runtime", "baselines"):
+        generators += _generator_functions(
+            os.path.join(REPO_ROOT, "src", "repro", package))
+    assert generators == []

@@ -32,12 +32,8 @@ class TestDelivery:
         network = make_network(sim, latency=constant_latency(2.5))
         network.send("p", "q", MessageKind.SUBTXN_REQUEST, payload={"x": 1})
         received = []
-
-        def receiver():
-            message = yield network.mailbox("q").get()
-            received.append((sim.now, message))
-
-        sim.process(receiver())
+        network.mailbox("q").consume(
+            lambda message: received.append((sim.now, message)))
         sim.run()
         assert len(received) == 1
         time, message = received[0]
@@ -82,13 +78,8 @@ class TestDelivery:
         """Non-FIFO delivery: a later send can overtake an earlier one."""
         network = make_network(sim, latency=UniformLatency(Uniform(0.1, 10.0)))
         order = []
-
-        def receiver():
-            for _ in range(40):
-                message = yield network.mailbox("q").get()
-                order.append(message.payload)
-
-        sim.process(receiver())
+        network.mailbox("q").consume(
+            lambda message: order.append(message.payload))
         for i in range(40):
             sim.schedule(i * 0.01, network.send, "p", "q",
                          MessageKind.SUBTXN_REQUEST, i)
@@ -229,13 +220,8 @@ class TestStats:
             network.register("a")
             network.register("b")
             deliveries = []
-
-            def receiver():
-                for _ in range(10):
-                    message = yield network.mailbox("b").get()
-                    deliveries.append(sim.now)
-
-            sim.process(receiver())
+            network.mailbox("b").consume(
+                lambda _message: deliveries.append(sim.now))
             for _ in range(10):
                 network.send("a", "b", MessageKind.SUBTXN_REQUEST)
             sim.run()

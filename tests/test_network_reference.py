@@ -11,6 +11,8 @@ jitter, drop, dup, spike — in the same state.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -106,19 +108,17 @@ def run(build, plan, schedule, batch, jittered):
     base = Message(src="", dst="", kind="").message_id + 1
     log = []
 
-    def consume(endpoint):
-        mailbox = network.register(endpoint)
-        while True:
-            message = yield mailbox.get()
-            log.append((message.delivered_at, endpoint,
-                        message.message_id - base, message.payload))
-            label, hops = message.payload
-            if hops < MAX_HOPS and message.src != endpoint:
-                network.send(endpoint, message.src, message.kind,
-                             (label, hops + 1))
+    def consume(endpoint, message):
+        log.append((message.delivered_at, endpoint,
+                    message.message_id - base, message.payload))
+        label, hops = message.payload
+        if hops < MAX_HOPS and message.src != endpoint:
+            network.send(endpoint, message.src, message.kind,
+                         (label, hops + 1))
 
     for endpoint in ENDPOINTS:
-        sim.process(consume(endpoint))
+        network.register(endpoint).consume(
+            functools.partial(consume, endpoint))
     for index, (at, src, dst, kind) in enumerate(schedule):
         sim.schedule(at, network.send, src, dst, kind, (index, 0))
     sim.run()

@@ -76,3 +76,33 @@ class TestRunnerDeterminism:
                 "3v", latency=constant_latency(10_000.0), drain_limit=50.0,
                 **FAST,
             )
+
+
+class TestControlPlaneTimers:
+    """A negative control-plane timer is refused with its field's name
+    before the run starts, not by the kernel mid-run or never."""
+
+    @pytest.mark.parametrize("protocol, field", [
+        ("3v", "poll_interval"),
+        ("manual", "safety_delay"),
+        ("3v", "stall_budget"),
+    ])
+    def test_negative_timer_is_rejected_before_the_run(self, protocol,
+                                                       field, monkeypatch):
+        from repro.errors import ProtocolError
+        from repro.exp import ExperimentSpec, run_spec
+        from repro.sim import Simulator
+
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("the simulation started")
+
+        monkeypatch.setattr(Simulator, "run", no_run)
+        spec = ExperimentSpec(protocol, nodes=3, duration=20.0,
+                              **{field: -0.5})
+        with pytest.raises((ProtocolError, ValueError), match=field):
+            run_spec(spec)
+
+    def test_zero_poll_interval_still_runs(self):
+        result = run_recording_experiment(
+            "3v", poll_interval=0.0, advancement_period=2.0, **FAST)
+        assert result.system.coordinator.completed_runs > 0

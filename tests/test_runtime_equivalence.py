@@ -1,11 +1,16 @@
 """Differential oracle for the callback node runtime.
 
 ``GeneratorNode`` below is the node runtime as it was before
-:class:`repro.runtime.node.ProtocolNode` became callback-driven, kept
-verbatim as a *test-only* reference: a ``_run`` process blocked on
-``mailbox.get()`` (with the batched drain), one ``Process`` per
-subtransaction wrapping the ``run_subtxn`` generator, and the two
-generator ``local_service`` bodies.  Patched in for the class
+:class:`repro.runtime.node.ProtocolNode` became callback-driven, kept as a
+*test-only* reference: one ``Process`` (``tests/reference_process.py``)
+per subtransaction wrapping the ``run_subtxn`` generator, the two
+generator ``local_service`` bodies, and a ``_run`` process blocked on a
+``get()`` of its mailbox (with the batched drain).  ``Store.get`` has left
+``src/``, so the mailbox's consumer feeds that getter here, as the old
+``Store.put`` did.  Plugin hooks that wait now return a ``wait(then)``
+callable instead of a generator; the reference sits each one out inline
+(``sit_out``), where it used to ``yield from`` the hook's generator.
+Patched in for the class
 :class:`repro.runtime.system.System` builds its nodes from, it must
 produce — on every protocol, with and without faults — exactly the
 per-transaction records and the summary the callback node produces.
@@ -15,6 +20,7 @@ those callbacks is the point of the callback runtime.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 import pytest
@@ -30,8 +36,10 @@ from repro.exp.summary import audit_result, summarize
 from repro.net.message import MessageKind
 from repro.runtime import PROTOCOLS
 from repro.runtime.node import ProtocolNode
+from repro.sim.events import Event
 from repro.txn.history import TxnKind, WaitReason
 from repro.workloads.runner import run_recording_experiment
+from tests.reference_process import Process, Timeout, request, sit_out
 
 
 def _classify(instance):
@@ -49,10 +57,10 @@ def _local_service(plugin, node, instance):
     if isinstance(plugin, ThreeVPlugin):
         service = node.config.op_service.sample(node._service_rng)
         if spec.ops:
-            yield node.sim.timeout(service * len(spec.ops))
+            yield Timeout(node.sim, service * len(spec.ops))
     elif spec.ops:
         service = node.rngs.sample("node.service", node.config.op_service)
-        yield node.sim.timeout(service * len(spec.ops))
+        yield Timeout(node.sim, service * len(spec.ops))
 
 
 class GeneratorNode(ProtocolNode):
@@ -60,32 +68,51 @@ class GeneratorNode(ProtocolNode):
 
     def __init__(self, system, node_id):
         super().__init__(system, node_id)
-        self._mailbox.consume(None)  # back to getters: _run blocks on get()
-        self._main = self.sim.process(self._run(), name=f"node-{node_id}")
+        self._inbox = collections.deque()
+        self._getter = None
+        self._mailbox.consume(self._put)
+        self._main = Process(self.sim, self._run(), name=f"node-{node_id}")
+
+    def _put(self, message):
+        """The mailbox's consumer: wake the getter, or queue."""
+        if self._getter is not None:
+            getter, self._getter = self._getter, None
+            getter.succeed(message)
+        else:
+            self._inbox.append(message)
+
+    def _get(self):
+        """The removed ``Store.get``."""
+        event = Event(self.sim)
+        if self._inbox:
+            event.succeed(self._inbox.popleft())
+        else:
+            self._getter = event
+        return event
+
+    def _take_nowait(self):
+        """The removed ``Store.take_nowait``."""
+        return self._inbox.popleft() if self._inbox else None
 
     def _run(self):
-        mailbox = self._mailbox
         if not self.network.batch_delivery:
             while True:
-                message = yield mailbox.get()
+                message = yield self._get()
                 self._dispatch(message)
-        take_nowait = mailbox.take_nowait
         while True:
-            message = yield mailbox.get()
+            message = yield self._get()
             self._dispatch(message)
-            message = take_nowait()
+            message = self._take_nowait()
             while message is not None:
                 self._dispatch(message)
-                message = take_nowait()
+                message = self._take_nowait()
 
     def _dispatch(self, message):
         kind = message.kind
         if kind == MessageKind.SUBTXN_REQUEST or kind == MessageKind.COMPENSATION:
             instance = message.payload
-            self.sim.process(
-                self.run_subtxn(instance),
-                name=f"{self.node_id}:{instance.sid}",
-            )
+            Process(self.sim, self.run_subtxn(instance),
+                    name=f"{self.node_id}:{instance.sid}")
         else:
             super()._dispatch(message)
 
@@ -105,13 +132,13 @@ class GeneratorNode(ProtocolNode):
 
         takeover = plugin.takeover(self, instance, kind)
         if takeover is not None:
-            yield from takeover
+            yield from sit_out(self.sim, takeover)
             return
 
         if instance.is_root:
             gate = plugin.admit_root(self, instance, kind)
             if gate is not None:
-                yield from gate
+                yield from sit_out(self.sim, gate)
         else:
             plugin.on_descendant(self, instance, kind)
 
@@ -119,10 +146,10 @@ class GeneratorNode(ProtocolNode):
 
         pre = plugin.pre_execute(self, instance, kind)
         if pre is not None:
-            yield from pre
+            yield from sit_out(self.sim, pre)
 
         queued_at = self.sim.now
-        yield self.executor.request()
+        yield request(self.executor)
         self.history.waited(
             instance.txn.name, WaitReason.EXECUTOR, self.sim.now - queued_at
         )

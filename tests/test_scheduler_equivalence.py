@@ -7,7 +7,8 @@ behavioural equivalence with the seed scheduler (preserved below as
 identical clock readings at every callback, identical final clocks.
 These tests drive randomized schedule programs — mixed zero/positive
 delays, re-entrant scheduling from inside callbacks, nested generator
-processes — through both kernels and compare full execution logs.
+processes (the reference process kernel of ``tests/reference_process.py``)
+— through both kernels and compare full execution logs.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
-from repro.sim.process import Process
+from repro.sim.events import Event
+from tests.reference_process import Process, Timeout
 
 
 class ReferenceSimulator:
@@ -29,8 +30,8 @@ class ReferenceSimulator:
 
     *Every* callback, zero-delay or not, goes through a single binary
     heap ordered by ``(time, sequence)``.  It is intentionally *not*
-    optimized.  It shares the :class:`Event` / :class:`Process` machinery
-    with the real simulator, so it implements the same scheduling
+    optimized.  It shares the :class:`Event` machinery (and the reference
+    :class:`Process`) with the real simulator, so it implements the same scheduling
     interface (including :meth:`schedule_now`, which here is just
     ``schedule(0.0, ...)`` — the seed behaviour).
     """
@@ -67,18 +68,6 @@ class ReferenceSimulator:
 
     def event(self) -> Event:
         return Event(self)
-
-    def timeout(self, delay: float, value=None) -> Timeout:
-        return Timeout(self, delay, value)
-
-    def process(self, generator, name: str = "") -> Process:
-        return Process(self, generator, name=name)
-
-    def all_of(self, events: typing.Sequence[Event]) -> AllOf:
-        return AllOf(self, events)
-
-    def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # ------------------------------------------------------------------
     # Execution (verbatim seed implementation)
@@ -206,15 +195,15 @@ def run_process_program(sim_class, scripts):
     def worker(pid, delays):
         for step, delay in enumerate(delays):
             log.append(("step", pid, step, sim.now))
-            yield sim.timeout(delay)
+            yield Timeout(sim, delay)
         log.append(("done", pid, sim.now))
         if delays and delays[0] == 0.0:
             # Re-entrant spawn: a process finishing at a FIFO instant
             # launches a nested child at the same instant.
-            sim.process(worker(f"{pid}+", [0.001]), name=f"{pid}+")
+            Process(sim, worker(f"{pid}+", [0.001]), name=f"{pid}+")
 
     for pid, delays in enumerate(scripts):
-        sim.process(worker(str(pid), delays), name=str(pid))
+        Process(sim, worker(str(pid), delays), name=str(pid))
     sim.run()
     return log, sim.now
 

@@ -1,10 +1,23 @@
-"""Unit tests for the discrete-event simulation kernel."""
+"""Unit tests for the discrete-event simulation kernel.
+
+The generator processes, timeouts and condition events exercised here are
+the reference kernel in ``tests/reference_process.py``, which the
+generator-driven differentials run on; ``src/`` waits with callbacks and
+runs its control plane as :class:`~repro.sim.events.Machine` objects.
+"""
 
 import pytest
 
-from repro.errors import ProcessKilled, SimulationError
-from repro.sim import Simulator
+from repro.errors import SimulationError
+from repro.sim import Machine, Simulator
 from repro.sim.resources import Resource, Store
+from tests.reference_process import (
+    AllOf,
+    AnyOf,
+    Process,
+    ProcessKilled,
+    Timeout,
+)
 
 
 @pytest.fixture
@@ -98,7 +111,7 @@ class TestEvents:
             except RuntimeError as exc:
                 caught.append(str(exc))
 
-        sim.process(waiter())
+        Process(sim, waiter())
         sim.run()
         assert caught == ["boom"]
 
@@ -110,10 +123,10 @@ class TestEvents:
         times = []
 
         def proc():
-            yield sim.timeout(2.5)
+            yield Timeout(sim, 2.5)
             times.append(sim.now)
 
-        sim.process(proc())
+        Process(sim, proc())
         sim.run()
         assert times == [2.5]
 
@@ -121,25 +134,25 @@ class TestEvents:
         result = []
 
         def proc():
-            value = yield sim.timeout(1.0, value="payload")
+            value = yield Timeout(sim, 1.0, value="payload")
             result.append(value)
 
-        sim.process(proc())
+        Process(sim, proc())
         sim.run()
         assert result == ["payload"]
 
     def test_negative_timeout_rejected(self, sim):
         with pytest.raises(SimulationError):
-            sim.timeout(-0.1)
+            Timeout(sim, -0.1)
 
     def test_all_of_waits_for_every_event(self, sim):
         results = []
 
         def proc():
-            values = yield sim.all_of([sim.timeout(1, "a"), sim.timeout(3, "b")])
+            values = yield AllOf(sim, [Timeout(sim, 1, "a"), Timeout(sim, 3, "b")])
             results.append((sim.now, values))
 
-        sim.process(proc())
+        Process(sim, proc())
         sim.run()
         assert results == [(3.0, ["a", "b"])]
 
@@ -147,10 +160,10 @@ class TestEvents:
         results = []
 
         def proc():
-            values = yield sim.all_of([])
+            values = yield AllOf(sim, [])
             results.append(values)
 
-        sim.process(proc())
+        Process(sim, proc())
         sim.run()
         assert results == [[]]
 
@@ -158,10 +171,10 @@ class TestEvents:
         results = []
 
         def proc():
-            first = yield sim.any_of([sim.timeout(5, "slow"), sim.timeout(1, "fast")])
+            first = yield AnyOf(sim, [Timeout(sim, 5, "slow"), Timeout(sim, 1, "fast")])
             results.append((sim.now, first.value))
 
-        sim.process(proc())
+        Process(sim, proc())
         sim.run()
         assert results == [(1.0, "fast")]
 
@@ -178,29 +191,29 @@ class TestEvents:
 class TestProcesses:
     def test_process_return_value(self, sim):
         def proc():
-            yield sim.timeout(1.0)
+            yield Timeout(sim, 1.0)
             return "done"
 
-        process = sim.process(proc())
+        process = Process(sim, proc())
         sim.run()
         assert process.value == "done"
 
     def test_process_requires_generator(self, sim):
         with pytest.raises(SimulationError):
-            sim.process(lambda: None)
+            Process(sim, lambda: None)
 
     def test_process_waiting_on_process(self, sim):
         log = []
 
         def child():
-            yield sim.timeout(2.0)
+            yield Timeout(sim, 2.0)
             return 7
 
         def parent():
-            value = yield sim.process(child())
+            value = yield Process(sim, child())
             log.append((sim.now, value))
 
-        sim.process(parent())
+        Process(sim, parent())
         sim.run()
         assert log == [(2.0, 7)]
 
@@ -208,16 +221,16 @@ class TestProcesses:
         def bad():
             yield 42
 
-        sim.process(bad())
+        Process(sim, bad())
         with pytest.raises(SimulationError):
             sim.run()
 
     def test_unhandled_exception_propagates(self, sim):
         def bad():
-            yield sim.timeout(1.0)
+            yield Timeout(sim, 1.0)
             raise ValueError("bug in model")
 
-        sim.process(bad())
+        Process(sim, bad())
         with pytest.raises(ValueError):
             sim.run()
 
@@ -226,11 +239,11 @@ class TestProcesses:
 
         def proc():
             try:
-                yield sim.timeout(100.0)
+                yield Timeout(sim, 100.0)
             finally:
                 cleaned.append(sim.now)
 
-        process = sim.process(proc())
+        process = Process(sim, proc())
         sim.schedule(5.0, process.kill)
         sim.run()
         assert cleaned == [5.0]
@@ -238,9 +251,9 @@ class TestProcesses:
 
     def test_kill_finished_process_noop(self, sim):
         def proc():
-            yield sim.timeout(1.0)
+            yield Timeout(sim, 1.0)
 
-        process = sim.process(proc())
+        process = Process(sim, proc())
         sim.run()
         process.kill()
         sim.run()
@@ -249,9 +262,9 @@ class TestProcesses:
         outcomes = []
 
         def victim():
-            yield sim.timeout(100.0)
+            yield Timeout(sim, 100.0)
 
-        target = sim.process(victim())
+        target = Process(sim, victim())
 
         def waiter():
             try:
@@ -259,17 +272,17 @@ class TestProcesses:
             except ProcessKilled:
                 outcomes.append("killed")
 
-        sim.process(waiter())
+        Process(sim, waiter())
         sim.schedule(1.0, target.kill)
         sim.run()
         assert outcomes == ["killed"]
 
     def test_run_until_triggered(self, sim):
         def proc():
-            yield sim.timeout(4.0)
+            yield Timeout(sim, 4.0)
             return "ok"
 
-        process = sim.process(proc())
+        process = Process(sim, proc())
         sim.run_until_triggered(process)
         assert process.value == "ok"
         assert sim.now == 4.0
@@ -282,17 +295,80 @@ class TestProcesses:
     def test_run_until_triggered_limit_raises(self, sim):
         def tick():
             while True:
-                yield sim.timeout(1.0)
+                yield Timeout(sim, 1.0)
 
-        sim.process(tick())
+        Process(sim, tick())
         event = sim.event()
         with pytest.raises(SimulationError):
             sim.run_until_triggered(event, limit=10.0)
 
 
+class TestMachine:
+    """A :class:`Machine` costs the scheduler what a process did: one
+    callback to start, one to end, two to be killed."""
+
+    class Ticker(Machine):
+        def __init__(self, sim, log, ticks=None):
+            self.log = log
+            self.ticks = ticks
+            super().__init__(sim)
+
+        def _start(self):
+            self.log.append(("start", self.sim.now))
+            self.sim.schedule(1.0, self._tick)
+
+        def _tick(self):
+            if self.triggered:
+                return
+            self.log.append(("tick", self.sim.now))
+            if self.ticks is not None and len(self.log) > self.ticks:
+                self.succeed("ended")
+                return
+            self.sim.schedule(1.0, self._tick)
+
+        def _on_stop(self):
+            self.log.append(("stop", self.sim.now))
+
+    def test_start_is_one_scheduled_callback(self, sim):
+        log = []
+        self.Ticker(sim, log)
+        assert log == [] and sim.scheduled_count == 1
+        sim.run(until=2.5)
+        assert log == [("start", 0.0), ("tick", 1.0), ("tick", 2.0)]
+
+    def test_the_machine_is_the_event_of_its_end(self, sim):
+        log = []
+        machine = self.Ticker(sim, log, ticks=2)
+        sim.run_until_triggered(machine)
+        assert machine.value == "ended" and sim.now == 2.0
+        machine.kill()  # a no-op once ended
+        sim.run()
+        assert ("stop", 2.0) not in log
+
+    def test_a_kill_lands_one_step_late(self, sim):
+        log = []
+        machine = self.Ticker(sim, log)
+        # The tick due at 3.0 was scheduled before the stop, so it runs.
+        sim.schedule_at(3.0, machine.kill)
+        sim.run(until=10.0)
+        assert log == [("start", 0.0), ("tick", 1.0), ("tick", 2.0),
+                       ("tick", 3.0), ("stop", 3.0)]
+        assert machine.triggered and not machine.ok
+        assert isinstance(machine.exception, SimulationError)
+
+    def test_a_kill_costs_a_stop_and_a_failed_trigger(self, sim):
+        machine = self.Ticker(sim, [])
+        sim.run(until=0.5)
+        before = sim.scheduled_count
+        machine.kill()
+        machine.kill()  # a second kill does not schedule a second stop
+        sim.run(until=0.5)
+        assert sim.scheduled_count - before == 2
+
+
 class TestResourceWaiters:
-    """``Resource`` serves event waiters (``request``) and callback
-    waiters (``acquire``) from one FIFO queue."""
+    """``Resource`` serves its callback waiters (``acquire``) from one
+    FIFO queue."""
 
     def test_acquire_is_granted_on_the_spot_without_calling_back(self, sim):
         executor = Resource(sim, capacity=2)
@@ -303,28 +379,20 @@ class TestResourceWaiters:
         assert calls == [] and sim.scheduled_count == 0
         assert executor.in_use == 2 and executor.total_waits == 0
 
-    def test_mixed_waiters_are_granted_in_arrival_order(self, sim):
+    def test_waiters_are_granted_in_arrival_order(self, sim):
         executor = Resource(sim, capacity=1)
         order = []
-
-        def event_waiter(name):
-            yield executor.request()
-            order.append((name, sim.now))
-
         assert executor.acquire(order.append, "holder") is True
-        assert executor.acquire(
-            lambda: order.append(("callback-1", sim.now))) is False
-        sim.process(event_waiter("event-2"))
-        sim.run()  # the process reaches its request() and queues
-        assert executor.acquire(
-            lambda: order.append(("callback-3", sim.now))) is False
+        for name in ("waiter-1", "waiter-2", "waiter-3"):
+            assert executor.acquire(
+                lambda name=name: order.append((name, sim.now))) is False
         assert executor.queue_length == 3
 
         for time in (1.0, 2.0, 3.0):
             sim.schedule_at(time, executor.release)
         sim.run()
-        assert order == [("callback-1", 1.0), ("event-2", 2.0),
-                         ("callback-3", 3.0)]
+        assert order == [("waiter-1", 1.0), ("waiter-2", 2.0),
+                         ("waiter-3", 3.0)]
         # Granted units are handed over, never returned, while waiters queue.
         assert executor.in_use == 1 and executor.queue_length == 0
         assert executor.total_waits == 3

@@ -97,10 +97,6 @@ ALLOWED: typing.Dict[str, str] = {
     "repro.txn.history:TxnRecord.global_latency": "inspection API",
     "repro.txn.history:TxnRecord.total_wait": "inspection API",
     # Kernel API and hooks the standard library calls.
-    "repro.sim.simulator:Simulator.all_of":
-        "public kernel API (SimPy-style condition events)",
-    "repro.sim.simulator:Simulator.any_of":
-        "public kernel API (SimPy-style condition events)",
     "repro.sim.simulator:Simulator.run_until_triggered":
         "public kernel API (run until an event fires)",
     "repro.workloads.runner:collector_paused._recreate_cm":
