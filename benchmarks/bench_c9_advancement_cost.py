@@ -18,6 +18,7 @@ from repro.analysis import Table
 from repro.core import PeriodicPolicy, ThreeVSystem
 from repro.net import UniformLatency
 from repro.sim import LogNormal, RngRegistry
+from repro.txn import History
 from repro.workloads import RecordingConfig, RecordingWorkload
 from repro.workloads.arrivals import drive, poisson_arrivals
 
@@ -30,7 +31,7 @@ def run(poll_interval: float, latency: float):
         node_ids, seed=91,
         latency=UniformLatency(LogNormal(mean=latency, sigma=0.8)),
         poll_interval=poll_interval, policy=PeriodicPolicy(20.0),
-        detail=False,
+        history=History(events=()),
     )
     config = RecordingConfig(nodes=node_ids, entities=60, span=2,
                              amount_mode="money")

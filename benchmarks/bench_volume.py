@@ -109,10 +109,8 @@ def check_streaming_equivalence(mode: str) -> ExperimentSummary:
     streamed = run_recording_experiment(spec.protocol, **kwargs)
     materialized = run_recording_experiment(
         spec.protocol, **kwargs, stream_aggregates=False)
-    summary_s = summarize(spec, streamed,
-                          audit_result(streamed, check_snapshots=True))
-    summary_m = summarize(spec, materialized,
-                          audit_result(materialized, check_snapshots=True))
+    summary_s = summarize(spec, streamed, audit_result(streamed))
+    summary_m = summarize(spec, materialized, audit_result(materialized))
     for field in dataclasses.fields(ExperimentSummary):
         if field.name in ("wall_seconds", "peak_tracemalloc_bytes"):
             continue

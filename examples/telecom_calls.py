@@ -17,6 +17,7 @@ Run:  python examples/telecom_calls.py
 from repro import Table, latency_summary, max_remote_wait, staleness_summary
 from repro.core import PeriodicPolicy, ThreeVSystem
 from repro.sim import RngRegistry
+from repro.txn import History
 from repro.workloads import telecom_workload
 from repro.workloads.arrivals import drive, poisson_arrivals
 from repro.workloads.telecom import switch_names
@@ -30,7 +31,8 @@ CHECK_RATE = 6.0  # balance checks per second
 def run_with_period(period: float):
     nodes = switch_names(SWITCHES)
     system = ThreeVSystem(
-        nodes, seed=99, policy=PeriodicPolicy(period), detail=False,
+        nodes, seed=99, policy=PeriodicPolicy(period),
+        history=History(events=()),
     )
     workload = telecom_workload(switches=SWITCHES, accounts=2000, seed=99)
     workload.install(system)

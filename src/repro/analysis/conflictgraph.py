@@ -1,8 +1,11 @@
 """Commutativity-aware conflict-graph serializability checking.
 
 A second, independent correctness instrument alongside the bitmask
-oracle: build the serialization graph of a detailed history and test it
-for cycles.  Nodes are committed transactions; there is an edge
+oracle: build the serialization graph of a history that keeps read and
+write events (a :class:`~repro.txn.history.History` declares which it
+keeps; a recording run keeps writes only for the trace it exports to
+``trace_path``, and the graph refuses a history without them) and test
+it for cycles.  Nodes are committed transactions; there is an edge
 ``T1 -> T2`` whenever ``T1`` performed an operation on some
 ``(node, key, version)`` copy before a *conflicting* operation of ``T2``
 on the same copy.  Two operations conflict unless
@@ -92,7 +95,16 @@ def build_serialization_graph(history: History) -> Graph:
     """Construct the commutativity-aware serialization graph.
 
     Each edge's witnesses are capped at 5 to bound memory.
+
+    Raises:
+        ReproError: If the history keeps no write events: its graph
+            would have no edges and certify any history.
     """
+    if not history.keeps_writes:
+        raise ReproError(
+            "the serialization graph needs a history that keeps write "
+            "events; record the run with a trace_path (os.devnull will "
+            "do) or build History(events=('read', 'write'))")
     graph: Graph = {txn: {} for txn in _committed(history)}
     per_copy: typing.Dict[tuple, list] = {}
     for copy, time, txn, kind, operation in _copy_events(history):

@@ -239,7 +239,7 @@ def audit(history: History, workload=None,
     workload's ``update_amounts`` are read, not consumed.
 
     Args:
-        history: A *detailed* history (``detail=True``).
+        history: A history that keeps read events (``"read"``).
         workload: Required for ``check_snapshots``; the
             :class:`~repro.workloads.recording.RecordingWorkload` that
             generated the traffic (must be in ``"bitmask"`` mode).
@@ -265,6 +265,6 @@ def audit(history: History, workload=None,
 def atomic_visibility_violations(history: History) -> typing.List[Violation]:
     """Fractured reads: one read transaction, one entity (every slot of a
     replicated balance), different values on different nodes (the first
-    :data:`MAX_EVIDENCE` of them).  Requires detailed read events
-    (``detail=True``)."""
+    :data:`MAX_EVIDENCE` of them).  Requires a history that keeps read
+    events."""
     return audit(history).violations

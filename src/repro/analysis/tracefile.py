@@ -46,14 +46,14 @@ def _txn_line(record: TxnRecord) -> dict:
     }
 
 
-def export_history(history: History, path, include_ops: bool = True) -> int:
-    """Write the history to ``path`` as JSON lines.
+def export_history(history: History, path) -> int:
+    """Write the history to ``path`` as JSON lines: every record and
+    advancement, then whatever read / write events the history kept (the
+    kinds it was built to keep, see :class:`History`).
 
     Args:
-        history: A finished run's history.
+        history: A finished run's retained history.
         path: Output file path (string or ``pathlib.Path``).
-        include_ops: Also export per-operation read/write events (only
-            present when the history was recorded with ``detail=True``).
 
     Returns:
         Number of lines written.
@@ -66,24 +66,23 @@ def export_history(history: History, path, include_ops: bool = True) -> int:
         for advancement in history.advancements:
             handle.write(json.dumps(_advancement_line(advancement)) + "\n")
             lines += 1
-        if include_ops:
-            for event in history.read_events:
-                handle.write(json.dumps(_read_line(event)) + "\n")
-                lines += 1
-            for event in history.write_events:
-                handle.write(json.dumps({
-                    "type": "write",
-                    "time": event.time,
-                    "txn": event.txn,
-                    "subtxn": event.subtxn,
-                    "node": event.node,
-                    "key": str(event.key),
-                    "version": event.version,
-                    "versions_written": event.versions_written,
-                    "operation": repr(event.operation),
-                    "compensating": event.compensating,
-                }) + "\n")
-                lines += 1
+        for event in history.read_events:
+            handle.write(json.dumps(_read_line(event)) + "\n")
+            lines += 1
+        for event in history.write_events:
+            handle.write(json.dumps({
+                "type": "write",
+                "time": event.time,
+                "txn": event.txn,
+                "subtxn": event.subtxn,
+                "node": event.node,
+                "key": str(event.key),
+                "version": event.version,
+                "versions_written": event.versions_written,
+                "operation": repr(event.operation),
+                "compensating": event.compensating,
+            }) + "\n")
+            lines += 1
     return lines
 
 
@@ -117,8 +116,8 @@ def _advancement_line(record: AdvancementRecord) -> dict:
 class TraceStreamWriter:
     """Spill-to-disk JSONL sink for a retiring :class:`History`.
 
-    Writes each transaction's ``txn`` line (and, when the history records
-    detail, its ``read`` lines) at retirement, so disk — not memory —
+    Writes each transaction's ``txn`` line (and, when the history keeps
+    reads, its ``read`` lines) at retirement, so disk — not memory —
     holds the full trace of an arbitrarily long run.  ``close()`` appends
     the advancement lines and returns the total line count.
 

@@ -292,25 +292,25 @@ class _SyncSwitcher(Machine):
             self.inbox.append(message)
 
 
-def _build_manual(node_ids, *, seed, latency, node_config, detail,
+def _build_manual(node_ids, *, seed, latency, node_config,
                   advancement_period, safety_delay, poll_interval,
                   allow_noncommuting, faults=None, batch_delivery=False,
                   history=None, placement=None):
     return ManualVersioningSystem(
         node_ids, period=advancement_period, safety_delay=safety_delay,
-        seed=seed, latency=latency, node_config=node_config, detail=detail,
+        seed=seed, latency=latency, node_config=node_config,
         faults=faults, batch_delivery=batch_delivery, history=history,
         placement=placement,
     )
 
 
-def _build_manual_sync(node_ids, *, seed, latency, node_config, detail,
+def _build_manual_sync(node_ids, *, seed, latency, node_config,
                        advancement_period, safety_delay, poll_interval,
                        allow_noncommuting, faults=None, batch_delivery=False,
                        history=None, placement=None):
     return ManualVersioningSystem(
         node_ids, period=advancement_period, synchronous=True,
-        seed=seed, latency=latency, node_config=node_config, detail=detail,
+        seed=seed, latency=latency, node_config=node_config,
         faults=faults, batch_delivery=batch_delivery, history=history,
         placement=placement,
     )

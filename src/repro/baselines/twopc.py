@@ -109,13 +109,13 @@ def _rename(spec: TransactionSpec, new_name: str) -> TransactionSpec:
     )
 
 
-def _build_2pc(node_ids, *, seed, latency, node_config, detail,
+def _build_2pc(node_ids, *, seed, latency, node_config,
                advancement_period, safety_delay, poll_interval,
                allow_noncommuting, faults=None, batch_delivery=False,
                history=None, placement=None):
     return TwoPCSystem(
         node_ids, seed=seed, latency=latency, node_config=node_config,
-        detail=detail, faults=faults, batch_delivery=batch_delivery,
+        faults=faults, batch_delivery=batch_delivery,
         history=history, placement=placement,
     )
 

@@ -128,11 +128,7 @@ def cmd_run(args) -> int:
     result = run_recording_experiment(
         spec.protocol, trace_path=args.trace, **spec.run_kwargs()
     )
-    report = audit_result(
-        result,
-        check_snapshots=(spec.protocol == "3v"
-                         and spec.amount_mode == "bitmask"),
-    )
+    report = audit_result(result)
     summary = summarize(spec, result, report)
     mode = "" if result.history.retain else " [streaming]"
     table = Table(f"{spec.protocol}: {spec.duration:g}s on "

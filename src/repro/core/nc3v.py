@@ -41,7 +41,7 @@ from repro.runtime.twophase import (
     TwoPhaseEngine,
     UndoEntry,
 )
-from repro.txn.history import TxnKind, WaitReason, WriteEvent
+from repro.txn.history import TxnKind, WaitReason
 from repro.txn.runtime import SubtxnInstance
 from repro.txn.spec import WriteOp
 
@@ -120,21 +120,10 @@ class NC3VManager(TwoPhaseEngine):
 
     def record_undo_event(self, txn_name: str, entry: UndoEntry) -> None:
         node = self.node
-        if not node.history.keeps_writes:
-            return
-        node.history.wrote(
-            WriteEvent(
-                time=node.sim.now,
-                txn=txn_name,
-                subtxn="(rollback)",
-                node=node.node_id,
-                key=entry.key,
-                version=entry.version,
-                versions_written=1,
-                operation=entry.undo,
-                compensating=True,
-            )
-        )
+        if node.history.keeps_writes:
+            node.history.wrote(node.sim.now, txn_name, "(rollback)",
+                               node.node_id, entry.key, entry.version, 1,
+                               entry.undo, compensating=True)
 
     def after_decision(self, state: ParticipantState) -> None:
         # Completion counters move atomically with the decision (step 6).

@@ -38,12 +38,7 @@ from repro.runtime.node import ProtocolNode
 from repro.runtime.plugin import ProtocolPlugin
 from repro.storage.counters import CounterTable
 from repro.storage.locktable import LockMode
-from repro.txn.history import (
-    ReadEvent,
-    TxnKind,
-    WaitReason,
-    WriteEvent,
-)
+from repro.txn.history import TxnKind, WaitReason
 from repro.txn.runtime import SubtxnInstance
 from repro.txn.spec import ReadOp, WriteOp
 
@@ -153,42 +148,32 @@ class ThreeVPlugin(ProtocolPlugin):
 
     def execute_ops(self, node, instance: SubtxnInstance, kind: str) -> None:
         version = instance.version
-        # Event objects are built only when the history keeps them; with
-        # detail off (large benchmark runs) reads record just their
-        # (key, value), and a history that drops write events (detail off,
-        # or streaming) is not handed any, skipping one dataclass
-        # allocation per operation on the hottest loop in the system.
-        detail = node.history.detail
-        keeps_writes = node.history.keeps_writes
+        # A history that keeps no read events needs no ``version_used``,
+        # so the read is one store call; one that keeps no write events
+        # is not called per write at all, on the hottest loop in the
+        # system.
+        history = node.history
+        keeps_reads = history.keeps_reads
+        keeps_writes = history.keeps_writes
         store = node.store
+        txn = instance.txn.name
         for op in instance.spec.ops:
             if isinstance(op, ReadOp):
-                if detail:
+                if keeps_reads:
                     used = store.version_max_leq(op.key, version)
                     value = (
                         store.get_exact(op.key, used) if used is not None
                         else None
                     )
-                    node.history.read(
-                        ReadEvent(
-                            time=node.sim.now,
-                            txn=instance.txn.name,
-                            subtxn=instance.sid,
-                            node=node.node_id,
-                            key=op.key,
-                            version_requested=version,
-                            version_used=used,
-                            value=value,
-                        )
-                    )
                 else:
+                    used = None
                     value = store.read_max_leq(op.key, version, default=None)
-                    node.history.note_read(instance.txn.name, op.key, value)
+                history.read(node.sim.now, txn, instance.sid, node.node_id,
+                             op.key, version, used, value)
             elif isinstance(op, WriteOp):
                 if kind == TxnKind.READ:
                     raise ProtocolError(
-                        f"read-only transaction {instance.txn.name!r} "
-                        "attempted a write"
+                        f"read-only transaction {txn!r} attempted a write"
                     )
                 # Step 4: atomically check/create x(V(T)), then update all
                 # versions >= V(T) (the dual-write rule for stragglers).
@@ -199,19 +184,10 @@ class ThreeVPlugin(ProtocolPlugin):
                     store.apply_exact(op.key, version, op.operation)
                     written = (version,)
                 if keeps_writes:
-                    node.history.wrote(
-                        WriteEvent(
-                            time=node.sim.now,
-                            txn=instance.txn.name,
-                            subtxn=instance.sid,
-                            node=node.node_id,
-                            key=op.key,
-                            version=version,
-                            versions_written=len(written),
-                            operation=op.operation,
-                            versions=written,
-                        )
-                    )
+                    history.wrote(node.sim.now, txn, instance.sid,
+                                  node.node_id, op.key, version,
+                                  len(written), op.operation,
+                                  versions=written)
 
     def apply_inverses(self, node, instance: SubtxnInstance) -> None:
         version = instance.version
@@ -225,22 +201,11 @@ class ThreeVPlugin(ProtocolPlugin):
             else:
                 node.store.apply_exact(op.key, version, inverse)
                 written = (version,)
-            if not node.history.keeps_writes:
-                continue
-            node.history.wrote(
-                WriteEvent(
-                    time=node.sim.now,
-                    txn=instance.txn.name,
-                    subtxn=instance.sid,
-                    node=node.node_id,
-                    key=op.key,
-                    version=version,
-                    versions_written=len(written),
-                    operation=inverse,
-                    compensating=True,
-                    versions=written,
-                )
-            )
+            if node.history.keeps_writes:
+                node.history.wrote(
+                    node.sim.now, instance.txn.name, instance.sid,
+                    node.node_id, op.key, version, len(written), inverse,
+                    compensating=True, versions=written)
 
     # ------------------------------------------------------------------
     # Counter participation (Section 4.1 steps 5 / 6)

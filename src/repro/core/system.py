@@ -56,8 +56,6 @@ class ThreeVSystem(System):
             one; ``"interleaved"`` / ``"active-poll"`` are ablations).
         allow_noncommuting: Enable the NC3V extension (commute locks for
             well-behaved updates, NR/NW + 2PC for non-commuting ones).
-        detail: Record per-operation events in the history (turn off for
-            very large benchmark runs).
         policy: Optional automatic advancement trigger.
         lease_interval: When > 0, the coordinator heartbeats its lease and
             every node runs a standby monitor; if the lease lapses, the
@@ -79,7 +77,6 @@ class ThreeVSystem(System):
         poll_interval: float = 1.0,
         detector: str = "two-wave",
         allow_noncommuting: bool = False,
-        detail: bool = True,
         batch_delivery: bool = False,
         policy: typing.Optional[AdvancementPolicy] = None,
         faults=None,
@@ -89,7 +86,7 @@ class ThreeVSystem(System):
     ):
         super().__init__(
             node_ids, seed=seed, latency=latency, node_config=node_config,
-            detail=detail, batch_delivery=batch_delivery,
+            batch_delivery=batch_delivery,
             plugin=ThreeVPlugin(allow_noncommuting=allow_noncommuting),
             faults=faults, history=history, placement=placement,
         )
@@ -206,7 +203,7 @@ class ThreeVSystem(System):
         self.sim.schedule(event.down_for, self.coordinator.recover)
 
 
-def _build_3v(node_ids, *, seed, latency, node_config, detail,
+def _build_3v(node_ids, *, seed, latency, node_config,
               advancement_period, safety_delay, poll_interval,
               allow_noncommuting, faults=None, batch_delivery=False,
               history=None, placement=None):
@@ -214,7 +211,7 @@ def _build_3v(node_ids, *, seed, latency, node_config, detail,
 
     return ThreeVSystem(
         node_ids, seed=seed, latency=latency, node_config=node_config,
-        poll_interval=poll_interval, detail=detail,
+        poll_interval=poll_interval,
         allow_noncommuting=allow_noncommuting,
         policy=PeriodicPolicy(advancement_period), faults=faults,
         batch_delivery=batch_delivery, history=history,

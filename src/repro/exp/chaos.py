@@ -46,13 +46,12 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.analysis import audit
 from repro.runtime.registry import PROTOCOLS
 from repro.workloads.recording import balance_key
 from repro.workloads.runner import run_recording_experiment
 
 from repro.exp.spec import ExperimentSpec
-from repro.exp.summary import ExperimentSummary, summarize
+from repro.exp.summary import ExperimentSummary, audit_result, summarize
 
 __all__ = ["ChaosReport", "chaos_spec", "run_chaos_spec"]
 
@@ -327,15 +326,11 @@ def run_chaos_spec(
             failures=(f"run failed: {type(exc).__name__}: {exc}",),
         )
 
-    check_snapshots = (
-        spec.protocol == "3v" and spec.amount_mode == "bitmask" and spec.detail
-    )
     # The liveness probe mutates the simulation (one extra wave), so it
     # must run before summarize — and identically in the repeat run — to
     # keep sim_events comparable between the two digests.
     failures.extend(_probe_liveness(spec, result, drain_limit))
-    report = audit(result.history, result.workload,
-                   check_snapshots=check_snapshots)
+    report = audit_result(result)
     summary = summarize(spec, result, report)
 
     entry = PROTOCOLS.get(spec.protocol)
@@ -387,9 +382,7 @@ def run_chaos_spec(
             spec.protocol, drain_limit=drain_limit, **spec.run_kwargs()
         )
         _probe_liveness(spec, rerun, drain_limit)
-        rerun_report = audit(rerun.history, rerun.workload,
-                             check_snapshots=check_snapshots)
-        rerun_summary = summarize(spec, rerun, rerun_report)
+        rerun_summary = summarize(spec, rerun, audit_result(rerun))
         repeat_identical = (
             rerun_summary.determinism_digest() == summary.determinism_digest()
         )

@@ -228,15 +228,17 @@ def summarize(spec: ExperimentSpec, result, report) -> ExperimentSummary:
     )
 
 
-def audit_result(result, check_snapshots: bool = False):
+def audit_result(result):
     """Score a finished :class:`ExperimentResult`: by its rolling auditor,
     which checked reads as they retired (``report()`` is its final exact
     drain), else by the post-hoc :func:`repro.analysis.audit` over the
-    read events the run kept (none, when it retired them unaudited)."""
+    read events the run kept (none, when it retired them unaudited).  The
+    run decided whether the snapshot oracle applies
+    (``result.check_snapshots``)."""
     if result.auditor is not None:
         return result.auditor.report()
     return audit(result.history, result.workload,
-                 check_snapshots=check_snapshots)
+                 check_snapshots=result.check_snapshots)
 
 
 @collector_paused()
@@ -272,11 +274,7 @@ def run_spec(spec: ExperimentSpec,
     if measure_memory:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-    check_snapshots = (
-        spec.protocol == "3v" and spec.amount_mode == "bitmask"
-        and spec.detail
-    )
-    report = audit_result(result, check_snapshots=check_snapshots)
+    report = audit_result(result)
     summary = summarize(spec, result, report)
     result.system.close()
     return dataclasses.replace(

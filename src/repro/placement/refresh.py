@@ -38,7 +38,7 @@ from repro.net.message import MessageKind
 from repro.sim.events import Event
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass
 class MissedOp:
     """One write skipped for an unavailable replica.
 

@@ -95,7 +95,7 @@ class PlacementState:
             self.reads_gated += 1
         return gate
 
-    def note_read_served(self, node_id: str) -> None:
+    def read_served(self, node_id: str) -> None:
         if node_id in self.refresh.unrefreshed:
             self.unreadable_reads_served += 1
 

@@ -145,7 +145,7 @@ class ProtocolNode:
                 if gate is not None:
                     gate.add_callback(lambda _gate: self._arrive(instance))
                     return
-                placement.note_read_served(self.node_id)
+                placement.read_served(self.node_id)
 
             kind = instance.txn.kind
 

@@ -55,12 +55,7 @@ import functools
 from repro.errors import ProtocolError
 from repro.net.message import Message
 from repro.storage.mvstore import MVStore
-from repro.txn.history import (
-    ReadEvent,
-    TxnKind,
-    WaitReason,
-    WriteEvent,
-)
+from repro.txn.history import TxnKind, WaitReason
 from repro.txn.runtime import SubtxnInstance
 from repro.txn.spec import ReadOp, WriteOp
 
@@ -186,10 +181,10 @@ class ProtocolPlugin:
     def execute_ops(self, node, instance: SubtxnInstance, kind: str) -> None:
         """Run the instance's local read/write operations."""
         version = instance.version
-        # Event objects are built only for a history that keeps them.
-        detail = node.history.detail
-        keeps_writes = node.history.keeps_writes
+        history = node.history
+        keeps_writes = history.keeps_writes
         store = node.store
+        txn = instance.txn.name
         for op in instance.spec.ops:
             if isinstance(op, ReadOp):
                 used = store.version_max_leq(op.key, version)
@@ -197,34 +192,19 @@ class ProtocolPlugin:
                     store.get_exact(op.key, used) if used is not None
                     else None
                 )
-                if detail:
-                    node.history.read(
-                        ReadEvent(
-                            time=node.sim.now, txn=instance.txn.name,
-                            subtxn=instance.sid, node=node.node_id,
-                            key=op.key, version_requested=version,
-                            version_used=used, value=value,
-                        )
-                    )
-                else:
-                    node.history.note_read(instance.txn.name, op.key, value)
+                history.read(node.sim.now, txn, instance.sid, node.node_id,
+                             op.key, version, used, value)
             elif isinstance(op, WriteOp):
                 if kind == TxnKind.READ:
                     raise ProtocolError(
-                        f"read-only transaction {instance.txn.name!r} "
-                        "attempted a write"
+                        f"read-only transaction {txn!r} attempted a write"
                     )
                 store.ensure_version(op.key, version)
                 store.apply_exact(op.key, version, op.operation)
                 if keeps_writes:
-                    node.history.wrote(
-                        WriteEvent(
-                            time=node.sim.now, txn=instance.txn.name,
-                            subtxn=instance.sid, node=node.node_id,
-                            key=op.key, version=version,
-                            versions_written=1, operation=op.operation,
-                        )
-                    )
+                    history.wrote(node.sim.now, txn, instance.sid,
+                                  node.node_id, op.key, version, 1,
+                                  op.operation)
 
     def apply_inverses(self, node, instance: SubtxnInstance) -> None:
         """Apply the compensating (inverse) writes of a subtransaction."""
@@ -234,16 +214,11 @@ class ProtocolPlugin:
             inverse = op.operation.inverse()
             node.store.ensure_version(op.key, instance.version)
             node.store.apply_exact(op.key, instance.version, inverse)
-            if not node.history.keeps_writes:
-                continue
-            node.history.wrote(
-                WriteEvent(
-                    time=node.sim.now, txn=instance.txn.name,
-                    subtxn=instance.sid, node=node.node_id, key=op.key,
-                    version=instance.version, versions_written=1,
-                    operation=inverse, compensating=True,
-                )
-            )
+            if node.history.keeps_writes:
+                node.history.wrote(
+                    node.sim.now, instance.txn.name, instance.sid,
+                    node.node_id, op.key, instance.version, 1, inverse,
+                    compensating=True)
 
     # ------------------------------------------------------------------
     # Commit / completion participation

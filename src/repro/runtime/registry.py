@@ -29,9 +29,10 @@ class ProtocolEntry:
     """One runnable protocol."""
 
     name: str
-    #: ``builder(node_ids, *, seed, latency, node_config, detail,
+    #: ``builder(node_ids, *, seed, latency, node_config,
     #: advancement_period, safety_delay, poll_interval,
-    #: allow_noncommuting, faults) -> System``
+    #: allow_noncommuting, faults=None, batch_delivery=False,
+    #: history=None, placement=None) -> System``
     builder: typing.Callable
     description: str
     #: Display/iteration rank (import order must not matter).

@@ -33,8 +33,6 @@ class System:
         seed: Master seed for all randomness (latencies, service times).
         latency: Network latency model (default: constant 1.0).
         node_config: Shared per-node tunables.
-        detail: Record per-operation events in the history (turn off for
-            very large benchmark runs).
         batch_delivery: Coalesce same-tick deliveries into one scheduled
             batch event (see :class:`repro.net.network.Network`).
             Changes the scheduled-callback trace, so compare determinism
@@ -44,10 +42,11 @@ class System:
             network the plan (its fault stages, plus reliable delivery
             when the plan is lossy), lets :meth:`crash`/:meth:`recover`
             run, and schedules the plan's crash/recover events.
-        history: Pre-built recording surface (e.g. a retiring
-            :class:`~repro.txn.history.History` for bounded-memory
-            runs).  ``None`` builds a retaining one; when supplied, ``detail`` is the history's concern
-            and the argument only shapes per-node event capture.
+        history: Pre-built recording surface: a retiring
+            :class:`~repro.txn.history.History` for bounded-memory runs,
+            or one that declares fewer event kinds
+            (``History(events=())`` keeps no per-operation events).
+            ``None`` builds a retaining one that keeps reads and writes.
         placement: Optional :class:`repro.placement.PlacementState`.
             Turns on replica-aware routing: read-only submissions are
             re-pointed to readable replicas, write fan-out skips
@@ -72,7 +71,6 @@ class System:
         seed: int = 0,
         latency: typing.Optional[LatencyModel] = None,
         node_config: typing.Optional[NodeConfig] = None,
-        detail: bool = True,
         batch_delivery: bool = False,
         plugin: typing.Optional[ProtocolPlugin] = None,
         faults=None,
@@ -88,7 +86,7 @@ class System:
             self.sim, rngs=self.rngs, latency=latency,
             batch_delivery=batch_delivery, faults=faults,
         )
-        self.history = history if history is not None else History(detail=detail)
+        self.history = history if history is not None else History()
         self.config = node_config if node_config is not None else NodeConfig()
         self.plugin = plugin if plugin is not None else self.plugin_class()
         self.plugin.bind(self)

@@ -33,7 +33,7 @@ from repro.net.message import Message, MessageKind
 from repro.sim.events import after_trigger
 from repro.storage.locktable import LockMode
 from repro.storage.values import Operation, undo_operation
-from repro.txn.history import ReadEvent, WaitReason, WriteEvent
+from repro.txn.history import WaitReason
 from repro.txn.runtime import SubtxnInstance
 from repro.txn.spec import ReadOp, WriteOp
 
@@ -156,21 +156,8 @@ class TwoPhaseEngine:
                     node.store.get_exact(op.key, used)
                     if used is not None else None
                 )
-                if node.history.detail:
-                    node.history.read(
-                        ReadEvent(
-                            time=node.sim.now,
-                            txn=txn_name,
-                            subtxn=instance.sid,
-                            node=node.node_id,
-                            key=op.key,
-                            version_requested=version,
-                            version_used=used,
-                            value=value,
-                        )
-                    )
-                else:
-                    node.history.note_read(txn_name, op.key, value)
+                node.history.read(node.sim.now, txn_name, instance.sid,
+                                  node.node_id, op.key, version, used, value)
             else:
                 node.store.ensure_version(op.key, version)
                 previous = node.store.get_exact(op.key, version)
@@ -178,18 +165,9 @@ class TwoPhaseEngine:
                 node.store.apply_exact(op.key, version, op.operation)
                 state.undo_log.append(UndoEntry(op.key, version, undo))
                 if node.history.keeps_writes:
-                    node.history.wrote(
-                        WriteEvent(
-                            time=node.sim.now,
-                            txn=txn_name,
-                            subtxn=instance.sid,
-                            node=node.node_id,
-                            key=op.key,
-                            version=version,
-                            versions_written=1,
-                            operation=op.operation,
-                        )
-                    )
+                    node.history.wrote(node.sim.now, txn_name, instance.sid,
+                                       node.node_id, op.key, version, 1,
+                                       op.operation)
 
     def _root_timestamp(self, instance: SubtxnInstance) -> float:
         record = self.node.history.txns.get(instance.txn.name)

@@ -1,11 +1,12 @@
 """Execution history recording.
 
 Every protocol implementation writes what it does into a :class:`History`:
-per-transaction lifecycle records, optional per-operation read/write events,
-wait events, and version-advancement phase timestamps.  The analysis package
-(:mod:`repro.analysis`) consumes these to check serializability, detect
-fractured reads, and compute latency/staleness/throughput — so the checkers
-work identically across 3V and all baselines.
+per-transaction lifecycle records, the per-operation read/write events of
+the kinds the history declares, wait events, and version-advancement
+phase timestamps.  The analysis package (:mod:`repro.analysis`) consumes
+these to check serializability, detect fractured reads, and compute
+latency/staleness/throughput — so the checkers work identically across
+3V and all baselines.
 
 A history either retains every record (memory O(transactions); the
 full post-hoc toolbox applies) or *retires* each one when its transaction
@@ -100,9 +101,9 @@ class TxnRecord:
         )
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(slots=True)
 class ReadEvent:
-    """One read operation (recorded only when ``detail`` is on)."""
+    """One read operation (kept by a history that declares ``"read"``)."""
 
     time: float
     txn: str
@@ -114,9 +115,9 @@ class ReadEvent:
     value: typing.Any
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(slots=True)
 class WriteEvent:
-    """One write operation (recorded only when ``detail`` is on)."""
+    """One write operation (kept by a history that declares ``"write"``)."""
 
     time: float
     txn: str
@@ -294,11 +295,14 @@ class HistoryStats:
 
 
 #: Signature of a retirement sink: called once per transaction, at global
-#: completion, with the (about-to-be-discarded) record and its detailed
-#: read events (empty tuple when ``detail`` is off).
+#: completion, with the (about-to-be-discarded) record and its read events
+#: (empty tuple when the history keeps no reads).
 RetireSink = typing.Callable[
     [TxnRecord, typing.Sequence[ReadEvent]], None
 ]
+
+#: The per-operation event kinds a history can keep.
+EVENT_KINDS = ("read", "write")
 
 
 class History:
@@ -315,9 +319,13 @@ class History:
     aggregate query.  ``committed_txns`` / ``aborted_txns`` raise there.
 
     Args:
-        detail: Record per-operation read/write events (a retiring history
-            keeps a transaction's read events until it retires, and no
-            write events).
+        events: The per-operation event kinds to keep, a subset of
+            :data:`EVENT_KINDS`.  Whoever builds the history declares
+            what its readers need; the default keeps both.  A retiring
+            history keeps a transaction's read events until it retires,
+            and refuses ``"write"``: it has nowhere to keep them.
+            ``"write"`` needs ``"read"`` (a write's readers, the trace
+            export and the conflict graph, read both).
         retain: Keep every record (``True``) or retire it at completion.
         stats_seed: Seed for a retiring history's reservoir-sampling RNG
             streams (derive it from the experiment seed so summaries are
@@ -326,14 +334,28 @@ class History:
             capacity; runs whose populations fit are summarized exactly.
     """
 
-    def __init__(self, detail: bool = True, retain: bool = True,
-                 stats_seed: int = 0, reservoir: int = DEFAULT_RESERVOIR):
-        self.detail = detail
+    def __init__(self, events: typing.Iterable[str] = EVENT_KINDS,
+                 retain: bool = True, stats_seed: int = 0,
+                 reservoir: int = DEFAULT_RESERVOIR):
+        events = frozenset(events)
+        unknown = events.difference(EVENT_KINDS)
+        if unknown:
+            raise ValueError(
+                f"unknown event kind(s) {sorted(unknown)}; "
+                f"choose from {EVENT_KINDS}")
+        if "write" in events and not retain:
+            raise ValueError(
+                "a retiring history keeps no write events; "
+                "declare events=('read',) or ()")
+        if "write" in events and "read" not in events:
+            raise ValueError(
+                "a history that keeps write events keeps read events "
+                "too; declare events=('read', 'write')")
         self.retain = retain
-        #: Whether :meth:`wrote` stores the event it is given; executors
-        #: ask before building one.  (For reads the question is ``detail``:
-        #: without it :meth:`note_read` takes the ``(key, value)`` alone.)
-        self.keeps_writes = detail and retain
+        #: Whether :meth:`read` builds a :class:`ReadEvent`, and whether
+        #: an executor calls :meth:`wrote` at all (it asks first).
+        self.keeps_reads = "read" in events
+        self.keeps_writes = "write" in events
         #: Every transaction begun, or (retiring) those still in flight.
         self.txns: typing.Dict[str, TxnRecord] = {}
         self.read_events: typing.List[ReadEvent] = []
@@ -413,32 +435,36 @@ class History:
     # Operation events
     # ------------------------------------------------------------------
 
-    def read(self, event: ReadEvent) -> None:
-        record = self.txns.get(event.txn)
-        if record is not None:
-            record.reads.append((event.key, event.value))
-        if not self.detail:
-            return
-        if self.retain:
-            self.read_events.append(event)
-        elif record is not None:
-            self._pending_events.setdefault(event.txn, []).append(event)
-
-    def note_read(self, txn: str, key, value) -> None:
-        """Record a read's ``(key, value)`` without a :class:`ReadEvent`.
-
-        The detail-off fast path: executors call this instead of building a
-        ReadEvent that :meth:`read` would immediately discard.  Serializable
-        analysis only needs the per-transaction read values, which this
-        keeps.
-        """
+    def read(self, time: float, txn: str, subtxn: str, node: str,
+             key: typing.Hashable, version_requested: typing.Optional[int],
+             version_used: typing.Optional[int], value: typing.Any) -> None:
+        """Record one read: its ``(key, value)`` always goes on the
+        transaction's record, and a :class:`ReadEvent` is built only when
+        the history keeps reads (the only use of ``version_used``)."""
         record = self.txns.get(txn)
         if record is not None:
             record.reads.append((key, value))
+        if not self.keeps_reads:
+            return
+        event = ReadEvent(time, txn, subtxn, node, key, version_requested,
+                          version_used, value)
+        if self.retain:
+            self.read_events.append(event)
+        elif record is not None:
+            self._pending_events.setdefault(txn, []).append(event)
 
-    def wrote(self, event: WriteEvent) -> None:
-        if self.keeps_writes:
-            self.write_events.append(event)
+    def wrote(self, time: float, txn: str, subtxn: str, node: str,
+              key: typing.Hashable, version: typing.Optional[int],
+              versions_written: int, operation: typing.Any,
+              compensating: bool = False,
+              versions: typing.Optional[typing.Tuple[int, ...]] = None
+              ) -> None:
+        """Keep one :class:`WriteEvent`.  Call it only when
+        ``keeps_writes`` is set: the write path asks that plain attribute
+        first, so a run that keeps no writes pays no call."""
+        self.write_events.append(WriteEvent(
+            time, txn, subtxn, node, key, version, versions_written,
+            operation, compensating, versions))
 
     # ------------------------------------------------------------------
     # Advancement closure

@@ -114,6 +114,8 @@ class RecordingConfig:
     replication_factor: int = 1
 
     def __post_init__(self):
+        if self.entities < 1:
+            raise ReproError(f"entities must be >= 1: {self.entities}")
         if self.span < 1 or self.span > len(self.nodes):
             raise ReproError(
                 f"entity span {self.span} invalid for {len(self.nodes)} nodes"

@@ -60,8 +60,10 @@ def default_latency(jitter: float = 1.0) -> LatencyModel:
     ``0.0`` degenerates to a constant 1.0 — the regime where same-tick
     delivery batching has waves to coalesce.
     """
-    if jitter < 0:
-        raise ValueError(f"latency jitter must be >= 0: {jitter}")
+    if not 0 <= jitter <= 2:
+        raise ValueError(
+            f"latency_jitter must be in [0, 2] (a wider window reaches "
+            f"below zero latency): {jitter}")
     if jitter == 0.0:
         from repro.net.latency import constant_latency
 
@@ -78,6 +80,9 @@ class ExperimentResult:
     workload: RecordingWorkload
     duration: float
     submitted: int
+    #: The run's audit includes the strict Theorem 4.1 snapshot oracle:
+    #: 3V on the bitmask workload, with its read events kept.
+    check_snapshots: bool
     #: Rolling serializability auditor (streaming runs with detail only);
     #: ``auditor.report()`` replaces the post-hoc ``analysis.audit``.
     auditor: typing.Any = None
@@ -99,7 +104,6 @@ def build_system(
     advancement_period: float = 10.0,
     safety_delay: float = 5.0,
     allow_noncommuting: bool = False,
-    detail: bool = True,
     op_service: float = 0.001,
     executor_capacity: int = 1,
     poll_interval: float = 0.5,
@@ -127,7 +131,7 @@ def build_system(
     )
     return PROTOCOLS.build(
         protocol, node_ids, seed=seed, latency=latency, node_config=config,
-        detail=detail, advancement_period=advancement_period,
+        advancement_period=advancement_period,
         safety_delay=safety_delay, poll_interval=poll_interval,
         allow_noncommuting=allow_noncommuting, faults=faults,
         batch_delivery=batch_delivery, history=history,
@@ -228,6 +232,15 @@ def run_recording_experiment(
     request).  At the default ``1`` no placement state is attached and
     the run is bit-identical to a pre-replication run.
 
+    ``detail`` keeps every read's :class:`~repro.txn.history.ReadEvent`
+    for the audit (and, on 3V's bitmask workload, its strict snapshot
+    oracle: ``ExperimentResult.check_snapshots``); a retaining run with a
+    ``trace_path`` also keeps the write events its exported trace lists.
+    Those are the only write events a run keeps, so a caller of the
+    conflict-graph oracle (:func:`repro.analysis.is_conflict_serializable`
+    and its siblings, which raise on a history without writes) passes a
+    ``trace_path``; ``os.devnull`` keeps the writes and drops the file.
+
     ``stream=1`` selects the bounded-memory mode (lazy arrivals +
     retiring history + rolling audit; see the module docstring).
     ``stream_aggregates=False`` is the differential-oracle hook: it keeps
@@ -238,6 +251,12 @@ def run_recording_experiment(
     if stall_budget < 0:
         raise ValueError(f"stall_budget must be >= 0: {stall_budget}")
     del stall_budget  # analysis-side knob; accepted for spec round-trips
+    for name, rate in (("update_rate", update_rate),
+                       ("inquiry_rate", inquiry_rate),
+                       ("audit_rate", audit_rate),
+                       ("correction_rate", correction_rate)):
+        if rate < 0:
+            raise ValueError(f"{name} must be >= 0: {rate}")
     node_ids = [f"n{index:02d}" for index in range(nodes)]
     span = min(span, nodes)
     entry = PROTOCOLS.get(protocol)
@@ -272,11 +291,18 @@ def run_recording_experiment(
                 faults, crashes=faults.crashes + extra
             )
     stream_mode = bool(stream)
+    retain = not (stream_mode and stream_aggregates)
+    # The one place a run declares what it records: read events for the
+    # audit, the rolling auditor and a streamed trace's read lines, write
+    # events only for the exported trace of a retained history.
+    events = ("read",) if detail else ()
+    if detail and retain and trace_path is not None:
+        events += ("write",)
+    check_snapshots = bool(
+        detail and protocol == "3v" and amount_mode == "bitmask")
     # The reservoir stream draws from seed + 3: seeds +1/+2 already name
     # the workload and arrival registries.
-    history = History(detail=bool(detail),
-                      retain=not (stream_mode and stream_aggregates),
-                      stats_seed=seed + 3)
+    history = History(events=events, retain=retain, stats_seed=seed + 3)
     placement = system_kwargs.pop("placement", None)
     if placement is None and replication_factor > 1:
         from repro.placement import PlacementState
@@ -285,8 +311,8 @@ def run_recording_experiment(
     system = build_system(
         protocol, node_ids, seed=seed, latency=latency,
         advancement_period=advancement_period, safety_delay=safety_delay,
-        allow_noncommuting=correction_rate > 0, detail=detail,
-        faults=faults, history=history, placement=placement,
+        allow_noncommuting=correction_rate > 0, faults=faults,
+        history=history, placement=placement,
         **system_kwargs,
     )
     workload_config = RecordingConfig(
@@ -302,13 +328,12 @@ def run_recording_experiment(
 
     auditor = None
     tracer = None
-    if not history.retain:
+    if not retain:
         if detail:
             # Imported lazily: repro.analysis never imports repro.workloads,
             # so the late edge cannot cycle.
             from repro.analysis.rolling import RollingAuditor
 
-            check_snapshots = protocol == "3v" and amount_mode == "bitmask"
             auditor = RollingAuditor(
                 history, workload, check_snapshots=check_snapshots
             )
@@ -363,5 +388,6 @@ def run_recording_experiment(
         export_history(system.history, trace_path)
     return ExperimentResult(
         protocol=protocol, system=system, workload=workload,
-        duration=duration, submitted=submitted, auditor=auditor,
+        duration=duration, submitted=submitted,
+        check_snapshots=check_snapshots, auditor=auditor,
     )

@@ -21,14 +21,13 @@ from repro.analysis.serializability import Violation
 from repro.txn import (
     AdvancementRecord,
     History,
-    ReadEvent,
     TxnKind,
     WaitReason,
 )
 
 
 def make_history(retain=True):
-    history = History(retain=retain)
+    history = History(events=("read",), retain=retain)
     for index in range(4):
         history.begin_txn(f"u{index}", TxnKind.UPDATE, 1, float(index), "a")
         history.locally_committed(f"u{index}", index + 1.0)
@@ -157,8 +156,8 @@ class TestOracles:
         history = History()
         history.begin_txn("q", TxnKind.READ, 0, 0.0, "a")
         history.globally_completed("q", 1.0)
-        history.read(ReadEvent(0.5, "q", "q", "a", "bal:1", 0, 0, 3))
-        history.read(ReadEvent(0.6, "q", "q", "b", "bal:1", 0, 0, 1))
+        history.read(0.5, "q", "q", "a", "bal:1", 0, 0, 3)
+        history.read(0.6, "q", "q", "b", "bal:1", 0, 0, 1)
         return history
 
     def test_fracture_detected(self):
@@ -171,8 +170,8 @@ class TestOracles:
         history = History()
         history.begin_txn("q", TxnKind.READ, 0, 0.0, "a")
         history.globally_completed("q", 1.0)
-        history.read(ReadEvent(0.5, "q", "q", "a", "bal:1", 0, 0, 3))
-        history.read(ReadEvent(0.6, "q", "q", "b", "bal:1", 0, 0, 3))
+        history.read(0.5, "q", "q", "a", "bal:1", 0, 0, 3)
+        history.read(0.6, "q", "q", "b", "bal:1", 0, 0, 3)
         assert atomic_visibility_violations(history) == []
 
     def test_aborted_reads_ignored(self):
@@ -187,8 +186,8 @@ class TestOracles:
         history = History()
         history.begin_txn("u", TxnKind.UPDATE, 1, 0.0, "a")
         history.globally_completed("u", 1.0)
-        history.read(ReadEvent(0.5, "u", "u", "a", "bal:1", 1, 1, 3))
-        history.read(ReadEvent(0.6, "u", "u", "b", "bal:1", 1, 1, 1))
+        history.read(0.5, "u", "u", "a", "bal:1", 1, 1, 3)
+        history.read(0.6, "u", "u", "b", "bal:1", 1, 1, 1)
         assert atomic_visibility_violations(history) == []
 
     def test_float_drift_is_not_fractured(self):
@@ -197,11 +196,8 @@ class TestOracles:
         history = History()
         history.begin_txn("q", TxnKind.READ, 0, 0.0, "a")
         history.globally_completed("q", 1.0)
-        history.read(
-            ReadEvent(0.5, "q", "q", "a", "bal:1", 0, 0, 21614.28))
-        history.read(
-            ReadEvent(0.6, "q", "q", "b", "bal:1", 0, 0,
-                      21614.280000000002))
+        history.read(0.5, "q", "q", "a", "bal:1", 0, 0, 21614.28)
+        history.read(0.6, "q", "q", "b", "bal:1", 0, 0, 21614.280000000002)
         assert atomic_visibility_violations(history) == []
 
     def test_real_money_fracture_still_detected(self):
@@ -210,8 +206,8 @@ class TestOracles:
         history = History()
         history.begin_txn("q", TxnKind.READ, 0, 0.0, "a")
         history.globally_completed("q", 1.0)
-        history.read(ReadEvent(0.5, "q", "q", "a", "bal:1", 0, 0, 100.00))
-        history.read(ReadEvent(0.6, "q", "q", "b", "bal:1", 0, 0, 120.50))
+        history.read(0.5, "q", "q", "a", "bal:1", 0, 0, 100.00)
+        history.read(0.6, "q", "q", "b", "bal:1", 0, 0, 120.50)
         assert len(atomic_visibility_violations(history)) == 1
 
     def test_bitmask_ints_compared_exactly(self):

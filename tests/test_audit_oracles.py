@@ -35,7 +35,7 @@ from repro.analysis import rolling
 from repro.analysis.serializability import balance_entity
 from repro.exp import ExperimentSpec, audit_result
 from repro.runtime.config import NodeConfig
-from repro.txn import History, ReadEvent, TxnKind
+from repro.txn import History, TxnKind
 from repro.workloads import runner
 from repro.workloads.runner import run_recording_experiment
 from tests import reference_history as reference
@@ -136,7 +136,7 @@ def _streamed_and_materialized(monkeypatch, dual_write: bool):
     materialized = run_recording_experiment(
         _SPEC.protocol, **kwargs, stream_aggregates=False)
     assert streamed.auditor is not None and materialized.auditor is None
-    post_hoc = audit_result(materialized, check_snapshots=True)
+    post_hoc = audit_result(materialized)
     old = reference.audit(materialized.history, materialized.workload,
                           check_snapshots=True)
     assert _counts(post_hoc) == _counts(old)
@@ -145,8 +145,7 @@ def _streamed_and_materialized(monkeypatch, dual_write: bool):
     assert set(post_hoc.violations) <= set(old.violations)
     assert len(post_hoc.violations) == min(len(old.violations),
                                            rolling.MAX_EVIDENCE)
-    return (audit_result(streamed, check_snapshots=True), post_hoc,
-            materialized)
+    return audit_result(streamed), post_hoc, materialized
 
 
 def _counts(report):
@@ -202,7 +201,7 @@ def test_overflowing_window_is_reported_and_not_clean(monkeypatch):
         rolling, "RollingAuditor",
         functools.partial(rolling.RollingAuditor, window=0))
     result = run_recording_experiment(_SPEC.protocol, **_SPEC.run_kwargs())
-    report = audit_result(result, check_snapshots=True)
+    report = audit_result(result)
     assert report.reads_skipped > 0
     assert report.fractured_reads == 0 and report.snapshot_mismatches == 0
     assert not report.clean
@@ -283,10 +282,10 @@ def _audit_lookups(updates: int):
             expected = reference_committed_mask(
                 workload.update_amounts, history, entity, version)
             for node in ("n0", "n1"):
-                history.read(ReadEvent(
+                history.read(
                     time=0.0, txn=name, subtxn=name, node=node,
                     key=f"bal:{entity}", version_requested=version,
-                    version_used=version, value=expected))
+                    version_used=version, value=expected)
     history.txns = _CountingTxns(history.txns)
     report = audit(history, workload, check_snapshots=True)
     assert report.clean and report.reads_checked == _READS * _ENTITIES

@@ -93,7 +93,7 @@ class TestCommittedBaseline:
         assert len(committed["e2e"]) == 40
         commands = [k for k in committed["cli"] if k.startswith("repro ")]
         assert len(commands) == len(golden.COMMANDS) >= 9
-        assert golden.TRACE in committed["cli"]
+        assert all(trace in committed["cli"] for trace in golden.TRACES)
         assert all(committed["cli"][k]["exit"] == 0 for k in commands)
 
     def test_hotpath_tables_carried_over(self, committed):

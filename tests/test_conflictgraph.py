@@ -6,6 +6,7 @@ without it.
 """
 
 import functools
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,7 @@ from repro.analysis import (
 )
 from repro.errors import ReproError
 from repro.storage import Assign, Increment
-from repro.txn import History, ReadEvent, TxnKind, WriteEvent
+from repro.txn import History, TxnKind
 from repro.workloads import run_recording_experiment
 
 
@@ -33,9 +34,9 @@ def history_with(events):
             history.globally_completed(row[2], 99.0)
     for kind, time, txn, node, key, op in events:
         if kind == "r":
-            history.read(ReadEvent(time, txn, txn, node, key, 0, 0, None))
+            history.read(time, txn, txn, node, key, 0, 0, None)
         else:
-            history.wrote(WriteEvent(time, txn, txn, node, key, 0, 1, op))
+            history.wrote(time, txn, txn, node, key, 0, 1, op)
     return history
 
 
@@ -103,10 +104,10 @@ class TestSyntheticHistories:
         history.begin_txn("t2", TxnKind.UPDATE, 2, 0.0, "a")
         history.globally_completed("t1", 9.0)
         history.globally_completed("t2", 9.0)
-        history.wrote(WriteEvent(1.0, "t1", "t1", "a", "x", 1, 1, Assign(1),
-                                 versions=(1,)))
-        history.wrote(WriteEvent(2.0, "t2", "t2", "a", "x", 2, 1, Assign(2),
-                                 versions=(2,)))
+        history.wrote(1.0, "t1", "t1", "a", "x", 1, 1, Assign(1),
+                      versions=(1,))
+        history.wrote(2.0, "t2", "t2", "a", "x", 2, 1, Assign(2),
+                      versions=(2,))
         graph = build_serialization_graph(history)
         assert edges(graph) == set()
 
@@ -210,11 +211,27 @@ REAL_RUNS = [
 
 @functools.lru_cache(maxsize=None)
 def recorded(protocol, run, replication_factor=1):
+    # The graph reads write events, which a recording run keeps for the
+    # trace it exports: here, to nowhere.
     return run_recording_experiment(
-        protocol, replication_factor=replication_factor, **RUNS[run])
+        protocol, replication_factor=replication_factor,
+        trace_path=os.devnull, **RUNS[run])
 
 
 class TestRealHistories:
+    @pytest.mark.parametrize("check", [
+        build_serialization_graph, is_conflict_serializable,
+        equivalent_serial_order, serialization_cycles,
+    ])
+    def test_a_run_without_write_events_is_refused(self, check):
+        """Without a ``trace_path`` a run keeps no write events, and a
+        graph of reads alone has no edges: the oracle refuses it rather
+        than certify every protocol."""
+        history = run_recording_experiment("nocoord", **BUSY).history
+        assert history.keeps_reads and not history.keeps_writes
+        with pytest.raises(ReproError, match="write events"):
+            check(history)
+
     def test_3v_histories_are_conflict_serializable(self):
         assert is_conflict_serializable(recorded("3v", "small").history)
 

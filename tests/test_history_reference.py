@@ -86,8 +86,10 @@ class Script:
     """Plays one lifecycle script into four histories in lockstep."""
 
     def __init__(self, detail: bool, stats_seed: int, reservoir: int):
-        self.keep = History(detail=detail)
-        self.retire = History(detail=detail, retain=False,
+        # The scripts read and never write: ``detail`` declares reads.
+        events = ("read",) if detail else ()
+        self.keep = History(events=events)
+        self.retire = History(events=events, retain=False,
                               stats_seed=stats_seed, reservoir=reservoir)
         self.old_keep = reference.History(detail=detail)
         self.old_retire = reference.StreamingHistory(
@@ -160,10 +162,14 @@ class Script:
                 history.globally_completed(name, self.now)
             elif op == "read":
                 node, value = args
-                history.read(ReadEvent(
+                fields = dict(
                     time=self.now, txn=name, subtxn=name, node=f"n{node}",
                     key="bal:1", version_requested=None, version_used=None,
-                    value=value))
+                    value=value)
+                if isinstance(history, History):
+                    history.read(**fields)
+                else:
+                    history.read(ReadEvent(**fields))
         if op == "complete":
             self.in_flight.remove(name)
 

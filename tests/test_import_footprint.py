@@ -81,6 +81,7 @@ def test_analysis_helpers_need_neither_scipy_nor_networkx():
     """The t quantile and the graph pass are standard library: with both
     packages blocked, ``mean_ci`` and the four graph functions work."""
     out = run_fresh("""
+        import os
         import sys
         sys.modules["scipy"] = sys.modules["networkx"] = None
         from repro.analysis import (
@@ -93,12 +94,13 @@ def test_analysis_helpers_need_neither_scipy_nor_networkx():
         history = run_recording_experiment(
             "nocoord", nodes=3, duration=20.0, update_rate=6.0,
             inquiry_rate=5.0, audit_rate=0.3, entities=6, span=3,
-            seed=14).history
+            seed=14, trace_path=os.devnull).history
         graph = build_serialization_graph(history)
         assert graph and serialization_cycles(history)
         assert not is_conflict_serializable(history)
         history = run_recording_experiment(
-            "3v", nodes=3, duration=10.0, entities=6, seed=14).history
+            "3v", nodes=3, duration=10.0, entities=6, seed=14,
+            trace_path=os.devnull).history
         assert is_conflict_serializable(history)
         assert len(equivalent_serial_order(history)) == len(
             build_serialization_graph(history))

@@ -249,3 +249,30 @@ def test_the_protocol_layers_run_no_generators():
         generators += _generator_functions(
             os.path.join(REPO_ROOT, "src", "repro", package))
     assert generators == []
+
+
+def test_only_the_history_builds_operation_events():
+    """A run's history builds the read and write events it declared:
+    an executor calls ``history.read`` / ``history.wrote`` and never
+    constructs a ``ReadEvent`` or ``WriteEvent`` itself."""
+    import ast
+
+    src = os.path.join(REPO_ROOT, "src", "repro")
+    owner = os.path.join(src, "txn", "history.py")
+    found = []
+    for directory, _dirs, files in os.walk(src):
+        for filename in sorted(files):
+            path = os.path.join(directory, filename)
+            if not filename.endswith(".py") or path == owner:
+                continue
+            with open(path, encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), path)
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id",
+                               getattr(node.func, "attr", None))
+                if name in ("ReadEvent", "WriteEvent"):
+                    found.append((os.path.relpath(path, REPO_ROOT),
+                                  node.lineno, name))
+    assert found == []

@@ -8,7 +8,13 @@ from repro.errors import ProtocolError
 from repro.net import constant_latency
 from repro.sim import Constant
 from repro.storage import Increment
-from repro.txn import ReadOp, SubtxnSpec, TransactionSpec, WriteOp
+from repro.txn import (
+    History,
+    ReadOp,
+    SubtxnSpec,
+    TransactionSpec,
+    WriteOp,
+)
 
 
 class TestFrontEndPattern:
@@ -127,7 +133,8 @@ class TestExecutorKnobs:
 
 class TestTransportVariants:
     def test_detail_off_keeps_lifecycle_metrics(self):
-        system = ThreeVSystem(["p", "q"], seed=1, detail=False)
+        system = ThreeVSystem(["p", "q"], seed=1,
+                              history=History(events=()))
         system.load("p", "x", 0)
         system.load("q", "y", 0)
         spec = TransactionSpec(

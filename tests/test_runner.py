@@ -102,6 +102,27 @@ class TestControlPlaneTimers:
         with pytest.raises((ProtocolError, ValueError), match=field):
             run_spec(spec)
 
+    @pytest.mark.parametrize("field, value", [
+        ("update_rate", -1.0),
+        ("inquiry_rate", -3.0),
+        ("audit_rate", -1.0),
+        ("correction_rate", -0.5),
+        ("entities", 0),
+        ("latency_jitter", 2.5),
+    ])
+    def test_bad_workload_spec_is_rejected_naming_the_field(
+            self, field, value, monkeypatch):
+        from repro.exp import ExperimentSpec, run_spec
+        from repro.sim import Simulator
+
+        def no_run(*_args, **_kwargs):
+            raise AssertionError("the simulation started")
+
+        monkeypatch.setattr(Simulator, "run", no_run)
+        spec = ExperimentSpec("3v", nodes=3, duration=20.0, **{field: value})
+        with pytest.raises((ReproError, ValueError), match=field):
+            run_spec(spec)
+
     def test_zero_poll_interval_still_runs(self):
         result = run_recording_experiment(
             "3v", poll_interval=0.0, advancement_period=2.0, **FAST)

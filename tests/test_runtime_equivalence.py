@@ -25,11 +25,8 @@ import dataclasses
 
 import pytest
 
-import repro.core.nc3v
-import repro.core.node
-import repro.runtime.plugin
 import repro.runtime.system
-import repro.runtime.twophase
+import repro.txn.history
 from repro.core.node import ThreeVPlugin
 from repro.exp import ExperimentSpec
 from repro.exp.summary import audit_result, summarize
@@ -126,7 +123,7 @@ class GeneratorNode(ProtocolNode):
                 if gate is None:
                     break
                 yield gate
-            placement.note_read_served(self.node_id)
+            placement.read_served(self.node_id)
 
         kind = _classify(instance)
 
@@ -230,8 +227,7 @@ def run(spec, node_class, monkeypatch):
         result = run_recording_experiment(spec.protocol, **kwargs)
     assert all(type(node) is node_class
                for node in result.system.nodes.values())
-    report = audit_result(
-        result, check_snapshots=spec.protocol == "3v" and spec.detail)
+    report = audit_result(result)
     summary = summarize(spec, result, report).to_dict()
     for field in NOT_OUTCOMES:
         del summary[field]
@@ -283,15 +279,16 @@ def test_callback_node_matches_generator_node(protocol, scenario,
             assert evidence["tombstones"] > 0, "no compensation overtake"
 
 
-#: Every module that builds a per-operation history event.
-EVENT_SITES = (repro.runtime.plugin, repro.runtime.twophase,
-               repro.core.node, repro.core.nc3v)
-
-#: History mode -> (spec fields, builds ReadEvents, builds WriteEvents).
+#: History mode -> (run arguments, builds ReadEvents, builds WriteEvents).
+#: Only an exported trace of a retained history reads write events.
 EVENT_MODES = {
-    "materialized_detail": (dict(detail=True), True, True),
+    "materialized_detail": (dict(detail=True), True, False),
+    "materialized_trace": (dict(detail=True, trace_path="trace.jsonl"),
+                           True, True),
     "detail_off": (dict(detail=False), False, False),
     "streamed_detail": (dict(detail=True, stream=1), True, False),
+    "streamed_trace": (dict(detail=True, stream=1,
+                            trace_path="trace.jsonl"), True, False),
     "streamed_detail_off": (dict(detail=False, stream=1), False, False),
 }
 
@@ -299,10 +296,12 @@ EVENT_MODES = {
 @pytest.mark.parametrize("mode", EVENT_MODES)
 @pytest.mark.parametrize("protocol", tuple(PROTOCOLS))
 def test_no_event_is_built_for_a_history_that_drops_it(protocol, mode,
-                                                       monkeypatch):
-    """A ``ReadEvent`` is built only under ``detail`` and a ``WriteEvent``
-    only for a history that ``keeps_writes`` — on every protocol, so no
-    baseline pays for objects the 3V plugin skips."""
+                                                       monkeypatch,
+                                                       tmp_path):
+    """The run declares which events its readers need and the history
+    builds only those — on every protocol, so no baseline pays for
+    objects the 3V plugin skips.  The history is the one place that
+    builds either kind."""
     built = {"ReadEvent": 0, "WriteEvent": 0}
 
     def counting(cls):
@@ -311,17 +310,20 @@ def test_no_event_is_built_for_a_history_that_drops_it(protocol, mode,
             return cls(*args, **kwargs)
         return build
 
-    for module in EVENT_SITES:
-        for name in built:
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name,
-                                    counting(getattr(module, name)))
-    fields, reads_built, writes_built = EVENT_MODES[mode]
-    spec = ExperimentSpec(protocol, **{**BASE, **fields,
+    for name in built:
+        monkeypatch.setattr(repro.txn.history, name,
+                            counting(getattr(repro.txn.history, name)))
+    arguments, reads_built, writes_built = EVENT_MODES[mode]
+    arguments = dict(arguments)
+    trace = arguments.pop("trace_path", None)
+    spec = ExperimentSpec(protocol, **{**BASE, **arguments,
                                        "abort_fraction": 0.3,
                                        "correction_rate": 1.0})
-    result = run_recording_experiment(protocol, **spec.run_kwargs())
+    monkeypatch.chdir(tmp_path)
+    result = run_recording_experiment(protocol, trace_path=trace,
+                                      **spec.run_kwargs())
     assert result.history.count() > 50
     assert (built["ReadEvent"] > 0) == reads_built
     assert (built["WriteEvent"] > 0) == writes_built
+    assert result.history.keeps_reads == reads_built
     assert result.history.keeps_writes == writes_built

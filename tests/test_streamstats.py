@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 from repro.exp import ExperimentSpec, Fleet
 from repro.sim.distributions import RngRegistry
-from repro.txn.history import History
+from repro.txn.history import History, ReadEvent
 from repro.txn.streamstats import (
     DEFAULT_RESERVOIR,
     FOLD_BATCH,
@@ -590,6 +590,16 @@ class TestBatchedFoldMatchesReference:
         assert len(stats._p2) == len(StreamingStats.QUANTILES)
 
 
+class LiveReferenceFoldHistory(ReferenceFoldHistory):
+    """The reference fold behind the recording surface executors call:
+    ``read`` takes an event's fields, ``keeps_reads`` is asked first."""
+
+    keeps_reads = True
+
+    def read(self, *fields):
+        super().read(ReadEvent(*fields))
+
+
 class TestHandOffMidRun:
     """The composition no unit test of ``StreamingStats`` covers: a real
     3V run whose populations outgrow a small reservoir while transactions
@@ -639,9 +649,9 @@ class TestHandOffMidRun:
         return readings
 
     def test_matches_the_reference_fold(self):
-        streamed = self.run(History(retain=False, stats_seed=12,
-                                    reservoir=64))
-        reference = self.run(ReferenceFoldHistory(
+        streamed = self.run(History(events=("read",), retain=False,
+                                    stats_seed=12, reservoir=64))
+        reference = self.run(LiveReferenceFoldHistory(
             ReferenceStreamingStats, stats_seed=12, reservoir=64))
         assert streamed == reference
         mid_run, final = streamed

@@ -6,37 +6,46 @@ from repro.analysis import export_history, load_txn_records
 from repro.workloads import run_recording_experiment
 
 
-def small_run():
+def small_run(trace_path=None):
     return run_recording_experiment(
         "3v", nodes=3, duration=8.0, update_rate=3.0, inquiry_rate=2.0,
-        audit_rate=0.0, entities=10, span=2, seed=2,
+        audit_rate=0.0, entities=10, span=2, seed=2, trace_path=trace_path,
     )
+
+
+def line_types(path):
+    return [json.loads(line)["type"] for line in path.read_text().splitlines()]
 
 
 class TestExport:
     def test_every_line_is_valid_json_with_type(self, tmp_path):
-        result = small_run()
         path = tmp_path / "trace.jsonl"
-        written = export_history(result.history, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == written > 0
-        types = set()
-        for line in lines:
-            data = json.loads(line)
-            types.add(data["type"])
+        result = small_run(path)
+        types = set(line_types(path))
         assert "txn" in types
         assert "read" in types
         assert "write" in types
+        # The run's trace is the export of the history it kept.
+        again = tmp_path / "again.jsonl"
+        written = export_history(result.history, again)
+        assert again.read_text() == path.read_text()
+        assert written == len(path.read_text().splitlines()) > 0
 
     def test_ops_can_be_omitted(self, tmp_path):
-        result = small_run()
+        """The export writes the event kinds the history kept."""
         full = tmp_path / "full.jsonl"
+        small_run(full)
+        # Without a trace the run keeps reads for its audit, no writes.
         slim = tmp_path / "slim.jsonl"
-        export_history(result.history, full, include_ops=True)
-        export_history(result.history, slim, include_ops=False)
+        result = small_run()
+        assert result.history.keeps_reads
+        assert not result.history.keeps_writes
+        export_history(result.history, slim)
         assert slim.stat().st_size < full.stat().st_size
-        for line in slim.read_text().splitlines():
-            assert json.loads(line)["type"] in ("txn", "advancement")
+        assert "read" in line_types(slim)
+        assert set(line_types(slim)) <= {"txn", "advancement", "read"}
+        assert [t for t in line_types(full) if t != "write"] == (
+            line_types(slim))
 
     def test_advancements_exported(self, tmp_path):
         result = small_run()

@@ -324,14 +324,28 @@ class TestHistory:
         history.waited("t1", WaitReason.EXECUTOR, 9.0)
         assert history.txn("t1").remote_wait == 3.5
 
-    def test_detail_off_skips_events(self):
-        from repro.txn import ReadEvent, WriteEvent
+    def test_retiring_history_refuses_write_events(self):
+        with pytest.raises(ValueError, match="write"):
+            History(retain=False)
+        with pytest.raises(ValueError, match="write"):
+            History(events=("read", "write"), retain=False)
+        assert History(events=("read",), retain=False).keeps_reads
 
-        history = History(detail=False)
+    def test_unknown_event_kind_rejected(self):
+        with pytest.raises(ValueError, match="wait"):
+            History(events=("read", "wait"))
+
+    def test_write_events_need_read_events(self):
+        with pytest.raises(ValueError, match="read"):
+            History(events=("write",))
+        assert History(events=("read", "write")).keeps_writes
+
+    def test_detail_off_skips_events(self):
+        history = History(events=())
         history.begin_txn("t1", TxnKind.READ, 0, 0.0, "a")
-        history.read(ReadEvent(1.0, "t1", "t1", "a", "x", 0, 0, 42))
-        history.wrote(WriteEvent(1.0, "t1", "t1", "a", "x", 0, 1, None))
+        history.read(1.0, "t1", "t1", "a", "x", 0, 0, 42)
         assert history.read_events == []
-        assert history.write_events == []
+        # Executors ask before they call ``wrote``.
+        assert not history.keeps_writes
         # But the per-txn read values are still tracked.
         assert history.txn("t1").reads == [("x", 42)]

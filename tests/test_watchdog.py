@@ -12,7 +12,7 @@ from repro.txn.history import AdvancementRecord, History, TxnKind, TxnRecord
 
 
 def history_with_marks(*phase3_times, retain=True):
-    history = History(detail=True, retain=retain)
+    history = History(events=("read",), retain=retain)
     for i, done in enumerate(phase3_times):
         history.advancements.append(AdvancementRecord(
             new_update_version=i + 2, started=done - 1.0, phase3_done=done,
@@ -44,7 +44,7 @@ class TestAdvancementStalls:
         assert stalls.stalled_at_end
 
     def test_never_advancing_is_one_whole_run_stall(self):
-        stalls = advancement_stalls(History(detail=True), horizon=30.0,
+        stalls = advancement_stalls(History(), horizon=30.0,
                                     budget=10.0)
         assert stalls.count == 1
         assert stalls.total == 20.0

@@ -50,7 +50,7 @@ ALLOWED: typing.Dict[str, str] = {
     "repro.analysis.rolling:atomic_visibility_violations":
         "analysis API: the fractured reads of a history, as evidence",
     "repro.analysis.tracefile:load_txn_records":
-        "reads back what export_trace writes (the trace file's reader)",
+        "reads back what export_history writes (the trace file's reader)",
     "repro.core.invariants:InvariantMonitor":
         "exported invariant checker (README.md); ROADMAP item 5's fuzzer",
     "repro.core.policy:ManualPolicy":

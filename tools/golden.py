@@ -15,8 +15,9 @@ host, so any difference means the simulation's behaviour changed:
   seed offsets 0-9 and smoke duration, computed with
   ``benchmarks/e2e/run.py``'s own spec and digest;
 * ``cli`` — exit status and stdout sha256 of every ``repro`` command CI
-  runs, plus ``repro paper`` and ``repro compare``, and the sha256 of
-  the streaming run's trace file.
+  runs, plus ``repro paper``, ``repro compare`` and a materialized traced
+  run, and the sha256 of the streaming and the materialized run's trace
+  files.
 
 Usage (from any directory)::
 
@@ -78,23 +79,26 @@ ADVANCEMENT = {
 
 E2E_SEEDS = range(10)
 
-#: Trace file of the streaming command, relative to the directory the
-#: commands run in: its path is part of that command's stdout.
-TRACE = "stream-trace.jsonl"
+#: Trace files of the streaming and the materialized traced command,
+#: relative to the directory the commands run in: a trace's path is part
+#: of its command's stdout.
+TRACES = ("stream-trace.jsonl", "run-trace.jsonl")
 
-#: ``python -m repro`` argument strings: the CI steps, then two more.
+#: ``python -m repro`` argument strings: the CI steps, then three more.
 COMMANDS = (
     "chaos --duration 15",
     "chaos --duration 15 --replication-factor 3 --crash-count 1",
     "chaos --duration 15 --partition-count 1 --coordinator-crashes 1",
     "run 3v --duration 20",
-    f"run 3v --duration 20 --stream 1 --trace {TRACE}",
+    f"run 3v --duration 20 --stream 1 --trace {TRACES[0]}",
     "run 3v --duration 20 --abort-fraction 0.5 --span 3 --update-rate 12 "
     "--latency-jitter 1.9 --amount-mode bitmask",
     "run 3v --duration 20 --replication-factor 3 --abort-fraction 0.3 "
     "--amount-mode bitmask --crash-count 1",
     "paper",
     "compare --nodes 4 --duration 20 --no-cache",
+    # The one run that keeps write events: a retained history's trace.
+    f"run 3v --duration 20 --trace {TRACES[1]}",
 )
 
 ABSENT = "<absent>"
@@ -153,8 +157,10 @@ def cli_table() -> dict:
                 cwd=scratch, env=env, stdout=subprocess.PIPE)
             cells[f"repro {command}"] = {"exit": done.returncode,
                                          "stdout_sha256": sha256(done.stdout)}
-        trace = pathlib.Path(scratch) / TRACE
-        cells[TRACE] = sha256(trace.read_bytes()) if trace.is_file() else ABSENT
+        for name in TRACES:
+            trace = pathlib.Path(scratch) / name
+            cells[name] = (sha256(trace.read_bytes()) if trace.is_file()
+                           else ABSENT)
     return cells
 
 
