@@ -46,9 +46,9 @@ def run(detector: str, seed: int):
     workload.install(system)
     arrivals = RngRegistry(seed + 2)
     drive(system, poisson_arrivals(arrivals, "u", 8.0, DURATION),
-          workload.make_recording)
+          workload.draw_recording, workload.build_recording)
     drive(system, poisson_arrivals(arrivals, "r", 6.0, DURATION),
-          workload.make_inquiry)
+          workload.draw_inquiry, workload.build_inquiry)
     system.run(until=DURATION)
     system.stop_policy()
     system.run_until_quiet(limit=1_000_000.0)

@@ -39,9 +39,9 @@ def run(poll_interval: float, latency: float):
     workload.install(system)
     arrivals = RngRegistry(93)
     drive(system, poisson_arrivals(arrivals, "u", 8.0, DURATION),
-          workload.make_recording)
+          workload.draw_recording, workload.build_recording)
     drive(system, poisson_arrivals(arrivals, "r", 4.0, DURATION),
-          workload.make_inquiry)
+          workload.draw_inquiry, workload.build_inquiry)
     system.run(until=DURATION)
     system.stop_policy()
     system.run_until_quiet()

@@ -34,15 +34,17 @@ def run(stock_take_rate: float):
     workload = retail_workload(stores=STORES, products=100, seed=5)
     workload.install(system)
     arrivals = RngRegistry(23)
+    # A sale is the generic recording transaction, a stock inquiry an
+    # inquiry and a stock take a correction.
     drive(system, poisson_arrivals(arrivals, "sales", 15.0, DURATION),
-          workload.make_sale)
+          workload.draw_recording, workload.build_recording)
     drive(system, poisson_arrivals(arrivals, "inqs", 5.0, DURATION),
-          workload.make_stock_inquiry)
+          workload.draw_inquiry, workload.build_inquiry)
     if stock_take_rate > 0:
         drive(
             system,
             poisson_arrivals(arrivals, "takes", stock_take_rate, DURATION),
-            workload.make_stock_take,
+            workload.draw_correction, workload.build_correction,
         )
     system.run(until=DURATION)
     system.stop_policy()

@@ -37,10 +37,12 @@ def run_with_period(period: float):
     workload = telecom_workload(switches=SWITCHES, accounts=2000, seed=99)
     workload.install(system)
     arrivals = RngRegistry(17)
+    # A call is the generic recording transaction, a balance check an
+    # inquiry.
     drive(system, poisson_arrivals(arrivals, "calls", CALL_RATE, DURATION),
-          workload.make_call)
+          workload.draw_recording, workload.build_recording)
     drive(system, poisson_arrivals(arrivals, "checks", CHECK_RATE, DURATION),
-          workload.make_balance_check)
+          workload.draw_inquiry, workload.build_inquiry)
     system.run(until=DURATION)
     system.stop_policy()
     system.run_until_quiet()

@@ -69,8 +69,9 @@ class TxnRecord:
     subtxn_count: int = 0
     #: Total delay broken down by :class:`WaitReason`.
     waits: typing.Dict[str, float] = dataclasses.field(default_factory=dict)
-    #: Values returned by read operations, in execution order.
-    reads: typing.List[typing.Tuple[typing.Hashable, typing.Any]] = (
+    #: Values returned by read operations, in execution order: a list on
+    #: a history that keeps read events, else the empty tuple.
+    reads: typing.Sequence[typing.Tuple[typing.Hashable, typing.Any]] = (
         dataclasses.field(default_factory=list)
     )
 
@@ -387,7 +388,7 @@ class History:
             raise ValueError(f"duplicate transaction name: {name!r}")
         record = TxnRecord(
             name=name, kind=kind, version=version, submit_time=time,
-            root_node=root_node,
+            root_node=root_node, reads=[] if self.keeps_reads else (),
         )
         self.txns[name] = record
         return record
@@ -438,14 +439,15 @@ class History:
     def read(self, time: float, txn: str, subtxn: str, node: str,
              key: typing.Hashable, version_requested: typing.Optional[int],
              version_used: typing.Optional[int], value: typing.Any) -> None:
-        """Record one read: its ``(key, value)`` always goes on the
-        transaction's record, and a :class:`ReadEvent` is built only when
-        the history keeps reads (the only use of ``version_used``)."""
+        """Record one read, if the history keeps reads: its ``(key,
+        value)`` on the transaction's record and a :class:`ReadEvent` (the
+        only use of ``version_used``).  A history that keeps no reads
+        records nothing, and its records hold the empty tuple."""
+        if not self.keeps_reads:
+            return
         record = self.txns.get(txn)
         if record is not None:
             record.reads.append((key, value))
-        if not self.keeps_reads:
-            return
         event = ReadEvent(time, txn, subtxn, node, key, version_requested,
                           version_used, value)
         if self.retain:

@@ -157,7 +157,8 @@ def _flat_tree(name: str, subtxns: typing.List[SubtxnSpec], **classification
 class RecordingWorkload:
     """Generator of recording/inquiry/audit/correction transactions."""
 
-    def __init__(self, config: RecordingConfig, rngs: RngRegistry):
+    def __init__(self, config: RecordingConfig, rngs: RngRegistry,
+                 track_amounts: bool = True):
         self.config = config
         self.rngs = rngs
         self._rng = rngs.stream("workload.recording")
@@ -186,11 +187,11 @@ class RecordingWorkload:
             self._zipf_cumulative = cumulative
         #: per-entity counter for bitmask amounts.
         self._entity_txn_counter: typing.Dict[int, int] = {}
-        #: Whether to retain per-update ground truth.  The rolling auditor
-        #: consumes entries as updates retire; with no auditor attached a
-        #: streaming run sets this False so the dict cannot grow with run
-        #: length.
-        self.track_amounts = True
+        #: Whether to retain per-update ground truth.  The experiment
+        #: runner sets it only when a reader exists (the snapshot oracle,
+        #: the chaos harness's mask check); the rolling auditor consumes
+        #: entries as updates retire.
+        self.track_amounts = track_amounts
         #: (name) -> (entity, amount) for ground-truth bookkeeping.
         self.update_amounts: typing.Dict[str, typing.Tuple[int, int]] = {}
         #: correction name -> entity it overwrote.  Corrected entities no
@@ -262,7 +263,22 @@ class RecordingWorkload:
         return SubtxnSpec(nodes[0], [ReadOp(balance_key(entity, slot))],
                           label=label, alternates=nodes[1:])
 
-    def make_recording(self, index: int) -> TransactionSpec:
+    # Each ``draw_*`` makes every random draw of one transaction and
+    # returns them; its ``build_*`` draws nothing, so a caller may build
+    # long after drawing (:func:`repro.workloads.arrivals.drive`), and
+    # ``make_*`` is the two at once.
+
+    def draw_recording(self) -> typing.Tuple[int, typing.Any, bool]:
+        """A recording transaction's ``(entity, amount, abort)``."""
+        entity = self._pick_entity()
+        amount = self._amount(entity)
+        abort = (
+            self.config.abort_fraction > 0
+            and self._rng.random() < self.config.abort_fraction
+        )
+        return entity, amount, abort
+
+    def build_recording(self, index: int, drawn) -> TransactionSpec:
         """A well-behaved multi-node recording transaction.
 
         Under replication every replica of every slot receives its own
@@ -270,16 +286,11 @@ class RecordingWorkload:
         the observation payload records the *slot* rather than the node
         so replica copies stay byte-identical.
         """
-        entity = self._pick_entity()
-        amount = self._amount(entity)
+        entity, amount, abort = drawn
         name = f"rec-{index}"
         if self.track_amounts:
             self.update_amounts[name] = (entity, amount)
         config = self.config
-        abort = (
-            config.abort_fraction > 0
-            and self._rng.random() < config.abort_fraction
-        )
         increment = Increment(amount)
         observe = config.with_observations
         if config.replicated:
@@ -302,14 +313,21 @@ class RecordingWorkload:
         return _flat_tree(name, subtxns, read_only=False, well_behaved=True,
                           wants_abort=abort)
 
-    def make_inquiry(self, index: int) -> TransactionSpec:
+    def make_recording(self, index: int) -> TransactionSpec:
+        """Draw and build one recording transaction."""
+        return self.build_recording(index, self.draw_recording())
+
+    def draw_inquiry(self) -> int:
+        """An inquiry's entity."""
+        return self._pick_entity()
+
+    def build_inquiry(self, index: int, entity: int) -> TransactionSpec:
         """Read one entity's summary for every slot (read-one per record).
 
         Each slot is read at its home replica; under replication the spec
         carries the slot's other replicas as ``alternates`` so the
         placement layer can re-point the read at any readable copy.
         """
-        entity = self._pick_entity()
         name = f"inq-{index}:{entity}"
         if self.config.replicated:
             subtxns = [self._replica_read(entity, slot, f"s{slot}")
@@ -321,10 +339,17 @@ class RecordingWorkload:
             ]
         return _flat_tree(name, subtxns, read_only=True, well_behaved=True)
 
-    def make_audit(self, index: int) -> TransactionSpec:
-        """Read the summaries of several entities (fans out wide)."""
+    def make_inquiry(self, index: int) -> TransactionSpec:
+        """Draw and build one inquiry."""
+        return self.build_inquiry(index, self.draw_inquiry())
+
+    def draw_audit(self) -> typing.Tuple[int, ...]:
+        """An audit's entities, in sampled order."""
         count = min(self.config.audit_entities, self.config.entities)
-        entities = self._rng.sample(range(self.config.entities), count)
+        return tuple(self._rng.sample(range(self.config.entities), count))
+
+    def build_audit(self, index: int, entities) -> TransactionSpec:
+        """Read the summaries of several entities (fans out wide)."""
         name = f"aud-{index}"
         if self.config.replicated:
             # One read per record at its home, alternates attached, so each
@@ -347,8 +372,21 @@ class RecordingWorkload:
             ]
         return _flat_tree(name, subtxns, read_only=True, well_behaved=True)
 
-    def make_correction(self, index: int, value: typing.Optional[int] = None
-                        ) -> TransactionSpec:
+    def make_audit(self, index: int) -> TransactionSpec:
+        """Draw and build one audit."""
+        return self.build_audit(index, self.draw_audit())
+
+    def draw_correction(self, value: typing.Optional[int] = None
+                        ) -> typing.Tuple[int, typing.Any]:
+        """A correction's ``(entity, new value)``; ``value`` fixes the
+        value instead of drawing it."""
+        entity = self._pick_entity()
+        new_value = value if value is not None else round(
+            self._rng.uniform(0.0, 100.0), 2
+        )
+        return entity, new_value
+
+    def build_correction(self, index: int, drawn) -> TransactionSpec:
         """A non-commuting overwrite of one entity's summaries (NC3V).
 
         Corrections write *all* replicas and do not skip unavailable ones:
@@ -357,10 +395,7 @@ class RecordingWorkload:
         recovers — the availability contrast with write-all-available
         commuting updates is the point of the comparison.
         """
-        entity = self._pick_entity()
-        new_value = value if value is not None else round(
-            self._rng.uniform(0.0, 100.0), 2
-        )
+        entity, new_value = drawn
         assign = Assign(new_value)
         if self.config.replicated:
             subtxns = self._copies(entity, [
@@ -375,3 +410,8 @@ class RecordingWorkload:
         name = f"cor-{index}"
         self.correction_entities[name] = entity
         return _flat_tree(name, subtxns, read_only=False, well_behaved=False)
+
+    def make_correction(self, index: int, value: typing.Optional[int] = None
+                        ) -> TransactionSpec:
+        """Draw and build one correction."""
+        return self.build_correction(index, self.draw_correction(value))

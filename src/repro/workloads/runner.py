@@ -248,6 +248,8 @@ def run_recording_experiment(
     history, so tests can compare retired aggregates bit-for-bit against
     exact end-of-run computation over the *same* trace.
     """
+    if duration <= 0:
+        raise ValueError(f"duration must be > 0: {duration}")
     if stall_budget < 0:
         raise ValueError(f"stall_budget must be >= 0: {stall_budget}")
     del stall_budget  # analysis-side knob; accepted for spec round-trips
@@ -300,6 +302,12 @@ def run_recording_experiment(
         events += ("write",)
     check_snapshots = bool(
         detail and protocol == "3v" and amount_mode == "bitmask")
+    # Per-update ground truth only where a reader exists: on a retained
+    # bitmask run with detail, the snapshot oracle and the chaos
+    # harness's mask check; on a retiring one, the rolling auditor's
+    # snapshot oracle, which consumes it as updates retire.
+    track_amounts = (check_snapshots if not retain
+                     else bool(detail and amount_mode == "bitmask"))
     # The reservoir stream draws from seed + 3: seeds +1/+2 already name
     # the workload and arrival registries.
     history = History(events=events, retain=retain, stats_seed=seed + 3)
@@ -323,7 +331,8 @@ def run_recording_experiment(
     )
     # The workload draws from its own registry so every protocol sees the
     # same transaction mix regardless of how the system consumes its RNG.
-    workload = RecordingWorkload(workload_config, RngRegistry(seed + 1))
+    workload = RecordingWorkload(workload_config, RngRegistry(seed + 1),
+                                 track_amounts=track_amounts)
     workload.install(system)
 
     auditor = None
@@ -338,11 +347,6 @@ def run_recording_experiment(
                 history, workload, check_snapshots=check_snapshots
             )
             history.add_retire_sink(auditor.on_retire)
-            # Ground-truth amounts are consumed as updates retire; without
-            # the snapshot oracle they would only accumulate.
-            workload.track_amounts = check_snapshots
-        else:
-            workload.track_amounts = False
         if trace_path is not None:
             from repro.analysis.tracefile import TraceStreamWriter
 
@@ -351,17 +355,21 @@ def run_recording_experiment(
 
     arrival_rngs = RngRegistry(seed + 2)
     classes = [
-        ("arrivals.update", update_rate, workload.make_recording),
-        ("arrivals.inquiry", inquiry_rate, workload.make_inquiry),
-        ("arrivals.audit", audit_rate, workload.make_audit),
+        ("arrivals.update", update_rate, workload.draw_recording,
+         workload.build_recording, workload.make_recording),
+        ("arrivals.inquiry", inquiry_rate, workload.draw_inquiry,
+         workload.build_inquiry, workload.make_inquiry),
+        ("arrivals.audit", audit_rate, workload.draw_audit,
+         workload.build_audit, workload.make_audit),
     ]
     if correction_rate > 0:
         classes.append(
-            ("arrivals.correction", correction_rate, workload.make_correction)
+            ("arrivals.correction", correction_rate, workload.draw_correction,
+             workload.build_correction, workload.make_correction)
         )
     submitted = 0
     drivers = []
-    for stream_name, rate, make_spec in classes:
+    for stream_name, rate, draw, build, make_spec in classes:
         if stream_mode:
             drivers.append(drive_streaming(
                 system,
@@ -373,7 +381,7 @@ def run_recording_experiment(
             submitted += drive(
                 system,
                 poisson_arrivals(arrival_rngs, stream_name, rate, duration),
-                make_spec,
+                draw, build,
             )
 
     system.run(until=duration)

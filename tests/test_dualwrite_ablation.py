@@ -83,9 +83,9 @@ class TestRandomizedLoad:
         workload.install(system)
         arrivals = RngRegistry(seed + 2)
         drive(system, poisson_arrivals(arrivals, "u", 6.0, 40.0),
-              workload.make_recording)
+              workload.draw_recording, workload.build_recording)
         drive(system, poisson_arrivals(arrivals, "r", 5.0, 40.0),
-              workload.make_inquiry)
+              workload.draw_inquiry, workload.build_inquiry)
         for at in (8.0, 20.0, 32.0):
             system.sim.schedule(at, self._try_advance, system)
         system.run(until=40.0)

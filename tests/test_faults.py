@@ -216,9 +216,9 @@ class TestSlowNodeUnderLoad:
         workload.install(system)
         arrivals = RngRegistry(5)
         drive(system, poisson_arrivals(arrivals, "u", 6.0, 20.0),
-              workload.make_recording)
+              workload.draw_recording, workload.build_recording)
         drive(system, poisson_arrivals(arrivals, "r", 4.0, 20.0),
-              workload.make_inquiry)
+              workload.draw_inquiry, workload.build_inquiry)
         system.sim.schedule(10.0, system.advance_versions)
         system.run(until=20.0)
         system.run_until_quiet()

@@ -107,11 +107,11 @@ class TestMixedTrafficAtomicity:
         workload.install(system)
         arrivals = RngRegistry(8)
         drive(system, poisson_arrivals(arrivals, "u", 5.0, 25.0),
-              workload.make_recording)
+              workload.draw_recording, workload.build_recording)
         drive(system, poisson_arrivals(arrivals, "r", 4.0, 25.0),
-              workload.make_inquiry)
+              workload.draw_inquiry, workload.build_inquiry)
         drive(system, poisson_arrivals(arrivals, "c", 0.4, 25.0),
-              workload.make_correction)
+              workload.draw_correction, workload.build_correction)
         system.sim.schedule(12.0, system.advance_versions)
         system.run(until=25.0)
         system.run_until_quiet()

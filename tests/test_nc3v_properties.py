@@ -61,13 +61,13 @@ def run_mixed(params, duration=12.0):
     arrivals = RngRegistry(params["seed"] + 2)
     drive(system,
           poisson_arrivals(arrivals, "u", params["update_rate"], duration),
-          workload.make_recording)
+          workload.draw_recording, workload.build_recording)
     drive(system,
           poisson_arrivals(arrivals, "c", params["correction_rate"], duration),
-          workload.make_correction)
+          workload.draw_correction, workload.build_correction)
     drive(system,
           poisson_arrivals(arrivals, "r", params["inquiry_rate"], duration),
-          workload.make_inquiry)
+          workload.draw_inquiry, workload.build_inquiry)
     for k in range(params["advancements"]):
         at = duration * (k + 1) / (params["advancements"] + 1)
         system.sim.schedule(at, _try_advance, system)

@@ -65,10 +65,10 @@ def run_randomized(params, duration=15.0, completion="hierarchical"):
     arrivals = RngRegistry(params["seed"] + 2)
     drive(system,
           poisson_arrivals(arrivals, "a.upd", params["update_rate"], duration),
-          workload.make_recording)
+          workload.draw_recording, workload.build_recording)
     drive(system,
           poisson_arrivals(arrivals, "a.inq", params["inquiry_rate"], duration),
-          workload.make_inquiry)
+          workload.draw_inquiry, workload.build_inquiry)
     # Advancements at random times inside the run.
     for k in range(params["advancements"]):
         at = duration * (k + 1) / (params["advancements"] + 1)

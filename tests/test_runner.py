@@ -5,6 +5,7 @@ import pytest
 from repro.baselines import ManualVersioningSystem, NoCoordSystem, TwoPCSystem
 from repro.core import ThreeVSystem
 from repro.errors import ReproError
+from repro.txn import TxnKind
 from repro.workloads import build_system, run_recording_experiment
 
 FAST = dict(nodes=3, duration=8.0, update_rate=3.0, inquiry_rate=2.0,
@@ -67,6 +68,28 @@ class TestRunnerDeterminism:
         )
         assert len(result.history.aborted_txns()) > 0
 
+    @pytest.mark.parametrize("detail, amount_mode, kept", [
+        (True, "bitmask", True),
+        (False, "bitmask", False),
+        (True, "money", False),
+    ])
+    def test_a_run_keeps_read_values_and_amounts_only_for_a_reader(
+            self, detail, amount_mode, kept):
+        """Per-record read values need read events, and per-update
+        amounts need detail on a bitmask workload (the snapshot oracle,
+        the chaos mask check): a run without the reader keeps neither."""
+        result = run_recording_experiment(
+            "3v", detail=detail, amount_mode=amount_mode, **FAST)
+        reads = [record.reads for record in result.history.txns.values()
+                 if record.kind == TxnKind.READ]
+        assert len(reads) > 10
+        if detail:
+            assert all(reads)
+        else:
+            assert all(values == () for values in reads)
+        amounts = result.workload.update_amounts
+        assert len(amounts) > 10 if kept else amounts == {}
+
     def test_drain_limit_enforced(self):
         from repro.errors import ProtocolError
         from repro.net import constant_latency
@@ -109,6 +132,8 @@ class TestControlPlaneTimers:
         ("correction_rate", -0.5),
         ("entities", 0),
         ("latency_jitter", 2.5),
+        ("duration", -1.0),
+        ("duration", 0.0),
     ])
     def test_bad_workload_spec_is_rejected_naming_the_field(
             self, field, value, monkeypatch):
@@ -119,7 +144,8 @@ class TestControlPlaneTimers:
             raise AssertionError("the simulation started")
 
         monkeypatch.setattr(Simulator, "run", no_run)
-        spec = ExperimentSpec("3v", nodes=3, duration=20.0, **{field: value})
+        spec = ExperimentSpec("3v", **{"nodes": 3, "duration": 20.0,
+                                       field: value})
         with pytest.raises((ReproError, ValueError), match=field):
             run_spec(spec)
 

@@ -220,9 +220,9 @@ class TestEndToEndWithSlotStore:
         workload.install(system)
         arrivals = RngRegistry(seed + 2)
         drive(system, poisson_arrivals(arrivals, "u", 5.0, 20.0),
-              workload.make_recording)
+              workload.draw_recording, workload.build_recording)
         drive(system, poisson_arrivals(arrivals, "r", 3.0, 20.0),
-              workload.make_inquiry)
+              workload.draw_inquiry, workload.build_inquiry)
         for at in (5.0, 12.0):
             system.sim.schedule(at, self._try_advance, system)
         system.run(until=20.0)

@@ -347,5 +347,5 @@ class TestHistory:
         assert history.read_events == []
         # Executors ask before they call ``wrote``.
         assert not history.keeps_writes
-        # But the per-txn read values are still tracked.
-        assert history.txn("t1").reads == [("x", 42)]
+        # Nor are the per-txn read values: the record holds no container.
+        assert history.txn("t1").reads == ()
