@@ -89,8 +89,9 @@ class TestCommittedBaseline:
 
     def test_schema(self, committed):
         assert set(committed) == {"determinism", "smoke_determinism",
-                                  "e2e", "cli"}
+                                  "e2e", "summary", "cli"}
         assert len(committed["e2e"]) == 40
+        assert set(committed["summary"]) == set(golden.PROTOCOLS)
         commands = [k for k in committed["cli"] if k.startswith("repro ")]
         assert len(commands) == len(golden.COMMANDS) >= 9
         assert all(trace in committed["cli"] for trace in golden.TRACES)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """The determinism gate: every outcome a refactor must reproduce bit for bit.
 
-``GOLDEN.json`` at the repository root holds four tables of outcomes of
+``GOLDEN.json`` at the repository root holds five tables of outcomes of
 fixed configurations.  None of them is a timing, and none depends on the
 host, so any difference means the simulation's behaviour changed:
 
@@ -14,6 +14,10 @@ host, so any difference means the simulation's behaviour changed:
 * ``e2e`` — the outcome digest of every ``BENCHMARK.json`` workload at
   seed offsets 0-9 and smoke duration, computed with
   ``benchmarks/e2e/run.py``'s own spec and digest;
+* ``summary`` — per protocol, the sha256 of one run's whole
+  ``ExperimentSummary`` (less its two machine-dependent fields) on a spec
+  that wires every counting layer: faults, placement, batched delivery
+  and coordinator crashes;
 * ``cli`` — exit status and stdout sha256 of every ``repro`` command CI
   runs, plus ``repro paper``, ``repro compare`` and a materialized traced
   run, and the sha256 of the streaming and the materialized run's trace
@@ -56,6 +60,7 @@ import bench_volume  # noqa: E402
 import run as e2e  # noqa: E402  (benchmarks/e2e/run.py)
 from repro.analysis.metrics import latency_summary, throughput  # noqa: E402
 from repro.exp import ExperimentSpec, run_spec  # noqa: E402
+from repro.runtime import PROTOCOLS  # noqa: E402
 from repro.workloads import run_recording_experiment  # noqa: E402
 
 #: The table only ``--check`` / ``--update`` without ``--smoke`` compute.
@@ -78,6 +83,17 @@ ADVANCEMENT = {
 }
 
 E2E_SEEDS = range(10)
+
+#: The ``summary`` table's spec: loss, duplication, node and coordinator
+#: crashes, a partition, replication and batched delivery, so every run
+#: counter of every protocol reads something.
+SUMMARY_SPEC = dict(nodes=4, duration=30.0, replication_factor=3,
+                    drop_rate=0.05, dup_rate=0.05, crash_count=1,
+                    partition_count=1, coordinator_crashes=1,
+                    batch_delivery=1, latency_jitter=0.0, fault_seed=5)
+
+#: ``ExperimentSummary`` fields that measure the host, not the run.
+MACHINE_FIELDS = ("wall_seconds", "peak_tracemalloc_bytes")
 
 #: Trace files of the streaming and the materialized traced command,
 #: relative to the directory the commands run in: a trace's path is part
@@ -144,6 +160,18 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def summary_table() -> dict:
+    """Each protocol's whole summary on :data:`SUMMARY_SPEC`, hashed."""
+    cells = {}
+    for protocol in PROTOCOLS:
+        summary = run_spec(ExperimentSpec(protocol, **SUMMARY_SPEC)).to_dict()
+        for name in MACHINE_FIELDS:
+            del summary[name]
+        cells[protocol] = sha256(
+            json.dumps(summary, sort_keys=True).encode())
+    return cells
+
+
 def cli_table() -> dict:
     """Run every command in one scratch directory, stderr passed through."""
     inherited = os.environ.get("PYTHONPATH")
@@ -167,7 +195,8 @@ def cli_table() -> dict:
 def run(smoke: bool) -> dict:
     """Every table the mode computes."""
     tables = {"smoke_determinism": sweep_table("smoke"),
-              "e2e": e2e_table(), "cli": cli_table()}
+              "e2e": e2e_table(), "summary": summary_table(),
+              "cli": cli_table()}
     if not smoke:
         tables[FULL_TABLE] = sweep_table("full")
     return tables
