@@ -39,7 +39,7 @@ from repro.txn.runtime import SubtxnInstance
 from repro.txn.spec import TransactionSpec
 
 #: A 2PC node is the runtime node; the plugin attaches its engine as
-#: ``node.twophase`` (with ``commits`` / ``deadlock_aborts`` counters).
+#: ``node.twophase``.
 TwoPCNode = ProtocolNode
 
 

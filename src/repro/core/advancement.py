@@ -345,6 +345,13 @@ class AdvancementCoordinator:
     double-counts.
     """
 
+    #: Run counters: summary field -> attribute (``System.counters``).
+    COUNTERS = {
+        "advancement_runs": "completed_runs", "coordinator_epoch": "epoch",
+        "coordinator_crashes": "crashes", "coordinator_takeovers": "takeovers",
+        "coordinator_recoveries": "recoveries",
+    }
+
     def __init__(
         self,
         sim: Simulator,

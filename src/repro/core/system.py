@@ -95,6 +95,7 @@ class ThreeVSystem(System):
             poll_interval=poll_interval, detector=detector,
             lease_interval=lease_interval,
         )
+        self.counted.append(self.coordinator)
         self.policy = policy
         self._policy_driver = None
         # Standby monitors: one per node, staggered patience by rank so

@@ -214,7 +214,7 @@ def _last_disruption_end(spec: ExperimentSpec, system) -> float:
     is only demanded *after* this point — during the disruptions the
     system is allowed (expected, even) to degrade gracefully.
     """
-    plan = getattr(system, "faults", None)
+    plan = system.faults
     if plan is None:
         return 0.0
     end = 0.0

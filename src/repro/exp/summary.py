@@ -9,6 +9,13 @@ The fleet therefore reduces each run to this flat, JSON-able scorecard
 anomaly-audit verdict, advancement statistics, message counts, and a
 determinism digest of the event/transaction counts.
 
+The run counters (messages, faults, placement, the coordinator's runs
+and failovers, the simulator's event count) are not copied here one by
+one: each layer declares them once in a ``COUNTERS`` map, and
+:func:`summarize` takes them whole from
+:meth:`repro.runtime.System.counters`.  Only the figures of the history's
+fold, the audit report and the stall watchdog are computed here.
+
 ``run_spec`` is the one function a worker process executes.
 """
 
@@ -20,18 +27,22 @@ import json
 import typing
 
 from repro.analysis import advancement_stalls, audit, throughput
+from repro.runtime.registry import PROTOCOLS
 from repro.txn.history import TxnKind
 from repro.workloads.runner import collector_paused, run_recording_experiment
 
 from repro.exp.spec import ExperimentSpec
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, kw_only=True)
 class ExperimentSummary:
     """Everything the tables and gates need from one finished run.
 
     Flat floats/ints only — picklable, JSON round-trippable, and small
     enough that shipping thousands of them between processes is free.
+    A counter of a layer the run did not wire is absent from
+    ``System.counters()`` and reads its default, 0; the defaults also
+    let cached summaries from before a field existed deserialize.
     """
 
     spec_digest: str
@@ -62,8 +73,8 @@ class ExperimentSummary:
     snapshot_mismatches: int
     audit_clean: bool
     max_remote_wait: float
-    # advancement machinery
-    advancement_runs: int
+    # advancement machinery (zero when no coordinator ran)
+    advancement_runs: int = 0
     advancement_counter_polls: int
     # network traffic
     messages_total: int
@@ -72,8 +83,7 @@ class ExperimentSummary:
     # determinism canaries
     sim_events: int
     txn_count: int
-    # fault machinery (all zero on fault-free runs; defaulted so cached
-    # summaries from before these fields existed still deserialize)
+    # fault machinery (all zero on fault-free runs)
     retransmits: int = 0
     dup_suppressed: int = 0
     messages_dropped: int = 0
@@ -83,9 +93,7 @@ class ExperimentSummary:
     # delivery batching (zero unless the spec set batch_delivery)
     delivery_batches: int = 0
     batched_messages: int = 0
-    # replication / placement (all zero unless the spec set
-    # replication_factor > 1; defaulted so pre-replication summaries
-    # still deserialize)
+    # replication / placement (all zero at replication_factor 1)
     reads_rerouted: int = 0
     reads_gated: int = 0
     writes_skipped: int = 0
@@ -93,8 +101,7 @@ class ExperimentSummary:
     refreshes_completed: int = 0
     self_refreshes: int = 0
     unreadable_reads_served: int = 0
-    # partition / coordinator-failure machinery (all zero unless the spec
-    # enabled those axes; defaulted so cached summaries deserialize)
+    # partition / coordinator-failure machinery (zero unless enabled)
     partitions_cut: int = 0
     stale_epochs_fenced: int = 0
     coordinator_crashes: int = 0
@@ -142,28 +149,19 @@ class ExperimentSummary:
 
 
 def summarize(spec: ExperimentSpec, result, report) -> ExperimentSummary:
-    """Reduce a finished run + audit report to a summary."""
+    """Reduce a finished run + audit report to a summary: the run
+    counters as the system reads them, the rest from the history's fold,
+    the audit report and the stall watchdog."""
     history = result.history
     fold = history.stats()  # the run's one fold: read every figure from it
     updates = fold.latency(TxnKind.UPDATE)
     reads = fold.latency(TxnKind.READ, which="global")
     staleness = fold.staleness()
-    stats = result.system.network.stats
-    coordinator = getattr(result.system, "coordinator", None)
-    if coordinator is not None:
-        advancement_runs = coordinator.completed_runs
-    else:
-        advancement_runs = len(history.advancements)
-    counter_polls = sum(a.counter_polls for a in history.advancements)
-    placement = getattr(result.system, "placement", None)
-    placement_counters = placement.counters() if placement is not None else {}
     # The liveness watchdog only makes sense where an advancement
-    # coordinator actually drives vr (the epoch attribute is the
-    # duck-typed marker for that — baselines either have no coordinator
-    # or an epoch-less one, and a whole-run "stall" there would be
-    # noise, not signal).
+    # coordinator drives vr; on a coordinator-free baseline a whole-run
+    # "stall" would be noise, not signal.
     stalls = None
-    if getattr(coordinator, "epoch", 0):
+    if PROTOCOLS[spec.protocol].coordinator is not None:
         budget = spec.stall_budget or 2.0 * spec.advancement_period
         stalls = advancement_stalls(history, result.duration, budget)
     return ExperimentSummary(
@@ -192,35 +190,10 @@ def summarize(spec: ExperimentSpec, result, report) -> ExperimentSummary:
         snapshot_mismatches=report.snapshot_mismatches,
         audit_clean=report.clean,
         max_remote_wait=fold.max_remote_wait(),
-        advancement_runs=advancement_runs,
-        advancement_counter_polls=counter_polls,
-        messages_total=stats.total_sent,
-        messages_user=stats.user_messages,
-        messages_control=stats.control_messages,
-        sim_events=result.system.sim.scheduled_count,
+        advancement_counter_polls=sum(
+            a.counter_polls for a in history.advancements),
         txn_count=history.total_txns,
-        retransmits=stats.retransmits,
-        dup_suppressed=stats.dup_suppressed,
-        messages_dropped=stats.dropped,
-        messages_duplicated=stats.duplicated,
-        crashes=getattr(result.system, "crash_count", 0),
-        recoveries=getattr(result.system, "recovery_count", 0),
-        delivery_batches=stats.batches,
-        batched_messages=stats.batched_messages,
-        reads_rerouted=placement_counters.get("reads_rerouted", 0),
-        reads_gated=placement_counters.get("reads_gated", 0),
-        writes_skipped=placement_counters.get("writes_skipped", 0),
-        refresh_ops_applied=placement_counters.get("refresh_ops_applied", 0),
-        refreshes_completed=placement_counters.get("refreshes_completed", 0),
-        self_refreshes=placement_counters.get("self_refreshes", 0),
-        unreadable_reads_served=placement_counters.get(
-            "unreadable_reads_served", 0),
-        partitions_cut=stats.partition_dropped,
-        stale_epochs_fenced=stats.stale_epoch_dropped,
-        coordinator_crashes=getattr(coordinator, "crashes", 0),
-        coordinator_recoveries=getattr(coordinator, "recoveries", 0),
-        coordinator_takeovers=getattr(coordinator, "takeovers", 0),
-        coordinator_epoch=getattr(coordinator, "epoch", 0),
+        **result.system.counters(),
         stall_count=stalls.count if stalls else 0,
         stall_time=stalls.total if stalls else 0.0,
         longest_stall=stalls.longest if stalls else 0.0,

@@ -49,6 +49,17 @@ class NetworkStats:
     fault stages and reliable delivery of :class:`Network` bump them.
     """
 
+    #: Run counters: summary field -> attribute (``System.counters``).
+    COUNTERS = {
+        "messages_total": "total_sent", "messages_user": "user_messages",
+        "messages_control": "control_messages",
+        "retransmits": "retransmits", "dup_suppressed": "dup_suppressed",
+        "messages_dropped": "dropped", "messages_duplicated": "duplicated",
+        "delivery_batches": "batches", "batched_messages": "batched_messages",
+        "partitions_cut": "partition_dropped",
+        "stale_epochs_fenced": "stale_epoch_dropped",
+    }
+
     __slots__ = ("_by_kind", "retransmits", "dup_suppressed", "dropped",
                  "duplicated", "batches", "batched_messages",
                  "partition_dropped", "stale_epoch_dropped")

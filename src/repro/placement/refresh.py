@@ -103,6 +103,10 @@ class MissedOpLedger:
 class RefreshProtocol:
     """Drives the DOWN -> UNREFRESHED -> READABLE transitions."""
 
+    #: Run counters: summary field -> attribute (``System.counters``).
+    COUNTERS = {name: name for name in (
+        "refresh_ops_applied", "refreshes_completed", "self_refreshes")}
+
     def __init__(self, ledger: MissedOpLedger, refresh_delay: float):
         self.ledger = ledger
         self.refresh_delay = refresh_delay
@@ -112,11 +116,9 @@ class RefreshProtocol:
         #: Per-node recovery epoch (bumped on every recovery).
         self.epochs: typing.Dict[str, int] = {}
         self._gates: typing.Dict[str, Event] = {}
-        self.refresh_requests = 0
         self.refreshes_completed = 0
         self.self_refreshes = 0
         self.refresh_ops_applied = 0
-        self.refresh_retries = 0
 
     def bind(self, system) -> None:
         self.system = system
@@ -169,12 +171,10 @@ class RefreshProtocol:
             return
         peer = self._pick_peer(node_id)
         if peer is None:
-            self.refresh_retries += 1
             self.system.sim.schedule(
                 self.refresh_delay, self._request_refresh, node_id, epoch
             )
             return
-        self.refresh_requests += 1
         self.system.network.send(
             node_id, peer, MessageKind.REFRESH_REQUEST, (node_id, epoch)
         )

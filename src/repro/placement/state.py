@@ -37,6 +37,11 @@ from repro.placement.refresh import MissedOp, MissedOpLedger, RefreshProtocol
 class PlacementState:
     """Replication runtime state for one system (pass via ``placement=``)."""
 
+    #: Run counters: summary field -> attribute (``System.counters``).
+    COUNTERS = {name: name for name in (
+        "reads_rerouted", "reads_gated", "writes_skipped",
+        "unreadable_reads_served")}
+
     def __init__(self, refresh_delay: float = 2.0):
         if refresh_delay <= 0:
             raise SimulationError(
@@ -138,9 +143,6 @@ class PlacementState:
     # Crash / recovery / refresh plumbing
     # ------------------------------------------------------------------
 
-    def on_crash(self, node_id: str) -> None:
-        """Hook for symmetry; DOWN is tracked by ``system.down_nodes``."""
-
     def on_recover(self, node_id: str) -> None:
         self.refresh.on_recover(node_id)
 
@@ -154,21 +156,3 @@ class PlacementState:
             self.refresh.handle_reply(node, message)
             return True
         return False
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def counters(self) -> typing.Dict[str, int]:
-        return {
-            "reads_rerouted": self.reads_rerouted,
-            "reads_gated": self.reads_gated,
-            "writes_skipped": self.writes_skipped,
-            "ops_ledgered": self.ops_ledgered,
-            "ops_cancelled": self.ops_cancelled,
-            "refreshes_completed": self.refresh.refreshes_completed,
-            "self_refreshes": self.refresh.self_refreshes,
-            "refresh_ops_applied": self.refresh.refresh_ops_applied,
-            "refresh_retries": self.refresh.refresh_retries,
-            "unreadable_reads_served": self.unreadable_reads_served,
-        }

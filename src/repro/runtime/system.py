@@ -55,10 +55,18 @@ class System:
             them.  ``None`` (the default, and always the case at
             ``replication_factor=1``) keeps every hot path bit-identical
             to the unreplicated system.
+
+    Each layer the system wires (simulator, network, the system itself,
+    placement, a subclass's coordinator) keeps its run counters as plain
+    attributes and names them once in a class-level ``COUNTERS`` map;
+    :meth:`counters` reads them all into one dict.
     """
 
     #: Plugin built when the ``plugin`` argument is omitted.
     plugin_class: typing.Type[ProtocolPlugin] = ProtocolPlugin
+
+    #: Run counters: summary field -> attribute (see :meth:`counters`).
+    COUNTERS = {"crashes": "crash_count", "recoveries": "recovery_count"}
 
     #: Crash targets beyond the database nodes that subclasses accept
     #: (e.g. 3V registers its advancement coordinator).  Crash events
@@ -98,8 +106,13 @@ class System:
         self.nodes: typing.Dict[str, ProtocolNode] = {
             node_id: ProtocolNode(self, node_id) for node_id in node_ids
         }
+        #: The wired layers whose run counters :meth:`counters` reads (an
+        #: unwired layer adds no key); a subclass appends the ones it adds.
+        self.counted: typing.List[typing.Any] = [
+            self.sim, self.network.stats, self]
         if placement is not None:
             placement.bind(self)
+            self.counted += [placement, placement.refresh]
         if faults is not None:
             # Validate every fault target at wiring time: a typo'd node id
             # in a crash or partition event would otherwise silently
@@ -190,6 +203,12 @@ class System:
     def submitted_count(self) -> int:
         return self._submitted
 
+    def counters(self) -> typing.Dict[str, int]:
+        """The :attr:`counted` layers' run counters, by summary field."""
+        return {field: getattr(layer, attribute)
+                for layer in self.counted
+                for field, attribute in type(layer).COUNTERS.items()}
+
     # ------------------------------------------------------------------
     # Crash / recovery (fail-stop at message granularity)
     # ------------------------------------------------------------------
@@ -218,8 +237,6 @@ class System:
         self.down_nodes.add(node_id)
         self.crash_count += 1
         node._mailbox.freeze()
-        if self.placement is not None:
-            self.placement.on_crash(node_id)
 
     def recover(self, node_id: str) -> None:
         """Bring a crashed node back: re-arm, thaw.

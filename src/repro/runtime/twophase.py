@@ -79,8 +79,6 @@ class TwoPhaseEngine:
         self._participants: typing.Dict[str, ParticipantState] = {}
         #: The run of every root transaction this node coordinates.
         self._roots: typing.Dict[str, "SubtxnRun"] = {}
-        self.deadlock_aborts = 0
-        self.commits = 0
 
     # ------------------------------------------------------------------
     # Protocol hooks (overridden by NC3V / the 2PC baseline)
@@ -308,7 +306,6 @@ class SubtxnRun:
         node = self.engine.node
         if request.exception is not None:
             # Refused by wait-die (DeadlockAbort).
-            self.engine.deadlock_aborts += 1
             self._executed(False)
             return
         node.history.waited(
@@ -432,7 +429,6 @@ class SubtxnRun:
             txn_name, WaitReason.REMOTE, node.sim.now - self.remote_wait_start
         )
         if commit:
-            engine.commits += 1
             node.history.locally_committed(txn_name, node.sim.now)
         else:
             node.history.aborted(txn_name, node.sim.now, engine.abort_reason)

@@ -55,6 +55,9 @@ class Simulator:
         5.0
     """
 
+    #: Run counters: summary field -> attribute (``System.counters``).
+    COUNTERS = {"sim_events": "scheduled_count"}
+
     __slots__ = ("now", "_heap", "_fifo", "_sequence")
 
     def __init__(self):

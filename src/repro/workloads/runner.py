@@ -259,16 +259,22 @@ def run_recording_experiment(
                        ("correction_rate", correction_rate)):
         if rate < 0:
             raise ValueError(f"{name} must be >= 0: {rate}")
+    if coordinator_crashes < 0:
+        raise ValueError(
+            f"coordinator_crashes must be >= 0: {coordinator_crashes}")
+    switches = dict(stream=stream, with_observations=with_observations,
+                    batch_delivery=system_kwargs.get("batch_delivery", 0))
+    for name, switch in switches.items():
+        if switch not in (0, 1):
+            raise ValueError(f"{name} must be 0 or 1: {switch!r}")
     node_ids = [f"n{index:02d}" for index in range(nodes)]
     span = min(span, nodes)
-    entry = PROTOCOLS.get(protocol)
-    coordinator_id = getattr(entry, "coordinator", None)
-    wanted_coordinator_crashes = (
-        coordinator_crashes if coordinator_id is not None else 0
-    )
+    coordinator_id = PROTOCOLS[protocol].coordinator
+    if coordinator_id is None:
+        coordinator_crashes = 0  # the axis needs a coordinator to crash
     faults = system_kwargs.pop("faults", None)
     if faults is None and (drop_rate or dup_rate or crash_count
-                           or partition_count or wanted_coordinator_crashes):
+                           or partition_count or coordinator_crashes):
         from repro.faults import CrashEvent, FaultPlan
 
         faults = FaultPlan.storm(
@@ -276,7 +282,7 @@ def run_recording_experiment(
             crash_count=crash_count, fault_seed=fault_seed,
             duration=duration, partition_count=partition_count,
         )
-        if wanted_coordinator_crashes:
+        if coordinator_crashes:
             # Deterministic mid-wave coordinator crashes: the periodic
             # policy starts wave i+1 at advancement_period * (i+1), so a
             # crash 1.5 later lands inside the wave by construction (and
@@ -287,7 +293,7 @@ def run_recording_experiment(
                     at=advancement_period * (index + 1) + 1.5,
                     down_for=2.5,
                 )
-                for index in range(wanted_coordinator_crashes)
+                for index in range(coordinator_crashes)
             )
             faults = dataclasses.replace(
                 faults, crashes=faults.crashes + extra

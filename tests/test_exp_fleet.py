@@ -27,11 +27,27 @@ from repro.exp import (
     flatten_specs,
     parse_parameter_value,
     run_spec,
+    summarize,
 )
+from repro.exp.summary import audit_result
+from repro.runtime import PROTOCOLS
+from repro.workloads import run_recording_experiment
 
 #: Small enough that one run is milliseconds; still drives every subsystem.
 TINY = dict(nodes=2, duration=4.0, update_rate=3.0, inquiry_rate=2.0,
             audit_rate=0.2, entities=8, span=2)
+
+
+#: Wires every counting layer: loss, duplication, node and coordinator
+#: crashes, a partition, replication and batched delivery.
+EVERY_LAYER = dict(nodes=4, duration=30.0, replication_factor=3,
+                   drop_rate=0.05, dup_rate=0.05, crash_count=1,
+                   partition_count=1, coordinator_crashes=1,
+                   batch_delivery=1, latency_jitter=0.0, fault_seed=5)
+
+PLACEMENT_COUNTERS = {"reads_rerouted", "reads_gated", "writes_skipped",
+                      "refresh_ops_applied", "refreshes_completed",
+                      "self_refreshes", "unreadable_reads_served"}
 
 
 def tiny(protocol: str = "3v", **overrides) -> ExperimentSpec:
@@ -110,6 +126,40 @@ class TestSummary:
         first, second = run_spec(tiny()), run_spec(tiny())
         assert masked([first]) == masked([second])
         assert first.determinism_digest() == second.determinism_digest()
+
+    @pytest.mark.parametrize("layers", [EVERY_LAYER, TINY],
+                             ids=["every-layer", "fault-free-rf1"])
+    @pytest.mark.parametrize("protocol", list(PROTOCOLS))
+    def test_summary_counters_are_the_systems(self, protocol, layers):
+        """``System.counters()`` keys are summary fields, a layer the run
+        did not wire adds none, and ``summarize`` takes every counter
+        from it: each summary counter reads what the method returned
+        (here replaced by sentinels), and a missing one reads 0."""
+        spec = ExperimentSpec(protocol, **layers)
+        result = run_recording_experiment(protocol, **spec.run_kwargs())
+        counters = result.system.counters()
+        fields = {f.name for f in dataclasses.fields(ExperimentSummary)}
+        assert set(counters) <= fields
+        if spec.replication_factor == 1:
+            assert not set(counters) & PLACEMENT_COUNTERS
+        else:
+            assert set(counters) >= PLACEMENT_COUNTERS
+        coordinator_keys = {name for name in fields
+                            if name.startswith("coordinator_")}
+        coordinator_keys.add("advancement_runs")
+        if PROTOCOLS[protocol].coordinator is None:
+            assert not set(counters) & coordinator_keys
+        else:
+            assert set(counters) >= coordinator_keys
+
+        sentinels = {name: 1000 + index
+                     for index, name in enumerate(sorted(counters))}
+        result.system.counters = lambda: sentinels
+        summary = summarize(spec, result, audit_result(result))
+        for name in (PLACEMENT_COUNTERS | coordinator_keys) - set(counters):
+            assert getattr(summary, name) == 0, name
+        for name, value in sentinels.items():
+            assert getattr(summary, name) == value, name
 
 
 class TestGrid:

@@ -134,6 +134,13 @@ class TestControlPlaneTimers:
         ("latency_jitter", 2.5),
         ("duration", -1.0),
         ("duration", 0.0),
+        ("coordinator_crashes", -1),
+        ("stream", 2),
+        ("stream", -1),
+        ("batch_delivery", 2),
+        ("batch_delivery", -1),
+        ("with_observations", 2),
+        ("with_observations", -1),
     ])
     def test_bad_workload_spec_is_rejected_naming_the_field(
             self, field, value, monkeypatch):

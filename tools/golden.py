@@ -85,8 +85,8 @@ ADVANCEMENT = {
 E2E_SEEDS = range(10)
 
 #: The ``summary`` table's spec: loss, duplication, node and coordinator
-#: crashes, a partition, replication and batched delivery, so every run
-#: counter of every protocol reads something.
+#: crashes, a partition, replication and batched delivery, so each
+#: protocol wires every counting layer it has.
 SUMMARY_SPEC = dict(nodes=4, duration=30.0, replication_factor=3,
                     drop_rate=0.05, dup_rate=0.05, crash_count=1,
                     partition_count=1, coordinator_crashes=1,
