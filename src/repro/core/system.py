@@ -171,9 +171,8 @@ class ThreeVSystem(System):
         # A takeover moves the coordinator role onto a database node, so
         # crashing that node fail-stops the hosted incarnation too.
         super().crash(node_id)
-        coordinator = getattr(self, "coordinator", None)
-        if (coordinator is not None and coordinator.host == node_id
-                and not coordinator.down):
+        coordinator = self.coordinator
+        if coordinator.host == node_id and not coordinator.down:
             coordinator.crash()
 
     def _standby_check(self, node_id: str, patience: float) -> None:

@@ -205,9 +205,13 @@ class System:
 
     def counters(self) -> typing.Dict[str, int]:
         """The :attr:`counted` layers' run counters, by summary field."""
-        return {field: getattr(layer, attribute)
-                for layer in self.counted
-                for field, attribute in type(layer).COUNTERS.items()}
+        counters: typing.Dict[str, int] = {}
+        for layer in self.counted:
+            fields = type(layer).COUNTERS
+            # zip/map read the attributes in C: no profiled call apiece.
+            counters.update(zip(fields, map(layer.__getattribute__,
+                                            fields.values())))
+        return counters
 
     # ------------------------------------------------------------------
     # Crash / recovery (fail-stop at message granularity)

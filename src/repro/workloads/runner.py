@@ -253,15 +253,13 @@ def run_recording_experiment(
     if stall_budget < 0:
         raise ValueError(f"stall_budget must be >= 0: {stall_budget}")
     del stall_budget  # analysis-side knob; accepted for spec round-trips
-    for name, rate in (("update_rate", update_rate),
-                       ("inquiry_rate", inquiry_rate),
-                       ("audit_rate", audit_rate),
-                       ("correction_rate", correction_rate)):
-        if rate < 0:
-            raise ValueError(f"{name} must be >= 0: {rate}")
-    if coordinator_crashes < 0:
-        raise ValueError(
-            f"coordinator_crashes must be >= 0: {coordinator_crashes}")
+    for name, value in (("update_rate", update_rate),
+                        ("inquiry_rate", inquiry_rate),
+                        ("audit_rate", audit_rate),
+                        ("correction_rate", correction_rate),
+                        ("coordinator_crashes", coordinator_crashes)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0: {value}")
     switches = dict(stream=stream, with_observations=with_observations,
                     batch_delivery=system_kwargs.get("batch_delivery", 0))
     for name, switch in switches.items():
