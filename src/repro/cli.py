@@ -31,7 +31,7 @@ import typing
 
 from repro import __version__
 from repro.analysis import Table, audit_verdict
-from repro.errors import ReproError
+from repro.errors import ReproError, SpecError
 from repro.exp import (
     DEFAULT_CACHE_DIR,
     CellAggregate,
@@ -516,6 +516,9 @@ def main(argv: typing.Optional[typing.Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except SpecError as error:
+        print(error)
+        return 2
     except FleetTaskError as error:
         print(f"fleet task #{error.index} failed; worker traceback:")
         print(error.traceback_text)

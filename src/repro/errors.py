@@ -13,6 +13,11 @@ class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` library."""
 
 
+class SpecError(ReproError):
+    """An experiment spec holds a value no run can take (refused before
+    the run starts)."""
+
+
 class SimulationError(ReproError):
     """The discrete-event simulation kernel was used incorrectly."""
 

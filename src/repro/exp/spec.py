@@ -20,9 +20,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import typing
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SpecError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -206,6 +207,17 @@ class ExperimentSpec:
     stall_budget: float = 0.0
     replication_factor: int = 1
     refresh_delay: float = 2.0
+
+    def __post_init__(self):
+        # NaN passes every range check downstream (``nan < 0`` is false)
+        # and an infinite duration or rate never ends, so no registered
+        # parameter may hold a non-finite float.
+        for parameter in PARAMETERS:
+            value = getattr(self, parameter.field)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise SpecError(
+                    f"{parameter.field} (--{parameter.flag}) must be "
+                    f"finite, got {value!r}")
 
     def replace(self, **changes) -> "ExperimentSpec":
         """A copy with some fields changed (specs are immutable)."""

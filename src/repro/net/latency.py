@@ -10,10 +10,14 @@ fault-injection tests to show advancement still terminates).
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro.errors import SimulationError
-from repro.sim.distributions import Constant, Distribution, RngRegistry
+from repro.sim.distributions import Constant, Distribution, RngRegistry, Uniform
+
+#: A bound per-copy draw: ``(src, dst) -> delay``.
+Sampler = typing.Callable[[str, str], float]
 
 
 class LatencyModel:
@@ -31,6 +35,15 @@ class LatencyModel:
         ignore it.
         """
 
+    def sampler(self, rngs: RngRegistry) -> Sampler:
+        """This model's draw with ``rngs`` bound: ``(src, dst) -> delay``.
+
+        The network binds it once, at wiring time, and calls it for every
+        physical copy.  The generic binding is :meth:`delay` itself;
+        models with a cheaper closed form override it.
+        """
+        return functools.partial(self.delay, rngs=rngs)
+
 
 class UniformLatency(LatencyModel):
     """Every link draws from the same distribution.
@@ -44,6 +57,24 @@ class UniformLatency(LatencyModel):
 
     def delay(self, src: str, dst: str, rngs: RngRegistry) -> float:
         return rngs.sample("net.latency", self.distribution)
+
+    def sampler(self, rngs: RngRegistry) -> Sampler:
+        """One frame per draw for a :class:`Uniform` or :class:`Constant`
+        distribution, bit-identical to :meth:`delay`:
+        ``low + (high - low) * random()`` is what ``random.uniform``
+        computes.  Any other distribution takes the generic binding."""
+        distribution = self.distribution
+        # Made even where nothing draws from it, as :meth:`delay` does.
+        stream = rngs.stream("net.latency")
+        if type(distribution) is Uniform:
+            low = distribution.low
+            width = distribution.high - low
+            random = stream.random
+            return lambda src, dst: low + width * random()
+        if type(distribution) is Constant:
+            value = distribution.value
+            return lambda src, dst: value
+        return super().sampler(rngs)
 
     def __repr__(self) -> str:
         return f"UniformLatency({self.distribution!r})"

@@ -90,7 +90,7 @@ class MessageKind:
 _message_ids = itertools.count()
 
 
-@dataclasses.dataclass(slots=True)
+@dataclasses.dataclass(slots=True, init=False)
 class Message:
     """An envelope delivered from one node to another.
 
@@ -108,10 +108,33 @@ class Message:
     src: str
     dst: str
     kind: str
-    payload: typing.Any = None
-    sent_at: float = 0.0
-    delivered_at: typing.Optional[float] = None
-    message_id: int = dataclasses.field(default_factory=lambda: next(_message_ids))
+    payload: typing.Any
+    sent_at: float
+    delivered_at: typing.Optional[float]
+    message_id: int
+
+    def __init__(self, src: str, dst: str, kind: str,
+                 payload: typing.Any = None, sent_at: float = 0.0,
+                 delivered_at: typing.Optional[float] = None,
+                 message_id: typing.Optional[int] = None):
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.payload = payload
+        self.sent_at = sent_at
+        self.delivered_at = delivered_at
+        self.message_id = (next(_message_ids) if message_id is None
+                           else message_id)
+
+    def copy(self) -> "Message":
+        """Another physical copy of this message, not yet delivered.
+
+        Same ``message_id`` on purpose, so receiver-side dedup knows it;
+        a fresh envelope keeps two deliveries from fighting over
+        ``delivered_at``.
+        """
+        return Message(self.src, self.dst, self.kind, self.payload,
+                       self.sent_at, None, self.message_id)
 
     @property
     def latency(self) -> float:

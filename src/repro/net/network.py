@@ -20,11 +20,20 @@ delivers each id at most once.  Acks are pure transport frames: never
 acked, retransmitted, mailboxed or counted in a user/control/commit
 bucket.  Retransmission never gives up; ``run_until_quiet(limit=...)``
 bounds the drain.
+
+Every physical copy (a first send, a retransmit, a dup, an ack) costs
+one short call chain: ``send`` builds the envelope and, on a faulted
+network, calls :meth:`Network._transmit`, whose fault stages read link
+tuples and partition windows laid out when the network was built;
+:meth:`Network._wire` makes one draw through the latency model's bound
+:meth:`~repro.net.latency.LatencyModel.sampler`, adds the copy to its
+stats cell in place and schedules the delivery.  The retransmit timer is
+armed inline.  ``tests/test_net_call_budget.py`` holds the chain's
+profiled calls per copy.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
 from repro.errors import SimulationError
@@ -40,9 +49,9 @@ __all__ = ["Network", "NetworkStats"]
 class NetworkStats:
     """Aggregate traffic accounting, split by message kind.
 
-    Internally one dict of ``kind -> [count, total_latency]`` cells, so the
-    per-send :meth:`record` call (made for every message in the system) is a
-    single lookup and two in-place adds.  The ``sent_by_kind`` /
+    Internally one dict of ``kind -> [count, total_latency]`` cells, which
+    :class:`Network` adds every wired copy to in place: a single lookup
+    and two in-place adds.  The ``sent_by_kind`` /
     ``total_latency_by_kind`` views are materialized on access.
 
     The plain-int fault counters stay zero on a fault-free network; the
@@ -85,15 +94,6 @@ class NetworkStats:
         #: Messages that rode along in an already-scheduled batch.
         self.batched_messages = 0
 
-    def record(self, kind: str, latency: float) -> None:
-        try:
-            cell = self._by_kind[kind]
-        except KeyError:
-            self._by_kind[kind] = [1, latency]
-            return
-        cell[0] += 1
-        cell[1] += latency
-
     @property
     def sent_by_kind(self) -> typing.Dict[str, int]:
         """``{kind: number of messages sent}`` (materialized copy)."""
@@ -131,13 +131,15 @@ class NetworkStats:
 class Network:
     """Message transport between named endpoints.
 
-    One :meth:`_transmit` puts every physical copy on the wire, running
-    the plan's stages in the fixed order partition cut → drop → delay
-    spike → wire → dup.  A cut or dropped copy draws nothing further; the
-    dup copy goes straight to the wire with the original's spike, through
-    no second cut and no second draw.  Acks and retransmissions pass
-    through every stage.  One :meth:`_deliver` consumes acks, and acks and
-    de-duplicates every data copy, when delivery is reliable.
+    One :meth:`_transmit` puts every physical copy of a faulted network
+    on the wire, running the plan's stages in the fixed order partition
+    cut → drop → delay spike → wire → dup; a fault-free network sends
+    straight to :meth:`_wire`.  A cut or dropped copy draws nothing
+    further; the dup copy goes straight to the wire with the original's
+    spike, through no second cut and no second draw.  Acks and
+    retransmissions pass through every stage.  One :meth:`_deliver`
+    consumes acks, and acks and de-duplicates every data copy, when
+    delivery is reliable.
 
     Args:
         sim: The owning simulator.
@@ -172,9 +174,13 @@ class Network:
         self.rngs = rngs if rngs is not None else RngRegistry(0)
         self.latency = latency if latency is not None else constant_latency(1.0)
         self.latency.bind_clock(lambda: sim.now)
+        self._draw = self.latency.sampler(self.rngs)
         # bool() so the experiment layer's 0/1 integer parameter works.
         self.batch_delivery = bool(batch_delivery)
         self.stats = NetworkStats()
+        #: ``kind -> [count, total_latency]``: the stats cells each wired
+        #: copy adds to.
+        self._sent = self.stats._by_kind
         self._mailboxes: typing.Dict[str, Store] = {}
         #: Open delivery batches, keyed by delivery tick (batch mode).
         self._batches: typing.Dict[float, list] = {}
@@ -190,6 +196,13 @@ class Network:
             self._drop_rng = registry.stream("faults.drop")
             self._dup_rng = registry.stream("faults.dup")
             self._spike_rng = registry.stream("faults.spike")
+            #: ``(opens, heals, partition)`` per partition: a copy sent
+            #: while no window is open costs two comparisons per window.
+            self._windows = tuple((p.at, p.heal_at, p)
+                                  for p in faults.partitions)
+            self._default_link = _link_fields(faults.default_link)
+            self._links = {pair: _link_fields(link)
+                           for pair, link in faults.links.items()}
         if faults is not None and faults.lossy:
             self.policy = faults.retransmit
             self._pending = {}
@@ -229,18 +242,26 @@ class Network:
         after a sampled latency.  This is the mechanism behind the paper's
         requirement that all inter-node communication is asynchronous with
         user transactions.  Under reliable delivery the message is held
-        for retransmission before its (possibly lost) first copy leaves.
+        for retransmission before its (possibly lost) first copy leaves,
+        and its first retransmit timer is armed after.
         """
         if dst not in self._mailboxes:
             raise SimulationError(f"send to unknown endpoint: {dst!r}")
-        message = Message(src=src, dst=dst, kind=kind, payload=payload,
-                          sent_at=self.sim.now)
-        if self._pending is None:
+        sim = self.sim
+        message = Message(src, dst, kind, payload, sim.now)
+        if self.faults is None:
+            self._wire(message, 0.0)
+            return message
+        pending = self._pending
+        if pending is None:
             self._transmit(message)
-        else:
-            self._pending[message.message_id] = message
-            self._transmit(message)
-            self._arm_timer(message, self.policy.timeout)
+            return message
+        pending[message.message_id] = message
+        self._transmit(message)
+        timeout = self.policy.timeout
+        jitter = self._jitter_rng.random() * self.policy.jitter
+        sim.schedule(timeout + jitter, self._maybe_retransmit, message,
+                     timeout)
         return message
 
     def broadcast_to(self, src: str, dsts: typing.Iterable[str], kind: str,
@@ -257,37 +278,33 @@ class Network:
         draws nothing.  Otherwise the draws per copy are drop, spike, dup,
         each only when the link has that fault.
         """
-        faults = self.faults
-        if faults is None:
+        src = message.src
+        dst = message.dst
+        if self._windows:
+            now = self.sim.now
+            for opens, heals, partition in self._windows:
+                if opens <= now < heals and partition.cuts(src, dst, now):
+                    self.stats.partition_dropped += 1
+                    return
+        link = (self._links.get((src, dst), self._default_link)
+                if self._links else self._default_link)
+        if link is None:
             self._wire(message, 0.0)
             return
-        if faults.partitions and faults.cut(message.src, message.dst,
-                                            self.sim.now):
-            self.stats.partition_dropped += 1
-            return
-        link = (faults.link(message.src, message.dst) if faults.links
-                else faults.default_link)
-        if not link.active:
-            self._wire(message, 0.0)
-            return
-        if link.drop and self._drop_rng.random() < link.drop:
+        drop, spike_probability, spike_delay, dup = link
+        if drop and self._drop_rng.random() < drop:
             self.stats.dropped += 1
             return
         extra_delay = 0.0
-        if (link.spike_probability
-                and self._spike_rng.random() < link.spike_probability):
-            extra_delay = link.spike_delay
+        if spike_probability and self._spike_rng.random() < spike_probability:
+            extra_delay = spike_delay
         self._wire(message, extra_delay)
-        if link.dup and self._dup_rng.random() < link.dup:
+        if dup and self._dup_rng.random() < dup:
             self.stats.duplicated += 1
-            # Same message_id on purpose, so receiver-side dedup knows
-            # it; a fresh envelope keeps the two deliveries from fighting
-            # over delivered_at.
-            self._wire(dataclasses.replace(message, delivered_at=None),
-                       extra_delay)
+            self._wire(message.copy(), extra_delay)
 
     def _wire(self, message: Message, extra_delay: float) -> None:
-        """Sample a latency for one copy, record it, schedule delivery.
+        """Sample a latency for one copy, count it, schedule delivery.
 
         Sits below every fault stage, so batching cannot perturb the
         per-copy fault draws.  In batch mode all copies due at the same
@@ -298,12 +315,18 @@ class Network:
         the same global order as unbatched, so the fault RNG streams are
         consumed identically.
         """
-        sim = self.sim
-        delay = self.latency.delay(message.src, message.dst, self.rngs)
+        delay = self._draw(message.src, message.dst)
         if delay < 0:
             raise SimulationError(f"latency model returned negative delay: {delay}")
         delay += extra_delay
-        self.stats.record(message.kind, delay)
+        try:
+            cell = self._sent[message.kind]
+        except KeyError:
+            self._sent[message.kind] = [1, delay]
+        else:
+            cell[0] += 1
+            cell[1] += delay
+        sim = self.sim
         if not self.batch_delivery:
             sim.schedule(delay, self._deliver, message)
             return
@@ -317,11 +340,6 @@ class Network:
         self.stats.batches += 1
         sim.schedule_at(key, self._deliver_batch, key)
 
-    def _arm_timer(self, message: Message, interval: float) -> None:
-        jitter = self._jitter_rng.random() * self.policy.jitter
-        self.sim.schedule(interval + jitter, self._maybe_retransmit,
-                          message, interval)
-
     def _maybe_retransmit(self, message: Message, interval: float) -> None:
         if message.message_id not in self._pending:
             return  # acked in the meantime; the timer dies quietly
@@ -329,9 +347,12 @@ class Network:
         # A fresh envelope per physical copy: the original may be sitting
         # in the delivery heap (merely slow, not lost), and delivery
         # mutates the envelope's delivered_at.
-        self._transmit(dataclasses.replace(message, delivered_at=None))
-        self._arm_timer(message, min(interval * self.policy.backoff,
-                                     self.policy.max_interval))
+        self._transmit(message.copy())
+        policy = self.policy
+        interval = min(interval * policy.backoff, policy.max_interval)
+        jitter = self._jitter_rng.random() * policy.jitter
+        self.sim.schedule(interval + jitter, self._maybe_retransmit,
+                          message, interval)
 
     # ------------------------------------------------------------------
     # Receiving
@@ -347,16 +368,25 @@ class Network:
             if message.kind is MessageKind.NET_ACK:
                 # payload = the acked data message's id.  Duplicate and
                 # stale acks are no-ops.
-                self._pending.pop(message.payload, None)
+                if message.payload in self._pending:
+                    del self._pending[message.payload]
                 return
             # Ack every copy received — a dropped ack leaves the sender
             # retransmitting, and only the next ack can stop it.
-            self._transmit(Message(
-                src=message.dst, dst=message.src, kind=MessageKind.NET_ACK,
-                payload=message.message_id, sent_at=self.sim.now))
+            self._transmit(Message(message.dst, message.src,
+                                   MessageKind.NET_ACK, message.message_id,
+                                   self.sim.now))
             if message.message_id in seen:
                 self.stats.dup_suppressed += 1
                 return
             seen.add(message.message_id)
         message.delivered_at = self.sim.now
         self._mailboxes[message.dst].put(message)
+
+
+def _link_fields(link) -> typing.Optional[typing.Tuple[float, float, float, float]]:
+    """One link's ``(drop, spike_probability, spike_delay, dup)``, or
+    ``None`` for a link with no fault to draw."""
+    if not link.active:
+        return None
+    return (link.drop, link.spike_probability, link.spike_delay, link.dup)

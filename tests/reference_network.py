@@ -9,6 +9,11 @@ option), ``ReliableNetwork`` (acks, retransmission, dedup),
 which picked ``ChaosNetwork`` for lossy plans and ``FaultyNetwork``
 otherwise.  The bare injector and the reliable layer without faults are
 configurations no runtime caller builds; their tests run here.
+
+Three helpers the tower called have since left ``src/``: the stats'
+per-copy ``record`` lives on here as :func:`record`, the plan's
+partition ``cut`` as the scan over every ``PartitionEvent.cuts`` that
+defined it, and the plan's ``link`` lookup as its one line.
 """
 
 from __future__ import annotations
@@ -24,6 +29,18 @@ from repro.net.network import NetworkStats
 from repro.sim.distributions import RngRegistry
 from repro.sim.resources import Store
 from repro.sim.simulator import Simulator
+
+
+def record(stats: NetworkStats, kind: str, latency: float) -> None:
+    """Count one wired copy: what ``NetworkStats.record`` did before the
+    one network came to add its copies to the stats cells inline."""
+    try:
+        cell = stats._by_kind[kind]
+    except KeyError:
+        stats._by_kind[kind] = [1, latency]
+        return
+    cell[0] += 1
+    cell[1] += latency
 
 
 class Network:
@@ -140,7 +157,7 @@ class Network:
             deliver_at = max(now + delay, self._last_delivery.get(link, 0.0))
             self._last_delivery[link] = deliver_at
             delay = deliver_at - now
-        self.stats.record(message.kind, delay)
+        record(self.stats, message.kind, delay)
         self._schedule_delivery(message, delay)
 
     def _schedule_delivery(self, message: Message, delay: float) -> None:
@@ -295,12 +312,14 @@ class FaultyNetwork(Network):
         # is a pure function of (src, dst, now), so a partition-free plan
         # draws exactly what it drew before partitions existed, and a
         # zero-fault plan still draws nothing at all.
-        if self._partitions and self.plan.cut(
-            message.src, message.dst, self.sim.now
+        if self._partitions and any(
+            partition.cuts(message.src, message.dst, self.sim.now)
+            for partition in self._partitions
         ):
             self.stats.partition_dropped += 1
             return
-        faults = self.plan.link(message.src, message.dst)
+        faults = self.plan.links.get((message.src, message.dst),
+                                     self.plan.default_link)
         if not faults.active:
             super()._transmit(message, extra_delay)
             return

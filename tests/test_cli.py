@@ -58,6 +58,13 @@ class TestRun:
             build_parser().parse_args(argv)))
         assert len(load_txn_records(path)) == summary.txn_count > 0
 
+    def test_non_finite_parameter_exits_2_naming_it(self, capsys):
+        # Last flag wins: FAST sets a finite update rate of its own.
+        assert main(["run", "3v"] + FAST + ["--update-rate", "nan"]) == 2
+        assert capsys.readouterr().out.startswith("update_rate (--update-rate)")
+        assert main(["sweep", "3v", "duration", "inf"] + FLEET_FAST) == 2
+        assert capsys.readouterr().out.startswith("duration (--duration)")
+
 
 class TestCompare:
     def test_compare_default_protocols(self, capsys):

@@ -14,7 +14,7 @@ import dataclasses
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ReproError, SpecError
 from repro.exp import (
     CellAggregate,
     ExperimentSpec,
@@ -31,6 +31,7 @@ from repro.exp import (
 )
 from repro.exp.summary import audit_result
 from repro.runtime import PROTOCOLS
+from repro.sim import Simulator
 from repro.workloads import run_recording_experiment
 
 #: Small enough that one run is milliseconds; still drives every subsystem.
@@ -113,6 +114,32 @@ class TestSpec:
             parse_parameter_value("nodes", "2.5")
         with pytest.raises(ReproError):
             parse_parameter_value("quantumness", "1")
+
+    @pytest.mark.parametrize("field, value", [
+        # NaN rate: the arrival generator yields NaN forever and the
+        # driver lists them, so the run would never terminate.
+        ("update_rate", float("nan")),
+        # NaN period: the event heap's clock went backwards mid-run.
+        ("advancement_period", float("nan")),
+        # These two ran silently to a meaningless result.
+        ("poll_interval", float("nan")),
+        ("zipf", float("nan")),
+        # An infinite duration never ends.
+        ("duration", float("inf")),
+        ("latency_jitter", float("-inf")),
+        # An integer parameter given a non-finite float is refused too.
+        ("nodes", float("nan")),
+    ])
+    def test_non_finite_floats_are_refused_before_the_run(
+            self, monkeypatch, field, value):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a simulation started")
+
+        monkeypatch.setattr(Simulator, "__init__", no_simulation)
+        with pytest.raises(SpecError, match=rf"^{field} \(--"):
+            run_spec(tiny(**{field: value}))
+        with pytest.raises(SpecError, match=rf"^{field} \(--"):
+            tiny().replace(**{field: value})
 
 
 class TestSummary:

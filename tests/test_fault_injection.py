@@ -48,9 +48,16 @@ class TestFaultPlan:
     def test_link_override_lookup(self):
         slow = LinkFaults(drop=0.5)
         plan = FaultPlan(default_link=LinkFaults(), links={("p", "q"): slow})
-        assert plan.link("p", "q") is slow
-        assert plan.link("q", "p") == LinkFaults()
         assert plan.lossy  # the override makes the plan lossy
+        network = Network(Simulator(), faults=plan)
+        network.register("p")
+        network.register("q")
+        for _ in range(20):
+            network.send("q", "p", MessageKind.SUBTXN_REQUEST)
+        assert network.stats.dropped == 0  # q -> p takes the default
+        for _ in range(20):
+            network.send("p", "q", MessageKind.SUBTXN_REQUEST)
+        assert network.stats.dropped > 0  # p -> q takes the override
 
     def test_zero_plan_is_not_lossy(self):
         assert not FaultPlan().lossy

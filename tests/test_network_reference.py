@@ -2,11 +2,11 @@
 
 ``tests/reference_network.py`` keeps the old four-class composition
 (base ``Network``, ``FaultyNetwork``, ``ReliableNetwork``,
-``ChaosNetwork``) verbatim.  For any fault plan, send schedule and
-``batch_delivery`` setting the new network must deliver the same
-messages at the same times, keep the same counters, schedule the same
-number of callbacks and leave every RNG stream — latency, retransmit
-jitter, drop, dup, spike — in the same state.
+``ChaosNetwork``) verbatim.  For any fault plan, send schedule,
+``batch_delivery`` setting and latency model the new network must
+deliver the same messages at the same times, keep the same counters,
+schedule the same number of callbacks and leave every RNG stream —
+latency, retransmit jitter, drop, dup, spike — in the same state.
 """
 
 from __future__ import annotations
@@ -18,9 +18,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import FaultPlan, LinkFaults, PartitionEvent, RetransmitPolicy
-from repro.net import Message, MessageKind, Network, UniformLatency
+from repro.net import (
+    LinkLatency,
+    LocalRemoteLatency,
+    Message,
+    MessageKind,
+    Network,
+    PartitionedLatency,
+    SkewedLatency,
+    UniformLatency,
+)
 from repro.sim import RngRegistry, Simulator
-from repro.sim.distributions import Uniform
+from repro.sim.distributions import Constant, LogNormal, Uniform
 
 from tests import reference_network as reference
 
@@ -32,6 +41,27 @@ STATS_FIELDS = ("retransmits", "dup_suppressed", "dropped", "duplicated",
                 "stale_epoch_dropped")
 #: Replies per delivered message, so sends interleave with delivery.
 MAX_HOPS = 2
+JITTERED = Uniform(0.5, 1.5)
+#: Latency models by name, built fresh per run.  ``uniform`` and
+#: ``constant`` take the network's closed-form draw; every other model
+#: (``lognormal`` included) the generic binding of ``LatencyModel.delay``.
+LATENCIES = {
+    "none": lambda: None,
+    "uniform": lambda: UniformLatency(JITTERED),
+    "constant": lambda: UniformLatency(Constant(0.75)),
+    "lognormal": lambda: UniformLatency(LogNormal(1.0, 0.5)),
+    "local-remote": lambda: LocalRemoteLatency(Constant(0.1), JITTERED),
+    "skewed": lambda: SkewedLatency(
+        JITTERED, Uniform(2.0, 4.0),
+        slow_links=[("e0", "e1"), ("e2", "e0"), ("e3", "e3")]),
+    "link": lambda: LinkLatency(
+        {("e0", "e1"): Uniform(0.2, 0.4), ("e1", "e0"): Constant(3.0),
+         ("e2", "e3"): LogNormal(0.8, 0.3)},
+        default=JITTERED),
+    "partitioned": lambda: PartitionedLatency(
+        UniformLatency(JITTERED), stalled_links=[("e0", "e1"), ("e1", "e2")],
+        start=1.0, end=4.0),
+}
 
 
 def link_faults():
@@ -97,11 +127,11 @@ def build_new(sim, plan, rngs, latency, batch):
                    faults=plan)
 
 
-def run(build, plan, schedule, batch, jittered):
+def run(build, plan, schedule, batch, latency):
     """Drive one network; return everything observable about the run."""
     sim = Simulator()
     rngs = RngRegistry(3)
-    latency = (UniformLatency(Uniform(0.5, 1.5)) if jittered else None)
+    latency = LATENCIES[latency]()
     network = build(sim, plan, rngs, latency, batch)
     # Message ids come from one process-wide counter; compare them
     # relative to the first id this run could allocate.
@@ -145,10 +175,10 @@ def run(build, plan, schedule, batch, jittered):
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(plan=plans(), schedule=sends, batch=st.booleans(),
-       jittered=st.booleans())
-def test_new_network_matches_the_tower(plan, schedule, batch, jittered):
-    old = run(build_reference, plan, schedule, batch, jittered)
-    new = run(build_new, plan, schedule, batch, jittered)
+       latency=st.sampled_from(sorted(LATENCIES)))
+def test_new_network_matches_the_tower(plan, schedule, batch, latency):
+    old = run(build_reference, plan, schedule, batch, latency)
+    new = run(build_new, plan, schedule, batch, latency)
     assert new == old
     # Reliable delivery, where the plan asks for it, drains completely.
     assert new["pending"] == 0
@@ -164,8 +194,8 @@ def test_chaos_storm_matches_the_tower(fault_seed):
     schedule = [(i * 0.25, ENDPOINTS[i % 4], ENDPOINTS[(i * 3 + 1) % 4],
                  MessageKind.SUBTXN_REQUEST) for i in range(60)]
     for batch in (False, True):
-        old = run(build_reference, plan, schedule, batch, jittered=False)
-        new = run(build_new, plan, schedule, batch, jittered=False)
+        old = run(build_reference, plan, schedule, batch, latency="none")
+        new = run(build_new, plan, schedule, batch, latency="none")
         assert new == old
         retransmits, suppressed, dropped, duplicated = new["counters"][:4]
         assert min(retransmits, suppressed, dropped, duplicated) > 0

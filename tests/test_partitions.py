@@ -56,16 +56,16 @@ class TestPartitionEvent:
         event = PartitionEvent(side_a=("a",), side_b=("b",), at=0.0,
                                duration=4.0)
         plan = FaultPlan(partitions=(event,))
-        assert plan.cut("a", "b", 1.0)
-        assert not plan.cut("a", "b", 4.0)
+        assert network_cuts(plan, "a", "b", 1.0)
+        assert not network_cuts(plan, "a", "b", 4.0)
         # Partitioned plans need the reliable layer (cut copies must be
         # retransmitted after the heal, not lost forever).
         assert plan.lossy
         assert not FaultPlan().lossy
 
     def test_plan_cut_equals_the_scan_over_every_partition(self):
-        # ``cut`` answers from windows laid out when the plan is built;
-        # the scan it replaced is the definition.  Also after
+        # The network answers from windows it lays out when it is built;
+        # the scan over every partition is the definition.  Also after
         # ``dataclasses.replace``, which is how the runner adds events.
         nodes = ("a", "b", "c", "d")
         storm = FaultPlan.storm(nodes, partition_count=3, fault_seed=4,
@@ -83,11 +83,24 @@ class TestPartitionEvent:
             for now in sorted(edges):
                 for src in nodes:
                     for dst in nodes:
-                        assert plan.cut(src, dst, now) == any(
+                        assert network_cuts(plan, src, dst, now) == any(
                             event.cuts(src, dst, now)
                             for event in plan.partitions)
-        assert any(widened.cut("a", "b", now) != storm.cut("a", "b", now)
+        assert any(network_cuts(widened, "a", "b", now)
+                   != network_cuts(storm, "a", "b", now)
                    for now in (25.0, 35.0, 45.0))
+
+
+def network_cuts(plan, src, dst, now):
+    """Whether a network wired with ``plan`` cuts a copy ``src -> dst``
+    sent at ``now`` (a fresh network per probe; nothing runs)."""
+    sim = Simulator()
+    sim.now = now
+    network = Network(sim, rngs=RngRegistry(1), faults=plan)
+    for endpoint in (src, dst):
+        network.register(endpoint)
+    network.send(src, dst, MessageKind.SUBTXN_REQUEST)
+    return network.stats.partition_dropped == 1
 
 
 class TestPartitionInjection:
