@@ -31,7 +31,7 @@ import typing
 
 from repro import __version__
 from repro.analysis import Table, audit_verdict
-from repro.errors import ReproError, SpecError
+from repro.errors import SpecError
 from repro.exp import (
     DEFAULT_CACHE_DIR,
     CellAggregate,
@@ -43,11 +43,14 @@ from repro.exp import (
     PARAMETERS_BY_FLAG,
     ResultCache,
     audit_result,
+    chaos_spec,
     expand_grid,
     flatten_specs,
     parse_parameter_value,
+    run_chaos_spec,
     summarize,
 )
+from repro.exp.chaos import CHAOS_DEFAULTS
 from repro.workloads import PROTOCOLS, run_recording_experiment
 
 #: Protocols whose audits must be clean for the CLI to exit 0
@@ -60,13 +63,28 @@ _METRIC_COLUMNS = [
 ]
 
 
-def _experiment_arguments(parser: argparse.ArgumentParser) -> None:
-    """Experiment parameters, generated from the shared registry."""
+#: The parameters ``chaos`` takes (defaults: :data:`CHAOS_DEFAULTS`).
+_CHAOS_FLAGS = ("nodes", "duration", "seed", "drop-rate", "dup-rate",
+                "crash-count", "fault-seed", "partition-count",
+                "coordinator-crashes", "stall-budget", "replication-factor",
+                "refresh-delay")
+
+
+def _experiment_arguments(
+        parser: argparse.ArgumentParser,
+        flags: typing.Optional[typing.Sequence[str]] = None,
+        defaults: typing.Optional[typing.Mapping[str, typing.Any]] = None,
+) -> None:
+    """Experiment parameters, generated from the shared registry: all of
+    them, or those ``flags`` names, with ``defaults`` (by field) first."""
     for parameter in PARAMETERS:
+        if flags is not None and parameter.flag not in flags:
+            continue
+        default = (defaults or {}).get(parameter.field, parameter.default)
         parser.add_argument(
-            f"--{parameter.flag}", type=parameter.type,
-            default=parameter.default,
-            help=f"{parameter.help} (default {parameter.default!r})",
+            f"--{parameter.flag}", type=parameter.type, default=default,
+            help=f"{parameter.help} (default {default!r}; "
+                 f"must be {parameter.domain})",
         )
 
 
@@ -123,6 +141,13 @@ def _metric_cells(aggregate: CellAggregate) -> list:
     ]
 
 
+def _check_protocols(protocols: typing.Sequence[str]) -> None:
+    unknown = [p for p in protocols if p not in PROTOCOLS]
+    if unknown:
+        raise SpecError(f"unknown protocol(s): {', '.join(unknown)}; "
+                        f"choose from {', '.join(PROTOCOLS)}")
+
+
 def cmd_run(args) -> int:
     spec = ExperimentSpec.from_args(args)
     result = run_recording_experiment(
@@ -145,11 +170,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    unknown = [p for p in args.protocols if p not in PROTOCOLS]
-    if unknown:
-        print(f"unknown protocol(s): {', '.join(unknown)}; "
-              f"choose from {', '.join(PROTOCOLS)}")
-        return 2
+    _check_protocols(args.protocols)
     base = ExperimentSpec.from_args(args, protocol=args.protocols[0])
     cells = expand_grid(
         base, [GridAxis("system", "protocol", tuple(args.protocols))],
@@ -174,21 +195,16 @@ def cmd_compare(args) -> int:
     return 1 if failed else 0
 
 
+def _axis(flag: str, texts: typing.Sequence[str]) -> GridAxis:
+    """A typed :class:`GridAxis` over one parameter's values."""
+    values = tuple(parse_parameter_value(flag, text) for text in texts)
+    return GridAxis(flag, PARAMETERS_BY_FLAG[flag].field, values)
+
+
 def cmd_sweep(args) -> int:
-    parameter = PARAMETERS_BY_FLAG[args.parameter]
-    try:
-        values = tuple(
-            parse_parameter_value(args.parameter, text)
-            for text in args.values
-        )
-    except ReproError as error:
-        print(error)
-        return 2
     base = ExperimentSpec.from_args(args)
-    cells = expand_grid(
-        base, [GridAxis(parameter.flag, parameter.field, values)],
-        reps=args.reps,
-    )
+    cells = expand_grid(base, [_axis(args.parameter, args.values)],
+                        reps=args.reps)
     reps_note = f" ({args.reps} reps)" if args.reps > 1 else ""
     table = Table(
         f"Sweep of {args.parameter} on {args.protocol}{reps_note}",
@@ -207,33 +223,14 @@ def _parse_vary(text: str) -> GridAxis:
     """``"nodes=2,4,8"`` -> a typed :class:`GridAxis`."""
     flag, _, csv = text.partition("=")
     if not csv:
-        raise ReproError(
-            f"--vary takes param=v1,v2,... (got {text!r})"
-        )
-    parameter = PARAMETERS_BY_FLAG.get(flag)
-    if parameter is None:
-        raise ReproError(
-            f"unknown parameter {flag!r}; choose from "
-            f"{', '.join(sorted(PARAMETERS_BY_FLAG))}"
-        )
-    values = tuple(
-        parse_parameter_value(flag, item) for item in csv.split(",")
-    )
-    return GridAxis(parameter.flag, parameter.field, values)
+        raise SpecError(f"--vary takes param=v1,v2,... (got {text!r})")
+    return _axis(flag, csv.split(","))
 
 
 def cmd_grid(args) -> int:
-    unknown = [p for p in args.protocols if p not in PROTOCOLS]
-    if unknown:
-        print(f"unknown protocol(s): {', '.join(unknown)}; "
-              f"choose from {', '.join(PROTOCOLS)}")
-        return 2
-    try:
-        axes = [GridAxis("system", "protocol", tuple(args.protocols))]
-        axes.extend(_parse_vary(text) for text in args.vary or [])
-    except ReproError as error:
-        print(error)
-        return 2
+    _check_protocols(args.protocols)
+    axes = [GridAxis("system", "protocol", tuple(args.protocols))]
+    axes.extend(_parse_vary(text) for text in args.vary or [])
     base = ExperimentSpec.from_args(args, protocol=args.protocols[0])
     cells = expand_grid(base, axes, reps=args.reps)
     table = Table(
@@ -254,13 +251,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from repro.exp import chaos_spec, run_chaos_spec
-
-    unknown = [p for p in args.protocols if p not in PROTOCOLS]
-    if unknown:
-        print(f"unknown protocol(s): {', '.join(unknown)}; "
-              f"choose from {', '.join(PROTOCOLS)}")
-        return 2
+    _check_protocols(args.protocols)
     protocols = args.protocols or list(PROTOCOLS)
     replicated = args.replication_factor > 1
     control_plane = args.partition_count > 0 or args.coordinator_crashes > 0
@@ -287,17 +278,10 @@ def cmd_chaos(args) -> int:
     columns += ["oracle", "repeat", "verdict"]
     table = Table(title, columns)
     failed = []
+    fields = {p.field: getattr(args, p.dest) for p in PARAMETERS
+              if hasattr(args, p.dest)}
     for protocol in protocols:
-        spec = chaos_spec(
-            protocol, nodes=args.nodes, duration=args.duration,
-            drop_rate=args.drop_rate, dup_rate=args.dup_rate,
-            crash_count=args.crash_count, fault_seed=args.fault_seed,
-            seed=args.seed, replication_factor=args.replication_factor,
-            refresh_delay=args.refresh_delay,
-            partition_count=args.partition_count,
-            coordinator_crashes=args.coordinator_crashes,
-            stall_budget=args.stall_budget,
-        )
+        spec = chaos_spec(protocol, **fields)
         report = run_chaos_spec(spec, verify_repeat=not args.no_repeat,
                                 drain_limit=args.drain_limit)
         s = report.summary
@@ -459,44 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"protocols to storm (default: all; "
              f"choices: {', '.join(PROTOCOLS)})",
     )
-    chaos_parser.add_argument("--nodes", type=int, default=3,
-                              help="number of database nodes (default 3)")
-    chaos_parser.add_argument("--duration", type=float, default=20.0,
-                              help="simulated seconds of traffic "
-                                   "(default 20)")
-    chaos_parser.add_argument("--drop-rate", type=float, default=0.05,
-                              help="per-link drop probability "
-                                   "(default 0.05)")
-    chaos_parser.add_argument("--dup-rate", type=float, default=0.02,
-                              help="per-link duplication probability "
-                                   "(default 0.02)")
-    chaos_parser.add_argument("--crash-count", type=int, default=1,
-                              help="crash/recover cycles per node "
-                                   "(default 1)")
-    chaos_parser.add_argument(
-        "--replication-factor", type=int, default=1,
-        help="replicas per record: read-one / write-all-available with "
-             "recovery-readability (default 1 = unreplicated)")
-    chaos_parser.add_argument(
-        "--refresh-delay", type=float, default=2.0,
-        help="delay between a replica's recovery and its refresh request "
-             "(default 2.0; it serves no reads until refresh completes)")
-    chaos_parser.add_argument(
-        "--partition-count", type=int, default=0,
-        help="timed network partitions (with heals) per storm "
-             "(default: %(default)s)")
-    chaos_parser.add_argument(
-        "--coordinator-crashes", type=int, default=0,
-        help="mid-wave advancement-coordinator crashes to inject on "
-             "protocols that have a coordinator (default: %(default)s)")
-    chaos_parser.add_argument(
-        "--stall-budget", type=float, default=0.0,
-        help="advancement liveness budget in sim seconds; 0 = twice the "
-             "advancement period (default: %(default)s)")
-    chaos_parser.add_argument("--fault-seed", type=int, default=7,
-                              help="fault schedule seed (default 7)")
-    chaos_parser.add_argument("--seed", type=int, default=0,
-                              help="workload seed (default 0)")
+    _experiment_arguments(chaos_parser, _CHAOS_FLAGS, CHAOS_DEFAULTS)
     chaos_parser.add_argument("--no-repeat", action="store_true",
                               help="skip the repeatability double-run")
     chaos_parser.add_argument("--drain-limit", type=float, default=100000.0,

@@ -26,18 +26,18 @@ from repro.exp.grid import (
     expand_grid,
     flatten_specs,
 )
-from repro.exp.spec import (
-    PARAMETERS,
-    PARAMETERS_BY_FLAG,
-    ExperimentSpec,
-    Parameter,
-    parse_parameter_value,
-)
+from repro.exp.spec import ExperimentSpec
 from repro.exp.summary import (
     ExperimentSummary,
     audit_result,
     run_spec,
     summarize,
+)
+from repro.parameters import (
+    PARAMETERS,
+    PARAMETERS_BY_FLAG,
+    Parameter,
+    parse_parameter_value,
 )
 
 __all__ = [

@@ -53,7 +53,7 @@ from repro.workloads.runner import run_recording_experiment
 from repro.exp.spec import ExperimentSpec
 from repro.exp.summary import ExperimentSummary, audit_result, summarize
 
-__all__ = ["ChaosReport", "chaos_spec", "run_chaos_spec"]
+__all__ = ["CHAOS_DEFAULTS", "ChaosReport", "chaos_spec", "run_chaos_spec"]
 
 #: Version bound that sees every installed version of a key.
 _ANY_VERSION = 1 << 60
@@ -84,36 +84,19 @@ class ChaosReport:
         return not self.failures
 
 
-def chaos_spec(
-    protocol: str,
-    *,
-    nodes: int = 3,
-    duration: float = 20.0,
-    drop_rate: float = 0.05,
-    dup_rate: float = 0.02,
-    crash_count: int = 1,
-    fault_seed: int = 7,
-    seed: int = 0,
-    update_rate: float = 5.0,
-    inquiry_rate: float = 3.0,
-    audit_rate: float = 0.2,
-    replication_factor: int = 1,
-    refresh_delay: float = 2.0,
-    partition_count: int = 0,
-    coordinator_crashes: int = 0,
-    stall_budget: float = 0.0,
-) -> ExperimentSpec:
-    """The canonical chaos experiment: a storm on the bitmask workload."""
-    return ExperimentSpec(
-        protocol=protocol, nodes=nodes, duration=duration,
-        update_rate=update_rate, inquiry_rate=inquiry_rate,
-        audit_rate=audit_rate, amount_mode="bitmask", detail=True,
-        seed=seed, drop_rate=drop_rate, dup_rate=dup_rate,
-        crash_count=crash_count, fault_seed=fault_seed,
-        replication_factor=replication_factor, refresh_delay=refresh_delay,
-        partition_count=partition_count,
-        coordinator_crashes=coordinator_crashes, stall_budget=stall_budget,
-    )
+#: Where the canonical storm differs from an :class:`ExperimentSpec`'s
+#: defaults (by field); ``repro chaos`` takes its defaults from here.
+CHAOS_DEFAULTS: typing.Dict[str, typing.Any] = dict(
+    nodes=3, duration=20.0, drop_rate=0.05, dup_rate=0.02, crash_count=1,
+    fault_seed=7,
+)
+
+
+def chaos_spec(protocol: str, **fields) -> ExperimentSpec:
+    """The canonical chaos experiment: a storm on the bitmask workload,
+    ``fields`` over :data:`CHAOS_DEFAULTS`."""
+    return ExperimentSpec(protocol, amount_mode="bitmask",
+                          **{**CHAOS_DEFAULTS, **fields})
 
 
 def _committed_bases(history) -> typing.Set[str]:

@@ -48,6 +48,7 @@ import dataclasses
 import typing
 
 from repro.errors import ReproError
+from repro.parameters import check_parameters
 from repro.placement import ReplicaMap
 from repro.sim.distributions import RngRegistry
 from repro.storage.values import Assign, Increment, Record
@@ -114,8 +115,8 @@ class RecordingConfig:
     replication_factor: int = 1
 
     def __post_init__(self):
-        if self.entities < 1:
-            raise ReproError(f"entities must be >= 1: {self.entities}")
+        check_parameters({"entities": self.entities, "zipf": self.zipf,
+                          "abort_fraction": self.abort_fraction})
         if self.span < 1 or self.span > len(self.nodes):
             raise ReproError(
                 f"entity span {self.span} invalid for {len(self.nodes)} nodes"
@@ -129,12 +130,6 @@ class RecordingConfig:
             )
         if self.amount_mode not in ("money", "bitmask"):
             raise ReproError(f"unknown amount mode: {self.amount_mode!r}")
-        if self.zipf < 0:
-            raise ReproError(f"zipf exponent must be >= 0: {self.zipf}")
-        if not 0.0 <= self.abort_fraction <= 1.0:
-            raise ReproError(
-                f"abort_fraction must be in [0, 1]: {self.abort_fraction}"
-            )
 
     @property
     def replicated(self) -> bool:

@@ -24,6 +24,7 @@ import gc
 import typing
 
 from repro.net.latency import LatencyModel, UniformLatency
+from repro.parameters import check_parameters
 from repro.runtime.config import NodeConfig
 from repro.runtime.registry import PROTOCOLS
 from repro.sim.distributions import Constant, RngRegistry, Uniform
@@ -58,12 +59,9 @@ def default_latency(jitter: float = 1.0) -> LatencyModel:
     ``jitter`` is the width of the uniform window around the mean:
     ``1.0`` (the default) is the historic ``Uniform(0.5, 1.5)`` model,
     ``0.0`` degenerates to a constant 1.0 — the regime where same-tick
-    delivery batching has waves to coalesce.
+    delivery batching has waves to coalesce.  Past ``2.0`` the window
+    reaches below zero, which :class:`Uniform` refuses.
     """
-    if not 0 <= jitter <= 2:
-        raise ValueError(
-            f"latency_jitter must be in [0, 2] (a wider window reaches "
-            f"below zero latency): {jitter}")
     if jitter == 0.0:
         from repro.net.latency import constant_latency
 
@@ -248,23 +246,10 @@ def run_recording_experiment(
     history, so tests can compare retired aggregates bit-for-bit against
     exact end-of-run computation over the *same* trace.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be > 0: {duration}")
-    if stall_budget < 0:
-        raise ValueError(f"stall_budget must be >= 0: {stall_budget}")
+    # Every registered parameter, those that reach ``build_system``
+    # through ``system_kwargs`` too, is checked before anything is built.
+    check_parameters({**locals(), **system_kwargs})
     del stall_budget  # analysis-side knob; accepted for spec round-trips
-    for name, value in (("update_rate", update_rate),
-                        ("inquiry_rate", inquiry_rate),
-                        ("audit_rate", audit_rate),
-                        ("correction_rate", correction_rate),
-                        ("coordinator_crashes", coordinator_crashes)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0: {value}")
-    switches = dict(stream=stream, with_observations=with_observations,
-                    batch_delivery=system_kwargs.get("batch_delivery", 0))
-    for name, switch in switches.items():
-        if switch not in (0, 1):
-            raise ValueError(f"{name} must be 0 or 1: {switch!r}")
     node_ids = [f"n{index:02d}" for index in range(nodes)]
     span = min(span, nodes)
     coordinator_id = PROTOCOLS[protocol].coordinator

@@ -95,7 +95,10 @@ class TestCommittedBaseline:
         commands = [k for k in committed["cli"] if k.startswith("repro ")]
         assert len(commands) == len(golden.COMMANDS) >= 9
         assert all(trace in committed["cli"] for trace in golden.TRACES)
-        assert all(committed["cli"][k]["exit"] == 0 for k in commands)
+        refused = {f"repro {command}" for command in golden.REFUSED}
+        assert refused <= set(commands)
+        assert all(committed["cli"][k]["exit"] == (2 if k in refused else 0)
+                   for k in commands)
 
     def test_hotpath_tables_carried_over(self, committed):
         """The ``determinism`` and ``smoke_determinism`` tables are the

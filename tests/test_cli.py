@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.analysis import load_txn_records
 from repro.cli import build_parser, main
-from repro.exp import ExperimentSpec, run_spec
+from repro.exp import PARAMETERS_BY_FLAG, ExperimentSpec, run_spec
+from repro.sim import Simulator
 
 FAST = ["--duration", "8", "--nodes", "3", "--update-rate", "3",
         "--inquiry-rate", "2", "--entities", "10"]
@@ -27,6 +30,47 @@ class TestParser:
         assert args.nodes == 4
         assert args.duration == 30.0
         assert args.period == 10.0
+
+    @pytest.mark.parametrize("command", ["run", "chaos"])
+    def test_help_names_each_default_and_domain_once(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        options = capsys.readouterr().out.split("\noptions:\n")[1]
+        entries = [" ".join(entry.split())
+                   for entry in re.split(r"\n(?=  -)", options)]
+        flags = 0
+        for entry in entries:
+            assert entry.count("default") <= 1, entry
+            parameter = PARAMETERS_BY_FLAG.get(entry.split()[0][2:])
+            if parameter is not None:
+                flags += 1
+                assert entry.count("(default ") == 1, entry
+                assert entry.count(f"must be {parameter.domain})") == 1, entry
+        assert flags == (27 if command == "run" else 12)
+
+
+class TestRefusal:
+    @pytest.mark.parametrize("argv", [
+        "run 3v --duration -1",
+        "run 3v --drop-rate 1.5",
+        "run 3v --replication-factor 9",
+        "run 3v --safety-delay -3",
+        "grid --vary nodes=4,0",
+        "chaos --drop-rate 1.5",
+    ])
+    def test_out_of_domain_value_exits_2_in_one_line(
+            self, argv, capsys, monkeypatch, tmp_path):
+        def no_simulation(*_args, **_kwargs):
+            raise AssertionError("a simulation started")
+
+        monkeypatch.setattr(Simulator, "__init__", no_simulation)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert re.fullmatch(r"\w+ \(--[\w-]+\) must be .*, got .*\n",
+                            captured.out)
+        assert captured.err == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRun:

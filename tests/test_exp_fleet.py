@@ -74,10 +74,12 @@ class TestSpec:
         assert spec.digest() == tiny().digest()
         assert spec.digest() != spec.replace(seed=99).digest()
 
-    def test_digest_distinguishes_int_from_float(self):
-        # ``nodes 4`` and ``nodes 4.0`` are different specs: integer
-        # parameters must stay exact ints end to end.
-        assert tiny(nodes=2).digest() != tiny(nodes=2.0).digest()
+    def test_integer_parameter_refuses_a_float(self):
+        # ``nodes 4.0`` is not a spec: integer parameters must stay exact
+        # ints end to end (a float node count reached ``range()``).
+        with pytest.raises(SpecError, match=r"^nodes \(--nodes\) must be "
+                                            r"an integer, got 2\.0$"):
+            tiny(nodes=2.0)
 
     @pytest.mark.parametrize("changes, expected", [
         ({}, "918a280d217853b2a08b1256e38047977563ac03f9cfc2cad509546da1ca1238"),

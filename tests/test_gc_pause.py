@@ -28,7 +28,7 @@ import traceback
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import SpecError
 from repro.exp import ExperimentSpec, run_spec
 from repro.exp import summary as exp_summary
 from repro.runtime.registry import PROTOCOLS
@@ -182,10 +182,10 @@ def test_pause_hands_the_collector_back_as_it_found_it(enabled):
 
     run_recording_experiment("3v", duration=5.0)
     assert gc.isenabled() is enabled
-    with pytest.raises(ProtocolError):
+    with pytest.raises(SpecError):
         run_recording_experiment("3v", nodes=0, duration=5.0)
     assert gc.isenabled() is enabled
-    with pytest.raises(ProtocolError):
+    with pytest.raises(SpecError):
         run_spec(ExperimentSpec("3v", nodes=0, duration=5.0))
     assert gc.isenabled() is enabled
     assert gc.get_threshold() == threshold

@@ -4,7 +4,7 @@ import pytest
 
 from repro.baselines import ManualVersioningSystem, NoCoordSystem, TwoPCSystem
 from repro.core import ThreeVSystem
-from repro.errors import ReproError
+from repro.errors import ReproError, SpecError
 from repro.txn import TxnKind
 from repro.workloads import build_system, run_recording_experiment
 
@@ -112,7 +112,6 @@ class TestControlPlaneTimers:
     ])
     def test_negative_timer_is_rejected_before_the_run(self, protocol,
                                                        field, monkeypatch):
-        from repro.errors import ProtocolError
         from repro.exp import ExperimentSpec, run_spec
         from repro.sim import Simulator
 
@@ -120,10 +119,9 @@ class TestControlPlaneTimers:
             raise AssertionError("the simulation started")
 
         monkeypatch.setattr(Simulator, "run", no_run)
-        spec = ExperimentSpec(protocol, nodes=3, duration=20.0,
-                              **{field: -0.5})
-        with pytest.raises((ProtocolError, ValueError), match=field):
-            run_spec(spec)
+        with pytest.raises(SpecError, match=field):
+            run_spec(ExperimentSpec(protocol, nodes=3, duration=20.0,
+                                    **{field: -0.5}))
 
     @pytest.mark.parametrize("field, value", [
         ("update_rate", -1.0),
@@ -151,10 +149,9 @@ class TestControlPlaneTimers:
             raise AssertionError("the simulation started")
 
         monkeypatch.setattr(Simulator, "run", no_run)
-        spec = ExperimentSpec("3v", **{"nodes": 3, "duration": 20.0,
-                                       field: value})
-        with pytest.raises((ReproError, ValueError), match=field):
-            run_spec(spec)
+        with pytest.raises(SpecError, match=field):
+            run_spec(ExperimentSpec("3v", **{"nodes": 3, "duration": 20.0,
+                                             field: value}))
 
     def test_zero_poll_interval_still_runs(self):
         result = run_recording_experiment(

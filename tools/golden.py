@@ -19,9 +19,9 @@ host, so any difference means the simulation's behaviour changed:
   that wires every counting layer: faults, placement, batched delivery
   and coordinator crashes;
 * ``cli`` — exit status and stdout sha256 of every ``repro`` command CI
-  runs, plus ``repro paper``, ``repro compare`` and a materialized traced
-  run, and the sha256 of the streaming and the materialized run's trace
-  files.
+  runs, plus ``repro paper``, ``repro compare``, a materialized traced
+  run and two refused out-of-domain values, and the sha256 of the
+  streaming and the materialized run's trace files.
 
 Usage (from any directory)::
 
@@ -100,7 +100,11 @@ MACHINE_FIELDS = ("wall_seconds", "peak_tracemalloc_bytes")
 #: of its command's stdout.
 TRACES = ("stream-trace.jsonl", "run-trace.jsonl")
 
-#: ``python -m repro`` argument strings: the CI steps, then three more.
+#: Commands whose value lies outside its domain: each prints one refusal
+#: line and exits 2.
+REFUSED = ("run 3v --duration -1", "chaos --drop-rate 1.5")
+
+#: ``python -m repro`` argument strings: the CI steps, then five more.
 COMMANDS = (
     "chaos --duration 15",
     "chaos --duration 15 --replication-factor 3 --crash-count 1",
@@ -113,6 +117,7 @@ COMMANDS = (
     "--amount-mode bitmask --crash-count 1",
     "paper",
     "compare --nodes 4 --duration 20 --no-cache",
+    *REFUSED,
     # The one run that keeps write events: a retained history's trace.
     f"run 3v --duration 20 --trace {TRACES[1]}",
 )
