@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import typing
 
+from repro.storage.values import ObservationLog
 from repro.txn.history import (
     AdvancementRecord,
     History,
@@ -155,7 +156,7 @@ class TraceStreamWriter:
 def _jsonable(value):
     if isinstance(value, (int, float, str, bool)) or value is None:
         return value
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, (tuple, list, ObservationLog)):
         return [_jsonable(item) for item in value]
     return repr(value)
 

@@ -51,6 +51,7 @@ from repro.exp import (
     summarize,
 )
 from repro.exp.chaos import CHAOS_DEFAULTS
+from repro.parameters import AMOUNT_MODES
 from repro.workloads import PROTOCOLS, run_recording_experiment
 
 #: Protocols whose audits must be clean for the CLI to exit 0
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(with --stream 1 it spills incrementally at retirement)",
     )
     run_parser.add_argument(
-        "--amount-mode", choices=("bitmask", "money"), default="bitmask",
+        "--amount-mode", choices=AMOUNT_MODES, default="bitmask",
         help="update payloads: 'bitmask' enables the exact snapshot "
              "oracle but grows hot-key values one bit per update, so "
              "million-transaction volume runs should use 'money' "

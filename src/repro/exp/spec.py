@@ -21,6 +21,8 @@ from repro.parameters import PARAMETERS, check_parameters
 
 _SPEC_DIGEST_VERSION = 1
 
+_FLOAT_FIELDS = tuple(p.field for p in PARAMETERS if p.type is float)
+
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentSpec:
@@ -64,6 +66,12 @@ class ExperimentSpec:
 
     def __post_init__(self):
         check_parameters(vars(self))
+        # ``duration=20`` means ``duration=20.0``: hold the float, so the
+        # two spellings are one spec with one digest and one cache key.
+        for field in _FLOAT_FIELDS:
+            value = getattr(self, field)
+            if value.__class__ is not float:
+                object.__setattr__(self, field, float(value))
 
     def replace(self, **changes) -> "ExperimentSpec":
         """A copy with some fields changed (specs are immutable)."""
@@ -79,10 +87,11 @@ class ExperimentSpec:
         """Stable content hash of the spec (hex sha256).
 
         Ints and floats hash differently (``json`` renders ``4`` and
-        ``4.0`` distinctly), which is exactly right: integer parameters
-        must stay exact.  A parameter newer than the digest version is
-        hashed only while it can affect the run (:meth:`Parameter.inert`),
-        so older specs and their cached fleet results keep their address.
+        ``4.0`` distinctly): integer parameters stay exact, and a float
+        parameter given as an int was made a float at construction.  A
+        parameter newer than the digest version is hashed only while it
+        can affect the run (:meth:`Parameter.inert`), so older specs and
+        their cached fleet results keep their address.
         """
         payload = dataclasses.asdict(self)
         for parameter in PARAMETERS:
@@ -101,9 +110,8 @@ class ExperimentSpec:
             p.field: getattr(args, p.dest) for p in PARAMETERS
             if hasattr(args, p.dest)
         }
-        # amount_mode is a string choice, not a sweepable numeric
-        # parameter, so it lives outside the PARAMETERS registry; only
-        # the ``run`` command exposes it.
+        # amount_mode is a string choice (``AMOUNT_MODES``) outside the
+        # PARAMETERS registry; only the ``run`` command exposes it.
         if hasattr(args, "amount_mode"):
             fields["amount_mode"] = args.amount_mode
         if protocol is None:

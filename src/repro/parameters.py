@@ -210,14 +210,23 @@ PARAMETERS_BY_FLAG: typing.Dict[str, Parameter] = {
     p.flag: p for p in PARAMETERS
 }
 
+#: What a recording's amount may be (``--amount-mode``, ``run`` only): a
+#: string choice, so not a sweepable parameter, but checked beside them.
+AMOUNT_MODES: typing.Tuple[str, ...] = ("bitmask", "money")
+
 
 def check_parameters(fields: typing.Mapping[str, typing.Any]) -> None:
     """Refuse, as :class:`SpecError` naming field and flag, the first
     registered parameter in ``fields`` (field -> value) that lies outside
-    its domain.  Keys that name no parameter are ignored."""
+    its domain, then an ``amount_mode`` outside :data:`AMOUNT_MODES`.
+    Other keys are ignored."""
     for parameter in PARAMETERS:
         if parameter.field in fields:
             parameter.check(fields[parameter.field], fields)
+    mode = fields.get("amount_mode", AMOUNT_MODES[0])
+    if mode not in AMOUNT_MODES:
+        raise SpecError(f"amount_mode (--amount-mode) must be "
+                        f"{' or '.join(AMOUNT_MODES)}, got {mode!r}")
 
 
 def parse_parameter_value(flag: str, text: str) -> typing.Union[int, float]:

@@ -7,6 +7,7 @@ from repro.storage.values import (
     Assign,
     AssignUndo,
     Increment,
+    ObservationLog,
     Operation,
     Record,
     Unrecord,
@@ -20,6 +21,7 @@ __all__ = [
     "LockMode",
     "LockTable",
     "MVStore",
+    "ObservationLog",
     "Operation",
     "Record",
     "Unrecord",

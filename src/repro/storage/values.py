@@ -9,7 +9,9 @@ not (Example 3.1).  We model this with explicit operation objects:
 * :class:`Increment` — add a delta to a numeric summary (account balance,
   items sold).  Commutes with other increments.
 * :class:`Record` — insert an observation into a multiset (a call detail
-  record, a charge line item).  Commutes with other records.
+  record, a charge line item).  Commutes with other records.  Its state is
+  an :class:`ObservationLog`: an insert is O(1) and orders nothing, and
+  the canonical order is built once, where the log is read.
 * :class:`Assign` — blind overwrite.  Does **not** commute; only
   non-well-behaved (NC3V) transactions may use it.
 
@@ -19,7 +21,7 @@ applies when a transaction tree aborts.
 
 from __future__ import annotations
 
-import bisect
+import collections.abc
 import typing
 
 from repro.errors import StorageError
@@ -27,6 +29,7 @@ from repro.errors import StorageError
 __all__ = [
     "Operation",
     "Increment",
+    "ObservationLog",
     "Record",
     "Unrecord",
     "Assign",
@@ -79,29 +82,97 @@ class Increment(Operation):
         return f"Increment({self.delta!r})"
 
 
+class ObservationLog(collections.abc.Sequence):
+    """An immutable multiset of observations: one insert on an earlier state.
+
+    A log is ``(previous state, observation)``, where the previous state is
+    another log or a plain tuple (the ``()`` a workload loads, or what
+    :class:`Unrecord` returns).  Building one copies and orders nothing,
+    so an insert costs the same however long the log is, and versions
+    that copied a state on update still share it by reference.
+
+    Reading the log — iterating, indexing, comparing, hashing, ``repr`` —
+    sees the *canonical* tuple: every observation sorted by ``repr``, equal
+    ``repr``s in insertion order.  Inserts commute, so that order depends
+    only on the multiset, and replicas that received the same records in
+    any order read byte-identical logs.  It is built by one stable sort on
+    first read, walking back only to the nearest log that already holds
+    its own, and cached; the cached log lets go of its predecessors.  A
+    log compares equal to the plain tuple of its canonical order.
+    """
+
+    __slots__ = ("_previous", "_observation", "_length", "_canonical")
+
+    def __init__(self, previous, observation, length: int):
+        self._previous = previous
+        self._observation = observation
+        self._length = length
+        self._canonical = None
+
+    def canonical(self) -> tuple:
+        """The observations sorted by ``repr``, ties in insertion order."""
+        canonical = self._canonical
+        if canonical is None:
+            inserted = []
+            state = self
+            while state.__class__ is ObservationLog:
+                if state._canonical is not None:
+                    base = state._canonical
+                    break
+                inserted.append(state._observation)
+                state = state._previous
+            else:
+                base = state
+            inserted.reverse()
+            canonical = self._canonical = tuple(
+                sorted(base + tuple(inserted), key=repr))
+            self._previous = self._observation = None
+        return canonical
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        return self.canonical()[index]
+
+    def __iter__(self):
+        return iter(self.canonical())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ObservationLog):
+            other = other.canonical()
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return self.canonical() == other
+
+    def __hash__(self) -> int:
+        return hash(self.canonical())
+
+    def __repr__(self) -> str:
+        return repr(self.canonical())
+
+
 class Record(Operation):
     """Insert an observation into a multiset state.
 
-    States are immutable: represented as a ``frozenset`` of
-    ``(observation, count)``-free entries is not enough for duplicates, so
-    we store a tuple sorted by ``repr``.  Insertion order does not affect
-    the state, which is what makes two Records commute.  ``Record`` and
-    :class:`Unrecord` both preserve the order, so an insert is one binary
-    search and a splice, not a sort of the whole log; among equal ``repr``
-    keys the newcomer goes last, as a stable sort would put it.
+    The state is an :class:`ObservationLog` (``None`` and a plain tuple are
+    valid empty or canonical starts).  An insert links the observation onto
+    the state and computes no ``repr`` and sorts nothing; the order that
+    makes two Records commute — two logs of one multiset read alike — is
+    established when the log is read.
     """
 
     def __init__(self, observation):
         self.observation = observation
 
     def apply(self, state):
+        if state.__class__ is ObservationLog:
+            return ObservationLog(state, self.observation, state._length + 1)
         if state is None:
             state = ()
-        if not isinstance(state, tuple):
+        elif not isinstance(state, tuple):
             raise StorageError(f"Record applied to non-multiset: {state!r}")
-        observation = self.observation
-        at = bisect.bisect_right(state, repr(observation), key=repr)
-        return state[:at] + (observation,) + state[at:]
+        return ObservationLog(state, self.observation, len(state) + 1)
 
     def inverse(self) -> "Unrecord":
         return Unrecord(self.observation)
@@ -117,7 +188,10 @@ class Record(Operation):
 
 
 class Unrecord(Operation):
-    """Remove one instance of an observation (the inverse of :class:`Record`)."""
+    """Remove one instance of an observation (the inverse of :class:`Record`).
+
+    The new state is the plain canonical tuple without it.
+    """
 
     def __init__(self, observation):
         self.observation = observation

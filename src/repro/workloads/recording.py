@@ -116,7 +116,8 @@ class RecordingConfig:
 
     def __post_init__(self):
         check_parameters({"entities": self.entities, "zipf": self.zipf,
-                          "abort_fraction": self.abort_fraction})
+                          "abort_fraction": self.abort_fraction,
+                          "amount_mode": self.amount_mode})
         if self.span < 1 or self.span > len(self.nodes):
             raise ReproError(
                 f"entity span {self.span} invalid for {len(self.nodes)} nodes"
@@ -128,8 +129,6 @@ class RecordingConfig:
                 f"record and must land on distinct nodes (use span to "
                 f"spread distinct records instead)"
             )
-        if self.amount_mode not in ("money", "bitmask"):
-            raise ReproError(f"unknown amount mode: {self.amount_mode!r}")
 
     @property
     def replicated(self) -> bool:

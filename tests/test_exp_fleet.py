@@ -100,6 +100,30 @@ class TestSpec:
         # that moved any of these would orphan every cached fleet result.
         assert ExperimentSpec("3v").replace(**changes).digest() == expected
 
+    def test_an_int_for_a_float_parameter_is_the_same_spec(self, tmp_path):
+        # One simulation, one content address: a library caller writing
+        # ``duration=20`` must hit what ``duration=20.0`` cached.
+        as_int = ExperimentSpec("3v", duration=20, zipf=1, update_rate=0)
+        as_float = ExperimentSpec("3v", duration=20.0, zipf=1.0,
+                                  update_rate=0.0)
+        assert type(as_int.duration) is float
+        assert as_int.digest() == as_float.digest()
+        cache = ResultCache(tmp_path)
+        assert cache.key(as_int) == cache.key(as_float)
+
+    def test_amount_mode_is_refused_at_construction(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a simulation started")
+
+        monkeypatch.setattr(Simulator, "__init__", no_simulation)
+        with pytest.raises(SpecError, match=r"^amount_mode \(--amount-mode\)"
+                                            r" must be bitmask or money, "
+                                            r"got 'bitcoin'$"):
+            tiny(amount_mode="bitcoin")
+        with pytest.raises(SpecError, match=r"^amount_mode \(--amount-mode\)"):
+            run_recording_experiment("3v", **TINY, amount_mode="bitcoin")
+        assert tiny(amount_mode="money").amount_mode == "money"
+
     def test_run_kwargs_round_trip(self):
         kwargs = tiny().run_kwargs()
         assert "protocol" not in kwargs

@@ -1,4 +1,4 @@
-"""Row labels of the untraced sampler (``tools/sample.py``).
+"""Row labels and options of the untraced sampler (``tools/sample.py``).
 
 Every dataclass ``__init__`` is generated code compiled from ``<string>``
 under one qualified name, so the sampler names those rows after the class
@@ -6,6 +6,7 @@ being built; otherwise its table would show every dataclass construction
 on a single row.
 """
 
+import collections
 import dataclasses
 import importlib.util
 import pathlib
@@ -57,3 +58,17 @@ def test_other_code_keeps_its_file_and_function():
     where, name = sample_tool._label(sys._getframe())
     assert where.endswith("test_sample_tool.py")
     assert name.endswith("test_other_code_keeps_its_file_and_function")
+
+
+def test_duration_replaces_the_workloads_own(monkeypatch, capsys):
+    sampled = []
+
+    def no_sampling(specs, inclusive):
+        sampled.extend(specs)
+        return 1, collections.Counter()
+
+    monkeypatch.setattr(sample_tool, "sample", no_sampling)
+    assert sample_tool.main(["record_8n", "--seeds", "1,2",
+                             "--duration", "7", "--smoke"]) == 0
+    assert [spec.duration for spec in sampled] == [7.0, 7.0]
+    assert [spec.seed for spec in sampled] == [14, 15]

@@ -3,6 +3,8 @@
 import json
 
 from repro.analysis import export_history, load_txn_records
+from repro.analysis.tracefile import _jsonable
+from repro.storage import Record
 from repro.workloads import run_recording_experiment
 
 
@@ -46,6 +48,10 @@ class TestExport:
         assert set(line_types(slim)) <= {"txn", "advancement", "read"}
         assert [t for t in line_types(full) if t != "write"] == (
             line_types(slim))
+
+    def test_a_read_observation_log_exports_as_its_list(self):
+        log = Record(("rec-2", 0)).apply(Record(("rec-1", 1)).apply(()))
+        assert _jsonable(log) == [["rec-1", 1], ["rec-2", 0]]
 
     def test_advancements_exported(self, tmp_path):
         result = small_run()

@@ -5,7 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from repro.storage import Assign, Increment, Record, Unrecord
+from repro.storage import (
+    Assign,
+    Increment,
+    MVStore,
+    ObservationLog,
+    Record,
+    Unrecord,
+)
+from repro.storage import values
 
 
 def apply_all(state, operations):
@@ -63,6 +71,18 @@ class TestRecord:
     def test_unrecord_absent_raises(self):
         with pytest.raises(StorageError):
             Unrecord("ghost").apply(())
+
+    def test_unrecord_absent_from_a_chained_state_raises(self):
+        state = Record("a").apply(Record("b").apply(()))
+        assert isinstance(state, ObservationLog)
+        with pytest.raises(StorageError):
+            Unrecord("ghost").apply(state)
+        assert state == ("a", "b")
+
+    def test_unrecord_returns_the_plain_canonical_tuple(self):
+        state = Record("b").apply(Record("a").apply(Record("b").apply(None)))
+        assert Unrecord("b").apply(state).__class__ is tuple
+        assert Unrecord("b").apply(state) == ("a", "b")
 
 
 class TestAssign:
@@ -168,7 +188,7 @@ def reference_record_apply(state, observation):
 
 
 class TestRecordInsertMatchesFullSort:
-    """The binary-search insert against the sort it replaced."""
+    """The log insert against the sort it replaced."""
 
     @given(st.lists(st.tuples(st.booleans(), observations), max_size=40),
            st.randoms(use_true_random=False))
@@ -195,3 +215,104 @@ class TestRecordInsertMatchesFullSort:
             assert all(a is b for a, b in zip(a_then_b, b_then_a))
         assert [repr(obs) for obs in a_then_b] == [
             repr(obs) for obs in b_then_a]
+
+
+class CountedRepr:
+    """An observation that counts the calls to its ``repr`` (the sort key)."""
+
+    calls = 0
+
+    def __init__(self, number):
+        self.number = number
+
+    def __repr__(self):
+        CountedRepr.calls += 1
+        return f"obs-{self.number:05d}"
+
+
+class TestInsertWork:
+    """An insert orders nothing; the first read sorts once."""
+
+    N = 2_000
+
+    def test_inserts_make_no_sort_key_call_and_a_read_one_sort(
+            self, monkeypatch):
+        sorts = []
+
+        def counted_sorted(*args, **kwargs):
+            sorts.append(len(args[0]))
+            return sorted(*args, **kwargs)
+
+        monkeypatch.setattr(values, "sorted", counted_sorted, raising=False)
+        monkeypatch.setattr(CountedRepr, "calls", 0)
+        state = ()
+        for number in range(self.N):
+            state = Record(CountedRepr((number * 7919) % self.N)).apply(state)
+        assert CountedRepr.calls == 0 and sorts == []
+        assert len(state) == self.N
+        assert CountedRepr.calls == 0 and sorts == []
+
+        assert state[0].number == 0
+        assert sorts == [self.N]
+        assert CountedRepr.calls == self.N
+        # The canonical tuple is cached: a second read sorts nothing.
+        assert [obs.number for obs in state] == list(range(self.N))
+        assert sorts == [self.N] and CountedRepr.calls == self.N
+
+    def test_a_read_walks_back_only_to_the_last_read(self):
+        state = apply_all((), [Record(n) for n in (3, 1, 2)])
+        assert tuple(state) == (1, 2, 3)
+        later = apply_all(state, [Record(0), Record(2)])
+        assert tuple(later) == (0, 1, 2, 2, 3)
+        # The earlier log still reads what it read, and is shared as is.
+        assert tuple(state) == (1, 2, 3)
+
+
+#: Observations whose ``repr``s are distinct, each recorded up to three
+#: times as the same object: the workload's ``(name, slot)`` pairs are
+#: unique, and equal-``repr`` entries keep their arrival order, which is
+#: the one thing two delivery orders may differ in.
+distinct_observations = st.lists(
+    st.tuples(observations, st.integers(1, 3)), max_size=30,
+).map(lambda drawn: [observation
+                     for observation, times in {
+                         repr(obs): (obs, times) for obs, times in drawn
+                     }.values()
+                     for _ in range(times)])
+
+
+def deliver(order, cut_first, cut_straggler):
+    """One store's run: ``order[:cut_first]`` at version 1, then version 2
+    opens and takes the middle, then the tail straggles in at version 1
+    (a dual write to 1 and 2), then version 1 is collected."""
+    store = MVStore(three_slots=True)
+    store.load("log", (), version=0)
+    store.ensure_version("log", 1)
+    for observation in order[:cut_first]:
+        assert store.apply_geq("log", 1, Record(observation)) == (1,)
+    store.ensure_version("log", 2)
+    for observation in order[cut_first:cut_straggler]:
+        store.apply_geq("log", 2, Record(observation))
+    for observation in order[cut_straggler:]:
+        assert store.apply_geq("log", 1, Record(observation)) == (1, 2)
+    store.collect(2)
+    assert store.versions("log") == [2]
+    return store.get_exact("log", 2)
+
+
+class TestDeliveryOrder:
+    @given(distinct_observations, st.randoms(use_true_random=False),
+           st.floats(0, 1), st.floats(0, 1))
+    def test_two_orders_leave_one_version(self, records, rng, first,
+                                          straggler):
+        cut_first = int(first * len(records))
+        cut_straggler = cut_first + int(straggler * (len(records) - cut_first))
+        other = list(records)
+        rng.shuffle(other)
+        a = deliver(records, cut_first, cut_straggler)
+        b = deliver(other, cut_first, cut_straggler)
+        assert a == b and hash(a) == hash(b)
+        assert len(a) == len(b) == len(records)
+        assert all(x is y for x, y in zip(a, b))
+        assert a == apply_all((), [Record(obs) for obs in records]) == (
+            tuple(sorted(records, key=repr)))

@@ -14,6 +14,7 @@ Usage (from the repository root)::
     python tools/sample.py stream_64n                # self rows
     python tools/sample.py stream_64n --inclusive    # rows with callees
     python tools/sample.py record_8n --seeds 4,5,6
+    python tools/sample.py record_8n --duration 1920  # a longer run
 
 Self rows charge each sample to the function that was running.
 ``--inclusive`` walks the stack and charges every function on it, once
@@ -97,6 +98,9 @@ def main(argv=None) -> int:
                         help="charge a sample to every function on the stack")
     parser.add_argument("--smoke", action="store_true",
                         help="durations divided as run.py --smoke does")
+    parser.add_argument("--duration", type=float, default=None,
+                        help="simulated seconds in place of the workload's "
+                             "own (how a cost grows with run length)")
     parser.add_argument("--rows", type=int, default=12)
     args = parser.parse_args(argv)
 
@@ -105,6 +109,8 @@ def main(argv=None) -> int:
             **e2e.resolved_spec(args.workload, int(seed), args.smoke))
         for seed in args.seeds.split(",")
     ]
+    if args.duration is not None:
+        specs = [spec.replace(duration=args.duration) for spec in specs]
     # Warm-up, as child.py does: pays the lazy imports outside the timer.
     repro.exp.run_spec(specs[0].replace(duration=5.0))
     taken, hits = sample(specs, args.inclusive)
