@@ -89,9 +89,12 @@ class TestCommittedBaseline:
 
     def test_schema(self, committed):
         assert set(committed) == {"determinism", "smoke_determinism",
-                                  "e2e", "summary", "cli"}
+                                  "e2e", "summary", "summary_events", "cli"}
         assert len(committed["e2e"]) == 40
         assert set(committed["summary"]) == set(golden.PROTOCOLS)
+        assert set(committed["summary_events"]) == set(golden.PROTOCOLS)
+        assert all(isinstance(events, int) and events > 0
+                   for events in committed["summary_events"].values())
         commands = [k for k in committed["cli"] if k.startswith("repro ")]
         assert len(commands) == len(golden.COMMANDS) >= 9
         assert all(trace in committed["cli"] for trace in golden.TRACES)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """The determinism gate: every outcome a refactor must reproduce bit for bit.
 
-``GOLDEN.json`` at the repository root holds five tables of outcomes of
+``GOLDEN.json`` at the repository root holds six tables of outcomes of
 fixed configurations.  None of them is a timing, and none depends on the
 host, so any difference means the simulation's behaviour changed:
 
@@ -15,9 +15,12 @@ host, so any difference means the simulation's behaviour changed:
   seed offsets 0-9 and smoke duration, computed with
   ``benchmarks/e2e/run.py``'s own spec and digest;
 * ``summary`` — per protocol, the sha256 of one run's whole
-  ``ExperimentSummary`` (less its two machine-dependent fields) on a spec
-  that wires every counting layer: faults, placement, batched delivery
-  and coordinator crashes;
+  ``ExperimentSummary`` (less its two machine-dependent fields and its
+  ``sim_events``) on a spec that wires every counting layer: faults,
+  placement, batched delivery and coordinator crashes;
+* ``summary_events`` — per protocol, that run's ``sim_events``, pinned
+  apart so that a change meant to move scheduled-callback counts moves
+  only these keys and ``summary`` proves every other field held;
 * ``cli`` — exit status and stdout sha256 of every ``repro`` command CI
   runs, plus ``repro paper``, ``repro compare``, a materialized traced
   run and two refused out-of-domain values, and the sha256 of the
@@ -165,16 +168,18 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def summary_table() -> dict:
-    """Each protocol's whole summary on :data:`SUMMARY_SPEC`, hashed."""
-    cells = {}
+def summary_tables() -> typing.Tuple[dict, dict]:
+    """Each protocol's summary on :data:`SUMMARY_SPEC`: its fields hashed,
+    and its event count."""
+    hashes, events = {}, {}
     for protocol in PROTOCOLS:
         summary = run_spec(ExperimentSpec(protocol, **SUMMARY_SPEC)).to_dict()
         for name in MACHINE_FIELDS:
             del summary[name]
-        cells[protocol] = sha256(
+        events[protocol] = summary.pop("sim_events")
+        hashes[protocol] = sha256(
             json.dumps(summary, sort_keys=True).encode())
-    return cells
+    return hashes, events
 
 
 def cli_table() -> dict:
@@ -199,9 +204,10 @@ def cli_table() -> dict:
 
 def run(smoke: bool) -> dict:
     """Every table the mode computes."""
+    summary, summary_events = summary_tables()
     tables = {"smoke_determinism": sweep_table("smoke"),
-              "e2e": e2e_table(), "summary": summary_table(),
-              "cli": cli_table()}
+              "e2e": e2e_table(), "summary": summary,
+              "summary_events": summary_events, "cli": cli_table()}
     if not smoke:
         tables[FULL_TABLE] = sweep_table("full")
     return tables
