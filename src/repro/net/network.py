@@ -21,15 +21,30 @@ acked, retransmitted, mailboxed or counted in a user/control/commit
 bucket.  Retransmission never gives up; ``run_until_quiet(limit=...)``
 bounds the drain.
 
+An ack is an arrival stamp, not a delivery event.  It runs every fault
+stage, takes its latency draw and is counted like any copy, but what
+survives only records its arrival time on the held message (batch mode
+still books it a tick, whose delivery does nothing).  A retransmit timer
+is armed only when it can fire: the sender knows each copy's fate when it
+sends, so while a copy lands before the deadline the timer waits for that
+copy's delivery, whose ack decides.  An ack landing strictly before the
+deadline ends the message's hold and no timer exists; otherwise the timer
+is armed for the very deadline the jitter drew, so every retransmit
+leaves when and in the order it would if every timer were armed and
+every ack delivered.  A timer that finds an earlier stamp lets the
+message go; on a tie it retransmits, as a timer armed before the ack was
+sent would.
+
 Every physical copy (a first send, a retransmit, a dup, an ack) costs
 one short call chain: ``send`` builds the envelope and, on a faulted
 network, calls :meth:`Network._transmit`, whose fault stages read link
 tuples and partition windows laid out when the network was built;
 :meth:`Network._wire` makes one draw through the latency model's bound
 :meth:`~repro.net.latency.LatencyModel.sampler`, adds the copy to its
-stats cell in place and schedules the delivery.  The retransmit timer is
-armed inline.  ``tests/test_net_call_budget.py`` holds the chain's
-profiled calls per copy.
+stats cell in place and schedules the delivery (:meth:`Network._land`,
+for an ack, returns its arrival instead).
+``tests/test_net_call_budget.py`` holds the chain's profiled calls per
+copy and scheduled callbacks per reliable send.
 """
 
 from __future__ import annotations
@@ -44,6 +59,10 @@ from repro.sim.resources import Store
 from repro.sim.simulator import Simulator
 
 __all__ = ["Network", "NetworkStats"]
+
+#: The arrival of a copy that never lands (cut or dropped), and the stamp
+#: of a held message no ack has reached yet: later than any deadline.
+_NEVER = float("inf")
 
 
 class NetworkStats:
@@ -137,9 +156,9 @@ class Network:
     straight to :meth:`_wire`.  A cut or dropped copy draws nothing
     further; the dup copy goes straight to the wire with the original's
     spike, through no second cut and no second draw.  Acks and
-    retransmissions pass through every stage.  One :meth:`_deliver`
-    consumes acks, and acks and de-duplicates every data copy, when
-    delivery is reliable.
+    retransmissions pass through every stage.  When delivery is reliable,
+    one :meth:`_deliver` acks and de-duplicates every data copy, and the
+    ack's arrival is stamped on the held message as it is wired.
 
     Args:
         sim: The owning simulator.
@@ -186,9 +205,14 @@ class Network:
         self._batches: typing.Dict[float, list] = {}
         #: The plan, kept only when some copy can be cut or faulted.
         self.faults = None
-        #: Unacked messages by id, and the ids already delivered (ids are
-        #: unique across destinations); both ``None`` unless reliable.
-        self._pending: typing.Optional[typing.Dict[int, Message]] = None
+        #: Messages held for retransmission, by id, each as ``[message,
+        #: stamp, interval, deadline]``: the earliest arrival of any of its
+        #: acks (``_NEVER`` until one survives the fault stages), its
+        #: current backoff interval, and the deadline of a timer not yet
+        #: armed (``None`` once armed).  And the ids already delivered
+        #: (ids are unique across destinations).  Both ``None`` unless
+        #: reliable.
+        self._pending: typing.Optional[typing.Dict[int, list]] = None
         self._seen: typing.Optional[typing.Set[int]] = None
         if faults is not None and faults.active:
             self.faults = faults
@@ -211,8 +235,16 @@ class Network:
 
     @property
     def pending_unacked(self) -> int:
-        """Messages sent but not yet acked (always 0 unless reliable)."""
-        return len(self._pending or ())
+        """Held messages whose ack has not landed by ``now`` (always 0
+        unless reliable).
+
+        A held message whose ack has landed but whose timer has not yet
+        run is not counted.  Neither is one already let go because its
+        ack lands before any retransmit could leave.
+        """
+        now = self.sim.now
+        return sum(1 for held in (self._pending or {}).values()
+                   if held[1] > now)
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -242,8 +274,8 @@ class Network:
         after a sampled latency.  This is the mechanism behind the paper's
         requirement that all inter-node communication is asynchronous with
         user transactions.  Under reliable delivery the message is held
-        for retransmission before its (possibly lost) first copy leaves,
-        and its first retransmit timer is armed after.
+        for retransmission after its (possibly lost) first copy leaves,
+        and its first retransmit deadline is drawn.
         """
         if dst not in self._mailboxes:
             raise SimulationError(f"send to unknown endpoint: {dst!r}")
@@ -254,14 +286,13 @@ class Network:
             return message
         pending = self._pending
         if pending is None:
-            self._transmit(message)
+            self._transmit(message, self._wire)
             return message
-        pending[message.message_id] = message
-        self._transmit(message)
+        arrival = self._transmit(message, self._wire)
         timeout = self.policy.timeout
         jitter = self._jitter_rng.random() * self.policy.jitter
-        sim.schedule(timeout + jitter, self._maybe_retransmit, message,
-                     timeout)
+        held = pending[message.message_id] = [message, _NEVER, timeout, None]
+        self._time_retransmit(held, sim.now + (timeout + jitter), arrival)
         return message
 
     def broadcast_to(self, src: str, dsts: typing.Iterable[str], kind: str,
@@ -269,14 +300,17 @@ class Network:
         """Send the same message to an explicit list of endpoints."""
         return [self.send(src, dst, kind, payload) for dst in dsts]
 
-    def _transmit(self, message: Message) -> None:
-        """Run one physical copy through the plan's fault stages.
+    def _transmit(self, message: Message, wire) -> float:
+        """Run one physical copy through the plan's fault stages; return
+        when its first copy lands (``_NEVER`` if cut or dropped).
 
-        Partitions cut before any draw: the check is a pure function of
-        ``(src, dst, now)``, so a partition-free plan draws exactly what
-        it would without partitions.  A link whose faults are all zero
-        draws nothing.  Otherwise the draws per copy are drop, spike, dup,
-        each only when the link has that fault.
+        ``wire`` puts a surviving copy on the wire: :meth:`_wire`, or
+        :meth:`_land` for an ack.  Partitions cut before any draw: the
+        check is a pure function of ``(src, dst, now)``, so a
+        partition-free plan draws exactly what it would without
+        partitions.  A link whose faults are all zero draws nothing.
+        Otherwise the draws per copy are drop, spike, dup, each only when
+        the link has that fault.
         """
         src = message.src
         dst = message.dst
@@ -285,26 +319,29 @@ class Network:
             for opens, heals, partition in self._windows:
                 if opens <= now < heals and partition.cuts(src, dst, now):
                     self.stats.partition_dropped += 1
-                    return
+                    return _NEVER
         link = (self._links.get((src, dst), self._default_link)
                 if self._links else self._default_link)
         if link is None:
-            self._wire(message, 0.0)
-            return
+            return wire(message, 0.0)
         drop, spike_probability, spike_delay, dup = link
         if drop and self._drop_rng.random() < drop:
             self.stats.dropped += 1
-            return
+            return _NEVER
         extra_delay = 0.0
         if spike_probability and self._spike_rng.random() < spike_probability:
             extra_delay = spike_delay
-        self._wire(message, extra_delay)
+        arrival = wire(message, extra_delay)
         if dup and self._dup_rng.random() < dup:
             self.stats.duplicated += 1
-            self._wire(message.copy(), extra_delay)
+            copy_arrival = wire(message.copy(), extra_delay)
+            if copy_arrival < arrival:
+                return copy_arrival
+        return arrival
 
-    def _wire(self, message: Message, extra_delay: float) -> None:
-        """Sample a latency for one copy, count it, schedule delivery.
+    def _wire(self, message: Message, extra_delay: float) -> float:
+        """Sample a latency for one copy, count it, schedule delivery;
+        return the delivery time.
 
         Sits below every fault stage, so batching cannot perturb the
         per-copy fault draws.  In batch mode all copies due at the same
@@ -327,32 +364,78 @@ class Network:
             cell[0] += 1
             cell[1] += delay
         sim = self.sim
-        if not self.batch_delivery:
-            sim.schedule(delay, self._deliver, message)
-            return
         key = sim.now + delay
+        if not self.batch_delivery:
+            sim.schedule_at(key, self._deliver, message)
+            return key
         batch = self._batches.get(key)
         if batch is not None:
             batch.append(message)
             self.stats.batched_messages += 1
-            return
+            return key
         self._batches[key] = [message]
         self.stats.batches += 1
         sim.schedule_at(key, self._deliver_batch, key)
+        return key
 
-    def _maybe_retransmit(self, message: Message, interval: float) -> None:
-        if message.message_id not in self._pending:
-            return  # acked in the meantime; the timer dies quietly
+    def _land(self, ack: Message, extra_delay: float) -> float:
+        """:meth:`_wire` for an ack copy, which is delivered as a stamp:
+        draw and count it, and return when it lands.
+
+        Unbatched, nothing is scheduled.  In batch mode the ack still
+        books its tick, so batch counts and same-tick order hold; its
+        delivery does nothing.
+        """
+        if self.batch_delivery:
+            return self._wire(ack, extra_delay)
+        delay = self._draw(ack.src, ack.dst)
+        if delay < 0:
+            raise SimulationError(f"latency model returned negative delay: {delay}")
+        delay += extra_delay
+        try:
+            cell = self._sent[ack.kind]
+        except KeyError:
+            self._sent[ack.kind] = [1, delay]
+        else:
+            cell[0] += 1
+            cell[1] += delay
+        return self.sim.now + delay
+
+    def _time_retransmit(self, held: list, deadline: float,
+                         arrival: float) -> None:
+        """Arm ``held``'s retransmit timer for ``deadline`` only if it can
+        fire.
+
+        An ack stamped strictly before the deadline ends the hold.  A copy
+        landing before it (at ``arrival``) defers the choice to the first
+        delivery of any copy, whose ack is stamped by then.  Otherwise the
+        timer is armed now.
+        """
+        if held[1] < deadline:
+            del self._pending[held[0].message_id]
+        elif arrival < deadline:
+            held[3] = deadline
+        else:
+            held[3] = None
+            self.sim.schedule_at(deadline, self._maybe_retransmit, held)
+
+    def _maybe_retransmit(self, held: list) -> None:
+        message, stamp, interval, _ = held
+        sim = self.sim
+        if stamp < sim.now:
+            # An ack stamped after the timer was armed landed first.
+            del self._pending[message.message_id]
+            return
         self.stats.retransmits += 1
         # A fresh envelope per physical copy: the original may be sitting
         # in the delivery heap (merely slow, not lost), and delivery
         # mutates the envelope's delivered_at.
-        self._transmit(message.copy())
+        arrival = self._transmit(message.copy(), self._wire)
         policy = self.policy
-        interval = min(interval * policy.backoff, policy.max_interval)
+        interval = held[2] = min(interval * policy.backoff,
+                                 policy.max_interval)
         jitter = self._jitter_rng.random() * policy.jitter
-        self.sim.schedule(interval + jitter, self._maybe_retransmit,
-                          message, interval)
+        self._time_retransmit(held, sim.now + (interval + jitter), arrival)
 
     # ------------------------------------------------------------------
     # Receiving
@@ -366,20 +449,24 @@ class Network:
         seen = self._seen
         if seen is not None:
             if message.kind is MessageKind.NET_ACK:
-                # payload = the acked data message's id.  Duplicate and
-                # stale acks are no-ops.
-                if message.payload in self._pending:
-                    del self._pending[message.payload]
-                return
+                return  # stamped on its held message when wired
             # Ack every copy received — a dropped ack leaves the sender
             # retransmitting, and only the next ack can stop it.
-            self._transmit(Message(message.dst, message.src,
-                                   MessageKind.NET_ACK, message.message_id,
-                                   self.sim.now))
-            if message.message_id in seen:
+            message_id = message.message_id
+            stamp = self._transmit(Message(message.dst, message.src,
+                                           MessageKind.NET_ACK, message_id,
+                                           self.sim.now), self._land)
+            pending = self._pending
+            if message_id in pending:
+                held = pending[message_id]
+                if stamp < held[1]:
+                    held[1] = stamp
+                if held[3] is not None:
+                    self._time_retransmit(held, held[3], _NEVER)
+            if message_id in seen:
                 self.stats.dup_suppressed += 1
                 return
-            seen.add(message.message_id)
+            seen.add(message_id)
         message.delivered_at = self.sim.now
         self._mailboxes[message.dst].put(message)
 

@@ -110,7 +110,10 @@ class Parameter:
         """Refuse ``value`` unless it has the parameter's type and lies in
         its domain (``fields`` holds the values a bound may name)."""
         if self.type is int:
-            typed, kind = isinstance(value, int), "an integer"
+            # A bool passes isinstance(int) but digests as JSON true/false,
+            # a second spelling of 1/0.
+            typed = isinstance(value, int) and type(value) is not bool
+            kind = "an integer"
         else:  # NaN passes every bound; an infinite rate never ends
             typed, kind = (isinstance(value, (int, float))
                            and math.isfinite(value)), "a finite number"

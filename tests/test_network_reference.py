@@ -4,9 +4,16 @@
 (base ``Network``, ``FaultyNetwork``, ``ReliableNetwork``,
 ``ChaosNetwork``) verbatim.  For any fault plan, send schedule,
 ``batch_delivery`` setting and latency model the new network must
-deliver the same messages at the same times, keep the same counters,
-schedule the same number of callbacks and leave every RNG stream —
-latency, retransmit jitter, drop, dup, spike — in the same state.
+deliver the same messages at the same times, keep the same counters
+and leave every RNG stream — latency, retransmit jitter, drop, dup,
+spike — in the same state.
+
+Scheduled callbacks are the one thing allowed to differ, and only down:
+the new network stamps an ack's arrival instead of delivering it, and
+arms a retransmit timer only when it can fire, where the tower delivered
+every ack and armed a timer per transmission.  So it schedules at most
+the tower's callbacks, exactly as many when the plan is not lossy, and
+its drain can end before the tower's last (no-op) ack or timer.
 """
 
 from __future__ import annotations
@@ -127,6 +134,10 @@ def build_new(sim, plan, rngs, latency, batch):
                    faults=plan)
 
 
+#: Keys of :func:`run` that may differ from the tower's (see above).
+SCHEDULING = ("scheduled", "now")
+
+
 def run(build, plan, schedule, batch, latency):
     """Drive one network; return everything observable about the run."""
     sim = Simulator()
@@ -179,9 +190,18 @@ def run(build, plan, schedule, batch, latency):
 def test_new_network_matches_the_tower(plan, schedule, batch, latency):
     old = run(build_reference, plan, schedule, batch, latency)
     new = run(build_new, plan, schedule, batch, latency)
-    assert new == old
+    assert_matches(new, old, lossy=plan is not None and plan.lossy)
     # Reliable delivery, where the plan asks for it, drains completely.
     assert new["pending"] == 0
+
+
+def assert_matches(new, old, lossy):
+    """Every key equal but the scheduling ones; those no higher, and
+    equal without reliable delivery."""
+    if lossy:
+        for key in SCHEDULING:
+            assert new.pop(key) <= old.pop(key), key
+    assert new == old
 
 
 @pytest.mark.parametrize("fault_seed", range(4))
@@ -196,7 +216,8 @@ def test_chaos_storm_matches_the_tower(fault_seed):
     for batch in (False, True):
         old = run(build_reference, plan, schedule, batch, latency="none")
         new = run(build_new, plan, schedule, batch, latency="none")
-        assert new == old
+        assert_matches(new, old, lossy=True)
+        assert new["pending"] == 0
         retransmits, suppressed, dropped, duplicated = new["counters"][:4]
         assert min(retransmits, suppressed, dropped, duplicated) > 0
 

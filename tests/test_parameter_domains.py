@@ -34,6 +34,8 @@ UNIT = ("abort_fraction", "drop_rate", "dup_rate", "latency_jitter")
 SWITCHES = ("batch_delivery", "stream", "with_observations")
 COUNTS = ("seed", "crash_count", "fault_seed", "partition_count",
           "coordinator_crashes")
+INTEGERS = SWITCHES + COUNTS + ("nodes", "entities", "span",
+                                 "replication_factor")
 
 #: (field, just outside an edge, just inside it).
 EDGES = [
@@ -59,6 +61,8 @@ EDGES = [
     ("replication_factor", 0, 1),
     ("replication_factor", 4, 3),
     ("replication_factor", 2.0, 2),
+    # A bool is an int to isinstance, but digests as JSON true/false.
+    *[(field, True, 1) for field in INTEGERS],
 ]
 
 
