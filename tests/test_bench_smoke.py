@@ -99,9 +99,11 @@ class TestCommittedBaseline:
         assert len(commands) == len(golden.COMMANDS) >= 9
         assert all(trace in committed["cli"] for trace in golden.TRACES)
         refused = {f"repro {command}" for command in golden.REFUSED}
-        assert refused <= set(commands)
-        assert all(committed["cli"][k]["exit"] == (2 if k in refused else 0)
-                   for k in commands)
+        failed = {f"repro {command}" for command in golden.FAILED_AUDITS}
+        assert refused | failed <= set(commands)
+        assert all(committed["cli"][k]["exit"] == (
+            2 if k in refused else 1 if k in failed else 0)
+            for k in commands)
 
     def test_hotpath_tables_carried_over(self, committed):
         """The ``determinism`` and ``smoke_determinism`` tables are the

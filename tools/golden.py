@@ -23,8 +23,9 @@ host, so any difference means the simulation's behaviour changed:
   only these keys and ``summary`` proves every other field held;
 * ``cli`` — exit status and stdout sha256 of every ``repro`` command CI
   runs, plus ``repro paper``, ``repro compare``, a materialized traced
-  run and two refused out-of-domain values, and the sha256 of the
-  streaming and the materialized run's trace files.
+  run, two refused out-of-domain values and a failing audit (post-hoc
+  and rolling), and the sha256 of the streaming and the materialized
+  run's trace files.
 
 Usage (from any directory)::
 
@@ -107,7 +108,13 @@ TRACES = ("stream-trace.jsonl", "run-trace.jsonl")
 #: line and exits 2.
 REFUSED = ("run 3v --duration -1", "chaos --drop-rate 1.5")
 
-#: ``python -m repro`` argument strings: the CI steps, then five more.
+#: Runs whose audit fails, post-hoc and rolling: each prints the first
+#: violation it found and exits 1, so the order violations are reported
+#: in is pinned.
+FAILED_AUDITS = ("run nocoord --duration 20 --amount-mode bitmask",
+                 "run nocoord --duration 20 --amount-mode bitmask --stream 1")
+
+#: ``python -m repro`` argument strings: the CI steps, then seven more.
 COMMANDS = (
     "chaos --duration 15",
     "chaos --duration 15 --replication-factor 3 --crash-count 1",
@@ -123,6 +130,7 @@ COMMANDS = (
     *REFUSED,
     # The one run that keeps write events: a retained history's trace.
     f"run 3v --duration 20 --trace {TRACES[1]}",
+    *FAILED_AUDITS,
 )
 
 ABSENT = "<absent>"
