@@ -10,6 +10,7 @@ of them from a retaining history makes once and reads itself.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import typing
 
@@ -133,12 +134,17 @@ def advancement_stalls(
     # wedged.  Uses the same closed_at convention as staleness_summary.
     if closed_at is None:
         closed_at = history.closed_at()
+    # The spans are sorted and disjoint, so a read's span is the last one
+    # starting at or before it: one bisection per read.
+    starts = [start for start, _end in spans]
     staleness_max = 0.0
-    for record in history.committed_txns(TxnKind.READ):
-        if record.version is None:
+    for record in history.txns.values():
+        if (record.aborted or record.kind != TxnKind.READ
+                or record.version is None):
             continue
         submitted = record.submit_time
-        if not any(start <= submitted < end for start, end in spans):
+        index = bisect.bisect_right(starts, submitted) - 1
+        if index < 0 or submitted >= spans[index][1]:
             continue
         closed = closed_at.get(record.version)
         if closed is not None:

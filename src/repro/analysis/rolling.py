@@ -2,9 +2,12 @@
 
 Both checks of :mod:`repro.analysis.serializability` — fractured reads
 and the Theorem 4.1 snapshot comparison — are made per committed read
-transaction, with its read events grouped by key; the fractured check
-merges the slots of a replicated balance (``bal:7#0``, ``bal:7#1``, …)
-into their entity, ``bal:7``.
+transaction; the fractured check merges the slots of a replicated
+balance (``bal:7#0``, ``bal:7#1``, …) into their entity, ``bal:7``.  A
+clean read costs one pass over the ``(key, value)`` pairs on its record:
+every value of an item equal, every balance equal to its committed mask.
+Only a read that pass cannot clear has its read events grouped by key,
+and that grouping builds every :class:`Violation`.
 
 :class:`RollingAuditor` makes them as transactions retire from a
 retiring :class:`~repro.txn.history.History`, in O(entities × versions +
@@ -33,7 +36,6 @@ from repro.analysis.serializability import (
     CommittedMasks,
     Violation,
     balance_entity,
-    corrected_entities,
     effectively_distinct,
     snapshot_mismatches,
 )
@@ -112,12 +114,20 @@ class RollingAuditor:
         #: The scorecard so far (abort counts are read by :meth:`report`).
         self.tally = AnomalyReport(0, 0, 0, 0, 0, violations=[])
         self._masks = masks if masks is not None else CommittedMasks()
-        #: Parked committed reads: (record, {key: [events]}).
+        #: Parked committed reads: (record, balances or None, events).
         self._pending: typing.Deque[typing.Tuple[
-            TxnRecord, typing.Dict[typing.Hashable,
-                                   typing.List[ReadEvent]]]] = (
-            collections.deque()
-        )
+            TxnRecord, typing.Optional[typing.Dict[int, typing.Any]],
+            typing.Sequence[ReadEvent]]] = collections.deque()
+        #: Each key read so far -> its balance entity (``None``: the key
+        #: is not a balance).
+        self._entities: typing.Dict[typing.Hashable,
+                                    typing.Optional[int]] = {}
+        #: The workload's corrections (name -> entity), which a rolling
+        #: run adds to as it goes, and their entities as last counted.
+        self._corrections: typing.Mapping[str, int] = getattr(
+            workload, "correction_entities", {})
+        self._corrected: typing.FrozenSet[int] = frozenset()
+        self._corrections_counted = 0
 
     def _evidence(self, violation: Violation) -> None:
         if len(self.tally.violations) < MAX_EVIDENCE:
@@ -147,50 +157,123 @@ class RollingAuditor:
         as one read checked; the keys of one entity are checked together
         for a fractured read.  With ``check_snapshots`` the read is
         compared with the committed masks now if ``settled``, else once its
-        version settles."""
+        version settles.  ``events`` are grouped only for a read that is
+        not provably clean."""
         if record.aborted or record.kind != TxnKind.READ or not events:
             return
-        by_key: typing.Dict[typing.Hashable,
-                            typing.List[ReadEvent]] = {}
-        for event in events:
-            by_key.setdefault(event.key, []).append(event)
-        self.tally.reads_checked += len(by_key)
-        # Read-one routing reads each slot of a replicated balance from one
-        # replica, so a fracture shows only across the entity's slots.
-        by_item: typing.Dict[typing.Hashable, set] = {}
-        for key, key_events in by_key.items():
-            entity = balance_entity(key)
-            item = key if entity is None else f"bal:{entity}"
-            values = {(event.node, event.value) for event in key_events}
-            if item in by_item:
-                by_item[item] |= values
-            else:
-                by_item[item] = values
-        for item, values in by_item.items():
-            if len(effectively_distinct(
-                    value for _node, value in values)) > 1:
-                self.tally.fractured_reads += 1
-                self._evidence(Violation(
-                    kind="fractured-read", txn=record.name, key=item,
-                    details=f"per-node values {sorted(values)!r}",
-                ))
+        balances = self._scan(record)
+        if balances is None:
+            self._explain(record, events, fractures=True, snapshots=False)
         if not self.check_snapshots:
             return
         if settled:
-            self._compare_masks(record, by_key)
+            self._compare(record, balances, events)
             return
-        self._pending.append((record, by_key))
+        self._pending.append((record, balances, events))
         while len(self._pending) > self.window:
             self._pending.popleft()
             self.tally.reads_skipped += 1
         self._drain()
 
-    def _compare_masks(self, record: TxnRecord, by_key) -> None:
-        for violation in snapshot_mismatches(
-                self._masks, corrected_entities(self.workload), record,
-                by_key):
-            self.tally.snapshot_mismatches += 1
-            self._evidence(violation)
+    def _scan(self, record: TxnRecord) -> typing.Optional[
+            typing.Dict[int, typing.Any]]:
+        """One pass over a read's ``(key, value)`` pairs: count its keys as
+        reads checked, and return each balance entity's value.  ``None``
+        when two values of one key, or of one entity's slots, are not
+        equal: only :meth:`_explain` can tell a fracture from float drift.
+        Equal values are one value to :func:`effectively_distinct`, so a
+        read this passes is exactly one the fractured check passes."""
+        entities = self._entities
+        first: typing.Dict[typing.Hashable, typing.Any] = {}
+        balances: typing.Dict[int, typing.Any] = {}
+        clean = True
+        for key, value in record.reads:
+            if key in first:
+                if first[key] != value:
+                    clean = False
+                continue
+            first[key] = value
+            if key in entities:
+                entity = entities[key]
+            else:
+                entity = entities[key] = balance_entity(key)
+            if entity is None:
+                continue  # not a balance: the key is its own item
+            if entity in balances:
+                if balances[entity] != value:
+                    clean = False
+            else:
+                balances[entity] = value
+        self.tally.reads_checked += len(first)
+        return balances if clean else None
+
+    def _matches(self, version: typing.Optional[int],
+                 balances: typing.Dict[int, typing.Any]) -> bool:
+        """Whether every balance of a read that passed :meth:`_scan` is
+        exactly its committed mask at ``version``."""
+        corrected = (self._corrected_entities() if self._corrections
+                     else self._corrected)
+        upto = self._masks.upto
+        for entity, value in balances.items():
+            if entity in corrected:
+                continue
+            if (0 if value is None else value) != upto(entity, version):
+                return False
+        return True
+
+    def _corrected_entities(self) -> typing.FrozenSet[int]:
+        """Entities the bitmask oracle skips, as of now: a non-commuting
+        correction overwrites a balance wholesale (possibly with a
+        non-integer), so a corrected entity no longer decomposes as a
+        bitmask.  The corrections only grow, so their count dates the
+        set."""
+        corrections = self._corrections
+        if len(corrections) != self._corrections_counted:
+            self._corrections_counted = len(corrections)
+            self._corrected = frozenset(corrections.values())
+        return self._corrected
+
+    def _compare(self, record: TxnRecord,
+                 balances: typing.Optional[typing.Dict[int, typing.Any]],
+                 events: typing.Sequence[ReadEvent]) -> None:
+        if balances is None or not self._matches(record.version, balances):
+            self._explain(record, events, fractures=False, snapshots=True)
+
+    def _explain(self, record: TxnRecord, events: typing.Sequence[ReadEvent],
+                 fractures: bool, snapshots: bool) -> None:
+        """The evidence of a read that is not provably clean: its events
+        grouped by key, then a violation per fractured item and, with
+        ``snapshots``, per event whose value is not its committed mask."""
+        by_key: typing.Dict[typing.Hashable,
+                            typing.List[ReadEvent]] = {}
+        for event in events:
+            by_key.setdefault(event.key, []).append(event)
+        if fractures:
+            # Read-one routing reads each slot of a replicated balance
+            # from one replica, so a fracture shows only across the
+            # entity's slots.
+            by_item: typing.Dict[typing.Hashable, set] = {}
+            for key, key_events in by_key.items():
+                entity = balance_entity(key)
+                item = key if entity is None else f"bal:{entity}"
+                values = {(event.node, event.value) for event in key_events}
+                if item in by_item:
+                    by_item[item] |= values
+                else:
+                    by_item[item] = values
+            for item, values in by_item.items():
+                if len(effectively_distinct(
+                        value for _node, value in values)) > 1:
+                    self.tally.fractured_reads += 1
+                    self._evidence(Violation(
+                        kind="fractured-read", txn=record.name, key=item,
+                        details=f"per-node values {sorted(values)!r}",
+                    ))
+        if snapshots:
+            for violation in snapshot_mismatches(
+                    self._masks, self._corrected_entities(), record, by_key):
+                self.tally.snapshot_mismatches += 1
+                self._evidence(violation)
 
     # ------------------------------------------------------------------
     # Deferred snapshot checking
@@ -203,20 +286,17 @@ class RollingAuditor:
             return False  # unversioned reads settle only at report() time
         if version not in closed:
             return False
-        for record in self.history.txns.values():
-            if (record.kind != TxnKind.READ and record.version is not None
-                    and record.version <= version):
-                return False
-        return True
+        return not self.history.update_in_flight(version)
 
     def _drain(self, force: bool = False) -> None:
         closed = self.history.closed_at()
-        while self._pending:
-            record, by_key = self._pending[0]
+        pending = self._pending
+        while pending:
+            record, balances, events = pending[0]
             if not force and not self._settled(record.version, closed):
                 return
-            self._pending.popleft()
-            self._compare_masks(record, by_key)
+            pending.popleft()
+            self._compare(record, balances, events)
 
     # ------------------------------------------------------------------
     # Final report
@@ -238,6 +318,12 @@ def audit(history: History, workload=None,
     per-read check against the whole run's committed-update index.  The
     workload's ``update_amounts`` are read, not consumed.
 
+    A read's ``(key, value)`` pairs on its record settle it in one pass
+    when it is clean; the run's read events are grouped by transaction
+    only if some read is not, and the reads that are not are explained in
+    the order of their first read event, so the violations come out in
+    the order a check of every read's events would list them.
+
     Args:
         history: A history that keeps read events (``"read"``).
         workload: Required for ``check_snapshots``; the
@@ -251,14 +337,25 @@ def audit(history: History, workload=None,
              if check_snapshots else None)
     auditor = RollingAuditor(history, workload,
                              check_snapshots=check_snapshots, masks=masks)
-    by_txn: typing.Dict[str, typing.List[ReadEvent]] = {}
-    for event in history.read_events:
-        by_txn.setdefault(event.txn, []).append(event)
     txns = history.txns
-    for name, events in by_txn.items():
-        record = txns.get(name)
-        if record is not None:
-            auditor.check(record, events, settled=True)
+    # Reads that are not provably clean -> their balances (or None).
+    failed: typing.Dict[str, typing.Optional[dict]] = {}
+    for name, record in txns.items():
+        if record.aborted or record.kind != TxnKind.READ or not record.reads:
+            continue
+        balances = auditor._scan(record)
+        if balances is None or (check_snapshots and not auditor._matches(
+                record.version, balances)):
+            failed[name] = balances
+    if failed:
+        by_txn: typing.Dict[str, typing.List[ReadEvent]] = {}
+        for event in history.read_events:
+            if event.txn in failed:
+                by_txn.setdefault(event.txn, []).append(event)
+        for name, events in by_txn.items():
+            auditor._explain(txns[name], events,
+                             fractures=failed[name] is None,
+                             snapshots=check_snapshots)
     return auditor.report()
 
 

@@ -17,7 +17,7 @@ version*.  Each committed read transaction is checked twice:
   see **exactly** the committed recording transactions with version
   ``<= v`` — no partial transactions, nothing newer, nothing missing.
   The expected value comes from :class:`CommittedMasks`, an index of the
-  run's committed updates, so an audit costs O(updates + reads ×
+  run's committed updates, so an audit costs O(updates + reads × log
   versions-per-entity).
 
 Both report structured :class:`Violation` records so tests can assert on
@@ -26,6 +26,7 @@ counts and benchmarks can tabulate anomaly rates.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import typing
@@ -87,19 +88,28 @@ def balance_entity(key: typing.Hashable) -> typing.Optional[int]:
 
 
 class CommittedMasks:
-    """Committed-update index: entity -> version -> OR of amounts.
+    """Committed-update index: per entity, the OR of amounts up to each
+    version.
 
     The one definition of "the committed mask of an entity up to a
     version" that both auditors query.  Callers add only *committed*
     recording transactions: the post-hoc audit in one pass
     (:meth:`from_history`), the rolling auditor as updates retire.
+
+    An entity's index is cumulative: its distinct versions, sorted, and
+    beside each the OR of every amount at or below it.  A query is one
+    bisection however long the run; an update adds its amount to the
+    masks at and above its version, which for an update at the newest
+    version (nearly every one) is the last.
     """
 
     __slots__ = ("_by_entity",)
 
     def __init__(self):
-        self._by_entity: typing.Dict[int, typing.Dict[
-            typing.Optional[int], int]] = {}
+        #: entity -> [versions, masks, unversioned]: ``masks[i]`` is the
+        #: OR of the amounts with a version ``<= versions[i]``, and
+        #: ``unversioned`` the OR of those without a version.
+        self._by_entity: typing.Dict[int, list] = {}
 
     @classmethod
     def from_history(cls, history: History,
@@ -116,29 +126,38 @@ class CommittedMasks:
 
     def add(self, entity: int, version: typing.Optional[int],
             amount: int) -> None:
-        by_version = self._by_entity.setdefault(entity, {})
-        by_version[version] = by_version.get(version, 0) | amount
+        by_entity = self._by_entity
+        if entity in by_entity:
+            index = by_entity[entity]
+        else:
+            index = by_entity[entity] = [[], [], 0]
+        if version is None:
+            index[2] |= amount
+            return
+        versions, masks = index[0], index[1]
+        if not versions or version > versions[-1]:
+            versions.append(version)
+            masks.append(masks[-1] | amount if masks else amount)
+            return
+        at = bisect.bisect_left(versions, version)
+        if versions[at] != version:
+            versions.insert(at, version)
+            masks.insert(at, masks[at - 1] if at else 0)
+        for later in range(at, len(masks)):
+            masks[later] |= amount
 
     def upto(self, entity: int,
              max_version: typing.Optional[int] = None) -> int:
         """Bitmask of ``entity``'s committed updates with version
         ``<= max_version`` (``None``: all of them; an unversioned update
         is excluded whenever a bound is given)."""
-        mask = 0
-        for version, bits in self._by_entity.get(entity, {}).items():
-            if max_version is not None and (
-                version is None or version > max_version
-            ):
-                continue
-            mask |= bits
-        return mask
-
-
-def corrected_entities(workload) -> typing.FrozenSet[int]:
-    """Entities the bitmask oracle must skip: a non-commuting correction
-    overwrites a balance wholesale (possibly with a non-integer), so a
-    corrected entity no longer decomposes as a bitmask."""
-    return frozenset(getattr(workload, "correction_entities", {}).values())
+        if entity not in self._by_entity:
+            return 0
+        versions, masks, unversioned = self._by_entity[entity]
+        if max_version is None:
+            return masks[-1] | unversioned if masks else unversioned
+        at = bisect.bisect_right(versions, max_version)
+        return masks[at - 1] if at else 0
 
 
 def snapshot_mismatches(

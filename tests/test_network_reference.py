@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.exp import ExperimentSpec
 from repro.faults import FaultPlan, LinkFaults, PartitionEvent, RetransmitPolicy
 from repro.net import (
     LinkLatency,
@@ -37,6 +38,7 @@ from repro.net import (
 )
 from repro.sim import RngRegistry, Simulator
 from repro.sim.distributions import Constant, LogNormal, Uniform
+from repro.workloads import run_recording_experiment
 
 from tests import reference_network as reference
 
@@ -189,10 +191,25 @@ def run(build, plan, schedule, batch, latency):
        latency=st.sampled_from(sorted(LATENCIES)))
 def test_new_network_matches_the_tower(plan, schedule, batch, latency):
     old = run(build_reference, plan, schedule, batch, latency)
-    new = run(build_new, plan, schedule, batch, latency)
+    built = []
+    new = run(functools.partial(_keep, built), plan, schedule, batch,
+              latency)
     assert_matches(new, old, lossy=plan is not None and plan.lossy)
     # Reliable delivery, where the plan asks for it, drains completely.
     assert new["pending"] == 0
+    assert_forgets_every_id(built[0])
+
+
+def _keep(built, *args):
+    built.append(build_new(*args))
+    return built[-1]
+
+
+def assert_forgets_every_id(network):
+    """A drained reliable network holds no delivered id: once a message
+    is let go and no copy of it is in flight, no duplicate can arrive."""
+    if network._seen is not None:
+        assert network._seen == {} and network._in_flight == {}
 
 
 def assert_matches(new, old, lossy):
@@ -215,9 +232,12 @@ def test_chaos_storm_matches_the_tower(fault_seed):
                  MessageKind.SUBTXN_REQUEST) for i in range(60)]
     for batch in (False, True):
         old = run(build_reference, plan, schedule, batch, latency="none")
-        new = run(build_new, plan, schedule, batch, latency="none")
+        built = []
+        new = run(functools.partial(_keep, built), plan, schedule, batch,
+                  latency="none")
         assert_matches(new, old, lossy=True)
         assert new["pending"] == 0
+        assert_forgets_every_id(built[0])
         retransmits, suppressed, dropped, duplicated = new["counters"][:4]
         assert min(retransmits, suppressed, dropped, duplicated) > 0
 
@@ -280,3 +300,16 @@ def test_absent_and_zero_plans_draw_nothing():
         assert sim.scheduled_count == 1  # the delivery; no timer
         assert network.stats.sent_by_kind == {MessageKind.SUBTXN_REQUEST: 1}
 
+
+
+def test_a_drained_chaos_run_holds_no_delivered_id():
+    """A whole lossy run drains its network: every id it delivered is
+    forgotten again (the network used to keep all of them)."""
+    spec = ExperimentSpec("3v", nodes=4, duration=15.0, drop_rate=0.05,
+                          dup_rate=0.05, crash_count=1, fault_seed=5,
+                          replication_factor=3)
+    network = run_recording_experiment(
+        spec.protocol, **spec.run_kwargs()).system.network
+    assert network.stats.dup_suppressed > 0
+    assert network._pending == {}
+    assert len(network._seen) == 0 and network._in_flight == {}
