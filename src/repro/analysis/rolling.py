@@ -82,9 +82,13 @@ class RollingAuditor:
     """The serializability auditor of one run.
 
     Rolling: attach via ``history.add_retire_sink(auditor.on_retire)``
-    and call :meth:`report` after the run has drained.  Post-hoc: pass a
-    finished run's ``masks`` and feed every read transaction to
-    :meth:`check` with ``settled=True`` (what :func:`audit` does).
+    and call :meth:`report` after the run has drained; a read's snapshot
+    check waits until its version settles, which needs a retiring
+    history (a retaining one settles a parked read only at
+    :meth:`report`).  Post-hoc: pass a finished run's ``masks`` and call
+    :meth:`check_retained` (what :func:`audit` does).  Both paths decide
+    a read the same way: :meth:`_scan` for a fracture, then, once its
+    version is settled, :meth:`_mismatched` for its snapshot.
 
     Args:
         history: The :class:`~repro.txn.history.History` being audited
@@ -149,25 +153,22 @@ class RollingAuditor:
             return
         self.check(record, events)
 
-    def check(self, record: TxnRecord, events: typing.Sequence[ReadEvent],
-              settled: bool = False) -> None:
-        """The per-read check of one transaction's read events: only a
-        committed read transaction is held to snapshot semantics (an update
-        legitimately sees in-progress same-version state).  Each key counts
-        as one read checked; the keys of one entity are checked together
-        for a fractured read.  With ``check_snapshots`` the read is
-        compared with the committed masks now if ``settled``, else once its
-        version settles.  ``events`` are grouped only for a read that is
-        not provably clean."""
+    def check(self, record: TxnRecord,
+              events: typing.Sequence[ReadEvent]) -> None:
+        """The per-read check of one retiring transaction's read events:
+        only a committed read transaction is held to snapshot semantics
+        (an update legitimately sees in-progress same-version state).  Each
+        key counts as one read checked; the keys of one entity are checked
+        together for a fractured read.  With ``check_snapshots`` the read
+        is parked, and compared with the committed masks once its version
+        settles.  ``events`` are grouped only for a read that is not
+        provably clean."""
         if record.aborted or record.kind != TxnKind.READ or not events:
             return
         balances = self._scan(record)
         if balances is None:
             self._explain(record, events, fractures=True, snapshots=False)
         if not self.check_snapshots:
-            return
-        if settled:
-            self._compare(record, balances, events)
             return
         self._pending.append((record, balances, events))
         while len(self._pending) > self.window:
@@ -207,19 +208,24 @@ class RollingAuditor:
         self.tally.reads_checked += len(first)
         return balances if clean else None
 
-    def _matches(self, version: typing.Optional[int],
-                 balances: typing.Dict[int, typing.Any]) -> bool:
-        """Whether every balance of a read that passed :meth:`_scan` is
-        exactly its committed mask at ``version``."""
+    def _mismatched(self, record: TxnRecord, balances: typing.Optional[
+            typing.Dict[int, typing.Any]]) -> bool:
+        """The snapshot verdict on a read whose version has settled: false
+        when every balance :meth:`_scan` returned is exactly its committed
+        mask at the read's version, true when only :meth:`_explain` can
+        tell (a read :meth:`_scan` could not clear included)."""
+        if balances is None:
+            return True
         corrected = (self._corrected_entities() if self._corrections
                      else self._corrected)
         upto = self._masks.upto
+        version = record.version
         for entity, value in balances.items():
             if entity in corrected:
                 continue
             if (0 if value is None else value) != upto(entity, version):
-                return False
-        return True
+                return True
+        return False
 
     def _corrected_entities(self) -> typing.FrozenSet[int]:
         """Entities the bitmask oracle skips, as of now: a non-commuting
@@ -232,12 +238,6 @@ class RollingAuditor:
             self._corrections_counted = len(corrections)
             self._corrected = frozenset(corrections.values())
         return self._corrected
-
-    def _compare(self, record: TxnRecord,
-                 balances: typing.Optional[typing.Dict[int, typing.Any]],
-                 events: typing.Sequence[ReadEvent]) -> None:
-        if balances is None or not self._matches(record.version, balances):
-            self._explain(record, events, fractures=False, snapshots=True)
 
     def _explain(self, record: TxnRecord, events: typing.Sequence[ReadEvent],
                  fractures: bool, snapshots: bool) -> None:
@@ -296,7 +296,53 @@ class RollingAuditor:
             if not force and not self._settled(record.version, closed):
                 return
             pending.popleft()
-            self._compare(record, balances, events)
+            if self._mismatched(record, balances):
+                self._explain(record, events, fractures=False, snapshots=True)
+
+    # ------------------------------------------------------------------
+    # Post-hoc checking
+    # ------------------------------------------------------------------
+
+    def check_retained(self) -> AnomalyReport:
+        """Check every read the history retained against the whole run's
+        ``masks`` (every version is settled, so no read is parked) and
+        score the run.
+
+        A read's ``(key, value)`` pairs on its record settle it in one
+        pass when it is clean; the run's read events are grouped by
+        transaction only if some read is not, and the reads that are not
+        are explained in the order of their first read event, so the
+        violations come out in the order a check of every read's events
+        would list them.  The abort counts are taken on the same pass."""
+        history = self.history
+        txns = history.txns
+        check_snapshots = self.check_snapshots
+        # Reads that are not provably clean -> whether _scan failed them.
+        failed: typing.Dict[str, bool] = {}
+        aborted = compensated = 0
+        for name, record in txns.items():
+            if record.compensated:
+                compensated += 1
+            if record.aborted:
+                aborted += 1
+                continue
+            if record.kind != TxnKind.READ or not record.reads:
+                continue
+            balances = self._scan(record)
+            if balances is None or (check_snapshots and self._mismatched(
+                    record, balances)):
+                failed[name] = balances is None
+        if failed:
+            by_txn: typing.Dict[str, typing.List[ReadEvent]] = {}
+            for event in history.read_events:
+                if event.txn in failed:
+                    by_txn.setdefault(event.txn, []).append(event)
+            for name, events in by_txn.items():
+                self._explain(txns[name], events, fractures=failed[name],
+                              snapshots=check_snapshots)
+        return dataclasses.replace(
+            self.tally, violations=list(self.tally.violations),
+            aborted_txns=aborted, compensated_txns=compensated)
 
     # ------------------------------------------------------------------
     # Final report
@@ -315,14 +361,9 @@ class RollingAuditor:
 def audit(history: History, workload=None,
           check_snapshots: bool = False) -> AnomalyReport:
     """Score a run's retained history: every read through the auditor's
-    per-read check against the whole run's committed-update index.  The
-    workload's ``update_amounts`` are read, not consumed.
-
-    A read's ``(key, value)`` pairs on its record settle it in one pass
-    when it is clean; the run's read events are grouped by transaction
-    only if some read is not, and the reads that are not are explained in
-    the order of their first read event, so the violations come out in
-    the order a check of every read's events would list them.
+    per-read check against the whole run's committed-update index
+    (:meth:`RollingAuditor.check_retained`).  The workload's
+    ``update_amounts`` are read, not consumed.
 
     Args:
         history: A history that keeps read events (``"read"``).
@@ -335,28 +376,8 @@ def audit(history: History, workload=None,
         raise ValueError("snapshot checking requires the workload oracle")
     masks = (CommittedMasks.from_history(history, workload.update_amounts)
              if check_snapshots else None)
-    auditor = RollingAuditor(history, workload,
-                             check_snapshots=check_snapshots, masks=masks)
-    txns = history.txns
-    # Reads that are not provably clean -> their balances (or None).
-    failed: typing.Dict[str, typing.Optional[dict]] = {}
-    for name, record in txns.items():
-        if record.aborted or record.kind != TxnKind.READ or not record.reads:
-            continue
-        balances = auditor._scan(record)
-        if balances is None or (check_snapshots and not auditor._matches(
-                record.version, balances)):
-            failed[name] = balances
-    if failed:
-        by_txn: typing.Dict[str, typing.List[ReadEvent]] = {}
-        for event in history.read_events:
-            if event.txn in failed:
-                by_txn.setdefault(event.txn, []).append(event)
-        for name, events in by_txn.items():
-            auditor._explain(txns[name], events,
-                             fractures=failed[name] is None,
-                             snapshots=check_snapshots)
-    return auditor.report()
+    return RollingAuditor(history, workload, check_snapshots=check_snapshots,
+                          masks=masks).check_retained()
 
 
 def atomic_visibility_violations(history: History) -> typing.List[Violation]:

@@ -26,7 +26,7 @@ import hashlib
 import json
 import typing
 
-from repro.analysis import advancement_stalls, audit, throughput
+from repro.analysis import advancement_stalls, audit
 from repro.runtime.registry import PROTOCOLS
 from repro.txn.history import TxnKind
 from repro.workloads.runner import collector_paused, run_recording_experiment
@@ -157,6 +157,7 @@ def summarize(spec: ExperimentSpec, result, report) -> ExperimentSummary:
     updates = fold.latency(TxnKind.UPDATE)
     reads = fold.latency(TxnKind.READ, which="global")
     staleness = fold.staleness()
+    committed_updates = fold.count(TxnKind.UPDATE)
     # The liveness watchdog only makes sense where an advancement
     # coordinator drives vr; on a coordinator-free baseline a whole-run
     # "stall" would be noise, not signal.
@@ -170,12 +171,12 @@ def summarize(spec: ExperimentSpec, result, report) -> ExperimentSummary:
         nodes=spec.nodes,
         duration=result.duration,
         submitted=result.submitted,
-        committed_updates=fold.count(TxnKind.UPDATE),
+        committed_updates=committed_updates,
         committed_reads=fold.count(TxnKind.READ),
         committed_noncommuting=fold.count(TxnKind.NONCOMMUTING),
         aborted=fold.aborted,
         compensated=report.compensated_txns,
-        update_throughput=throughput(history, result.duration, kind="update"),
+        update_throughput=committed_updates / result.duration,
         update_mean=updates.mean,
         update_p50=updates.p50,
         update_p95=updates.p95,

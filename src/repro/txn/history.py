@@ -375,11 +375,6 @@ class History:
         self._closed_at: typing.Dict[int, float] = {0: 0.0}
         self._closed_view = types.MappingProxyType(self._closed_at)
         self._adv_scan = 0
-        #: A retaining history's counts, kept as its records change:
-        #: records begun and aborted per kind, and records compensated.
-        self._begun: typing.Dict[str, int] = {}
-        self._aborted: typing.Dict[str, int] = {}
-        self._compensated = 0
         #: A retiring history's in-flight transactions that are not reads,
         #: by version (what :meth:`update_in_flight` reads).
         self._versions_in_flight: typing.Dict[int, int] = {}
@@ -401,12 +396,7 @@ class History:
             root_node=root_node, reads=[] if self.keeps_reads else (),
         )
         self.txns[name] = record
-        if self.retain:
-            try:
-                self._begun[kind] += 1
-            except KeyError:
-                self._begun[kind] = 1
-        elif kind != TxnKind.READ and version is not None:
+        if not self.retain and kind != TxnKind.READ and version is not None:
             try:
                 self._versions_in_flight[version] += 1
             except KeyError:
@@ -444,19 +434,13 @@ class History:
 
     def aborted(self, name: str, time: float, reason: str = "") -> None:
         record = self.txns[name]
-        if not record.aborted:
-            record.aborted = True
-            kind = record.kind
-            self._aborted[kind] = self._aborted.get(kind, 0) + 1
+        record.aborted = True
         record.abort_reason = reason
         if record.global_complete_time is None:
             record.global_complete_time = time
 
     def compensated(self, name: str) -> None:
-        record = self.txns[name]
-        if not record.compensated:
-            record.compensated = True
-            self._compensated += 1
+        self.txns[name].compensated = True
 
     def waited(self, name: str, reason: str, duration: float) -> None:
         if duration <= 0:
@@ -569,6 +553,11 @@ class History:
         self._stats.fold(self._retired, self.closed_at())
         self._retired.clear()
 
+    def _unfolded(self) -> typing.Collection[TxnRecord]:
+        """Records the running fold has not taken: every retained one, or
+        the retired batch still waiting."""
+        return self.txns.values() if self.retain else self._retired
+
     def _records(self) -> typing.Collection[TxnRecord]:
         if not self.retain:
             raise RuntimeError(
@@ -587,42 +576,35 @@ class History:
     def aborted_txns(self) -> typing.List[TxnRecord]:
         return [record for record in self._records() if record.aborted]
 
-    # The counts stay cheap in both modes because policies poll them
-    # during the run: a retaining history keeps them as counters, a
-    # retiring one adds the retired batch its fold has not taken (at most
-    # FOLD_BATCH records) to the fold's.
+    # The counts stay cheap in both modes — a scan of the unfolded records,
+    # never a fold — because policies poll them during the run.  A finished
+    # run reads them from its one fold instead (``summarize``).
 
     def count(self, kind: typing.Optional[str] = None) -> int:
         """Committed transactions, optionally by kind (allocation-free)."""
-        if self.retain:
-            if kind is None:
-                return len(self.txns) - sum(self._aborted.values())
-            return self._begun.get(kind, 0) - self._aborted.get(kind, 0)
         return self._stats.count(kind) + sum(
-            1 for record in self._retired if is_committed(record, kind))
+            1 for record in self._unfolded() if is_committed(record, kind)
+        )
 
     def aborted_count(self) -> int:
-        if self.retain:
-            return sum(self._aborted.values())
         return self._stats.aborted + sum(
-            1 for record in self._retired if record.aborted)
+            1 for record in self._unfolded() if record.aborted)
 
     def compensated_count(self) -> int:
-        if self.retain:
-            return self._compensated
         return self._stats.compensated + sum(
-            1 for record in self._retired if record.compensated)
+            1 for record in self._unfolded() if record.compensated)
 
     def update_in_flight(self, version: int) -> bool:
         """Whether a transaction still in flight that is not a read
         carries a version ``<= version``: one comparison per distinct
-        version in flight, a handful however many transactions are.  A
-        retiring history only: a retaining one never retires a record,
-        so nothing it holds settles."""
+        version in flight, a handful however many transactions are, on
+        a retiring history.  A retaining one retires nothing, so every
+        record it holds counts, and finding one is a scan."""
         if self.retain:
-            raise RuntimeError(
-                "a retaining history keeps every record in flight; "
-                "only a retiring one settles versions")
+            return any(
+                record.kind != TxnKind.READ and record.version is not None
+                and record.version <= version
+                for record in self.txns.values())
         for in_flight in self._versions_in_flight:
             if in_flight <= version:
                 return True
