@@ -114,7 +114,7 @@ REFUSED = ("run 3v --duration -1", "chaos --drop-rate 1.5")
 FAILED_AUDITS = ("run nocoord --duration 20 --amount-mode bitmask",
                  "run nocoord --duration 20 --amount-mode bitmask --stream 1")
 
-#: ``python -m repro`` argument strings: the CI steps, then seven more.
+#: ``python -m repro`` argument strings: the CI steps, then ten more.
 COMMANDS = (
     "chaos --duration 15",
     "chaos --duration 15 --replication-factor 3 --crash-count 1",
@@ -130,6 +130,9 @@ COMMANDS = (
     *REFUSED,
     # The one run that keeps write events: a retained history's trace.
     f"run 3v --duration 20 --trace {TRACES[1]}",
+    # The one run with NC3V on: corrections take the two-phase path,
+    # well-behaved updates hold commute locks until their root completes.
+    "run 3v --duration 20 --correction-rate 0.5",
     *FAILED_AUDITS,
 )
 
