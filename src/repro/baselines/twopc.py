@@ -98,8 +98,12 @@ class TwoPCSystem(System):
         self._attempts[base_name] = attempt + 1
         retry_spec = _rename(spec, f"{base_name}~r{attempt + 1}")
         backoff = self.retry_backoff * (2 ** attempt)
-        # A retry is routed like a submission but not counted as one.
-        self.sim.schedule(backoff, self._submit_root, retry_spec)
+        self.sim.schedule(backoff, self._retry, retry_spec)
+
+    def _retry(self, spec: TransactionSpec) -> None:
+        """Route a retry like a submission, but do not count it as one."""
+        self.submit(spec)
+        self._submitted -= 1
 
 
 def _rename(spec: TransactionSpec, new_name: str) -> TransactionSpec:

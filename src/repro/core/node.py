@@ -36,6 +36,7 @@ from repro.net.message import Message, MessageKind
 from repro.runtime.config import NodeConfig
 from repro.runtime.node import ProtocolNode
 from repro.runtime.plugin import ProtocolPlugin
+from repro.sim.distributions import Constant
 from repro.storage.counters import CounterTable
 from repro.storage.locktable import LockMode
 from repro.txn.history import TxnKind, WaitReason
@@ -62,8 +63,22 @@ class ThreeVPlugin(ProtocolPlugin):
 
     def bind(self, system) -> None:
         super().bind(system)
+        config = system.config
         if self.allow_noncommuting:
-            system.config.enable_locking = True
+            config.enable_locking = True
+            self.takeover = self._divert_noncommuting
+        if config.enable_locking:
+            self.pre_execute = self._commute_locks
+            self.on_root_complete = self._release_locks_everywhere
+        # Step 6: atomically increment C[V(T)][source] and terminate.
+        if config.completion == "immediate":
+            # Section 4.1 step 6, literally: as soon as the children have
+            # been dispatched.
+            self.on_subtxn_executed = self._count_completion
+        else:
+            # Hierarchical: only once every descendant has completed
+            # (Table 1's timing).
+            self.on_instance_complete = self._count_completion
 
     def init_node(self, node) -> None:
         node.counters = CounterTable(node.node_id)
@@ -108,14 +123,12 @@ class ThreeVPlugin(ProtocolPlugin):
     # Lifecycle hooks (Sections 4.1 / 4.2)
     # ------------------------------------------------------------------
 
-    def takeover(self, node, instance: SubtxnInstance, kind: str):
+    def _divert_noncommuting(self, node, instance: SubtxnInstance,
+                             kind: str):
+        """``takeover`` under NC3V: a non-commuting transaction runs on the
+        two-phase engine (Section 5)."""
         if kind != TxnKind.NONCOMMUTING:
             return None
-        if node.nc3v is None:
-            raise ProtocolError(
-                f"node {node.node_id}: non-commuting transaction "
-                f"{instance.txn.name!r} but NC3V is not enabled"
-            )
         return functools.partial(node.nc3v.run_subtxn, instance)
 
     def admit_root(self, node, instance: SubtxnInstance, kind: str):
@@ -134,15 +147,21 @@ class ThreeVPlugin(ProtocolPlugin):
         if kind == TxnKind.UPDATE and instance.version > node.vu:
             self.advance_update_version(node, instance.version)
 
-    def pre_execute(self, node, instance: SubtxnInstance, kind: str):
-        # Commute locks (only in mixed NC3V deployments).
-        if node.config.enable_locking and kind == TxnKind.UPDATE:
+    def _commute_locks(self, node, instance: SubtxnInstance, kind: str):
+        """``pre_execute`` with locking on (mixed NC3V deployments): a
+        well-behaved update takes its commute locks."""
+        if kind == TxnKind.UPDATE:
             return _CommuteLocks(node, instance)
         return None
 
     def service_time(self, node, instance: SubtxnInstance):
-        # One draw per subtransaction, ops or not.
-        service = node.config.op_service.sample(node._service_rng)
+        # One draw per subtransaction, ops or not; a constant draws nothing
+        # from the stream, so it is read without a call.
+        op_service = node.config.op_service
+        if op_service.__class__ is Constant:
+            service = op_service.value
+        else:
+            service = op_service.sample(node._service_rng)
         ops = instance.spec.ops
         return service * len(ops) if ops else None
 
@@ -158,7 +177,7 @@ class ThreeVPlugin(ProtocolPlugin):
         store = node.store
         txn = instance.txn.name
         for op in instance.spec.ops:
-            if isinstance(op, ReadOp):
+            if op.__class__ is ReadOp:
                 if keeps_reads:
                     used = store.version_max_leq(op.key, version)
                     value = (
@@ -170,11 +189,11 @@ class ThreeVPlugin(ProtocolPlugin):
                     value = store.read_max_leq(op.key, version, default=None)
                 history.read(node.sim.now, txn, instance.sid, node.node_id,
                              op.key, version, used, value)
-            elif isinstance(op, WriteOp):
-                if kind == TxnKind.READ:
-                    raise ProtocolError(
-                        f"read-only transaction {txn!r} attempted a write"
-                    )
+            elif kind == TxnKind.READ:
+                raise ProtocolError(
+                    f"read-only transaction {txn!r} attempted a write"
+                )
+            else:
                 # Step 4: atomically check/create x(V(T)), then update all
                 # versions >= V(T) (the dual-write rule for stragglers).
                 store.ensure_version(op.key, version)
@@ -192,7 +211,7 @@ class ThreeVPlugin(ProtocolPlugin):
     def apply_inverses(self, node, instance: SubtxnInstance) -> None:
         version = instance.version
         for op in reversed(instance.spec.ops):
-            if not isinstance(op, WriteOp):
+            if op.__class__ is ReadOp:
                 continue
             inverse = op.operation.inverse()
             node.store.ensure_version(op.key, version)
@@ -214,26 +233,17 @@ class ThreeVPlugin(ProtocolPlugin):
     def note_request(self, node, version, target: str) -> None:
         node.counters.inc_request(version, target)
 
-    def on_subtxn_executed(self, node, instance: SubtxnInstance) -> None:
-        if node.config.completion == "immediate":
-            # Section 4.1 step 6, literally: increment C and terminate as
-            # soon as the children have been dispatched.
-            node.counters.inc_completion(instance.version, instance.source_node)
-
-    def on_instance_complete(self, node, instance: SubtxnInstance) -> None:
-        if node.config.completion != "immediate":
-            # Step 6: atomically increment C[V(T)][source] and terminate.
-            # In hierarchical mode this happens only once every descendant
-            # has completed (Table 1's timing).
-            node.counters.inc_completion(instance.version, instance.source_node)
-
-    def on_root_complete(self, node, instance: SubtxnInstance) -> None:
-        if node.config.enable_locking and not instance.txn.is_read_only:
-            self._release_locks_everywhere(node, instance)
+    def _count_completion(self, node, instance: SubtxnInstance) -> None:
+        """``on_subtxn_executed`` or ``on_instance_complete``, whichever the
+        completion timing names (see :meth:`bind`)."""
+        node.counters.inc_completion(instance.version, instance.source_node)
 
     def _release_locks_everywhere(self, node, instance: SubtxnInstance) -> None:
-        """Asynchronous clean-up phase: release commute locks on every node
-        the transaction touched (Section 5)."""
+        """``on_root_complete`` with locking on: the asynchronous clean-up
+        phase releases an update's commute locks on every node the
+        transaction touched (Section 5)."""
+        if instance.txn.is_read_only:
+            return
         for target in instance.txn.nodes:
             if target == node.node_id:
                 node.locks.release_all(instance.txn.name)

@@ -122,7 +122,7 @@ class ThreeVSystem(System):
 
     def submit(self, spec: TransactionSpec) -> None:
         """Submit a transaction now; its root runs at ``spec.root.node``."""
-        if not spec.is_well_behaved and not self.config.enable_locking:
+        if not spec.is_well_behaved and not self.plugin.allow_noncommuting:
             raise ProtocolError(
                 f"{spec.name!r} is non-commuting; construct the system with "
                 "allow_noncommuting=True to run it (NC3V)"

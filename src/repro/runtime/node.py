@@ -108,7 +108,9 @@ class ProtocolNode:
         if not instance.is_root:
             raise ProtocolError("submit() is for root subtransactions only")
         mailbox = self._mailbox
-        if mailbox.hands_over:
+        # This node is the mailbox's consumer: it hands over unless frozen
+        # or backlogged.
+        if not (mailbox._frozen or mailbox._items):
             self._arrive(instance)
             return
         now = self.sim.now
@@ -151,11 +153,14 @@ class ProtocolNode:
 
             # A plugin may divert this transaction class into its own
             # lifecycle (NC3V's and 2PC's two-phase-commit engine).
-            takeover = plugin.takeover(self, instance, kind)
+            takeover = plugin.takeover
             if takeover is not None:
-                # One scheduled start and, at its end, one triggered event.
-                self.sim.schedule_now(takeover, Event(self.sim).succeed)
-                return
+                run = takeover(self, instance, kind)
+                if run is not None:
+                    # One scheduled start and, at its end, one triggered
+                    # event.
+                    self.sim.schedule_now(run, Event(self.sim).succeed)
+                    return
 
             # --- Arrival: version assignment and request accounting ---
             if instance.is_root:
@@ -169,20 +174,23 @@ class ProtocolNode:
         if not live:
             self._live.add(instance)
             # --- Protocol work before the executor (e.g. commute locks)
-            pre = plugin.pre_execute(self, instance, kind)
-            if pre is not None:
-                self._wait(pre, instance, kind, True)
-                return
+            pre_execute = plugin.pre_execute
+            if pre_execute is not None:
+                pre = pre_execute(self, instance, kind)
+                if pre is not None:
+                    self._wait(pre, instance, kind, True)
+                    return
 
-        # --- Local concurrency control ---------------------------------
+        # --- Local concurrency control: a grant on the spot waited for
+        # nothing; a queued one re-enters here with its queueing time. ---
         if queued_at is None:
-            queued_at = self.sim.now
             if not self.executor.acquire(
-                    self._arrive, instance, kind, True, queued_at):
+                    self._arrive, instance, kind, True, self.sim.now):
                 return
-        self.history.waited(
-            instance.txn.name, WaitReason.EXECUTOR, self.sim.now - queued_at
-        )
+        else:
+            self.history.waited(
+                instance.txn.name, WaitReason.EXECUTOR,
+                self.sim.now - queued_at)
         service = plugin.service_time(self, instance)
         if service is None:
             self._finish(instance, kind)
@@ -244,7 +252,9 @@ class ProtocolNode:
         if instance.is_root:
             self.history.locally_committed(instance.txn.name, self.sim.now)
 
-        plugin.on_subtxn_executed(self, instance)
+        on_executed = plugin.on_subtxn_executed
+        if on_executed is not None:
+            on_executed(self, instance)
         instance.executed = True
         if not instance.outstanding_children:
             self._complete_instance(instance)
@@ -328,12 +338,15 @@ class ProtocolNode:
 
     def _complete_instance(self, instance: SubtxnInstance) -> None:
         """Subtree completion: plugin accounting plus the upward notice."""
-        self.plugin.on_instance_complete(self, instance)
+        plugin = self.plugin
+        if plugin.on_instance_complete is not None:
+            plugin.on_instance_complete(self, instance)
         self._live.remove(instance)
         if instance.is_root:
             # Root of the tree: the whole transaction is done.
             self.history.globally_completed(instance.txn.name, self.sim.now)
-            self.plugin.on_root_complete(self, instance)
+            if plugin.on_root_complete is not None:
+                plugin.on_root_complete(self, instance)
             if instance.txn.wants_abort:
                 self._forget_txn(instance)
             return

@@ -23,7 +23,16 @@ Hook contract (see ``docs/PROTOCOL.md`` for the full walk-through):
   lifecycle for some transaction class (NC3V and 2PC divert into the
   shared :mod:`repro.runtime.twophase` engine this way).  It returns a
   callable ``run(then)`` shaped like a wait, which the node starts in one
-  scheduled callback and which calls ``then()`` when the lifecycle ends.
+  scheduled callback and which calls ``then()`` when the lifecycle ends,
+  or ``None`` to run the shared path.
+* ``takeover``, ``pre_execute``, ``on_subtxn_executed``,
+  ``on_instance_complete`` and ``on_root_complete`` are *optional*: each
+  is ``None`` unless the plugin binds it, as a method of its class or,
+  where its configuration decides, as an attribute set in :meth:`bind`.
+  The node calls a bound one and skips a ``None`` one without a call, so
+  a protocol pays nothing per subtransaction for a hook it has no work
+  for.  Binding the hook is the whole declaration: there is no second
+  list of what a plugin does.
 * ``service_time`` returns the local service time as a number (or
   ``None`` for "no service wait at all"); it owns the protocol's
   service-RNG draw discipline.  The node turns it into one scheduled
@@ -57,11 +66,28 @@ from repro.net.message import Message
 from repro.storage.mvstore import MVStore
 from repro.txn.history import TxnKind, WaitReason
 from repro.txn.runtime import SubtxnInstance
-from repro.txn.spec import ReadOp, WriteOp
+from repro.txn.spec import ReadOp
 
 
 class ProtocolPlugin:
     """Default plugin: single-version, uncoordinated execution."""
+
+    #: ``run(then)`` replacing the whole subtransaction lifecycle, from
+    #: ``takeover(node, instance, kind)``, or ``None`` (the shared path).
+    takeover = None
+    #: ``pre_execute(node, instance, kind)``: a wait run before the
+    #: executor is acquired (e.g. commute locks), or ``None`` (no wait).
+    pre_execute = None
+    #: ``on_subtxn_executed(node, instance)``: the subtransaction
+    #: committed locally and dispatched its children (Section 4.1 step 6
+    #: timing, "immediate" completion counting).
+    on_subtxn_executed = None
+    #: ``on_instance_complete(node, instance)``: the whole subtree under
+    #: the instance has completed (hierarchical completion counting).
+    on_instance_complete = None
+    #: ``on_root_complete(node, instance)``: the root's subtree, the whole
+    #: transaction, has completed.
+    on_root_complete = None
 
     def __init__(self):
         self.system = None
@@ -71,7 +97,11 @@ class ProtocolPlugin:
     # ------------------------------------------------------------------
 
     def bind(self, system) -> None:
-        """Attach to the owning system (called before nodes are built)."""
+        """Attach to the owning system (called before nodes are built).
+
+        A plugin whose optional hooks depend on the system's configuration
+        binds them here; the rest stay ``None``.
+        """
         self.system = system
 
     def make_store(self, node):
@@ -97,16 +127,6 @@ class ProtocolPlugin:
         re-checks NC3V admission gates).  The default is a no-op: in-doubt
         two-phase transactions resolve as the thawed mailbox drains.
         """
-
-    # ------------------------------------------------------------------
-    # Lifecycle takeover
-    # ------------------------------------------------------------------
-
-    def takeover(self, node, instance: SubtxnInstance, kind: str):
-        """Return a ``run(then)`` callable replacing the whole
-        subtransaction lifecycle, or ``None`` to run the shared runtime
-        path."""
-        return None
 
     # ------------------------------------------------------------------
     # Root admission and version assignment
@@ -163,11 +183,6 @@ class ProtocolPlugin:
     # Execution hooks
     # ------------------------------------------------------------------
 
-    def pre_execute(self, node, instance: SubtxnInstance, kind: str):
-        """Wait run before the executor is acquired (e.g. commute locks),
-        or ``None``."""
-        return None
-
     def service_time(self, node, instance: SubtxnInstance):
         """Local service time of the subtransaction, or ``None`` when it
         has none (owns the service-RNG draw discipline — baselines draw
@@ -186,7 +201,7 @@ class ProtocolPlugin:
         store = node.store
         txn = instance.txn.name
         for op in instance.spec.ops:
-            if isinstance(op, ReadOp):
+            if op.__class__ is ReadOp:
                 used = store.version_max_leq(op.key, version)
                 value = (
                     store.get_exact(op.key, used) if used is not None
@@ -194,11 +209,11 @@ class ProtocolPlugin:
                 )
                 history.read(node.sim.now, txn, instance.sid, node.node_id,
                              op.key, version, used, value)
-            elif isinstance(op, WriteOp):
-                if kind == TxnKind.READ:
-                    raise ProtocolError(
-                        f"read-only transaction {txn!r} attempted a write"
-                    )
+            elif kind == TxnKind.READ:
+                raise ProtocolError(
+                    f"read-only transaction {txn!r} attempted a write"
+                )
+            else:
                 store.ensure_version(op.key, version)
                 store.apply_exact(op.key, version, op.operation)
                 if keeps_writes:
@@ -209,7 +224,7 @@ class ProtocolPlugin:
     def apply_inverses(self, node, instance: SubtxnInstance) -> None:
         """Apply the compensating (inverse) writes of a subtransaction."""
         for op in reversed(instance.spec.ops):
-            if not isinstance(op, WriteOp):
+            if op.__class__ is ReadOp:
                 continue
             inverse = op.operation.inverse()
             node.store.ensure_version(op.key, instance.version)
@@ -227,17 +242,6 @@ class ProtocolPlugin:
     def note_request(self, node, version, target: str) -> None:
         """Called right before each child/compensator send (3V increments
         its request counter here — Section 4.1 step 5)."""
-
-    def on_subtxn_executed(self, node, instance: SubtxnInstance) -> None:
-        """The subtransaction committed locally and dispatched its children
-        (Section 4.1 step 6 timing — "immediate" completion counting)."""
-
-    def on_instance_complete(self, node, instance: SubtxnInstance) -> None:
-        """The whole subtree under this instance has completed
-        (hierarchical completion counting)."""
-
-    def on_root_complete(self, node, instance: SubtxnInstance) -> None:
-        """The root's subtree — the whole transaction — has completed."""
 
     # ------------------------------------------------------------------
     # Control messages

@@ -178,22 +178,24 @@ class System:
     def submit(self, spec: TransactionSpec) -> None:
         """Submit a transaction now; its root runs at ``spec.root.node``
         (or, for read-only trees under replication, at the first readable
-        replica when the spec's node is unavailable — read-one routing)."""
-        self._submit_root(spec)
-        self._submitted += 1
+        replica when the spec's node is unavailable — read-one routing).
 
-    def _submit_root(self, spec: TransactionSpec) -> None:
-        """Build a submission's root envelope and hand it to its node (the
-        root's ``source_node`` is the node it runs on)."""
-        node = spec.root.node
+        The root's envelope is handed to its node, and its
+        ``source_node`` is the node it runs on.
+        """
+        node_id = spec.root.node
         overrides = None
         if self.placement is not None and spec.is_read_only:
             overrides = self.placement.route_reads(TxnIndex(spec).by_id)
             if overrides is not None:
-                node = overrides.get(spec.name, node)
-        root = SubtxnInstance(spec, spec.name, spec.root, None, node,
-                              overrides=overrides)
-        self.node(node).submit(root)
+                node_id = overrides.get(spec.name, node_id)
+        try:
+            node = self.nodes[node_id]
+        except KeyError:
+            raise ProtocolError(f"unknown node: {node_id!r}") from None
+        node.submit(SubtxnInstance(spec, spec.name, spec.root, None, node_id,
+                                   overrides=overrides))
+        self._submitted += 1
 
     def submit_at(self, time: float, spec: TransactionSpec) -> None:
         """Schedule a submission at an absolute simulation time."""
@@ -322,4 +324,6 @@ class System:
         """
         for node in self.nodes.values():
             node.__dict__.clear()
+        # A plugin holds the hooks its bind() chose as its own methods.
+        self.plugin.__dict__.clear()
         self.__dict__.clear()

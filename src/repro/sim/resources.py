@@ -112,13 +112,6 @@ class Store:
     def frozen(self) -> bool:
         return self._frozen
 
-    @property
-    def hands_over(self) -> bool:
-        """Whether a :meth:`put` now would reach the consumer on the spot:
-        there is one, and the store is neither frozen nor backlogged."""
-        return (self._consumer is not None and not self._frozen
-                and not self._items)
-
     def freeze(self) -> None:
         """Stop handing items to the consumer; ``put`` queues silently.
 

@@ -261,31 +261,36 @@ class MVStore:
         dropped = 0
         maxes = self._maxes
         for key, chain in self._chains.items():
-            if maxes[key] < read_version:
+            maximum = maxes[key]
+            if maximum < read_version:
                 # Whole chain is below the new read version: rename its
                 # head to the read version and drop everything else.
-                earlier = sorted(chain)
-                chain[read_version] = chain[earlier[-1]]
-                for v in earlier:
+                chain[read_version] = chain[maximum]
+                maxes[key] = read_version
+            else:
+                # The newest version below the read version, if any: a
+                # chain of one version at or above it stays as it is.
+                newest = None
+                for v in chain:
+                    if v < read_version and (newest is None or v > newest):
+                        newest = v
+                if newest is None:
+                    continue
+                if read_version not in chain:
+                    if self._three_slots:
+                        # The earlier versions are dropped; a later one
+                        # may hold the read version's slot.
+                        for live in chain:
+                            if live > read_version and (
+                                    live - read_version) % 3 == 0:
+                                raise _collision(key, read_version, live)
+                    chain[read_version] = chain[newest]
+            # Drop the earlier versions: a chain is short, so one plain
+            # loop, with no sort and no generator frame.
+            for v in [*chain]:
+                if v < read_version:
                     del chain[v]
                     dropped += 1
-                maxes[key] = read_version
-                continue
-            earlier = sorted(v for v in chain if v < read_version)
-            if not earlier:
-                continue
-            if read_version not in chain:
-                if self._three_slots:
-                    # The earlier versions are dropped; a later one may
-                    # hold the read version's slot.
-                    for live in chain:
-                        if live > read_version and (
-                                live - read_version) % 3 == 0:
-                            raise _collision(key, read_version, live)
-                chain[read_version] = chain[earlier[-1]]
-            for v in earlier:
-                del chain[v]
-                dropped += 1
         return dropped
 
     # ------------------------------------------------------------------

@@ -9,7 +9,8 @@ generator ``local_service`` bodies, and a ``_run`` process blocked on a
 ``src/``, so the mailbox's consumer feeds that getter here, as the old
 ``Store.put`` did.  Plugin hooks that wait now return a ``wait(then)``
 callable instead of a generator; the reference sits each one out inline
-(``sit_out``), where it used to ``yield from`` the hook's generator.
+(``sit_out``), where it used to ``yield from`` the hook's generator, and
+skips an optional hook its plugin left ``None``.
 Patched in for the class
 :class:`repro.runtime.system.System` builds its nodes from, it must
 produce — on every protocol, with and without faults — exactly the
@@ -127,7 +128,7 @@ class GeneratorNode(ProtocolNode):
 
         kind = _classify(instance)
 
-        takeover = plugin.takeover(self, instance, kind)
+        takeover = plugin.takeover and plugin.takeover(self, instance, kind)
         if takeover is not None:
             yield from sit_out(self.sim, takeover)
             return
@@ -141,7 +142,7 @@ class GeneratorNode(ProtocolNode):
 
         self._live.add(instance)
 
-        pre = plugin.pre_execute(self, instance, kind)
+        pre = plugin.pre_execute and plugin.pre_execute(self, instance, kind)
         if pre is not None:
             yield from sit_out(self.sim, pre)
 
@@ -182,7 +183,8 @@ class GeneratorNode(ProtocolNode):
         if instance.is_root:
             self.history.locally_committed(instance.txn.name, self.sim.now)
 
-        plugin.on_subtxn_executed(self, instance)
+        if plugin.on_subtxn_executed is not None:
+            plugin.on_subtxn_executed(self, instance)
 
         instance.executed = True
         if not instance.outstanding_children:
