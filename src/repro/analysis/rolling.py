@@ -47,6 +47,16 @@ from repro.txn.history import History, ReadEvent, TxnKind, TxnRecord
 MAX_EVIDENCE = 100
 
 
+def _ordered(values) -> list:
+    """A fractured item's ``(node, value)`` pairs in order, for its
+    violation text; by ``repr`` where the values do not order (one node
+    showing the item as both ``0`` and ``None``)."""
+    try:
+        return sorted(values)
+    except TypeError:
+        return sorted(values, key=repr)
+
+
 @dataclasses.dataclass
 class AnomalyReport:
     """Correctness scorecard for one simulation run."""
@@ -267,7 +277,7 @@ class RollingAuditor:
                     self.tally.fractured_reads += 1
                     self._evidence(Violation(
                         kind="fractured-read", txn=record.name, key=item,
-                        details=f"per-node values {sorted(values)!r}",
+                        details=f"per-node values {_ordered(values)!r}",
                     ))
         if snapshots:
             for violation in snapshot_mismatches(

@@ -15,6 +15,11 @@ differential in ``tests/test_audit_reference.py`` runs the auditor of
   version of the entity on each call;
 * ``corrected_entities`` — the frozen set of corrected entities, built
   per comparison.
+
+The one change since: a fractured item's ``(node, value)`` pairs are
+ordered by ``repr`` where a plain sort raises (``_ordered``), in both
+auditors, so an item one node shows as both ``0`` and ``None`` is
+reported instead of failing the audit.
 """
 
 from __future__ import annotations
@@ -31,6 +36,14 @@ from repro.analysis.serializability import (
     snapshot_mismatches,
 )
 from repro.txn.history import History, ReadEvent, TxnKind, TxnRecord
+
+
+def _ordered(values) -> list:
+    """``sorted(values)``, or by ``repr`` where the values do not order."""
+    try:
+        return sorted(values)
+    except TypeError:
+        return sorted(values, key=repr)
 
 
 class ReferenceMasks:
@@ -141,7 +154,7 @@ class ReferenceAuditor:
                 self.tally.fractured_reads += 1
                 self._evidence(Violation(
                     kind="fractured-read", txn=record.name, key=item,
-                    details=f"per-node values {sorted(values)!r}",
+                    details=f"per-node values {_ordered(values)!r}",
                 ))
         if not self.check_snapshots:
             return

@@ -11,9 +11,13 @@ on non-balance keys, entities corrected mid-run, versions left unsettled
 — and audits each one post-hoc and rolling with both.  The reports must
 be equal, the order of their violations included.
 
-Where the old check raised, the new one must raise the same error: a
-fractured item whose values do not sort (``None`` on one node, an int on
-another) fails both in ``sorted`` while the violation's text is built.
+A fractured item whose values do not sort (one node showing it as both
+``None`` and ``0``) is reported by both with its pairs ordered by
+``repr``, so the post-hoc audits are compared report to report.  A
+rolling run may still raise, in both auditors alike: an entity read as a
+float balance because it is corrected later in the run is checked
+against its bitmask before the correction is known (``~`` on a float),
+so there the errors are compared where the reports cannot be.
 """
 
 from __future__ import annotations
@@ -177,10 +181,10 @@ def test_post_hoc_audit_equals_the_reference(updates, reads, corrected,
     rng.shuffle(order)
     run.begin(history, order)
     corrections = {f"cor-{e}": e for e in sorted(corrected)}
-    new = _outcome(lambda: audit(history, run.workload(corrections),
-                                 check_snapshots=check_snapshots))
-    old = _outcome(lambda: reference.audit(
-        history, run.workload(corrections), check_snapshots=check_snapshots))
+    new = audit(history, run.workload(corrections),
+                check_snapshots=check_snapshots)
+    old = reference.audit(history, run.workload(corrections),
+                          check_snapshots=check_snapshots)
     assert new == old
 
 
@@ -257,3 +261,19 @@ def test_evidence_keeps_the_reference_order_past_the_cap():
     assert new.fractured_reads == 3 * MAX_EVIDENCE // 2
     assert len(new.violations) == MAX_EVIDENCE
     assert new.violations[0].txn == f"inq-{3 * MAX_EVIDENCE - 1}"
+
+
+def test_a_read_whose_values_do_not_sort_is_one_fractured_read():
+    # One node shows the item as 0 on one slot and None on the other.
+    history = History(events=("read",))
+    history.begin_txn("inq", TxnKind.READ, 1, 0.0, "n0")
+    for key, value in (("bal:1#0", 0), ("bal:1#1", None)):
+        history.read(time=0.0, txn="inq", subtxn="inq", node="n0", key=key,
+                     version_requested=1, version_used=1, value=value)
+    report = audit(history)
+    assert report == reference.audit(history)
+    assert report.fractured_reads == 1
+    [violation] = report.violations
+    assert (violation.kind, violation.txn, violation.key) == (
+        "fractured-read", "inq", "bal:1")
+    assert violation.details == "per-node values [('n0', 0), ('n0', None)]"
