@@ -70,14 +70,12 @@ class ThreeVPlugin(ProtocolPlugin):
         if config.enable_locking:
             self.pre_execute = self._commute_locks
             self.on_root_complete = self._release_locks_everywhere
-        # Step 6: atomically increment C[V(T)][source] and terminate.
+        # Step 6 increments C[V(T)][source] as soon as the children are
+        # dispatched ("immediate", Section 4.1 literally) or only once
+        # every descendant has completed (hierarchical, Table 1's timing).
         if config.completion == "immediate":
-            # Section 4.1 step 6, literally: as soon as the children have
-            # been dispatched.
             self.on_subtxn_executed = self._count_completion
         else:
-            # Hierarchical: only once every descendant has completed
-            # (Table 1's timing).
             self.on_instance_complete = self._count_completion
 
     def init_node(self, node) -> None:

@@ -97,11 +97,8 @@ class ProtocolPlugin:
     # ------------------------------------------------------------------
 
     def bind(self, system) -> None:
-        """Attach to the owning system (called before nodes are built).
-
-        A plugin whose optional hooks depend on the system's configuration
-        binds them here; the rest stay ``None``.
-        """
+        """Attach to the owning system (called before nodes are built);
+        a subclass binds here the optional hooks its configuration needs."""
         self.system = system
 
     def make_store(self, node):

@@ -179,10 +179,7 @@ class System:
         """Submit a transaction now; its root runs at ``spec.root.node``
         (or, for read-only trees under replication, at the first readable
         replica when the spec's node is unavailable — read-one routing).
-
-        The root's envelope is handed to its node, and its
-        ``source_node`` is the node it runs on.
-        """
+        The root's ``source_node`` is the node it runs on."""
         node_id = spec.root.node
         overrides = None
         if self.placement is not None and spec.is_read_only:
