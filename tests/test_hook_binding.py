@@ -49,13 +49,6 @@ def test_a_plugin_binds_exactly_the_hooks_with_work(build, hooks):
     assert bound(build()) == hooks
 
 
-def test_the_base_plugin_binds_no_optional_hook():
-    from repro.runtime.plugin import ProtocolPlugin
-
-    assert all(getattr(ProtocolPlugin, name) is None
-               for name in OPTIONAL_HOOKS)
-
-
 def completions_at(system, node_id: str) -> int:
     return system.nodes[node_id].counters.completion_total(1)
 
