@@ -28,10 +28,9 @@ def drain_kernel(events: int = 20_000) -> float:
 def hammer_store(store_class, writes: int = 20_000):
     store = store_class()
     store.load("k", 0)
-    store.ensure_version("k", 1)
     op = Increment(1)
     for _ in range(writes):
-        store.apply_geq("k", 1, op)
+        store.write("k", 1, op)
     return store.get_exact("k", 1)
 
 

@@ -166,7 +166,8 @@ def snapshot_mismatches(
 ) -> typing.Iterator[Violation]:
     """One read transaction against the index: a violation per read
     event whose value is not exactly the committed mask at the read's
-    version."""
+    version.  An int value's details give the missing and extra masks;
+    any other value is named as it is, with no mask arithmetic."""
     version = record.version
     for key, events in by_key.items():
         entity = balance_entity(key)
@@ -175,16 +176,17 @@ def snapshot_mismatches(
         expected = masks.upto(entity, version)
         for event in events:
             observed = event.value if event.value is not None else 0
-            if observed != expected:
-                missing = expected & ~observed
-                extra = observed & ~expected
-                yield Violation(
-                    kind="snapshot-mismatch",
-                    txn=record.name,
-                    key=key,
-                    details=(
-                        f"node {event.node}: version {version}, "
-                        f"missing mask {missing:#x}, "
-                        f"extra mask {extra:#x}"
-                    ),
-                )
+            if observed == expected:
+                continue
+            if isinstance(observed, int):
+                details = (f"node {event.node}: version {version}, "
+                           f"missing mask {expected & ~observed:#x}, "
+                           f"extra mask {observed & ~expected:#x}")
+            else:
+                # A float (say, a correction the index does not count
+                # yet) has no bits to compare: name the value instead.
+                details = (f"node {event.node}: version {version}, "
+                           f"value {observed!r} is not a mask, "
+                           f"expected mask {expected:#x}")
+            yield Violation(kind="snapshot-mismatch", txn=record.name,
+                            key=key, details=details)

@@ -76,7 +76,7 @@ class ManualPlugin(ProtocolPlugin):
         else:
             then()
 
-    # Writes use the inherited execute_ops (apply_exact) — deliberately
+    # Writes use the inherited execute_ops (write_exact) — deliberately
     # *no* dual-write rule; a straggler updates only its own version's copy.
 
     # -- control messages --------------------------------------------------

@@ -173,6 +173,10 @@ class ThreeVPlugin(ProtocolPlugin):
         keeps_reads = history.keeps_reads
         keeps_writes = history.keeps_writes
         store = node.store
+        # Step 4 is one store call: check/create x(V(T)), then update all
+        # versions >= V(T) (the dual-write rule for stragglers), or only
+        # x(V(T)) with dual writes off.
+        write = store.write if node.config.dual_write else store.write_exact
         txn = instance.txn.name
         for op in instance.spec.ops:
             if op.__class__ is ReadOp:
@@ -192,14 +196,7 @@ class ThreeVPlugin(ProtocolPlugin):
                     f"read-only transaction {txn!r} attempted a write"
                 )
             else:
-                # Step 4: atomically check/create x(V(T)), then update all
-                # versions >= V(T) (the dual-write rule for stragglers).
-                store.ensure_version(op.key, version)
-                if node.config.dual_write:
-                    written = store.apply_geq(op.key, version, op.operation)
-                else:
-                    store.apply_exact(op.key, version, op.operation)
-                    written = (version,)
+                written = write(op.key, version, op.operation)
                 if keeps_writes:
                     history.wrote(node.sim.now, txn, instance.sid,
                                   node.node_id, op.key, version,
@@ -212,12 +209,10 @@ class ThreeVPlugin(ProtocolPlugin):
             if op.__class__ is ReadOp:
                 continue
             inverse = op.operation.inverse()
-            node.store.ensure_version(op.key, version)
             if node.config.dual_write:
-                written = node.store.apply_geq(op.key, version, inverse)
+                written = node.store.write(op.key, version, inverse)
             else:
-                node.store.apply_exact(op.key, version, inverse)
-                written = (version,)
+                written = node.store.write_exact(op.key, version, inverse)
             if node.history.keeps_writes:
                 node.history.wrote(
                     node.sim.now, instance.txn.name, instance.sid,

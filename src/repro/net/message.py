@@ -11,7 +11,6 @@ accounting (experiment C7 and the message-overhead columns of C1).
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import sys
 import typing
 
@@ -87,7 +86,8 @@ class MessageKind:
     COMMIT_KINDS = frozenset({LOCK_RELEASE, PREPARE, VOTE, DECISION, DECISION_ACK})
 
 
-_message_ids = itertools.count()
+#: The id the next envelope built without one takes (never reset).
+_next_id = 0
 
 
 @dataclasses.dataclass(slots=True, init=False)
@@ -102,7 +102,9 @@ class Message:
         sent_at: Simulation time the message entered the network.
         delivered_at: Simulation time it reached the destination mailbox
             (filled in by the network on delivery).
-        message_id: Unique per-simulation sequence number.
+        message_id: Sequence number, unique within the process: a
+            second simulation in the same process continues the count.
+            Copies of one message (a retransmit, a dup) share it.
     """
 
     src: str
@@ -117,14 +119,17 @@ class Message:
                  payload: typing.Any = None, sent_at: float = 0.0,
                  delivered_at: typing.Optional[float] = None,
                  message_id: typing.Optional[int] = None):
+        global _next_id
         self.src = src
         self.dst = dst
         self.kind = kind
         self.payload = payload
         self.sent_at = sent_at
         self.delivered_at = delivered_at
-        self.message_id = (next(_message_ids) if message_id is None
-                           else message_id)
+        if message_id is None:
+            message_id = _next_id
+            _next_id += 1
+        self.message_id = message_id
 
     def copy(self) -> "Message":
         """Another physical copy of this message, not yet delivered.

@@ -36,13 +36,18 @@ message go; on a tie it retransmits, as a timer armed before the ack was
 sent would.
 
 Every physical copy (a first send, a retransmit, a dup, an ack) costs
-one short call chain: ``send`` builds the envelope and, on a faulted
-network, calls :meth:`Network._transmit`, whose fault stages read link
-tuples and partition windows laid out when the network was built;
+one short call chain: ``send`` builds the envelope (its id is a
+module-level int, taken with no call) and, on a faulted network, calls
+:meth:`Network._transmit`, whose fault stages read link tuples and
+partition windows laid out when the network was built;
 :meth:`Network._wire` makes one draw through the latency model's bound
 :meth:`~repro.net.latency.LatencyModel.sampler`, adds the copy to its
 stats cell in place and schedules the delivery (:meth:`Network._land`,
-for an ack, returns its arrival instead).
+for an ack, returns its arrival instead).  :meth:`Network._deliver`
+ends in the mailbox hand-over itself, with no
+:meth:`~repro.sim.resources.Store.put` between.  ``_wire`` is not
+folded into ``send``: the fault stages, retransmits and dups wire their
+copies through it, so that would take a second copy of its steps.
 ``tests/test_net_call_budget.py`` holds the chain's profiled calls per
 copy and scheduled callbacks per reliable send.
 """
@@ -509,7 +514,15 @@ class Network:
             if not last:
                 seen[message_id] = None
         message.delivered_at = self.sim.now
-        self._mailboxes[message.dst].put(message)
+        # Store.put without the call (keep the two in step): count the
+        # item, then hand it to the consumer unless the mailbox is frozen,
+        # backlogged or has none.
+        mailbox = self._mailboxes[message.dst]
+        mailbox.total_puts += 1
+        if mailbox._consumer is None or mailbox._frozen or mailbox._items:
+            mailbox._items.append(message)
+        else:
+            mailbox._consumer(message)
 
 
 def _link_fields(link) -> typing.Optional[typing.Tuple[float, float, float, float]]:

@@ -15,7 +15,7 @@ for an unavailable replica is recorded in a :class:`MissedOpLedger` at
 dispatch time (the sender is the one that knows it skipped); refresh pops
 the recovering node's ledger section via a ``REFRESH_REQUEST`` /
 ``REFRESH_REPLY`` round trip through a live peer and re-applies each
-operation at its original version with the store's ``apply_geq`` rule.
+operation at its original version with the store's dual-write ``write``.
 Because the paper's updates commute, op-shipping needs no synchronisation
 with the writes that keep flowing during the refresh — whereas copying a
 peer's MVStore chains wholesale would lose any write applied locally but
@@ -237,7 +237,7 @@ class RefreshProtocol:
             # they bypass request/completion accounting entirely (the
             # skipped dispatch never incremented a request counter, so no
             # completion is owed) and re-apply the commuting operation at
-            # its original version with the dual-write ``apply_geq`` rule,
+            # its original version with the store's dual-write ``write``,
             # so every version copy at or above it absorbs the update.  If
             # garbage collection moved the chain floor past the op's
             # version while the replica was down, the op lands on the
@@ -247,8 +247,7 @@ class RefreshProtocol:
             versions = store.versions(entry.key)
             if versions and version < versions[0]:
                 version = versions[0]
-            store.ensure_version(entry.key, version)
-            store.apply_geq(entry.key, version, entry.operation)
+            store.write(entry.key, version, entry.operation)
             # Register the subtransaction as executed here so a
             # compensator arriving after the refresh applies its inverse
             # instead of tombstoning (and double-counting the original).

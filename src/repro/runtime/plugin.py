@@ -211,8 +211,7 @@ class ProtocolPlugin:
                     f"read-only transaction {txn!r} attempted a write"
                 )
             else:
-                store.ensure_version(op.key, version)
-                store.apply_exact(op.key, version, op.operation)
+                store.write_exact(op.key, version, op.operation)
                 if keeps_writes:
                     history.wrote(node.sim.now, txn, instance.sid,
                                   node.node_id, op.key, version, 1,
@@ -224,8 +223,7 @@ class ProtocolPlugin:
             if op.__class__ is ReadOp:
                 continue
             inverse = op.operation.inverse()
-            node.store.ensure_version(op.key, instance.version)
-            node.store.apply_exact(op.key, instance.version, inverse)
+            node.store.write_exact(op.key, instance.version, inverse)
             if node.history.keeps_writes:
                 node.history.wrote(
                     node.sim.now, instance.txn.name, instance.sid,

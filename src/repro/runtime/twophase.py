@@ -157,10 +157,12 @@ class TwoPhaseEngine:
                 node.history.read(node.sim.now, txn_name, instance.sid,
                                   node.node_id, op.key, version, used, value)
             else:
-                node.store.ensure_version(op.key, version)
-                previous = node.store.get_exact(op.key, version)
+                # The value x(V(T)) holds, or is created with, before
+                # this write.
+                previous = node.store.read_max_leq(op.key, version,
+                                                   default=None)
                 undo = undo_operation(op.operation, previous)
-                node.store.apply_exact(op.key, version, op.operation)
+                node.store.write_exact(op.key, version, op.operation)
                 state.undo_log.append(UndoEntry(op.key, version, undo))
                 if node.history.keeps_writes:
                     node.history.wrote(node.sim.now, txn_name, instance.sid,

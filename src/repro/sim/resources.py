@@ -132,6 +132,8 @@ class Store:
 
         The consumer gets it on the spot unless the store is frozen or
         still has a backlog ahead of it (or there is no consumer yet).
+        :meth:`repro.net.network.Network._deliver` makes this same
+        hand-over inline for every delivered message.
         """
         self.total_puts += 1
         if self._consumer is None or self._frozen or self._items:

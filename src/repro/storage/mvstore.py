@@ -4,12 +4,15 @@ Implements the versioned record behaviour of Section 4:
 
 * ``read_max_leq`` — "read the maximum existing version of x that does not
   exceed V(T)" (Section 4.1 step 3 / Section 4.2).
-* ``ensure_version`` — copy-on-update creation of ``x(V(T))`` from the
-  maximum existing version not exceeding ``V(T)`` (step 4, first half).
-* ``apply_geq`` — "update all versions of x greater or equal to version
-  V(T)" (step 4, second half).  When a straggler subtransaction of an old
-  version runs on a node that already advanced, this produces the paper's
-  *dual write* to versions ``v`` and ``v+1``.
+* ``write`` — step 4 as one atomic store action: "check/create x(V(T))"
+  by copy-on-update from the maximum existing version not exceeding
+  ``V(T)``, then "update all versions of x greater or equal to version
+  V(T)".  When a straggler subtransaction of an old version runs on a
+  node that already advanced, this produces the paper's *dual write* to
+  versions ``v`` and ``v+1``.  ``write_exact`` creates the same way but
+  updates ``x(V(T))`` alone (NC3V step 4, and the protocols that keep one
+  version per transaction); ``apply_exact`` updates one existing version
+  and creates nothing (two-phase commit's rollback).
 * ``collect`` — Phase 4 garbage collection: drop versions older than the new
   read version, renaming the latest earlier version when the new read
   version does not exist for an item.
@@ -24,9 +27,10 @@ would live in slot ``v mod 3``.  A store built with ``three_slots=True``
 enforces exactly what such a store needs: creating a new version ``v`` of
 a key raises :class:`~repro.errors.StorageError` while a live version
 ``v' != v`` with ``v' = v (mod 3)`` exists.  The check runs only where a
-version is created on an existing chain (``load``, ``ensure_version`` and
-``collect``'s rename), so a violation of the paper's bound fails loudly at
-the operation that causes it instead of surviving as a fourth version.
+version is created on an existing chain (``load``, a ``write`` or
+``write_exact`` that creates, and ``collect``'s rename), so a violation
+of the paper's bound fails loudly at the operation that causes it
+instead of surviving as a fourth version.
 The protocol plugin decides whether its stores check
 (:meth:`~repro.runtime.plugin.ProtocolPlugin.make_store`).
 
@@ -34,9 +38,11 @@ Performance note: alongside each version chain the store maintains the
 chain's **maximum live version**.  The paper bounds chains at three live
 versions, and between advancements almost every chain has exactly one — so
 the common reads (``read_max_leq`` at or above the chain head),
-existence checks (``exists_above``), and copy-on-update
-(``ensure_version`` of a fresh version above the head) all resolve from the
-cached maximum in O(1) without scanning the chain.
+existence checks (``exists_above``), and writes at or above the head
+(including the copy-on-update of a fresh version) all resolve from the
+cached maximum in O(1) without scanning the chain: a write to an
+existing head is one ``write`` call that calls nothing but the
+operation's ``apply``.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ class MVStore:
         self._three_slots = three_slots
         #: Highest number of simultaneously live versions ever seen (any key).
         self.max_live_versions: int = 0
-        #: Number of ``apply_geq`` calls that touched more than one version.
+        #: Number of :meth:`write` calls that touched more than one version.
         self.dual_writes: int = 0
         #: Total number of version applications performed.
         self.total_writes: int = 0
@@ -171,73 +177,92 @@ class MVStore:
             self._maxes[key] = version
         self._note_chain_size(chain)
 
-    def ensure_version(self, key, version: int) -> bool:
-        """Atomically check-and-create ``key`` at ``version`` (copy-on-update).
-
-        The new version copies the value of the maximum existing version not
-        above ``version``; a brand-new item starts from ``None`` (the value
-        algebra treats ``None`` as the identity state).
-
-        Returns:
-            ``True`` if the version was created, ``False`` if it existed.
-        """
-        chain = self._chains.get(key)
-        if chain is None:
-            self._chains[key] = {version: None}
-            self._maxes[key] = version
-            if self.max_live_versions < 1:
-                self.max_live_versions = 1
-            return True
-        if version in chain:
-            return False
-        if self._three_slots:
-            for live in chain:
-                if (live - version) % 3 == 0:
-                    raise _collision(key, version, live)
-        maximum = self._maxes[key]
-        if maximum < version:
-            # Common case: extending the chain head copies from the head.
-            chain[version] = chain[maximum]
-            self._maxes[key] = version
-        else:
-            base = None
-            for v in chain:
-                if v <= version and (base is None or v > base):
-                    base = v
-            chain[version] = chain[base] if base is not None else None
-        self._note_chain_size(chain)
-        return True
-
-    def apply_geq(self, key, version: int,
-                  operation: Operation) -> typing.Tuple[int, ...]:
-        """Apply ``operation`` to every live version of ``key`` >= ``version``.
-
-        The caller must have ensured that ``key`` exists at ``version``
-        (Section 4.1 step 4 creates it first).
+    def write(self, key, version: int,
+              operation: Operation) -> typing.Tuple[int, ...]:
+        """Section 4.1 step 4 in one call: check/create ``key`` at
+        ``version`` (copy-on-update, :meth:`_create`), then apply
+        ``operation`` to every live version of ``key`` >= ``version``.
 
         Returns:
             The version numbers written, ascending (length > 1 means a
             dual write).
         """
         chain = self._chains.get(key)
+        if chain is None:
+            chain = self._create(key, version)
+        else:
+            maximum = self._maxes[key]
+            if maximum < version:
+                # Extending the chain head copies from the head.
+                if self._three_slots:
+                    for live in chain:
+                        if (live - version) % 3 == 0:
+                            raise _collision(key, version, live)
+                chain[version] = chain[maximum]
+                self._maxes[key] = version
+                if len(chain) > self.max_live_versions:
+                    self.max_live_versions = len(chain)
+            elif maximum > version:
+                # A straggler below the head: every version from it up.
+                if version not in chain:
+                    self._create(key, version)
+                targets = sorted(v for v in chain if v >= version)
+                for v in targets:
+                    chain[v] = operation.apply(chain[v])
+                self.total_writes += len(targets)
+                if len(targets) > 1:
+                    self.dual_writes += 1
+                return tuple(targets)
+        # The written version is the chain head, so it is the only
+        # version >= itself: no scan, no dual write.
+        chain[version] = operation.apply(chain[version])
+        self.total_writes += 1
+        return (version,)
+
+    def write_exact(self, key, version: int,
+                    operation: Operation) -> typing.Tuple[int]:
+        """:meth:`write` to exactly one version: check/create ``key`` at
+        ``version``, then apply ``operation`` there only.
+
+        Returns:
+            ``(version,)``, the version written.
+        """
+        chain = self._chains.get(key)
         if chain is None or version not in chain:
-            raise MissingVersionError((key, version))
-        if self._maxes[key] == version:
-            # Fast path: the written version is the chain head, so it is the
-            # only version >= itself — no scan, no dual write.
-            chain[version] = operation.apply(chain[version])
-            self.total_writes += 1
-            return (version,)
-        targets = sorted(v for v in chain if v >= version)
-        for v in targets:
-            chain[v] = operation.apply(chain[v])
-        self.total_writes += len(targets)
-        if len(targets) > 1:
-            self.dual_writes += 1
-        return tuple(targets)
+            chain = self._create(key, version)
+        chain[version] = operation.apply(chain[version])
+        self.total_writes += 1
+        return (version,)
+
+    def _create(self, key, version: int) -> dict:
+        """Copy-on-update: add ``version`` (not yet live) to ``key``'s
+        chain, valued as the maximum existing version not above it —
+        ``None`` below the chain or for a brand-new item (the value
+        algebra treats ``None`` as the identity state).  Returns the
+        chain."""
+        chain = self._chains.get(key)
+        if chain is None:
+            chain = self._chains[key] = {version: None}
+            self._maxes[key] = version
+            if self.max_live_versions < 1:
+                self.max_live_versions = 1
+            return chain
+        if self._three_slots:
+            for live in chain:
+                if (live - version) % 3 == 0:
+                    raise _collision(key, version, live)
+        base = self.version_max_leq(key, version)
+        chain[version] = chain[base] if base is not None else None
+        if version > self._maxes[key]:
+            self._maxes[key] = version
+        self._note_chain_size(chain)
+        return chain
 
     def apply_exact(self, key, version: int, operation: Operation) -> None:
-        """Apply ``operation`` to exactly one version (NC3V step 4)."""
+        """Apply ``operation`` to exactly one existing version, creating
+        nothing: two-phase commit's rollback, which undoes a write its
+        transaction made (a missing version raises
+        :class:`MissingVersionError`)."""
         chain = self._chains.get(key)
         if chain is None or version not in chain:
             raise MissingVersionError((key, version))

@@ -10,6 +10,11 @@ item owns three physical slots, and logical version ``v`` lives in slot
 raises :class:`~repro.errors.StorageError` (``_claim_slot``); the checking
 ``MVStore`` applies that rule where it creates a version.
 
+``write`` and ``write_exact`` are not verbatim: they are the store's
+one-call step 4 as the two calls the protocol made before it had one
+(``ensure_version``, then ``apply_geq`` or ``apply_exact``), so 3V can
+run on this store unchanged.
+
 One known divergence: ``collect``'s rename does not claim its slot, so
 with live versions ``{0, 5}`` ``collect(2)`` writes version 2 over
 version 5 and silently loses it.  The checking ``MVStore`` raises
@@ -146,6 +151,17 @@ class SlotStore:
         entry = slots[slot]
         slots[slot] = (version, operation.apply(entry[1]))
         self.total_writes += 1
+
+    def write(self, key, version: int,
+              operation: Operation) -> typing.Tuple[int, ...]:
+        self.ensure_version(key, version)
+        return self.apply_geq(key, version, operation)
+
+    def write_exact(self, key, version: int,
+                    operation: Operation) -> typing.Tuple[int]:
+        self.ensure_version(key, version)
+        self.apply_exact(key, version, operation)
+        return (version,)
 
     # ------------------------------------------------------------------
     # Garbage collection

@@ -32,7 +32,10 @@ from repro.analysis import (
     staleness_summary,
 )
 from repro.analysis import rolling
-from repro.analysis.serializability import balance_entity
+from repro.analysis.serializability import (
+    balance_entity,
+    snapshot_mismatches,
+)
 from repro.exp import ExperimentSpec, audit_result
 from repro.runtime.config import NodeConfig
 from repro.txn import History, TxnKind
@@ -130,6 +133,29 @@ def test_balance_entity_parses_plain_and_slot_qualified_keys():
     assert balance_entity("bal:38#1") == 38
     assert balance_entity("log:38") is None
     assert balance_entity(("tuple", "key")) is None
+
+
+def test_a_float_read_is_one_snapshot_mismatch_naming_its_value():
+    """A float balance on an entity not counted as corrected has no bits:
+    the check names the value instead of taking masks of it (which
+    raised ``TypeError`` on ``~``), and an int read still gets its
+    masks."""
+    masks = CommittedMasks()
+    masks.add(3, 1, 4)
+    record = types.SimpleNamespace(name="inq", version=1)
+    by_key = {"bal:3": [types.SimpleNamespace(node="n0", value=12.5)],
+              "bal:3#1": [types.SimpleNamespace(node="n1", value=6)]}
+    violations = list(snapshot_mismatches(masks, frozenset(), record, by_key))
+    assert [(v.kind, v.txn, v.key) for v in violations] == [
+        ("snapshot-mismatch", "inq", "bal:3"),
+        ("snapshot-mismatch", "inq", "bal:3#1")]
+    assert violations[0].details == (
+        "node n0: version 1, value 12.5 is not a mask, expected mask 0x4")
+    assert violations[1].details == (
+        "node n1: version 1, missing mask 0x0, extra mask 0x2")
+    # An equal float is no mismatch, as before.
+    by_key = {"bal:3": [types.SimpleNamespace(node="n0", value=4.0)]}
+    assert not list(snapshot_mismatches(masks, frozenset(), record, by_key))
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.core.invariants import (
     check_version_counts,
 )
 from repro.errors import InvariantViolation, StorageError
-from repro.storage import MVStore
+from repro.storage import Increment, MVStore
 
 
 @pytest.fixture
@@ -30,7 +30,6 @@ class TestHealthySystemPasses:
         check_all(system)
 
     def test_after_traffic_and_advancement(self, system):
-        from repro.storage import Increment
         from repro.txn import SubtxnSpec, TransactionSpec, WriteOp
 
         system.submit(TransactionSpec(
@@ -56,8 +55,8 @@ class TestCorruptionsCaught:
 
     def test_too_many_versions_idle(self, system):
         # Three live versions with no advancement running: property 1a.
-        system.node("p").store.ensure_version("x", 1)
-        system.node("p").store.ensure_version("x", 2)
+        system.node("p").store.write("x", 1, Increment(1))
+        system.node("p").store.write("x", 2, Increment(1))
         with pytest.raises(InvariantViolation):
             check_version_counts(system)
 
@@ -65,14 +64,14 @@ class TestCorruptionsCaught:
         node = system.node("p")
         # A 3V store refuses the fourth version outright...
         for version in (1, 2):
-            node.store.ensure_version("x", version)
+            node.store.write("x", version, Increment(1))
         with pytest.raises(StorageError):
-            node.store.ensure_version("x", 3)
+            node.store.write("x", 3, Increment(1))
         # ...so the checker is shown one on an unchecked store.
         node.store = MVStore()
         node.store.load("x", 0)
         for version in (1, 2, 3):
-            node.store.ensure_version("x", version)
+            node.store.write("x", version, Increment(1))
         system.coordinator.running = True
         try:
             with pytest.raises(InvariantViolation):

@@ -45,7 +45,7 @@ class TestReads:
         assert 0 in store.versions("A")
         assert 1 not in store.versions("A")
         assert not store.exists_above("A", 0)
-        store.ensure_version("A", 2)
+        store.write("A", 2, Increment(1))
         assert store.exists_above("A", 0)
         assert store.exists_above("A", 1)
         assert not store.exists_above("A", 2)
@@ -57,42 +57,43 @@ class TestReads:
 
 
 class TestCopyOnUpdate:
-    def test_ensure_version_copies_from_base(self, store):
-        created = store.ensure_version("A", 1)
-        assert created
-        assert store.get_exact("A", 1) == 100
-
-    def test_ensure_version_idempotent(self, store):
-        store.ensure_version("A", 1)
-        store.apply_geq("A", 1, Increment(1))
-        assert store.ensure_version("A", 1) is False
+    def test_write_copies_from_base(self, store):
+        assert store.write("A", 1, Increment(1)) == (1,)
         assert store.get_exact("A", 1) == 101
+        assert store.get_exact("A", 0) == 100
+
+    def test_write_to_an_existing_version_creates_nothing(self, store):
+        store.write("A", 1, Increment(1))
+        assert store.write("A", 1, Increment(1)) == (1,)
+        assert store.get_exact("A", 1) == 102
+        assert store.versions("A") == [0, 1]
+        assert store.max_live_versions == 2
 
     def test_new_item_starts_from_none(self):
+        """The first write of an item applies to ``None``, which the
+        value algebra treats as the identity state."""
         store = MVStore()
-        store.ensure_version("new", 2)
-        assert store.get_exact("new", 2) is None
-        store.apply_geq("new", 2, Increment(5))
-        assert store.get_exact("new", 2) == 5
+        assert store.write("new", 2, Increment(5)) == (2,)
+        assert store.write_exact("other", 1, Increment(3)) == (1,)
+        assert store.snapshot() == {"new": {2: 5}, "other": {1: 3}}
 
     def test_copy_skips_newer_versions(self):
         """A version-1 creation must copy from version 0, not version 2."""
         store = MVStore()
         store.load("X", 10, version=0)
-        store.ensure_version("X", 2)
-        store.apply_geq("X", 2, Increment(100))
-        store.ensure_version("X", 1)
-        assert store.get_exact("X", 1) == 10
+        store.write("X", 2, Increment(100))
+        store.write("X", 1, Increment(1))
+        assert store.get_exact("X", 1) == 11
+        assert store.get_exact("X", 2) == 111
 
     def test_duplicate_load_raises(self, store):
         with pytest.raises(StorageError):
             store.load("A", 1, version=0)
 
 
-class TestApplyGeq:
+class TestWrite:
     def test_single_version_write(self, store):
-        store.ensure_version("A", 1)
-        written = store.apply_geq("A", 1, Increment(5))
+        written = store.write("A", 1, Increment(5))
         assert written == (1,)
         assert store.get_exact("A", 1) == 105
         assert store.get_exact("A", 0) == 100
@@ -100,25 +101,43 @@ class TestApplyGeq:
 
     def test_dual_write_updates_both_versions(self, store):
         """Straggler at version 1 on a node already holding version 2."""
-        store.ensure_version("A", 2)
-        store.ensure_version("A", 1)
-        written = store.apply_geq("A", 1, Increment(5))
+        store.write("A", 2, Increment(0))
+        written = store.write("A", 1, Increment(5))
         assert written == (1, 2)
         assert store.get_exact("A", 1) == 105
         assert store.get_exact("A", 2) == 105
         assert store.get_exact("A", 0) == 100
         assert store.dual_writes == 1
 
-    def test_apply_geq_requires_exact_version(self, store):
-        with pytest.raises(MissingVersionError):
-            store.apply_geq("A", 1, Increment(5))
+    def test_write_creates_the_missing_version(self, store):
+        """Copy-on-update inside the write: version 1 does not exist, so
+        it is created from version 0, then updated (Section 4.1 step 4)."""
+        assert store.write("A", 1, Increment(5)) == (1,)
+        assert store.snapshot()["A"] == {0: 100, 1: 105}
+        assert store.max_live_versions == 2
+        assert store.total_writes == 1
 
-    def test_apply_exact_touches_one_version(self, store):
-        store.ensure_version("A", 1)
-        store.ensure_version("A", 2)
+    def test_write_exact_touches_one_version(self, store):
+        store.write("A", 2, Increment(0))
+        assert store.write_exact("A", 1, Increment(5)) == (1,)
+        assert store.get_exact("A", 1) == 105
+        assert store.get_exact("A", 2) == 100
+        assert store.dual_writes == 0
+
+    def test_apply_exact_touches_one_version_and_creates_none(self, store):
+        """Two-phase commit's undo: one existing version, and a missing
+        one still raises instead of being created."""
+        store.write("A", 1, Increment(0))
+        store.write("A", 2, Increment(0))
         store.apply_exact("A", 1, Increment(5))
         assert store.get_exact("A", 1) == 105
         assert store.get_exact("A", 2) == 100
+        with pytest.raises(MissingVersionError):
+            store.apply_exact("A", 3, Increment(5))
+        with pytest.raises(MissingVersionError):
+            store.apply_exact("ghost", 0, Increment(5))
+        assert store.versions("A") == [0, 1, 2]
+        assert "ghost" not in store
 
     def test_dual_write_with_record_operation(self, store):
         """Dual writes apply to multiset observations too (the recording
@@ -126,10 +145,8 @@ class TestApplyGeq:
         from repro.storage import Record
 
         store.load("log", (), version=0)
-        store.ensure_version("log", 2)
-        store.apply_geq("log", 2, Record("late-era"))
-        store.ensure_version("log", 1)
-        written = store.apply_geq("log", 1, Record("straggler"))
+        store.write("log", 2, Record("late-era"))
+        written = store.write("log", 1, Record("straggler"))
         assert written == (1, 2)
         assert store.get_exact("log", 1) == ("straggler",)
         assert sorted(store.get_exact("log", 2)) == ["late-era", "straggler"]
@@ -137,8 +154,7 @@ class TestApplyGeq:
 
 class TestGarbageCollection:
     def test_collect_drops_old_versions(self, store):
-        store.ensure_version("A", 1)
-        store.apply_geq("A", 1, Increment(1))
+        store.write("A", 1, Increment(1))
         dropped = store.collect(1)
         assert dropped >= 1
         assert store.versions("A") == [1]
@@ -152,8 +168,8 @@ class TestGarbageCollection:
         assert store.get_exact("B", 1) == 200
 
     def test_collect_keeps_newer_versions(self, store):
-        store.ensure_version("A", 1)
-        store.ensure_version("A", 2)
+        store.write("A", 1, Increment(0))
+        store.write("A", 2, Increment(0))
         store.collect(1)
         assert store.versions("A") == [1, 2]
 
@@ -164,21 +180,20 @@ class TestGarbageCollection:
 class TestStatistics:
     def test_max_live_versions_high_water_mark(self, store):
         assert store.max_live_versions == 1
-        store.ensure_version("A", 1)
-        store.ensure_version("A", 2)
+        store.write("A", 1, Increment(0))
+        store.write("A", 2, Increment(0))
         assert store.max_live_versions == 3
         store.collect(2)
         # High-water mark is sticky even after GC.
         assert store.max_live_versions == 3
 
     def test_live_version_histogram(self, store):
-        store.ensure_version("A", 1)
+        store.write("A", 1, Increment(0))
         assert store.live_version_histogram() == {1: 1, 2: 1}
 
     def test_snapshot_is_detached(self, store):
         snap = store.snapshot()
-        store.ensure_version("A", 1)
-        store.apply_geq("A", 1, Increment(1))
+        store.write("A", 1, Increment(1))
         assert snap == {"A": {0: 100}, "B": {0: 200}}
 
 
@@ -202,8 +217,7 @@ class TestVersionLifecycleProperties:
                 store.collect(base)
             else:
                 v = base + version_offset
-                store.ensure_version("K", v)
-                store.apply_geq("K", v, Increment(delta))
+                store.write("K", v, Increment(delta))
             assert len(store.versions("K")) <= 3
         assert store.max_live_versions <= 3
 
@@ -212,9 +226,9 @@ class TestVersionLifecycleProperties:
         """Writes at version 1 never leak into the version-0 copy."""
         store = MVStore()
         store.load("K", 42, version=0)
-        store.ensure_version("K", 1)
+        store.write("K", 1, Increment(0))
         for delta in deltas:
-            store.apply_geq("K", 1, Increment(delta))
+            store.write("K", 1, Increment(delta))
         assert store.get_exact("K", 0) == 42
         assert store.get_exact("K", 1) == 42 + sum(deltas)
 
@@ -223,17 +237,20 @@ class TestThreeSlotRule:
     """``three_slots=True``: version ``v`` may not share slot ``v mod 3``
     with a different live version, wherever a version is created."""
 
-    def test_ensure_version_refuses_a_fourth_version(self):
+    def test_write_refuses_a_fourth_version(self):
         store = MVStore(three_slots=True)
         store.load("x", 10)
-        store.ensure_version("x", 1)
-        store.ensure_version("x", 2)
+        store.write("x", 1, Increment(1))
+        store.write("x", 2, Increment(1))
         with pytest.raises(StorageError, match="version 3 vs live 0"):
-            store.ensure_version("x", 3)
+            store.write("x", 3, Increment(1))
+        with pytest.raises(StorageError, match="version 3 vs live 0"):
+            store.write_exact("x", 3, Increment(1))
         with pytest.raises(StorageError):
-            store.ensure_version("x", -1)  # below the chain, slot of 2
-        assert store.versions("x") == [0, 1, 2]
+            store.write("x", -1, Increment(1))  # below the chain, slot of 2
+        assert store.snapshot() == {"x": {0: 10, 1: 11, 2: 12}}
         assert store.max_live_versions == 3
+        assert store.total_writes == 2  # the refused writes wrote nothing
 
     def test_load_refuses_a_colliding_version(self):
         store = MVStore(three_slots=True)
@@ -248,7 +265,7 @@ class TestThreeSlotRule:
         land in 5's slot (the three-slot store overwrote 5 silently)."""
         store = MVStore(three_slots=True)
         store.load("x", 10)
-        store.ensure_version("x", 5)  # residues 0 and 2: allowed
+        store.write("x", 5, Increment(0))  # residues 0 and 2: allowed
         with pytest.raises(StorageError, match="version 2 vs live 5"):
             store.collect(2)
         assert store.snapshot() == {"x": {0: 10, 5: 10}}
@@ -256,7 +273,7 @@ class TestThreeSlotRule:
     def test_collect_may_reuse_the_slots_it_frees(self):
         store = MVStore(three_slots=True)
         store.load("x", 10)
-        store.ensure_version("x", 4)
+        store.write("x", 4, Increment(0))
         assert store.collect(3) == 1  # 0 is dropped, so 3 may take its slot
         assert store.snapshot() == {"x": {3: 10, 4: 10}}
 
@@ -264,9 +281,8 @@ class TestThreeSlotRule:
         store = MVStore()
         store.load("x", 10)
         store.load("x", 10, version=3)
-        store.ensure_version("x", 5)
-        for version in (6, 7, 8):
-            store.ensure_version("x", version)
+        for version in (5, 6, 7, 8):
+            store.write("x", version, Increment(0))
         store.collect(2)
         assert store.versions("x") == [2, 3, 5, 6, 7, 8]
         assert store.max_live_versions == 6

@@ -208,7 +208,7 @@ class TestUnitRules:
     def test_exists_above_triggers_abort(self):
         """Direct check of the step-4 rule."""
         system = nc_system()
-        system.node("p").store.ensure_version("x", 5)
+        system.node("p").store.write("x", 5, Increment(1))
         system.submit(nc_assign("K", x_value=1))
         system.run_until_quiet()
         assert system.history.txn("K").aborted

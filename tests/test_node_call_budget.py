@@ -3,25 +3,30 @@
 A plain 3V subtransaction (Theorem 4.2: purely local) runs one short call
 chain: the submission or the child's delivery, ``_arrive``, the
 executor's ``acquire``, ``service_time``, one ``schedule``, ``_finish``
-with ``execute_ops`` and its store calls, ``release``, the child's
-envelope and send with its request count, and at completion
+with ``execute_ops`` and one store ``write`` per write op (Section 4.1
+step 4: check/create, then update), ``release``, the child's envelope
+and send with its request count, and at completion
 ``_complete_instance`` with the one completion count its mode names and
-the notice back to the parent.  The plugin's optional hooks are bound
-once, when the system is wired: a hook with nothing to do is ``None`` and
-costs no call, the executor's wait is recorded only when it queued, and a
-constant service time is read without a call.
+the notice back to the parent.  A message's delivery hands it straight
+to the node's dispatch, with no mailbox ``put`` between.  The plugin's
+optional hooks are bound once, when the system is wired: a hook with
+nothing to do is ``None`` and costs no call, the executor's wait is
+recorded only when it queued, and a constant service time is read
+without a call.
 
 This test submits a fixed set of 3V roots of span 2 (a root and one
 child on another node, no faults, no advancement) under ``cProfile`` and
 holds the profiled calls (Python frames and builtins alike, as
 ``pstats`` counts them) per subtransaction at or below what that chain
-costs: 43.6 (the same on Python 3.10, 3.11 and 3.12), where the runtime
-that called every hook, recorded every zero wait, drew a constant service
-time through a call and tested each op with ``isinstance`` paid 52.9.
-The budget leaves half a call per subtransaction of slack, so a hook or a
-builtin that comes back on this path fails here.  The profiled region
-holds no comprehension, whose frame some Python versions inline and
-others do not.
+costs: 39.6 on Python 3.11.  The chain that wrote with two store calls
+(``ensure_version``, then ``apply_geq``), took each message id with
+``next`` and delivered through ``Store.put`` paid 43.6, and the runtime
+that also called every hook, recorded every zero wait, drew a constant
+service time through a call and tested each op with ``isinstance`` paid
+52.9.  The budget leaves half a call per subtransaction of slack, so a
+hook, a store call or a builtin that comes back on this path fails
+here.  The profiled region holds no comprehension, whose frame some
+Python versions inline and others do not.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from repro.txn.history import History
 
 NODES = ("a", "b", "c", "d")
 ROOTS = 400
-BUDGET = 44.1
+BUDGET = 40.1
 
 
 def span_two(index: int) -> TransactionSpec:

@@ -45,8 +45,7 @@ class TestUnitBehaviour:
         for make in STORES:
             store = make()
             store.load("x", 10)
-            store.ensure_version("x", 1)
-            store.apply_geq("x", 1, Increment(5))
+            assert store.write("x", 1, Increment(5)) == (1,)
             assert store.get_exact("x", 0) == 10
             assert store.get_exact("x", 1) == 15
             assert store.read_max_leq("x", 7) == 15
@@ -77,19 +76,20 @@ class TestUnitBehaviour:
         for make in STORES:
             store = make()
             store.load("x", 10)
-            store.ensure_version("x", 1)
-            store.ensure_version("x", 2)
+            store.write("x", 1, Increment(1))
+            store.write("x", 2, Increment(1))
             with pytest.raises(StorageError):
-                store.ensure_version("x", 3)
-            assert store.versions("x") == [0, 1, 2]
+                store.write("x", 3, Increment(1))
+            with pytest.raises(StorageError):
+                store.write_exact("x", 3, Increment(1))
+            assert store.snapshot() == {"x": {0: 10, 1: 11, 2: 12}}
 
     def test_slot_reuse_after_collect(self):
         for make in STORES:
             store = make()
             store.load("x", 10)
             for version in range(1, 9):
-                store.ensure_version("x", version)
-                store.apply_geq("x", version, Increment(1))
+                store.write("x", version, Increment(1))
                 store.collect(version)  # keep the window tight
             assert store.versions("x") == [8]
             assert store.get_exact("x", 8) == 18
@@ -106,7 +106,7 @@ class TestUnitBehaviour:
         for make in STORES:
             store = make()
             store.load("x", 1)
-            store.ensure_version("x", 1)
+            store.write("x", 1, Increment(0))
             store.load("y", 2)
             assert store.live_version_histogram() == {1: 1, 2: 1}
             assert store.snapshot() == {"x": {0: 1, 1: 1}, "y": {0: 2}}
@@ -145,7 +145,7 @@ class TestDifferentialAgainstMVStore:
     @given(
         st.lists(
             st.tuples(
-                st.sampled_from(["ensure+write", "ensure+exact", "read",
+                st.sampled_from(["write", "write_exact", "read",
                                  "collect", "load"]),
                 st.integers(min_value=0, max_value=2),  # key index
                 # Version offset from the read version: 0-2 is the
@@ -168,16 +168,10 @@ class TestDifferentialAgainstMVStore:
             version = base + offset
             if action == "load":
                 _both(reference, checked, "load", key, 100, version)
-            elif action.startswith("ensure"):
-                if _both(reference, checked, "ensure_version",
-                         key, version) is StorageError:
+            elif action.startswith("write"):
+                if _both(reference, checked, action, key, version,
+                         Increment(delta)) is StorageError:
                     continue
-                if action == "ensure+write":
-                    assert checked.apply_geq(key, version, Increment(delta)) == (
-                        reference.apply_geq(key, version, Increment(delta)))
-                else:
-                    checked.apply_exact(key, version, Increment(delta))
-                    reference.apply_exact(key, version, Increment(delta))
             elif action == "read":
                 assert checked.read_max_leq(key, version, default=None) == (
                     reference.read_max_leq(key, version, default=None))
@@ -279,13 +273,13 @@ class TestWhoChecks:
                                       **options)
                 store = system.node("p").store
                 store.load("x", 0)
-                store.ensure_version("x", 1)
-                store.ensure_version("x", 2)
+                store.write("x", 1, Increment(1))
+                store.write("x", 2, Increment(1))
                 if name in unchecked:
-                    assert store.ensure_version("x", 3)
+                    assert store.write("x", 3, Increment(1)) == (3,)
                 else:
                     with pytest.raises(StorageError):
-                        store.ensure_version("x", 3)
+                        store.write("x", 3, Increment(1))
         result = run_recording_experiment("manual", duration=30.0, seed=0,
                                           detail=False)
         assert max(node.store.max_live_versions

@@ -283,18 +283,18 @@ distinct_observations = st.lists(
 
 def deliver(order, cut_first, cut_straggler):
     """One store's run: ``order[:cut_first]`` at version 1, then version 2
-    opens and takes the middle, then the tail straggles in at version 1
-    (a dual write to 1 and 2), then version 1 is collected."""
+    opens with the middle's first write and takes the middle, then the
+    tail straggles in at version 1 (a dual write to 1 and 2, once version
+    2 exists), then version 1 is collected."""
     store = MVStore(three_slots=True)
     store.load("log", (), version=0)
-    store.ensure_version("log", 1)
     for observation in order[:cut_first]:
-        assert store.apply_geq("log", 1, Record(observation)) == (1,)
-    store.ensure_version("log", 2)
+        assert store.write("log", 1, Record(observation)) == (1,)
     for observation in order[cut_first:cut_straggler]:
-        store.apply_geq("log", 2, Record(observation))
+        assert store.write("log", 2, Record(observation)) == (2,)
+    straggled = (1, 2) if cut_straggler > cut_first else (1,)
     for observation in order[cut_straggler:]:
-        assert store.apply_geq("log", 1, Record(observation)) == (1, 2)
+        assert store.write("log", 1, Record(observation)) == straggled
     store.collect(2)
     assert store.versions("log") == [2]
     return store.get_exact("log", 2)
