@@ -10,12 +10,14 @@ machine per node is::
 
     READABLE --crash--> DOWN --recover--> UNREFRESHED --refresh--> READABLE
 
-The transfer ships *operations*, not store chains.  Every write skipped
-for an unavailable replica is recorded in a :class:`MissedOpLedger` at
-dispatch time (the sender is the one that knows it skipped); refresh pops
-the recovering node's ledger section via a ``REFRESH_REQUEST`` /
-``REFRESH_REPLY`` round trip through a live peer and re-applies each
-operation at its original version with the store's dual-write ``write``.
+The transfer ships *operations*, not store chains.  Every subtransaction
+whose dispatch to an unavailable replica was skipped is recorded in a
+:class:`MissedOpLedger` at dispatch time, as one :class:`MissedSubtxn`
+holding its write ops (the sender is the one that knows it skipped);
+refresh pops the recovering node's ledger section via a
+``REFRESH_REQUEST`` / ``REFRESH_REPLY`` round trip through a live peer
+and re-applies each operation at its subtransaction's version with the
+store's dual-write ``write``.
 Because the paper's updates commute, op-shipping needs no synchronisation
 with the writes that keep flowing during the refresh — whereas copying a
 peer's MVStore chains wholesale would lose any write applied locally but
@@ -34,34 +36,36 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.errors import SimulationError
 from repro.net.message import MessageKind
 from repro.sim.events import Event
 
 
-@dataclasses.dataclass
-class MissedOp:
-    """One write skipped for an unavailable replica.
+@dataclasses.dataclass(slots=True)
+class MissedSubtxn:
+    """One subtransaction whose dispatch to an unavailable replica was
+    skipped.
 
     Attributes:
         txn: Transaction name (compensation bookkeeping key).
         sid: Subtransaction id whose dispatch was skipped.
-        key: Data item the operation targets.
-        version: Version the write would have been applied at.
-        operation: The commuting operation object itself.
+        version: Version its writes would have been applied at.
+        ops: Its write ops, in order; each names a ``key`` and the
+            commuting ``operation`` object itself.
         compensable: Whether the transaction can abort (and so send a
             compensator the refreshed node must recognise).
     """
 
     txn: str
     sid: str
-    key: typing.Hashable
     version: int
-    operation: typing.Any
+    ops: typing.Sequence[typing.Any]
     compensable: bool
 
 
 class MissedOpLedger:
-    """Per-node log of writes skipped while the node was unavailable.
+    """Per-node log of subtransactions skipped while the node was
+    unavailable, in skip order.
 
     Keyed by ``(txn, sid)`` so a compensation that overtakes a skipped
     original can cancel the whole entry (the pair annihilates: neither
@@ -70,13 +74,21 @@ class MissedOpLedger:
 
     def __init__(self):
         self._pending: typing.Dict[
-            str, typing.Dict[typing.Tuple[str, str], typing.List[MissedOp]]
+            str, typing.Dict[typing.Tuple[str, str], MissedSubtxn]
         ] = {}
 
-    def record(self, node_id: str, entries: typing.Sequence[MissedOp]) -> None:
-        section = self._pending.setdefault(node_id, {})
-        for entry in entries:
-            section.setdefault((entry.txn, entry.sid), []).append(entry)
+    def record(self, node_id: str, entry: MissedSubtxn) -> None:
+        try:
+            section = self._pending[node_id]
+        except KeyError:
+            section = self._pending[node_id] = {}
+        key = entry.txn, entry.sid
+        if key in section:
+            raise SimulationError(
+                f"subtransaction {entry.sid!r} of {entry.txn!r} skipped "
+                f"twice for {node_id!r}"
+            )
+        section[key] = entry
 
     def cancel(self, node_id: str, txn: str, sid: str) -> int:
         """Drop a skipped subtransaction's entry; returns ops removed."""
@@ -84,20 +96,20 @@ class MissedOpLedger:
         if not section:
             return 0
         dropped = section.pop((txn, sid), None)
-        return len(dropped) if dropped else 0
+        return len(dropped.ops) if dropped else 0
 
-    def pop(self, node_id: str) -> typing.List[MissedOp]:
+    def pop(self, node_id: str) -> typing.List[MissedSubtxn]:
         """Remove and return the node's entire section, in skip order."""
         section = self._pending.pop(node_id, None)
         if not section:
             return []
-        return [entry for ops in section.values() for entry in ops]
+        return list(section.values())
 
     def pending_ops(self, node_id: str) -> int:
         section = self._pending.get(node_id)
         if not section:
             return 0
-        return sum(len(ops) for ops in section.values())
+        return sum(len(entry.ops) for entry in section.values())
 
 
 class RefreshProtocol:
@@ -230,27 +242,27 @@ class RefreshProtocol:
         if gate is not None:
             gate.succeed()
 
-    def _apply(self, node, entries: typing.Sequence[MissedOp]) -> None:
+    def _apply(self, node, entries: typing.Sequence[MissedSubtxn]) -> None:
         store = node.store
         for entry in entries:
             # Refresh operations are reconciliation, not new requests:
             # they bypass request/completion accounting entirely (the
             # skipped dispatch never incremented a request counter, so no
-            # completion is owed) and re-apply the commuting operation at
+            # completion is owed) and re-apply each commuting operation at
             # its original version with the store's dual-write ``write``,
             # so every version copy at or above it absorbs the update.  If
-            # garbage collection moved the chain floor past the op's
-            # version while the replica was down, the op lands on the
-            # floor instead — exactly where a live replica's own GC would
-            # have folded it.
+            # garbage collection moved the chain floor past that version
+            # while the replica was down, the op lands on the floor
+            # instead — exactly where a live replica's own GC would have
+            # folded it.
             version = entry.version
-            versions = store.versions(entry.key)
-            if versions and version < versions[0]:
-                version = versions[0]
-            store.write(entry.key, version, entry.operation)
+            for op in entry.ops:
+                key = op.key
+                store.write(key, store.floor_version(key, version),
+                            op.operation)
             # Register the subtransaction as executed here so a
             # compensator arriving after the refresh applies its inverse
             # instead of tombstoning (and double-counting the original).
             if entry.compensable:
                 node._executed.setdefault(entry.txn, set()).add(entry.sid)
-            self.refresh_ops_applied += 1
+            self.refresh_ops_applied += len(entry.ops)

@@ -1,11 +1,13 @@
-"""Seeded, deterministic replica placement.
+"""Seeded, deterministic replica placement, laid out once.
 
 A :class:`ReplicaMap` assigns every (entity, slot) record an ordered list
 of ``replication_factor`` distinct replica nodes.  Placement is a ring
 walk: each entity draws one random start node, slot ``s`` of the entity
 is homed at ``start + s`` on the ring, and the slot's replicas are the
-``rf`` consecutive nodes beginning at its home.  Two properties fall out
-by construction:
+``rf`` consecutive nodes beginning at its home.  The walk runs once, at
+construction: the map keeps every record's replica tuple, and every
+lookup (``replicas``, ``homes``, ``slot_items``) reads that layout.  Two
+properties fall out by construction:
 
 * **rf=1 is today's map.**  With one replica per slot, ``replicas(e, s)``
   collapses to the single home node ``nodes[(start + s) % n]`` — exactly
@@ -14,7 +16,7 @@ by construction:
   Turning the replication axis on at its default perturbs nothing.
 
 * **Distinctness.**  Ring-consecutive replicas are distinct as long as
-  ``rf <= len(nodes)``, which :meth:`generate` validates up front;
+  ``rf <= len(nodes)``, which the constructor validates up front;
   replicas are full *copies* of one record and copies on the same node
   would be one copy.
 """
@@ -38,7 +40,7 @@ class ReplicaMap:
         replication_factor: Copies of every record (``1`` = single-owner).
     """
 
-    __slots__ = ("nodes", "span", "replication_factor", "_starts")
+    __slots__ = ("nodes", "span", "replication_factor", "_layout")
 
     def __init__(
         self,
@@ -58,10 +60,19 @@ class ReplicaMap:
                 f"Replicas are full copies of one record and must land on "
                 f"distinct nodes (span spreads distinct records instead)."
             )
-        self.nodes = tuple(nodes)
+        self.nodes = ring = tuple(nodes)
         self.span = span
         self.replication_factor = replication_factor
-        self._starts = tuple(starts)
+        count = len(ring)
+        #: entity -> slot -> the record's replica tuple, home first.
+        self._layout = tuple(
+            tuple(
+                tuple(ring[(start + slot + k) % count]
+                      for k in range(replication_factor))
+                for slot in range(span)
+            )
+            for start in starts
+        )
 
     @classmethod
     def generate(
@@ -89,30 +100,21 @@ class ReplicaMap:
 
     @property
     def entities(self) -> int:
-        return len(self._starts)
-
-    def home(self, entity: int, slot: int = 0) -> str:
-        """The slot's first replica (its primary)."""
-        return self.nodes[(self._starts[entity] + slot) % len(self.nodes)]
+        return len(self._layout)
 
     def homes(self, entity: int) -> typing.List[str]:
         """Primary node of every slot of ``entity`` (the rf=1 owner list)."""
-        return [self.home(entity, slot) for slot in range(self.span)]
+        return [replicas[0] for replicas in self._layout[entity]]
 
     def replicas(self, entity: int, slot: int) -> typing.Tuple[str, ...]:
         """Ordered replica list of one record: ``rf`` consecutive nodes."""
-        start = self._starts[entity] + slot
-        count = len(self.nodes)
-        return tuple(
-            self.nodes[(start + k) % count]
-            for k in range(self.replication_factor)
-        )
+        return self._layout[entity][slot]
 
     def slot_items(self) -> typing.Iterator[typing.Tuple[int, int, tuple]]:
         """Iterate ``(entity, slot, replicas)`` over every record."""
-        for entity in range(len(self._starts)):
-            for slot in range(self.span):
-                yield entity, slot, self.replicas(entity, slot)
+        for entity, slots in enumerate(self._layout):
+            for slot, replicas in enumerate(slots):
+                yield entity, slot, replicas
 
     def load_per_node(self) -> typing.Dict[str, int]:
         """Number of record copies hosted by each node (balance metric)."""

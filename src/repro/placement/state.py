@@ -31,7 +31,8 @@ import typing
 
 from repro.errors import SimulationError
 from repro.net.message import MessageKind
-from repro.placement.refresh import MissedOp, MissedOpLedger, RefreshProtocol
+from repro.placement.refresh import (
+    MissedOpLedger, MissedSubtxn, RefreshProtocol)
 
 
 class PlacementState:
@@ -84,7 +85,7 @@ class PlacementState:
         for sid, spec in by_id.items():
             if self.readable(spec.node):
                 continue
-            for alternate in getattr(spec, "alternates", ()):
+            for alternate in spec.alternates:
                 if self.readable(alternate):
                     overrides[sid] = alternate
                     break
@@ -121,19 +122,17 @@ class PlacementState:
         txn_name: str,
         sid: str,
         version: int,
-        write_ops: typing.Iterable[typing.Tuple[typing.Hashable, typing.Any]],
+        write_ops: typing.Sequence[typing.Any],
         compensable: bool,
     ) -> None:
-        """Ledger the operations of one skipped child dispatch
+        """Ledger one skipped child dispatch: its write ops (each with a
+        ``key`` and an ``operation``), in order, as one entry
         (``compensable``: the transaction can abort)."""
-        entries = [
-            MissedOp(txn=txn_name, sid=sid, key=key, version=version,
-                     operation=operation, compensable=compensable)
-            for key, operation in write_ops
-        ]
-        self.ledger.record(target, entries)
         self.writes_skipped += 1
-        self.ops_ledgered += len(entries)
+        if write_ops:
+            self.ledger.record(target, MissedSubtxn(
+                txn_name, sid, version, write_ops, compensable))
+            self.ops_ledgered += len(write_ops)
 
     def cancel_skip(self, target: str, txn_name: str, sid: str) -> None:
         """Compensation overtook a skipped original: annihilate the pair."""

@@ -30,6 +30,7 @@ from repro.sim.resources import Resource
 from repro.storage.locktable import LockTable
 from repro.txn.history import WaitReason
 from repro.txn.runtime import SubtxnInstance
+from repro.txn.spec import ReadOp
 
 
 class ProtocolNode:
@@ -307,14 +308,13 @@ class ProtocolNode:
                 # Write-all-available: the replica is down or unrefreshed,
                 # so its copy is skipped — no request counter increment,
                 # no completion owed (aggregate quiescence stays balanced)
-                # — and the missed operations are ledgered for the
-                # refresh that will re-admit the replica.
+                # — and the subtransaction's write ops are ledgered, as
+                # one entry, for the refresh that will re-admit the
+                # replica.
                 placement.record_skip(
                     target, instance.txn.name, child_sid,
                     instance.version if instance.version is not None else 0,
-                    [(op.key, op.operation)
-                     for op in child_spec.ops
-                     if hasattr(op, "operation")],
+                    [op for op in child_spec.ops if op.__class__ is not ReadOp],
                     compensable=instance.txn.wants_abort,
                 )
                 continue

@@ -108,6 +108,18 @@ class MVStore:
         maximum = self._maxes.get(key)
         return maximum is not None and maximum > version
 
+    def floor_version(self, key, version: int) -> int:
+        """Where a write at ``version`` lands once garbage collection may
+        have moved ``key``'s chain past it: ``version`` itself, or the
+        chain's lowest live version when that is higher."""
+        if key in self._chains and version < self._maxes[key]:
+            chain = self._chains[key]
+            if version not in chain:
+                lowest = min(chain)
+                if lowest > version:
+                    return lowest
+        return version
+
     def get_exact(self, key, version: int):
         """Value of ``key`` at exactly ``version``."""
         chain = self._chains.get(key)
@@ -187,8 +199,9 @@ class MVStore:
             The version numbers written, ascending (length > 1 means a
             dual write).
         """
-        chain = self._chains.get(key)
-        if chain is None:
+        try:
+            chain = self._chains[key]
+        except KeyError:
             chain = self._create(key, version)
         else:
             maximum = self._maxes[key]

@@ -65,7 +65,8 @@ class Increment(Operation):
     def apply(self, state):
         if state is None:
             state = 0
-        if not isinstance(state, (int, float)):
+        elif (state.__class__ is not int and state.__class__ is not float
+              and not isinstance(state, (int, float))):
             raise StorageError(f"Increment applied to non-number: {state!r}")
         return state + self.delta
 

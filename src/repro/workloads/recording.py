@@ -170,6 +170,32 @@ class RecordingWorkload:
             entity: self.placement_map.homes(entity)
             for entity in range(config.entities)
         }
+        # Laid out once, so no builder formats a key or walks the
+        # placement per transaction.  ``_records[entity]`` holds one
+        # ``(slot, balance key, log key)`` per slot: slot-qualified under
+        # replication, the one historic key pair for every slot without.
+        # ``_fanout[entity]`` (rf > 1 only) is the write fan-out: one
+        # ``(node, slots)`` group per replica node holding a record of the
+        # entity, nodes in first-appearance order over the slots in order
+        # and each slot's replicas in placement order.
+        self._replicated = replicated = config.replicated
+        self._records: typing.List[typing.Tuple[tuple, ...]] = [
+            tuple(
+                (slot, balance_key(entity, slot), log_key(entity, slot))
+                if replicated else (slot, balance_key(entity), log_key(entity))
+                for slot in range(config.span)
+            )
+            for entity in range(config.entities)
+        ]
+        self._fanout: typing.List[typing.Tuple[tuple, ...]] = []
+        if replicated:
+            for entity in range(config.entities):
+                groups: typing.Dict[str, list] = {}
+                for slot in range(config.span):
+                    for node in self.placement_map.replicas(entity, slot):
+                        groups.setdefault(node, []).append(slot)
+                self._fanout.append(tuple(
+                    (node, tuple(slots)) for node, slots in groups.items()))
         #: Cumulative Zipf weights over entities (None when uniform).
         self._zipf_cumulative: typing.Optional[typing.List[float]] = None
         if config.zipf > 0:
@@ -192,22 +218,12 @@ class RecordingWorkload:
         #: longer decompose as bitmasks, so the snapshot oracle skips them.
         self.correction_entities: typing.Dict[str, int] = {}
 
-    # ------------------------------------------------------------------
-    # Key helpers (slot-qualified only under replication)
-    # ------------------------------------------------------------------
-
-    def _bal(self, entity: int, slot: int):
-        return balance_key(entity, slot if self.config.replicated else None)
-
-    def _log(self, entity: int, slot: int):
-        return log_key(entity, slot if self.config.replicated else None)
-
     def replica_groups(self):
         """Iterate ``(entity, slot, balance_key, replicas)`` over every
         record — the cross-replica agreement surface the chaos harness
         checks at quiescence."""
         for entity, slot, replicas in self.placement_map.slot_items():
-            yield entity, slot, self._bal(entity, slot), replicas
+            yield entity, slot, self._records[entity][slot][1], replicas
 
     # ------------------------------------------------------------------
     # Initial data
@@ -216,9 +232,10 @@ class RecordingWorkload:
     def install(self, system) -> None:
         """Load zero balances and empty logs on every replica."""
         for entity, slot, replicas in self.placement_map.slot_items():
+            _, balance, log = self._records[entity][slot]
             for node in replicas:
-                system.load(node, self._bal(entity, slot), 0)
-                system.load(node, self._log(entity, slot), ())
+                system.load(node, balance, 0)
+                system.load(node, log, ())
 
     # ------------------------------------------------------------------
     # Transaction builders
@@ -242,19 +259,21 @@ class RecordingWorkload:
     def _copies(self, entity: int, slot_ops) -> typing.List[SubtxnSpec]:
         """One subtransaction per replica node holding a record of
         ``entity`` (rf > 1): ``slot_ops[slot]`` goes to every replica of
-        the slot, slots in order and each slot's replicas in placement
-        order, so a node's ops accumulate in first-appearance order."""
-        groups: typing.Dict[str, list] = {}
-        replicas = self.placement_map.replicas
-        for slot, ops in enumerate(slot_ops):
-            for node in replicas(entity, slot):
-                groups.setdefault(node, []).extend(ops)
-        return [SubtxnSpec(node, ops) for node, ops in groups.items()]
+        the slot, in the entity's laid-out fan-out order, so a node's ops
+        accumulate in slot order.  A node holding one slot shares that
+        slot's op list with the slot's other replicas."""
+        subtxns = []
+        for node, slots in self._fanout[entity]:
+            ops = slot_ops[slots[0]]
+            for slot in slots[1:]:
+                ops = ops + slot_ops[slot]
+            subtxns.append(SubtxnSpec(node, ops))
+        return subtxns
 
     def _replica_read(self, entity: int, slot: int, label: str) -> SubtxnSpec:
         """Read one record at its home, its other replicas as alternates."""
         nodes = self.placement_map.replicas(entity, slot)
-        return SubtxnSpec(nodes[0], [ReadOp(balance_key(entity, slot))],
+        return SubtxnSpec(nodes[0], [ReadOp(self._records[entity][slot][1])],
                           label=label, alternates=nodes[1:])
 
     # Each ``draw_*`` makes every random draw of one transaction and
@@ -284,24 +303,28 @@ class RecordingWorkload:
         name = f"rec-{index}"
         if self.track_amounts:
             self.update_amounts[name] = (entity, amount)
-        config = self.config
         increment = Increment(amount)
-        observe = config.with_observations
-        if config.replicated:
-            subtxns = self._copies(entity, [
-                [WriteOp(balance_key(entity, slot), increment),
-                 WriteOp(log_key(entity, slot), Record((name, slot)))]
-                if observe else [WriteOp(balance_key(entity, slot), increment)]
-                for slot in range(config.span)
-            ])
+        records = self._records[entity]
+        if self._replicated:
+            if self.config.with_observations:
+                slot_ops = [[WriteOp(balance, increment),
+                             WriteOp(log, Record((name, slot)))]
+                            for slot, balance, log in records]
+            else:
+                slot_ops = [[WriteOp(balance, increment)]
+                            for _, balance, _ in records]
+            subtxns = self._copies(entity, slot_ops)
         else:
-            write = WriteOp(balance_key(entity), increment)
-            log = log_key(entity)
-            subtxns = [
-                SubtxnSpec(node, [write, WriteOp(log, Record((name, node)))]
-                           if observe else [write])
-                for node in self.entity_homes[entity]
-            ]
+            _, balance, log = records[0]
+            write = WriteOp(balance, increment)
+            if self.config.with_observations:
+                subtxns = [
+                    SubtxnSpec(node, [write, WriteOp(log, Record((name, node)))])
+                    for node in self.entity_homes[entity]
+                ]
+            else:
+                subtxns = [SubtxnSpec(node, [write])
+                           for node in self.entity_homes[entity]]
         if abort:
             subtxns[-1].abort_here = True
         return _flat_tree(name, subtxns, read_only=False, well_behaved=True,
@@ -323,11 +346,11 @@ class RecordingWorkload:
         placement layer can re-point the read at any readable copy.
         """
         name = f"inq-{index}:{entity}"
-        if self.config.replicated:
+        if self._replicated:
             subtxns = [self._replica_read(entity, slot, f"s{slot}")
-                       for slot in range(self.config.span)]
+                       for slot, _, _ in self._records[entity]]
         else:
-            read = ReadOp(balance_key(entity))
+            read = ReadOp(self._records[entity][0][1])
             subtxns = [
                 SubtxnSpec(node, [read]) for node in self.entity_homes[entity]
             ]
@@ -345,17 +368,17 @@ class RecordingWorkload:
     def build_audit(self, index: int, entities) -> TransactionSpec:
         """Read the summaries of several entities (fans out wide)."""
         name = f"aud-{index}"
-        if self.config.replicated:
+        if self._replicated:
             # One read per record at its home, alternates attached, so each
             # record independently falls back to a readable replica.
             subtxns = [self._replica_read(entity, slot, f"e{entity}s{slot}")
                        for entity in entities
-                       for slot in range(self.config.span)]
+                       for slot, _, _ in self._records[entity]]
         else:
             # Group reads by node; root at the busiest node.
             by_node: typing.Dict[str, list] = {}
             for entity in entities:
-                read = ReadOp(balance_key(entity))
+                read = ReadOp(self._records[entity][0][1])
                 for node in self.entity_homes[entity]:
                     by_node.setdefault(node, []).append(read)
             subtxns = [
@@ -391,13 +414,13 @@ class RecordingWorkload:
         """
         entity, new_value = drawn
         assign = Assign(new_value)
-        if self.config.replicated:
+        records = self._records[entity]
+        if self._replicated:
             subtxns = self._copies(entity, [
-                [WriteOp(balance_key(entity, slot), assign)]
-                for slot in range(self.config.span)
+                [WriteOp(balance, assign)] for _, balance, _ in records
             ])
         else:
-            write = WriteOp(balance_key(entity), assign)
+            write = WriteOp(records[0][1], assign)
             subtxns = [
                 SubtxnSpec(node, [write]) for node in self.entity_homes[entity]
             ]

@@ -5,9 +5,9 @@ Kept verbatim, for tests only, as the reference the differential in
 tree went through ``_write_groups`` (one ``make_ops(slot, node)`` closure
 call per record copy, one key f-string per op) and through the
 ``TransactionSpec`` constructor, whose ``validate()`` walk derived the
-transaction's class.  The placement, the key helpers, ``_pick_entity``
-and ``_amount`` are inherited unchanged, so both draw from the workload
-stream in the same order.
+transaction's class.  The placement, ``_pick_entity`` and ``_amount``
+are inherited unchanged, so both draw from the workload stream in the
+same order; the per-op key helpers are kept here with the builders.
 """
 
 from __future__ import annotations
@@ -16,11 +16,17 @@ import typing
 
 from repro.storage.values import Assign, Increment, Record
 from repro.txn.spec import ReadOp, SubtxnSpec, TransactionSpec, WriteOp
-from repro.workloads.recording import RecordingWorkload, balance_key
+from repro.workloads.recording import RecordingWorkload, balance_key, log_key
 
 
 class ReferenceRecordingWorkload(RecordingWorkload):
     """:class:`RecordingWorkload` with the builders it had before."""
+
+    def _bal(self, entity: int, slot: int):
+        return balance_key(entity, slot if self.config.replicated else None)
+
+    def _log(self, entity: int, slot: int):
+        return log_key(entity, slot if self.config.replicated else None)
 
     def _write_groups(self, entity: int, make_ops) -> typing.Dict[str, list]:
         """Group one entity's per-record writes by target node.

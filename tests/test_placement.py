@@ -69,7 +69,7 @@ class TestReplicaMapProperties:
         for entity, slot, replicas in placement.slot_items():
             assert len(replicas) == params["rf"]
             assert len(set(replicas)) == len(replicas)
-            assert replicas[0] == placement.home(entity, slot)
+            assert replicas[0] == placement.homes(entity)[slot]
             first = ring.index(replicas[0])
             expected = tuple(
                 ring[(first + k) % len(ring)] for k in range(params["rf"])
