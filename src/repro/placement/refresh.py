@@ -17,13 +17,15 @@ holding its write ops (the sender is the one that knows it skipped);
 refresh pops the recovering node's ledger section via a
 ``REFRESH_REQUEST`` / ``REFRESH_REPLY`` round trip through a live peer
 and re-applies each operation at its subtransaction's version with the
-store's dual-write ``write``.
-Because the paper's updates commute, op-shipping needs no synchronisation
-with the writes that keep flowing during the refresh — whereas copying a
-peer's MVStore chains wholesale would lose any write applied locally but
-still in flight to the peer at snapshot time.  The recovering node drains
-its own ledger section once more when the reply arrives, atomically with
-becoming readable, so nothing skipped during the round trip is lost.
+store's dual-write ``write`` — or at the chain's lowest live version, if
+garbage collection moved the chain past that version while the replica
+was down.  Because the paper's updates commute, op-shipping needs no
+synchronisation with the writes that keep flowing during the refresh —
+whereas copying a peer's MVStore chains wholesale would lose any write
+applied locally but still in flight to the peer at snapshot time.  The
+recovering node drains its own ledger section once more when the reply
+arrives, atomically with becoming readable, so nothing skipped during
+the round trip is lost.
 
 Epochs guard against a node crashing *again* mid-refresh: every recovery
 bumps the node's epoch, and a reply carrying a stale epoch still applies

@@ -30,6 +30,12 @@ Two orthogonal placement axes — do not confuse them:
   fans writes out write-all-available and serves reads from any readable
   replica (see :mod:`repro.placement`).
 
+Both axes are laid out once, when the workload is built: the replica map
+holds every record's replica tuple, and the workload holds each entity's
+record keys and, under replication, its write fan-out — one
+``(node, slots)`` group per replica node.  A builder then only looks
+these up: it formats no key and walks no placement per transaction.
+
 Amount modes:
 
 * ``"money"`` — realistic uniformly sampled charges (benchmark runs).
@@ -304,27 +310,23 @@ class RecordingWorkload:
         if self.track_amounts:
             self.update_amounts[name] = (entity, amount)
         increment = Increment(amount)
+        observe = self.config.with_observations
         records = self._records[entity]
         if self._replicated:
-            if self.config.with_observations:
-                slot_ops = [[WriteOp(balance, increment),
-                             WriteOp(log, Record((name, slot)))]
-                            for slot, balance, log in records]
-            else:
-                slot_ops = [[WriteOp(balance, increment)]
-                            for _, balance, _ in records]
-            subtxns = self._copies(entity, slot_ops)
+            subtxns = self._copies(entity, [
+                [WriteOp(balance, increment),
+                 WriteOp(log, Record((name, slot)))]
+                if observe else [WriteOp(balance, increment)]
+                for slot, balance, log in records
+            ])
         else:
             _, balance, log = records[0]
             write = WriteOp(balance, increment)
-            if self.config.with_observations:
-                subtxns = [
-                    SubtxnSpec(node, [write, WriteOp(log, Record((name, node)))])
-                    for node in self.entity_homes[entity]
-                ]
-            else:
-                subtxns = [SubtxnSpec(node, [write])
-                           for node in self.entity_homes[entity]]
+            subtxns = [
+                SubtxnSpec(node, [write, WriteOp(log, Record((name, node)))]
+                           if observe else [write])
+                for node in self.entity_homes[entity]
+            ]
         if abort:
             subtxns[-1].abort_here = True
         return _flat_tree(name, subtxns, read_only=False, well_behaved=True,

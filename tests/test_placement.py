@@ -132,6 +132,17 @@ class TestValidation:
         with pytest.raises(SimulationError, match="refresh_delay"):
             PlacementState(refresh_delay=0.0)
 
+    def test_a_subtransaction_skipped_twice_for_one_node_is_refused(self):
+        """The ledger holds one entry per skipped subtransaction, so a
+        second skip of the same one would replace the first's writes."""
+        placement = PlacementState()
+        ops = [WriteOp("x", Increment(1))]
+        placement.record_skip("q", "t", "t.1", 1, ops, compensable=False)
+        placement.record_skip("p", "t", "t.1", 1, ops, compensable=False)
+        with pytest.raises(SimulationError, match="skipped twice"):
+            placement.record_skip("q", "t", "t.1", 1, ops,
+                                  compensable=False)
+
 
 class TestSpecDigestCompatibility:
     def test_rf1_digest_ignores_the_replication_axes(self):
