@@ -5,9 +5,10 @@ of ``replication_factor`` distinct replica nodes.  Placement is a ring
 walk: each entity draws one random start node, slot ``s`` of the entity
 is homed at ``start + s`` on the ring, and the slot's replicas are the
 ``rf`` consecutive nodes beginning at its home.  The walk runs once, at
-construction: the map keeps every record's replica tuple, and every
-lookup (``replicas``, ``homes``, ``slot_items``) reads that layout.  Two
-properties fall out by construction:
+construction: the map keeps every record's replica tuple and every
+entity's write fan-out, and every lookup (``replicas``, ``homes``,
+``fanout``, ``slot_items``) reads that layout.  Two properties fall out
+by construction:
 
 * **rf=1 is today's map.**  With one replica per slot, ``replicas(e, s)``
   collapses to the single home node ``nodes[(start + s) % n]`` — exactly
@@ -40,7 +41,7 @@ class ReplicaMap:
         replication_factor: Copies of every record (``1`` = single-owner).
     """
 
-    __slots__ = ("nodes", "span", "replication_factor", "_layout")
+    __slots__ = ("nodes", "span", "replication_factor", "_layout", "_fanout")
 
     def __init__(
         self,
@@ -64,15 +65,28 @@ class ReplicaMap:
         self.span = span
         self.replication_factor = replication_factor
         count = len(ring)
-        #: entity -> slot -> the record's replica tuple, home first.
-        self._layout = tuple(
-            tuple(
-                tuple(ring[(start + slot + k) % count]
-                      for k in range(replication_factor))
-                for slot in range(span)
-            )
-            for start in starts
-        )
+        wrapped = ring + ring
+        # A record's replicas depend only on its home, and an entity's
+        # layout only on its start, so entities that drew the same start
+        # share one layout.  Per start: every slot's replica tuple, home
+        # first, and the fan-out, one ``(node, slots)`` group per replica
+        # node, nodes in first appearance over the slots in order.
+        by_home = [wrapped[home:home + replication_factor]
+                   for home in range(count)]
+        slots_by_start = []
+        fanout_by_start = []
+        for start in range(count):
+            slots = tuple(by_home[(start + slot) % count]
+                          for slot in range(span))
+            groups: typing.Dict[str, list] = {}
+            for slot, replicas in enumerate(slots):
+                for node in replicas:
+                    groups.setdefault(node, []).append(slot)
+            slots_by_start.append(slots)
+            fanout_by_start.append(tuple(
+                (node, tuple(held)) for node, held in groups.items()))
+        self._layout = [slots_by_start[start % count] for start in starts]
+        self._fanout = [fanout_by_start[start % count] for start in starts]
 
     @classmethod
     def generate(
@@ -109,6 +123,13 @@ class ReplicaMap:
     def replicas(self, entity: int, slot: int) -> typing.Tuple[str, ...]:
         """Ordered replica list of one record: ``rf`` consecutive nodes."""
         return self._layout[entity][slot]
+
+    def fanout(self, entity: int) -> typing.Tuple[typing.Tuple[str, tuple], ...]:
+        """Where a write to every record of ``entity`` goes: one
+        ``(node, slots)`` group per replica node holding a copy, nodes in
+        first appearance over the slots in order and each slot's
+        replicas in placement order."""
+        return self._fanout[entity]
 
     def slot_items(self) -> typing.Iterator[typing.Tuple[int, int, tuple]]:
         """Iterate ``(entity, slot, replicas)`` over every record."""

@@ -31,10 +31,10 @@ Two orthogonal placement axes — do not confuse them:
   replica (see :mod:`repro.placement`).
 
 Both axes are laid out once, when the workload is built: the replica map
-holds every record's replica tuple, and the workload holds each entity's
-record keys and, under replication, its write fan-out — one
-``(node, slots)`` group per replica node.  A builder then only looks
-these up: it formats no key and walks no placement per transaction.
+holds every record's replica tuple and every entity's write fan-out (one
+``(node, slots)`` group per replica node), and the workload holds each
+entity's record keys.  A builder then only looks these up: it formats no
+key and walks no placement per transaction.
 
 Amount modes:
 
@@ -180,28 +180,17 @@ class RecordingWorkload:
         # placement per transaction.  ``_records[entity]`` holds one
         # ``(slot, balance key, log key)`` per slot: slot-qualified under
         # replication, the one historic key pair for every slot without.
-        # ``_fanout[entity]`` (rf > 1 only) is the write fan-out: one
-        # ``(node, slots)`` group per replica node holding a record of the
-        # entity, nodes in first-appearance order over the slots in order
-        # and each slot's replicas in placement order.
         self._replicated = replicated = config.replicated
-        self._records: typing.List[typing.Tuple[tuple, ...]] = [
-            tuple(
-                (slot, balance_key(entity, slot), log_key(entity, slot))
-                if replicated else (slot, balance_key(entity), log_key(entity))
-                for slot in range(config.span)
-            )
-            for entity in range(config.entities)
-        ]
-        self._fanout: typing.List[typing.Tuple[tuple, ...]] = []
-        if replicated:
-            for entity in range(config.entities):
-                groups: typing.Dict[str, list] = {}
-                for slot in range(config.span):
-                    for node in self.placement_map.replicas(entity, slot):
-                        groups.setdefault(node, []).append(slot)
-                self._fanout.append(tuple(
-                    (node, tuple(slots)) for node, slots in groups.items()))
+        slots = range(config.span)
+        self._records: typing.List[typing.List[tuple]] = []
+        for entity in range(config.entities):
+            if replicated:
+                self._records.append([
+                    (slot, balance_key(entity, slot), log_key(entity, slot))
+                    for slot in slots])
+            else:
+                balance, log = balance_key(entity), log_key(entity)
+                self._records.append([(slot, balance, log) for slot in slots])
         #: Cumulative Zipf weights over entities (None when uniform).
         self._zipf_cumulative: typing.Optional[typing.List[float]] = None
         if config.zipf > 0:
@@ -269,7 +258,7 @@ class RecordingWorkload:
         accumulate in slot order.  A node holding one slot shares that
         slot's op list with the slot's other replicas."""
         subtxns = []
-        for node, slots in self._fanout[entity]:
+        for node, slots in self.placement_map.fanout(entity):
             ops = slot_ops[slots[0]]
             for slot in slots[1:]:
                 ops = ops + slot_ops[slot]

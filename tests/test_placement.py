@@ -93,6 +93,20 @@ class TestReplicaMapProperties:
 
     @MAPS
     @given(map_params())
+    def test_fanout_groups_each_copy_under_its_node(self, params):
+        """An entity's fan-out lists each replica node once, in first
+        appearance over the slots in order, with the slots it holds."""
+        placement = make_map(**params)
+        for entity in range(params["entities"]):
+            expected = {}
+            for slot in range(params["span"]):
+                for node in placement.replicas(entity, slot):
+                    expected.setdefault(node, []).append(slot)
+            assert placement.fanout(entity) == tuple(
+                (node, tuple(slots)) for node, slots in expected.items())
+
+    @MAPS
+    @given(map_params())
     def test_load_accounts_for_every_copy(self, params):
         placement = make_map(**params)
         load = placement.load_per_node()

@@ -13,7 +13,7 @@ This test builds a fixed set of such recordings with one replica down,
 runs them, brings the replica back and lets the refresh finish, all
 under ``cProfile``.  It holds the calls per record copy (the sum of
 ``Profile.getstats()`` call counts, so no two functions share a row) at
-or below what that costs: 34.2 on Python 3.10 and 3.11, 34.0 on 3.12,
+or below what that costs: 34.4 on Python 3.10 and 3.11, 34.1 on 3.12,
 which inlines comprehensions.  The workload that walked the ring, grouped
 the copies and formatted the keys per transaction, over a ledger that
 built one object per skipped op and a refresh that sorted the chain of
@@ -38,7 +38,7 @@ DOWN = "c"
 RECORDINGS = 300
 SPAN = 2
 RF = 3
-BUDGET = 34.7
+BUDGET = 34.9
 
 
 def calls_per_record_copy() -> float:
