@@ -176,10 +176,9 @@ class RecordingWorkload:
             entity: self.placement_map.homes(entity)
             for entity in range(config.entities)
         }
-        # Laid out once, so no builder formats a key or walks the
-        # placement per transaction.  ``_records[entity]`` holds one
-        # ``(slot, balance key, log key)`` per slot: slot-qualified under
-        # replication, the one historic key pair for every slot without.
+        # ``_records[entity]`` holds one ``(slot, balance key, log key)``
+        # per slot: slot-qualified under replication, the one historic
+        # key pair for every slot without.
         self._replicated = replicated = config.replicated
         slots = range(config.span)
         self._records: typing.List[typing.List[tuple]] = []
